@@ -30,6 +30,7 @@ use crate::context::ExecContext;
 use crate::engine::JoinRequest;
 use crate::error::JoinError;
 use crate::hashtable::{HashTable, BUCKET_HEADER_BYTES};
+use crate::native::NativeTable;
 use crate::partition::{default_radix_bits, run_partition_pass};
 use crate::result::JoinOutcome;
 use crate::scheme::RatioPlan;
@@ -145,9 +146,8 @@ pub(crate) enum CachedPayload {
         bits: u32,
         passes: u32,
     },
-    /// The native backend's read-only shard maps (`hash(key) % shards`
-    /// addressing, rid vectors in build order).
-    Native { shards: Vec<HashMap<u32, Vec<u32>>> },
+    /// The native backend's flat table ([`crate::native`]).
+    Native(NativeTable),
 }
 
 fn sim_tables_bytes(tables: &[HashTable]) -> usize {
@@ -156,19 +156,6 @@ fn sim_tables_bytes(tables: &[HashTable]) -> usize {
         .map(HashTable::total_bytes)
         .sum::<usize>()
         .max(BUCKET_HEADER_BYTES)
-}
-
-fn native_shards_bytes(shards: &[HashMap<u32, Vec<u32>>]) -> usize {
-    // Accounting estimate: hash-map slot + key + Vec header per distinct
-    // key, 4 B per stored rid.
-    shards
-        .iter()
-        .map(|m| {
-            let rids: usize = m.values().map(Vec::len).sum();
-            m.len() * 48 + rids * 4
-        })
-        .sum::<usize>()
-        .max(64)
 }
 
 // ---------------------------------------------------------------------------
@@ -381,49 +368,6 @@ pub(crate) fn sim_probe_cached(
         record_phase(ctx, &mut outcome, phase);
     }
     Ok(outcome)
-}
-
-/// Builds the native backend's shard maps from `build` (the scatter/fold
-/// stages of the native join, minus the probe).
-pub(crate) fn native_build_shards(
-    pool: &crate::pipeline::WorkerPool,
-    build: &Relation,
-    morsel: usize,
-) -> Vec<HashMap<u32, Vec<u32>>> {
-    let shard_count = pool.workers();
-    let build_morsels = crate::pipeline::morsel_ranges(build.len(), morsel);
-    let scattered: Vec<Vec<Vec<(u32, u32)>>> = pool.run(build_morsels.len(), |_, task| {
-        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shard_count];
-        for i in build_morsels[task].clone() {
-            let key = build.key(i);
-            buckets[crate::hash::hash_key(key) as usize % shard_count].push((key, build.rid(i)));
-        }
-        buckets
-    });
-    let scattered_ref = &scattered;
-    pool.run(shard_count, |_, shard| {
-        let mut map: HashMap<u32, Vec<u32>> = HashMap::new();
-        for buckets in scattered_ref {
-            for &(key, rid) in &buckets[shard] {
-                map.entry(key).or_default().push(rid);
-            }
-        }
-        map
-    })
-}
-
-/// Wraps native shard maps as a cached payload with accounted bytes.
-pub(crate) fn native_cached_table(
-    shards: Vec<HashMap<u32, Vec<u32>>>,
-    build_tuples: usize,
-) -> CachedTable {
-    let bytes = native_shards_bytes(&shards);
-    CachedTable {
-        payload: CachedPayload::Native { shards },
-        bytes,
-        build_ns: 0,
-        build_tuples,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -859,7 +803,7 @@ mod tests {
 
     fn table(bytes: usize) -> CachedTable {
         CachedTable {
-            payload: CachedPayload::Native { shards: Vec::new() },
+            payload: CachedPayload::Native(NativeTable::default()),
             bytes,
             build_ns: 1_000,
             build_tuples: 0,

@@ -50,13 +50,15 @@ use crate::cached::{CacheKey, CacheParams, CacheStats, CachedTable, HashTableCac
 use crate::config::{Algorithm, HashTableMode, JoinConfig, Scheme, StepGranularity};
 use crate::context::{arena_bytes_for, ExecContext};
 use crate::error::JoinError;
-use crate::hash::hash_key;
-use crate::pipeline::{morsel_ranges, SharedWorkerPool, WorkerPool};
+// The native backend lives in its own module; the historical
+// `hj_core::engine::NativeCpu` path keeps working.
+pub use crate::native::{NativeCpu, NATIVE_MIN_CHUNK_TUPLES};
+use crate::pipeline::{SharedWorkerPool, WorkerPool};
 use crate::result::JoinOutcome;
 use crate::scheme::RatioPlan;
-use apu_sim::{Phase, SimTime, SystemSpec};
+use apu_sim::SystemSpec;
 use datagen::Relation;
-use hj_adaptive::{AdaptiveConfig, RatioTuner, SeriesKind};
+use hj_adaptive::{AdaptiveConfig, RatioTuner};
 use hj_analysis::sync::{Condvar, Mutex};
 use hj_metrics::{
     AtomicHistogram, Counter, Gauge, HealthConfig, HealthMonitor, HealthObservation, HealthReport,
@@ -694,392 +696,6 @@ impl ExecBackend for DiscreteSim {
         request: &JoinRequest,
     ) -> Result<JoinOutcome, JoinError> {
         simulate(ctx, build, probe, request)
-    }
-}
-
-/// A production-shaped backend that runs the equi-join for real on host
-/// threads and reports measured wall-clock times.
-///
-/// It consumes the same morsel task stream the simulator replays through
-/// its event clock: the build and probe relations are decomposed into
-/// morsels of [`JoinConfig::morsel_tuples`] tuples, submitted to the
-/// engine's persistent work-stealing [`WorkerPool`] (one pool shared by
-/// every session, sized by [`EngineConfig::worker_threads`]).  Each build
-/// morsel scatters its tuples into per-shard buffers, shard owners fold the
-/// buffers into private hash maps (no latches), and probe morsels then scan
-/// the read-only shard maps.  Per-morsel results are folded in morsel
-/// order, so the outcome is deterministic across worker counts.  The
-/// outcome's [`Phase::Build`] / [`Phase::Probe`] entries carry *measured*
-/// elapsed time, so the same reporting pipeline serves simulated and native
-/// runs.
-///
-/// Scheme, hash-table mode and the out-of-core chunk are placement hints
-/// for the simulator and are ignored here; `collect_results` and
-/// `morsel_tuples` are honoured (the latter floored at
-/// [`NATIVE_MIN_CHUNK_TUPLES`] to bound per-task allocation churn).
-///
-/// # Migration: `with_threads`
-///
-/// Since the engine-wide pool, execution parallelism belongs to the
-/// *engine*, not the backend: every `NativeCpu` behind a [`JoinEngine`]
-/// runs on the engine's pool, and one `NativeCpu::new()` per session no
-/// longer oversubscribes the machine.  [`NativeCpu::with_threads`] remains
-/// only as the worker count of the *fallback* pool used when the backend is
-/// driven without an engine (deprecated shim paths); engine callers should
-/// size the shared pool with [`EngineConfig::worker_threads`] instead.
-#[derive(Debug)]
-pub struct NativeCpu {
-    threads: usize,
-    sys: SystemSpec,
-    gate: ExecGate,
-    /// Lazily-spawned pool for engine-less use (deprecated shim paths):
-    /// spawned at most once per backend instance, never per call.
-    fallback: SharedWorkerPool,
-}
-
-impl Clone for NativeCpu {
-    /// Clones the configuration but **not** the execution gate or the
-    /// fallback pool: a clone handed to a second engine gates against that
-    /// engine's own pool instead of sharing (and halving) the original's
-    /// execution slots.
-    fn clone(&self) -> Self {
-        NativeCpu::with_threads(self.threads)
-    }
-}
-
-/// Bounds how many native joins *execute* simultaneously (admission stays
-/// with the engine's sessions): concurrent `execute` calls beyond the
-/// pool's worker count wait here instead of interleaving yet another
-/// working set into the cache.
-///
-/// Without the gate, `sessions` joins all make progress at once even when
-/// the pool has fewer workers than sessions; their build/probe state is
-/// co-resident and aggregate throughput *drops* as clients rise.  With it,
-/// at most `workers` joins execute concurrently — enough to saturate every
-/// pool worker with morsels — and the rest pipeline behind them.
-///
-/// Slots are granted in strict ticket (FIFO) order, matching the engine's
-/// session hand-off discipline: a freshly arriving join cannot barge past
-/// one that has been waiting, so no admitted join is starved of execution
-/// under sustained load.
-#[derive(Debug)]
-struct ExecGate {
-    state: Mutex<GateState>,
-    freed: Condvar,
-}
-
-impl Default for ExecGate {
-    fn default() -> Self {
-        ExecGate {
-            state: Mutex::new("engine.exec_gate", GateState::default()),
-            freed: Condvar::new(),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct GateState {
-    executing: usize,
-    next_ticket: u64,
-    now_serving: u64,
-}
-
-impl ExecGate {
-    /// Waits (FIFO) for one of `capacity` execution slots; the guard frees
-    /// it.
-    fn acquire(&self, capacity: usize) -> ExecSlot<'_> {
-        let mut state = self.state.lock();
-        let ticket = state.next_ticket;
-        state.next_ticket += 1;
-        while state.now_serving != ticket || state.executing >= capacity.max(1) {
-            state = self.freed.wait(state);
-        }
-        state.now_serving += 1;
-        state.executing += 1;
-        drop(state);
-        // The next ticket may already be eligible (capacity > 1).
-        self.freed.notify_all();
-        ExecSlot { gate: self }
-    }
-}
-
-/// RAII slot of [`ExecGate`]: released on drop, panic or not.
-#[must_use = "dropping the slot immediately frees the execution gate"]
-struct ExecSlot<'a> {
-    gate: &'a ExecGate,
-}
-
-impl Drop for ExecSlot<'_> {
-    fn drop(&mut self) {
-        self.gate.state.lock().executing -= 1;
-        self.gate.freed.notify_all();
-    }
-}
-
-/// Smallest chunk (tuples) the native backend schedules as one task, even
-/// when the request asks for finer morsels.
-pub const NATIVE_MIN_CHUNK_TUPLES: usize = 1024;
-
-/// Per-shard `(key, rid)` buffers one build-scatter task produces, plus the
-/// task's wall-clock nanoseconds (adaptive telemetry).
-type ScatterResult = (Vec<Vec<(u32, u32)>>, f64);
-/// One probe task's match count, collected pairs and wall-clock nanoseconds.
-type ProbeResult = (u64, Vec<(u32, u32)>, f64);
-
-impl NativeCpu {
-    /// One worker per available hardware thread.
-    pub fn new() -> Self {
-        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-        NativeCpu::with_threads(threads)
-    }
-
-    /// A fixed worker count (at least 1) for the **fallback** pool only.
-    ///
-    /// Inside a [`JoinEngine`] this value is ignored — the engine's shared
-    /// [`WorkerPool`] (sized by [`EngineConfig::worker_threads`]) executes
-    /// every morsel.  It is consulted only when the backend runs without an
-    /// engine-provided pool, e.g. through the deprecated one-shot shims.
-    pub fn with_threads(threads: usize) -> Self {
-        let threads = threads.max(1);
-        NativeCpu {
-            threads,
-            // The native backend does not simulate; a nominal spec is kept
-            // only so the engine can size contexts and admission uniformly.
-            sys: SystemSpec::coupled_a8_3870k(),
-            gate: ExecGate::default(),
-            fallback: SharedWorkerPool::new(threads),
-        }
-    }
-
-    /// The configured fallback worker count (see
-    /// [`with_threads`](Self::with_threads)).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Default for NativeCpu {
-    fn default() -> Self {
-        NativeCpu::new()
-    }
-}
-
-impl ExecBackend for NativeCpu {
-    fn name(&self) -> &'static str {
-        "native-cpu"
-    }
-
-    fn system(&self) -> &SystemSpec {
-        &self.sys
-    }
-
-    fn execute(
-        &self,
-        ctx: &mut ExecContext<'_>,
-        build: &Relation,
-        probe: &Relation,
-        request: &JoinRequest,
-    ) -> Result<JoinOutcome, JoinError> {
-        // Morsels go to the engine's persistent pool — shared by all
-        // sessions, so concurrent joins interleave rather than each
-        // spawning (and oversubscribing) its own threads.  The backend's
-        // own lazily-spawned pool serves only engine-less use (deprecated
-        // one-shot shims) — spawned once per backend, never per call.
-        let pool: &WorkerPool = match ctx.worker_pool() {
-            Some(pool) => pool,
-            None => self.fallback.get(),
-        };
-        let shard_count = pool.workers();
-        // Execution gating: at most `workers` joins run their morsels at
-        // once (each join saturates the pool by itself); further admitted
-        // sessions wait for a slot instead of thrashing the cache with yet
-        // another co-resident build/probe working set.
-        let _slot = self.gate.acquire(pool.workers());
-        // Floor the native chunking: each scatter task allocates one bucket
-        // set per shard, so degenerate tuple-sized morsels (legal for the
-        // simulator, where a morsel is just an accounting range) would turn
-        // into millions of allocations here.  Coalescing keeps the fold
-        // deterministic — results are still combined in task order.
-        let morsel = request.config().morsel_tuples.max(NATIVE_MIN_CHUNK_TUPLES);
-        let mut outcome = JoinOutcome::default();
-
-        // ---- build: morsel scatter, then one fold task per shard ----
-        // Two lock-free stages so the relation is scanned (and hashed) once:
-        // work-stealing workers scatter each build morsel into per-shard
-        // buffers, then each shard owner folds the buffers destined for it
-        // into its private map — no latches anywhere.
-        let build_start = Instant::now();
-        let build_morsels = morsel_ranges(build.len(), morsel);
-        // Each task also reports its own wall-clock nanoseconds — the
-        // per-morsel telemetry the adaptive tuner ingests on this backend.
-        let scattered: Vec<ScatterResult> = pool.run(build_morsels.len(), |_, task| {
-            let task_start = Instant::now();
-            let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shard_count];
-            for i in build_morsels[task].clone() {
-                let key = build.key(i);
-                buckets[hash_key(key) as usize % shard_count].push((key, build.rid(i)));
-            }
-            (buckets, task_start.elapsed().as_nanos() as f64)
-        });
-        let scattered_ref = &scattered;
-        let shards: Vec<HashMap<u32, Vec<u32>>> = pool.run(shard_count, |_, shard| {
-            let mut map: HashMap<u32, Vec<u32>> = HashMap::new();
-            for (buckets, _) in scattered_ref {
-                for &(key, rid) in &buckets[shard] {
-                    map.entry(key).or_default().push(rid);
-                }
-            }
-            map
-        });
-        let build_elapsed = build_start.elapsed();
-        if let Some(tuner) = ctx.tuner.as_mut() {
-            for (range, (_, ns)) in build_morsels.iter().zip(&scattered) {
-                tuner.observe_wall(SeriesKind::Build, range.len(), *ns);
-            }
-        }
-
-        // ---- probe: morsels over the read-only shard maps ----
-        let collect = request.config().collect_results;
-        let probe_start = Instant::now();
-        let shards_ref = &shards;
-        let probe_morsels = morsel_ranges(probe.len(), morsel);
-        let results: Vec<ProbeResult> = pool.run(probe_morsels.len(), |_, task| {
-            let task_start = Instant::now();
-            let mut matches = 0u64;
-            let mut pairs = Vec::new();
-            for i in probe_morsels[task].clone() {
-                let key = probe.key(i);
-                let shard = hash_key(key) as usize % shard_count;
-                if let Some(rids) = shards_ref[shard].get(&key) {
-                    matches += rids.len() as u64;
-                    if collect {
-                        for &brid in rids {
-                            pairs.push((brid, probe.rid(i)));
-                        }
-                    }
-                }
-            }
-            (matches, pairs, task_start.elapsed().as_nanos() as f64)
-        });
-        let probe_elapsed = probe_start.elapsed();
-        if let Some(tuner) = ctx.tuner.as_mut() {
-            for (range, (_, _, ns)) in probe_morsels.iter().zip(&results) {
-                tuner.observe_wall(SeriesKind::Probe, range.len(), *ns);
-            }
-        }
-
-        // Fold per-morsel results in morsel order: deterministic across
-        // worker counts and steal patterns.
-        for (matches, pairs, _) in results {
-            outcome.matches += matches;
-            if collect {
-                outcome.pairs.get_or_insert_with(Vec::new).extend(pairs);
-            }
-        }
-        outcome.breakdown.add(
-            Phase::Build,
-            SimTime::from_ns(build_elapsed.as_nanos() as f64),
-        );
-        outcome.breakdown.add(
-            Phase::Probe,
-            SimTime::from_ns(probe_elapsed.as_nanos() as f64),
-        );
-        Ok(outcome)
-    }
-
-    /// The native join ignores scheme, hash-table mode and grouping (they
-    /// are simulator placement hints), so every in-core request maps to the
-    /// same cached shard maps.
-    fn cache_params(&self, request: &JoinRequest, _build_tuples: usize) -> Option<CacheParams> {
-        if request.out_of_core_chunk().is_some() || request.spill_config().is_some() {
-            return None;
-        }
-        Some(CacheParams {
-            partitioning: (0, 0),
-            grouping: false,
-        })
-    }
-
-    fn build_cached(
-        &self,
-        ctx: &mut ExecContext<'_>,
-        build: &Relation,
-        request: &JoinRequest,
-    ) -> Result<CachedTable, JoinError> {
-        let pool: &WorkerPool = match ctx.worker_pool() {
-            Some(pool) => pool,
-            None => self.fallback.get(),
-        };
-        // Builds take an execution slot like any native join: an engine
-        // flooded with cold tables still bounds its co-resident build state.
-        let _slot = self.gate.acquire(pool.workers());
-        let morsel = request.config().morsel_tuples.max(NATIVE_MIN_CHUNK_TUPLES);
-        let shards = crate::cached::native_build_shards(pool, build, morsel);
-        Ok(crate::cached::native_cached_table(shards, build.len()))
-    }
-
-    fn probe_cached(
-        &self,
-        ctx: &mut ExecContext<'_>,
-        cached: &CachedTable,
-        probe: &Relation,
-        request: &JoinRequest,
-    ) -> Result<JoinOutcome, JoinError> {
-        let crate::cached::CachedPayload::Native { shards } = &cached.payload else {
-            return Err(JoinError::InvalidConfig(
-                "cached table was built by a different backend kind".to_string(),
-            ));
-        };
-        let pool: &WorkerPool = match ctx.worker_pool() {
-            Some(pool) => pool,
-            None => self.fallback.get(),
-        };
-        let _slot = self.gate.acquire(pool.workers());
-        // Shard addressing must match the *build-time* fan-out, not the
-        // current pool width (they only differ across engines).
-        let shard_count = shards.len();
-        let morsel = request.config().morsel_tuples.max(NATIVE_MIN_CHUNK_TUPLES);
-        let collect = request.config().collect_results;
-        let mut outcome = JoinOutcome::default();
-        let probe_start = Instant::now();
-        let probe_morsels = morsel_ranges(probe.len(), morsel);
-        let results: Vec<ProbeResult> = pool.run(probe_morsels.len(), |_, task| {
-            let task_start = Instant::now();
-            let mut matches = 0u64;
-            let mut pairs = Vec::new();
-            for i in probe_morsels[task].clone() {
-                let key = probe.key(i);
-                let shard = hash_key(key) as usize % shard_count;
-                if let Some(rids) = shards[shard].get(&key) {
-                    matches += rids.len() as u64;
-                    if collect {
-                        for &brid in rids {
-                            pairs.push((brid, probe.rid(i)));
-                        }
-                    }
-                }
-            }
-            (matches, pairs, task_start.elapsed().as_nanos() as f64)
-        });
-        let probe_elapsed = probe_start.elapsed();
-        // The adaptive tuner still observes probe morsels on the hot path;
-        // only the (skipped) build contributes no samples.
-        if let Some(tuner) = ctx.tuner.as_mut() {
-            for (range, (_, _, ns)) in probe_morsels.iter().zip(&results) {
-                tuner.observe_wall(SeriesKind::Probe, range.len(), *ns);
-            }
-        }
-        for (matches, pairs, _) in results {
-            outcome.matches += matches;
-            if collect {
-                outcome.pairs.get_or_insert_with(Vec::new).extend(pairs);
-            }
-        }
-        outcome.breakdown.add(
-            Phase::Probe,
-            SimTime::from_ns(probe_elapsed.as_nanos() as f64),
-        );
-        Ok(outcome)
     }
 }
 
@@ -3077,6 +2693,7 @@ fn assemble_join_trace(
 mod tests {
     use super::*;
     use crate::result::reference_match_count;
+    use apu_sim::{Phase, SimTime};
     use datagen::DataGenConfig;
 
     fn small_pair(n: usize) -> (Relation, Relation) {

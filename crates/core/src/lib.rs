@@ -29,8 +29,8 @@
 //! ├────────────────────────────────────────────────────────────────────┤
 //! │ 4. Backends      [`CoupledSim`] / [`DiscreteSim`] (calibrated      │
 //! │                  device model) and [`NativeCpu`] (measured         │
-//! │                  wall-clock), pooled behind a concurrent           │
-//! │                  [`JoinEngine`] ([`engine`])                       │
+//! │                  wall-clock, [`native`]), pooled behind a          │
+//! │                  concurrent [`JoinEngine`] ([`engine`])            │
 //! └────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -43,6 +43,14 @@
 //! * **Algorithms** — the simple hash join (SHJ) and the radix-partitioned
 //!   hash join (PHJ), built on the paper's bucket-header → key-list →
 //!   rid-list hash table ([`hashtable`]) and MurmurHash 2.0 ([`hash`]).
+//! * **The native kernel** ([`native`]) — [`NativeCpu`] joins through the
+//!   same §3.1 idea laid out flat for host threads: per shard, a
+//!   power-of-two open-addressed directory of `{key, start, len}` slots
+//!   (indexed by the high bits of [`hash::hash_key`]) over one contiguous
+//!   rid vector in which each key's duplicates are a single run in build
+//!   order.  One build loop and one probe loop serve `submit`,
+//!   `submit_cached`, spill partition pairs and the wire alike; the large
+//!   buffers of a finished join are kept for the backend's next one.
 //! * **Fine-grained steps** — `n1..n3`, `b1..b4`, `p1..p4` ([`steps`]), each
 //!   a data-parallel kernel whose work can be split between the devices at a
 //!   per-step workload ratio ([`schedule`]).
@@ -156,12 +164,9 @@
 //!   *fall* as clients rose.  The pool parks idle workers on a condition
 //!   variable and joins them all when the engine drops.
 //!
-//! **Migrating `NativeCpu::with_threads(n)` callers:** the backend no
-//! longer owns execution threads when run behind an engine.  Replace
-//! `JoinEngine::new(Box::new(NativeCpu::with_threads(n)), cfg)` with
-//! `JoinEngine::new(Box::new(NativeCpu::new()), cfg.worker_threads(n))`;
-//! `with_threads` now only sizes the fallback pool used when the backend
-//! executes without an engine (deprecated shim paths).
+//! **Migrating `NativeCpu::with_threads(n)` callers:** size the engine's
+//! pool instead — `JoinEngine::new(Box::new(NativeCpu::new()),
+//! cfg.worker_threads(n))`; see [`NativeCpu::with_threads`].
 //! [`EngineStats::worker_threads`] and [`EngineStats::per_worker_tasks`]
 //! report the pool's size and per-worker activity.
 //!
@@ -386,6 +391,7 @@ pub mod error;
 pub mod executor;
 pub mod hash;
 pub mod hashtable;
+pub mod native;
 pub mod outofcore;
 pub mod partition;
 pub mod phase;

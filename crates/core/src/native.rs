@@ -1,0 +1,924 @@
+//! The native (real-thread) backend and its join kernel: one flat hash
+//! table, one build loop, one probe loop.
+//!
+//! The paper's hash table (§3.1) is a flat bucket array over key lists and
+//! rid lists, hashed with MurmurHash2, because pointer-light tables are what
+//! make fine-grained co-processing pay.  `NativeTable` is that layout for
+//! host threads.  The build relation is split into one shard per pool
+//! worker; each shard is
+//!
+//! * a power-of-two, open-addressed (linear-probe) **directory** of
+//!   `{key, start, len}` slots, indexed by the *high* bits of the shared
+//!   [`hash_key`] (the low end of the hash picks the shard, so the two
+//!   choices stay independent), and
+//! * one contiguous `Vec<u32>` of build **rids**, laid out CSR-style: all
+//!   duplicates of a key are the single run `rids[start..start + len]`, in
+//!   build order.
+//!
+//! `build` and `probe` are the only native build and probe loops in the
+//! crate: [`NativeCpu`]'s `execute`, `build_cached` and `probe_cached` are
+//! thin callers, so an uncached join, a cached probe and every partition
+//! pair of a spilling join run the same code and emit the same pairs in the
+//! same order (probe order, then build order within a key).  The large
+//! buffers a build needs are reused from join to join (`Scratch`), so a
+//! join's speed does not depend on what the allocator did with the last
+//! one's memory.
+
+use crate::cached::{CacheParams, CachedPayload, CachedTable};
+use crate::context::ExecContext;
+use crate::engine::{ExecBackend, JoinRequest};
+use crate::error::JoinError;
+use crate::hash::hash_key;
+use crate::pipeline::{morsel_ranges, SharedWorkerPool, WorkerPool};
+use crate::result::JoinOutcome;
+use apu_sim::{Phase, SimTime, SystemSpec};
+use datagen::Relation;
+use hj_adaptive::SeriesKind;
+use hj_analysis::sync::{Condvar, Mutex};
+use std::time::Instant;
+
+/// Smallest chunk (tuples) the native backend schedules as one task, even
+/// when the request asks for finer morsels.
+pub const NATIVE_MIN_CHUNK_TUPLES: usize = 1024;
+
+// ---------------------------------------------------------------------------
+// The table
+// ---------------------------------------------------------------------------
+
+/// One directory entry: a distinct build key and its run in [`Shard::rids`].
+/// `len == 0` marks an empty slot (every stored key has at least one rid).
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    key: u32,
+    start: u32,
+    len: u32,
+}
+
+/// One shard of a [`NativeTable`]: the keys whose hash maps to it.
+#[derive(Debug, Default)]
+struct Shard {
+    /// Open-addressed directory; the length is a power of two, at least 2,
+    /// and never full.
+    slots: Vec<Slot>,
+    /// `32 - log2(slots.len())`: the home slot of a hash is its top bits.
+    shift: u32,
+    /// Build rids, one contiguous run per distinct key.
+    rids: Vec<u32>,
+}
+
+/// Largest tuple count one shard holds: keeps `start + len` inside `u32` and
+/// the directory inside 2^32 slots.
+const MAX_SHARD_TUPLES: usize = (u32::MAX / 2) as usize;
+
+/// Keys hashed ahead of being resolved.  A loop that only hashes is one the
+/// compiler vectorises; the probe side also prefetches each key's home slot
+/// then — the directory is larger than the cache, and a group's misses
+/// overlap instead of being taken one after another.  (Prefetching while
+/// building measured no gain: insertion already touches each slot twice.)
+const GROUP: usize = 32;
+
+/// Directory slots for `keys` distinct keys: load factor at most 0.7, so a
+/// probe chain always ends in an empty slot.
+fn directory_slots(keys: usize) -> usize {
+    (keys * 10).div_ceil(7).next_power_of_two().max(2)
+}
+
+impl Shard {
+    /// Empties the shard into `slots` free slots and `tuples` rids to be
+    /// filled in, reusing its buffers; one that had none gets exactly what
+    /// it needs.
+    fn reset(&mut self, slots: usize, tuples: usize) {
+        self.slots.clear();
+        self.slots.reserve_exact(slots);
+        self.slots.resize(slots, Slot::default());
+        self.shift = 32 - slots.trailing_zeros();
+        self.rids.clear();
+        self.rids.reserve_exact(tuples);
+        self.rids.resize(tuples, 0);
+    }
+
+    /// Asks the CPU to start loading `hash`'s home slot (nothing to ask on
+    /// targets without a stable prefetch intrinsic).
+    #[inline]
+    fn prefetch(&self, hash: u32) {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let home = self
+                .slots
+                .as_ptr()
+                .wrapping_add((hash >> self.shift) as usize);
+            // SAFETY: a prefetch is a hint that accesses no memory as far as
+            // the program can observe and never faults, whatever the
+            // address; SSE is part of the x86-64 baseline.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(home.cast()) };
+        }
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        let _ = hash;
+    }
+
+    /// The slot holding `key`, or the empty slot where its chain ends.
+    #[inline]
+    fn slot_of(&self, key: u32, hash: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = (hash >> self.shift) as usize;
+        loop {
+            let slot = &self.slots[at];
+            if slot.len == 0 || slot.key == key {
+                return at;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Builds the shard from every scatter buffer destined for it, given in
+    /// build order: count each key's duplicates, prefix-sum the counts into
+    /// run offsets, then fill the runs.
+    fn fold<'a>(
+        buffers: impl DoubleEndedIterator<Item = &'a Scattered> + Clone,
+        scratch: &Scratch,
+    ) -> Shard {
+        let tuples: usize = buffers.clone().map(|buffer| buffer.keys.len()).sum();
+        assert!(
+            tuples <= MAX_SHARD_TUPLES,
+            "a native table shard holds at most {MAX_SHARD_TUPLES} tuples, got {tuples}"
+        );
+        // `homes` is each tuple's slot, remembered so that filling needs no
+        // second walk of the probe chains.
+        let (mut shard, mut homes) = {
+            let mut kept = scratch.kept.lock();
+            (
+                kept.shards.pop().unwrap_or_default(),
+                kept.homes.pop().unwrap_or_default(),
+            )
+        };
+        shard.reset(directory_slots(tuples), tuples);
+        homes.clear();
+        homes.reserve(tuples);
+        let mut hashes = [0u32; GROUP];
+        for group in buffers.clone().flat_map(|buffer| buffer.keys.chunks(GROUP)) {
+            for (hash, &key) in hashes.iter_mut().zip(group) {
+                *hash = hash_key(key);
+            }
+            for (&key, &hash) in group.iter().zip(&hashes) {
+                let at = shard.slot_of(key, hash);
+                let slot = &mut shard.slots[at];
+                slot.key = key;
+                slot.len += 1;
+                homes.push(at as u32);
+            }
+        }
+        let mut end = 0u32;
+        for slot in &mut shard.slots {
+            end += slot.len;
+            slot.start = end;
+        }
+        // `start` is each run's end; walking the tuples backwards moves it
+        // down to the run's start while the rids land in build order.
+        let rids = buffers.rev().flat_map(|buffer| buffer.rids.iter().rev());
+        for (&rid, &at) in rids.zip(homes.iter().rev()) {
+            let slot = &mut shard.slots[at as usize];
+            slot.start -= 1;
+            shard.rids[slot.start as usize] = rid;
+        }
+        scratch.kept.lock().homes.push(homes);
+        shard
+    }
+
+    /// The build rids matching `key`, in build order (empty when absent).
+    #[inline]
+    fn run(&self, key: u32, hash: u32) -> &[u32] {
+        let slot = self.slots[self.slot_of(key, hash)];
+        &self.rids[slot.start as usize..][..slot.len as usize]
+    }
+
+    fn bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot>()
+            + self.rids.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The native backend's built hash table: immutable, `Sync`, probed
+/// concurrently by any number of sessions when it lives in the cache.
+#[derive(Debug, Default)]
+pub(crate) struct NativeTable {
+    shards: Vec<Shard>,
+}
+
+impl NativeTable {
+    /// The table's heap footprint — exactly what the hash-table cache
+    /// charges the memory broker for it.
+    pub(crate) fn bytes(&self) -> usize {
+        self.shards.iter().map(Shard::bytes).sum()
+    }
+
+    /// Gives back whatever capacity reused buffers had in excess: a cached
+    /// table stays resident, and is charged for what it holds.
+    fn shrink_to_fit(&mut self) {
+        for shard in &mut self.shards {
+            shard.slots.shrink_to_fit();
+            shard.rids.shrink_to_fit();
+        }
+    }
+
+    /// The shard holding the keys that hash to `hash`.  Addressing follows
+    /// the *build-time* fan-out, not the probing pool's width (they only
+    /// differ for a cached table probed by another engine).
+    #[inline]
+    fn shard(&self, hash: u32) -> &Shard {
+        &self.shards[shard_of(hash, self.shards.len())]
+    }
+}
+
+/// The shard (of `shards`) a hash belongs to.
+#[inline]
+fn shard_of(hash: u32, shards: usize) -> usize {
+    hash as usize % shards
+}
+
+// ---------------------------------------------------------------------------
+// The kernel
+// ---------------------------------------------------------------------------
+
+/// Tuples and wall-clock nanoseconds of one morsel task — the telemetry the
+/// adaptive tuner ingests on this backend.
+type TaskWall = (usize, f64);
+
+/// The tuples of one build morsel destined for one shard, in build order.
+#[derive(Debug, Default)]
+struct Scattered {
+    keys: Vec<u32>,
+    rids: Vec<u32>,
+}
+
+/// The large buffers of finished joins, kept for the next join on the same
+/// backend.
+///
+/// A build allocates a handful of buffers of megabytes that live for
+/// milliseconds: the scatter buffers, each shard's slot memo and — unless
+/// the table goes to the cache — the table itself.  Handed back to the
+/// system allocator they are, depending on its trim state at that moment,
+/// either kept mapped or unmapped and faulted in again page by page: the
+/// same 256 Ki-tuple join took 5 ms with no page fault or 12 ms with 1 600,
+/// in bursts of seconds.  Kept here, every join after a backend's first
+/// allocates none of them.
+///
+/// What is retained is bounded by the engine's configuration: one set of
+/// buffers per concurrently executing join (the [`ExecGate`] admits as many
+/// as the pool has workers), each as large as the largest build side seen
+/// needed — at most some 50 bytes per tuple of the largest input the engine
+/// accepts.
+#[derive(Debug)]
+pub(crate) struct Scratch {
+    kept: Mutex<Kept>,
+}
+
+#[derive(Debug, Default)]
+struct Kept {
+    /// One entry per build morsel: its buffer for each shard.
+    scattered: Vec<Vec<Scattered>>,
+    /// Slot memos of [`Shard::fold`].
+    homes: Vec<Vec<u32>>,
+    /// Shards of tables that were dropped after their probe.
+    shards: Vec<Shard>,
+}
+
+impl Default for Scratch {
+    fn default() -> Self {
+        Scratch {
+            kept: Mutex::new("native.scratch", Kept::default()),
+        }
+    }
+}
+
+impl Scratch {
+    /// Takes over the buffers of a table nobody will probe again.
+    fn recycle(&self, table: NativeTable) {
+        self.kept.lock().shards.extend(table.shards);
+    }
+}
+
+/// Builds the table of `relation` on `pool`, one shard per pool worker,
+/// out of `scratch`'s buffers where it has any.
+///
+/// Two latch-free stages, so the relation is scanned once: work-stealing
+/// workers scatter each build morsel into per-shard buffers, then each shard
+/// owner folds the buffers destined for it ([`Shard::fold`]).  Returns the
+/// table and the scatter tasks' telemetry.
+pub(crate) fn build(
+    pool: &WorkerPool,
+    relation: &Relation,
+    morsel: usize,
+    scratch: &Scratch,
+) -> (NativeTable, Vec<TaskWall>) {
+    let shard_count = pool.workers();
+    let morsels = morsel_ranges(relation.len(), morsel);
+    let scattered: Vec<(Vec<Scattered>, f64)> = pool.run(morsels.len(), |_, task| {
+        let task_start = Instant::now();
+        let range = morsels[task].clone();
+        let mut buffers = scratch.kept.lock().scattered.pop().unwrap_or_default();
+        buffers.resize_with(shard_count, Scattered::default);
+        for buffer in &mut buffers {
+            buffer.keys.clear();
+            buffer.rids.clear();
+        }
+        let keys = &relation.keys()[range.clone()];
+        let rids = &relation.rids()[range];
+        for (&key, &rid) in keys.iter().zip(rids) {
+            let buffer = &mut buffers[shard_of(hash_key(key), shard_count)];
+            buffer.keys.push(key);
+            buffer.rids.push(rid);
+        }
+        (buffers, task_start.elapsed().as_nanos() as f64)
+    });
+    let shards = pool.run(shard_count, |_, shard| {
+        Shard::fold(
+            scattered.iter().map(|(buffers, _)| &buffers[shard]),
+            scratch,
+        )
+    });
+    let walls = morsels
+        .iter()
+        .zip(&scattered)
+        .map(|(range, (_, ns))| (range.len(), *ns))
+        .collect();
+    let emptied = scattered.into_iter().map(|(buffers, _)| buffers);
+    scratch.kept.lock().scattered.extend(emptied);
+    (NativeTable { shards }, walls)
+}
+
+/// What [`probe`] found.
+pub(crate) struct Probed {
+    matches: u64,
+    /// `(build rid, probe rid)` in probe order, then build order within a
+    /// key; `Some` only when collecting (and the probe side is non-empty).
+    pairs: Option<Vec<(u32, u32)>>,
+    walls: Vec<TaskWall>,
+}
+
+/// Probes `relation` against `table` on `pool`, one task per morsel; the
+/// per-morsel results are folded in morsel order, so the outcome does not
+/// depend on worker count or steal pattern.
+pub(crate) fn probe(
+    pool: &WorkerPool,
+    table: &NativeTable,
+    relation: &Relation,
+    morsel: usize,
+    collect: bool,
+) -> Probed {
+    let morsels = morsel_ranges(relation.len(), morsel);
+    let results = pool.run(morsels.len(), |_, task| {
+        let task_start = Instant::now();
+        let range = morsels[task].clone();
+        let keys = &relation.keys()[range.clone()];
+        let rids = &relation.rids()[range];
+        let mut matches = 0u64;
+        let mut pairs = Vec::new();
+        let mut hashes = [0u32; GROUP];
+        for (keys, rids) in keys.chunks(GROUP).zip(rids.chunks(GROUP)) {
+            for (hash, &key) in hashes.iter_mut().zip(keys) {
+                *hash = hash_key(key);
+                table.shard(*hash).prefetch(*hash);
+            }
+            for ((&key, &prid), &hash) in keys.iter().zip(rids).zip(&hashes) {
+                let run = table.shard(hash).run(key, hash);
+                matches += run.len() as u64;
+                if collect {
+                    pairs.extend(run.iter().map(|&brid| (brid, prid)));
+                }
+            }
+        }
+        (matches, pairs, task_start.elapsed().as_nanos() as f64)
+    });
+    let mut probed = Probed {
+        matches: 0,
+        pairs: None,
+        walls: Vec::with_capacity(results.len()),
+    };
+    for (range, (matches, pairs, ns)) in morsels.iter().zip(results) {
+        probed.matches += matches;
+        match &mut probed.pairs {
+            Some(all) => all.extend(pairs),
+            None if collect => probed.pairs = Some(pairs),
+            None => {}
+        }
+        probed.walls.push((range.len(), ns));
+    }
+    probed
+}
+
+// ---------------------------------------------------------------------------
+// The backend
+// ---------------------------------------------------------------------------
+
+/// A production-shaped backend that runs the equi-join for real on host
+/// threads and reports measured wall-clock times.
+///
+/// It consumes the same morsel task stream the simulator replays through
+/// its event clock: the build and probe relations are decomposed into
+/// morsels of [`JoinConfig::morsel_tuples`](crate::JoinConfig::morsel_tuples)
+/// tuples, submitted to the engine's persistent work-stealing
+/// [`WorkerPool`] (one pool shared by every session, sized by
+/// [`EngineConfig::worker_threads`](crate::EngineConfig::worker_threads)).
+/// Build morsels scatter into per-shard buffers, shard owners fold them
+/// into this module's flat table (an open-addressed key directory over
+/// contiguous rid runs — the paper's §3.1 bucket / key-list / rid-list
+/// layout without the pointers, and without latches), and probe morsels
+/// scan the read-only shards.  Per-morsel results are folded in morsel
+/// order, so the outcome is deterministic across worker counts.  The
+/// outcome's [`Phase::Build`] / [`Phase::Probe`] entries carry *measured*
+/// elapsed time, so one reporting pipeline serves simulated and native runs.
+///
+/// Scheme, hash-table mode and the out-of-core chunk are placement hints
+/// for the simulator and are ignored here; `collect_results` and
+/// `morsel_tuples` are honoured (the latter floored at
+/// [`NATIVE_MIN_CHUNK_TUPLES`] to bound per-task allocation churn).
+#[derive(Debug)]
+pub struct NativeCpu {
+    threads: usize,
+    sys: SystemSpec,
+    gate: ExecGate,
+    scratch: Scratch,
+    /// Lazily-spawned pool for engine-less use (deprecated shim paths):
+    /// spawned at most once per backend instance, never per call.
+    fallback: SharedWorkerPool,
+}
+
+impl Clone for NativeCpu {
+    /// Clones the configuration but **not** the execution gate, the kept
+    /// buffers or the fallback pool: a clone handed to a second engine
+    /// gates against that engine's own pool instead of sharing (and
+    /// halving) the original's execution slots.
+    fn clone(&self) -> Self {
+        NativeCpu::with_threads(self.threads)
+    }
+}
+
+/// Bounds how many native joins *execute* simultaneously (admission stays
+/// with the engine's sessions): concurrent `execute` calls beyond the
+/// pool's worker count wait here instead of interleaving yet another
+/// working set into the cache.
+///
+/// Without the gate, `sessions` joins all make progress at once even when
+/// the pool has fewer workers than sessions; their build/probe state is
+/// co-resident and aggregate throughput *drops* as clients rise.  With it,
+/// at most `workers` joins execute concurrently — enough to saturate every
+/// pool worker with morsels — and the rest pipeline behind them.
+///
+/// Slots are granted in strict ticket (FIFO) order, matching the engine's
+/// session hand-off discipline: a freshly arriving join cannot barge past
+/// one that has been waiting, so no admitted join is starved of execution
+/// under sustained load.
+#[derive(Debug)]
+struct ExecGate {
+    state: Mutex<GateState>,
+    freed: Condvar,
+}
+
+impl Default for ExecGate {
+    fn default() -> Self {
+        ExecGate {
+            state: Mutex::new("engine.exec_gate", GateState::default()),
+            freed: Condvar::new(),
+        }
+    }
+}
+
+#[derive(Debug, Default)]
+struct GateState {
+    executing: usize,
+    next_ticket: u64,
+    now_serving: u64,
+}
+
+impl ExecGate {
+    /// Waits (FIFO) for one of `capacity` execution slots; the guard frees
+    /// it.
+    fn acquire(&self, capacity: usize) -> ExecSlot<'_> {
+        let mut state = self.state.lock();
+        let ticket = state.next_ticket;
+        state.next_ticket += 1;
+        while state.now_serving != ticket || state.executing >= capacity.max(1) {
+            state = self.freed.wait(state);
+        }
+        state.now_serving += 1;
+        state.executing += 1;
+        drop(state);
+        // The next ticket may already be eligible (capacity > 1).
+        self.freed.notify_all();
+        ExecSlot { gate: self }
+    }
+}
+
+/// RAII slot of [`ExecGate`]: released on drop, panic or not.
+#[must_use = "dropping the slot immediately frees the execution gate"]
+struct ExecSlot<'a> {
+    gate: &'a ExecGate,
+}
+
+impl Drop for ExecSlot<'_> {
+    fn drop(&mut self) {
+        self.gate.state.lock().executing -= 1;
+        self.gate.freed.notify_all();
+    }
+}
+
+impl NativeCpu {
+    /// One worker per available hardware thread.
+    pub fn new() -> Self {
+        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+        NativeCpu::with_threads(threads)
+    }
+
+    /// A fixed worker count (at least 1) for the **fallback** pool only.
+    ///
+    /// Inside a [`JoinEngine`](crate::JoinEngine) this value is ignored —
+    /// the engine's shared [`WorkerPool`] (sized by
+    /// [`EngineConfig::worker_threads`](crate::EngineConfig::worker_threads))
+    /// executes every morsel.  It is consulted only when the backend runs
+    /// without an engine-provided pool, e.g. through the deprecated one-shot
+    /// shims.
+    pub fn with_threads(threads: usize) -> Self {
+        let threads = threads.max(1);
+        NativeCpu {
+            threads,
+            // The native backend does not simulate; a nominal spec is kept
+            // only so the engine can size contexts and admission uniformly.
+            sys: SystemSpec::coupled_a8_3870k(),
+            gate: ExecGate::default(),
+            scratch: Scratch::default(),
+            fallback: SharedWorkerPool::new(threads),
+        }
+    }
+
+    /// The configured fallback worker count (see
+    /// [`with_threads`](Self::with_threads)).
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// What every native execution starts with: the pool its morsels go to
+    /// (the engine's; the backend's own only without an engine), one of the
+    /// gate's execution slots, and the morsel size — floored, because each
+    /// scatter task allocates a buffer per shard and tuple-sized morsels
+    /// (legal for the simulator, where a morsel is an accounting range)
+    /// would mean millions of allocations here.
+    fn enter<'a>(
+        &'a self,
+        ctx: &ExecContext<'a>,
+        request: &JoinRequest,
+    ) -> (&'a WorkerPool, ExecSlot<'a>, usize) {
+        let pool: &WorkerPool = match ctx.worker_pool() {
+            Some(pool) => pool,
+            None => self.fallback.get(),
+        };
+        let slot = self.gate.acquire(pool.workers());
+        let morsel = request.config().morsel_tuples.max(NATIVE_MIN_CHUNK_TUPLES);
+        (pool, slot, morsel)
+    }
+}
+
+impl Default for NativeCpu {
+    fn default() -> Self {
+        NativeCpu::new()
+    }
+}
+
+/// Feeds one phase's per-morsel wall times to the request's adaptive tuner
+/// (if any) and books the phase's measured elapsed time.
+fn record_phase(
+    ctx: &mut ExecContext<'_>,
+    outcome: &mut JoinOutcome,
+    phase: Phase,
+    started: Instant,
+    walls: &[TaskWall],
+) {
+    let elapsed = started.elapsed();
+    if let Some(tuner) = ctx.tuner.as_mut() {
+        let series = match phase {
+            Phase::Build => SeriesKind::Build,
+            _ => SeriesKind::Probe,
+        };
+        for &(tuples, ns) in walls {
+            tuner.observe_wall(series, tuples, ns);
+        }
+    }
+    outcome
+        .breakdown
+        .add(phase, SimTime::from_ns(elapsed.as_nanos() as f64));
+}
+
+/// The probe phase shared by `execute` and `probe_cached`.
+fn probe_phase(
+    ctx: &mut ExecContext<'_>,
+    outcome: &mut JoinOutcome,
+    pool: &WorkerPool,
+    table: &NativeTable,
+    relation: &Relation,
+    morsel: usize,
+    collect: bool,
+) {
+    let started = Instant::now();
+    let probed = probe(pool, table, relation, morsel, collect);
+    outcome.matches = probed.matches;
+    outcome.pairs = probed.pairs;
+    record_phase(ctx, outcome, Phase::Probe, started, &probed.walls);
+}
+
+impl ExecBackend for NativeCpu {
+    fn name(&self) -> &'static str {
+        "native-cpu"
+    }
+
+    fn system(&self) -> &SystemSpec {
+        &self.sys
+    }
+
+    fn execute(
+        &self,
+        ctx: &mut ExecContext<'_>,
+        build_side: &Relation,
+        probe_side: &Relation,
+        request: &JoinRequest,
+    ) -> Result<JoinOutcome, JoinError> {
+        let (pool, _slot, morsel) = self.enter(ctx, request);
+        let mut outcome = JoinOutcome::default();
+        let started = Instant::now();
+        let (table, walls) = build(pool, build_side, morsel, &self.scratch);
+        record_phase(ctx, &mut outcome, Phase::Build, started, &walls);
+        let collect = request.config().collect_results;
+        probe_phase(ctx, &mut outcome, pool, &table, probe_side, morsel, collect);
+        self.scratch.recycle(table);
+        Ok(outcome)
+    }
+
+    /// The native join ignores scheme, hash-table mode and grouping (they
+    /// are simulator placement hints), so every in-core request maps to the
+    /// same cached table.
+    fn cache_params(&self, request: &JoinRequest, _build_tuples: usize) -> Option<CacheParams> {
+        if request.out_of_core_chunk().is_some() || request.spill_config().is_some() {
+            return None;
+        }
+        Some(CacheParams {
+            partitioning: (0, 0),
+            grouping: false,
+        })
+    }
+
+    fn build_cached(
+        &self,
+        ctx: &mut ExecContext<'_>,
+        build_side: &Relation,
+        request: &JoinRequest,
+    ) -> Result<CachedTable, JoinError> {
+        let (pool, _slot, morsel) = self.enter(ctx, request);
+        let (mut table, _) = build(pool, build_side, morsel, &self.scratch);
+        table.shrink_to_fit();
+        Ok(CachedTable {
+            bytes: table.bytes(),
+            payload: CachedPayload::Native(table),
+            build_ns: 0,
+            build_tuples: build_side.len(),
+        })
+    }
+
+    fn probe_cached(
+        &self,
+        ctx: &mut ExecContext<'_>,
+        cached: &CachedTable,
+        probe_side: &Relation,
+        request: &JoinRequest,
+    ) -> Result<JoinOutcome, JoinError> {
+        let CachedPayload::Native(table) = &cached.payload else {
+            return Err(JoinError::InvalidConfig(
+                "cached table was built by a different backend kind".to_string(),
+            ));
+        };
+        let (pool, _slot, morsel) = self.enter(ctx, request);
+        let mut outcome = JoinOutcome::default();
+        let collect = request.config().collect_results;
+        probe_phase(ctx, &mut outcome, pool, table, probe_side, morsel, collect);
+        Ok(outcome)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::result::reference_pairs;
+
+    /// Pool widths every case runs at: 3 is a non-power-of-two shard count,
+    /// 8 leaves most shards of a small input empty.
+    const WIDTHS: [usize; 4] = [1, 2, 3, 8];
+
+    /// `count` keys that land in shard 0 at every width in [`WIDTHS`] *and*
+    /// whose home is the last slot of any directory of up to 64 slots, so
+    /// their probe chains collide and wrap around the end of the directory.
+    fn colliding_keys(count: usize) -> Vec<u32> {
+        (0u32..)
+            .filter(|&key| {
+                let hash = hash_key(key);
+                hash.is_multiple_of(24) && hash >> 26 == 63
+            })
+            .take(count)
+            .collect()
+    }
+
+    /// Joins through the kernel on a pool of `width` workers, collecting,
+    /// and leaves the table's buffers in `scratch` as `execute` does.
+    fn kernel_pairs(
+        width: usize,
+        build_side: &Relation,
+        probe_side: &Relation,
+        scratch: &Scratch,
+    ) -> Vec<(u32, u32)> {
+        // Morsels far below the backend's floor, so that small inputs still
+        // span many tasks and duplicate runs straddle morsel borders.
+        const MORSEL: usize = 7;
+        let pool = WorkerPool::new(width);
+        let (table, walls) = build(&pool, build_side, MORSEL, scratch);
+        assert_eq!(walls.len(), build_side.len().div_ceil(MORSEL));
+        assert_eq!(table.shards.len(), width);
+        let counted = probe(&pool, &table, probe_side, MORSEL, false);
+        let collected = probe(&pool, &table, probe_side, MORSEL, true);
+        assert!(counted.pairs.is_none());
+        let pairs = collected.pairs.unwrap_or_default();
+        assert_eq!(counted.matches, pairs.len() as u64);
+        assert_eq!(collected.matches, pairs.len() as u64);
+        scratch.recycle(table);
+        pairs
+    }
+
+    /// Sorted pairs equal the sort-merge oracle's (which shares no code with
+    /// `hash.rs` / `hashtable.rs`) at width 1, and every other width returns
+    /// the width-1 pairs in the same order.  All widths share one scratch,
+    /// so every join after the first runs in another join's used buffers.
+    fn check(case: &str, build_side: &Relation, probe_side: &Relation) {
+        let scratch = Scratch::default();
+        let baseline = kernel_pairs(1, build_side, probe_side, &scratch);
+        let mut sorted = baseline.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, reference_pairs(build_side, probe_side), "{case}");
+        for width in &WIDTHS[1..] {
+            assert_eq!(
+                kernel_pairs(*width, build_side, probe_side, &scratch),
+                baseline,
+                "{case}: width {width} changed the pairs or their order"
+            );
+        }
+    }
+
+    fn keys(keys: impl IntoIterator<Item = u32>) -> Relation {
+        Relation::from_keys(keys.into_iter().collect())
+    }
+
+    #[test]
+    fn degenerate_sides_join_like_the_oracle() {
+        check("empty build", &keys([]), &keys([1, 2, 3]));
+        check("empty probe", &keys([1, 2, 3]), &keys([]));
+        check("both empty", &keys([]), &keys([]));
+        check("single match", &keys([9]), &keys([9]));
+        check("single miss", &keys([9]), &keys([10]));
+        check(
+            "extreme keys",
+            &keys([0, u32::MAX, 0]),
+            &keys([u32::MAX, 0, 1]),
+        );
+    }
+
+    #[test]
+    fn one_key_on_both_sides_is_a_cross_product() {
+        let (build_side, probe_side) = (keys([7; 50]), keys([7; 20]));
+        check("all one key", &build_side, &probe_side);
+        let pairs = kernel_pairs(3, &build_side, &probe_side, &Scratch::default());
+        assert_eq!(pairs.len(), 1000);
+    }
+
+    #[test]
+    fn keys_sharing_a_shard_and_a_home_slot_chain_and_wrap() {
+        // 40 colliding keys fill a 64-slot directory from its last slot
+        // around to its head; five more with the same home are probed but
+        // never built, so their lookups walk the whole chain to its end.
+        let colliding = colliding_keys(45);
+        let (built, absent) = colliding.split_at(40);
+        let build_side = keys(built.iter().copied());
+        let scattered = Scattered {
+            keys: build_side.keys().to_vec(),
+            rids: build_side.rids().to_vec(),
+        };
+        let shard = Shard::fold(std::iter::once(&scattered), &Scratch::default());
+        assert_eq!(shard.slots.len(), 64);
+        assert!(shard.slots[63].len == 1 && shard.slots[..39].iter().all(|slot| slot.len == 1));
+        assert!(shard.slots[39..63].iter().all(|slot| slot.len == 0));
+        for (i, &key) in built.iter().enumerate() {
+            assert_eq!(shard.run(key, hash_key(key)), [build_side.rid(i)]);
+        }
+        for &key in absent {
+            assert!(shard.run(key, hash_key(key)).is_empty());
+        }
+
+        // The same keys with duplicates, through the whole kernel.
+        let duplicated = keys(built.iter().chain(&built[10..30]).copied());
+        let probe_side = keys(colliding.iter().rev().chain(&colliding).copied());
+        check("colliding keys", &duplicated, &probe_side);
+    }
+
+    #[test]
+    fn duplicate_runs_straddle_morsel_borders() {
+        // Runs of 5 equal keys against 7-tuple morsels, then the same keys
+        // interleaved so every run is spread over all morsels.
+        check(
+            "runs of five",
+            &keys((0..200).map(|i| i / 5)),
+            &keys((0..90).map(|i| i / 2)),
+        );
+        check(
+            "interleaved",
+            &keys((0..200).map(|i| i % 13)),
+            &keys((0..60).map(|i| i % 17)),
+        );
+    }
+
+    #[test]
+    fn lopsided_sides_join_like_the_oracle() {
+        // Interpreted runs (the Miri CI job) get a shorter large side.
+        let tuples = if cfg!(miri) { 300u32 } else { 3000 };
+        let large = keys((0..tuples).map(|i| i.wrapping_mul(2_654_435_761) % (tuples / 2)));
+        let small = keys((0..10).map(|i| i * 100));
+        check("build >> probe", &large, &small);
+        check("probe >> build", &small, &large);
+    }
+
+    #[test]
+    fn runs_keep_build_order_and_footprint_is_what_is_allocated() {
+        let build_side = Relation::from_columns(vec![10, 11, 12, 13, 14], vec![5, 6, 5, 5, 6]);
+        let pool = WorkerPool::new(2);
+        let (table, _) = build(&pool, &build_side, 2, &Scratch::default());
+        let run = |key: u32| {
+            let hash = hash_key(key);
+            table.shard(hash).run(key, hash).to_vec()
+        };
+        assert_eq!(run(5), [10, 12, 13]);
+        assert_eq!(run(6), [11, 14]);
+        assert!(run(7).is_empty());
+        let allocated: usize = table
+            .shards
+            .iter()
+            .map(|shard| shard.slots.capacity() * 12 + shard.rids.capacity() * 4)
+            .sum();
+        assert_eq!(table.bytes(), allocated);
+        assert_eq!(std::mem::size_of::<Slot>(), 12);
+    }
+
+    #[test]
+    fn a_finished_joins_buffers_serve_the_next_join() {
+        let large = keys((0..500).map(|i| i % 60));
+        let small = keys([3, 4, 3]);
+        let pool = WorkerPool::new(2);
+        let scratch = Scratch::default();
+        let buffers = |table: &NativeTable| -> Vec<_> {
+            let slots = table.shards.iter().map(|shard| shard.slots.as_ptr());
+            let mut buffers: Vec<_> = slots.collect();
+            buffers.sort_unstable();
+            buffers
+        };
+        let (first, _) = build(&pool, &large, 100, &scratch);
+        let first_buffers = buffers(&first);
+        scratch.recycle(first);
+        // A smaller join in the larger one's buffers: nothing of the old
+        // table shows through, and nothing is allocated.
+        let (second, _) = build(&pool, &small, 100, &scratch);
+        assert_eq!(buffers(&second), first_buffers);
+        let mut pairs = probe(&pool, &second, &large, 100, true).pairs.unwrap();
+        pairs.sort_unstable();
+        assert_eq!(pairs, reference_pairs(&small, &large));
+        // Five build morsels were in flight at most, and one or two folds.
+        let kept = scratch.kept.lock();
+        assert_eq!(kept.scattered.len(), 5);
+        assert!((1..=2).contains(&kept.homes.len()));
+        assert!(kept.shards.is_empty());
+        drop(kept);
+        // A table on its way to the cache keeps only what it holds.
+        let mut cached = second;
+        cached.shrink_to_fit();
+        let held = cached.shards.iter();
+        let held: usize = held.map(|s| s.slots.len() * 12 + s.rids.len() * 4).sum();
+        assert_eq!(cached.bytes(), held);
+    }
+
+    #[test]
+    fn the_directory_is_sized_by_load_factor_not_by_doubling() {
+        for keys in [0, 1, 2, 7, 8, 1000, 131_072, 131_200, MAX_SHARD_TUPLES] {
+            let slots = directory_slots(keys);
+            assert!(slots.is_power_of_two() && slots >= 2, "{keys} keys");
+            assert!(keys * 10 <= slots * 7, "{keys} keys in {slots} slots");
+            assert!(
+                slots * 7 < (keys + 1) * 20,
+                "{keys} keys waste {slots} slots"
+            );
+        }
+        // Half of 256 Ki distinct keys, give or take: one doubling less than
+        // rounding 2n up, i.e. 24 + 4 bytes per tuple.
+        assert_eq!(directory_slots(131_200), 262_144);
+    }
+}

@@ -345,6 +345,14 @@ impl PoolShared {
 fn worker_loop(shared: Arc<PoolShared>, me: usize) {
     loop {
         if let Some(task) = shared.pop(me) {
+            // Pass the wake-up on while work is left: for a job of several
+            // tasks the submitter wakes a single worker (see `push_tasks`),
+            // and every worker that finds more than it took wakes the next,
+            // from its own CPU.
+            if shared.pending.load(Ordering::Acquire) > 0 {
+                drop(shared.park.lock());
+                shared.work_ready.notify_one();
+            }
             // Relaxed: a pure telemetry counter — nothing branches on it,
             // and a stats snapshot may lag in-flight tasks by design.
             shared.tasks_executed[me].fetch_add(1, Ordering::Relaxed);
@@ -393,7 +401,9 @@ fn worker_loop(shared: Arc<PoolShared>, me: usize) {
 /// in the same pool instead of each spawning its own threads per step —
 /// the per-step `thread::scope` respawning that made aggregate throughput
 /// *fall* as clients rose.  Idle workers park on a [`Condvar`] (no
-/// spinning); submission pushes contiguous blocks of task indices onto the
+/// spinning); for a job of several tasks they are woken one by one — the
+/// submitter wakes the first, each woken worker the next while tasks are
+/// left; submission pushes contiguous blocks of task indices onto the
 /// deques (cache-friendly runs of neighbouring morsels), each worker pops
 /// from the *front* of its own deque and, when empty, steals from the
 /// *back* of a victim's.
@@ -513,7 +523,7 @@ impl WorkerPool {
     }
 
     /// Enqueues the job's `tasks` task indices: contiguous blocks per
-    /// deque (rotated across jobs), then a single wake-up.  `queued` in the
+    /// deque (rotated across jobs), then the wake-up.  `queued` in the
     /// job's progress tracks how many tasks are actually visible to
     /// workers, so an unwind mid-push leaves a consistent count for
     /// [`CompletionGuard`].
@@ -552,7 +562,27 @@ impl WorkerPool {
         // Serialise with parking workers (they re-check `pending` under
         // this lock before sleeping) so the notification cannot be lost.
         drop(self.shared.park.lock());
-        self.shared.work_ready.notify_all();
+        if tasks == 1 {
+            // Any worker will do, so all are offered the task and the first
+            // to get a CPU takes it: on a busy host that is worth more than
+            // the spare wake-ups cost (waking one instead measured -17 % on
+            // small joins served over TCP).
+            self.shared.work_ready.notify_all();
+        } else {
+            // One worker is woken here and the rest by each other (see
+            // `worker_loop`).  Waking them all from this thread, which is
+            // about to block in `JobCore::wait`, let the kernel place every
+            // worker while this CPU still looked busy: two workers could
+            // land on one CPU and stay there, phase after phase, with the
+            // other CPU idle (measured: 6 ms of run-queue wait on a 5 ms
+            // join, for seconds at a time).  A worker that wakes its peer
+            // does so after the submitter has gone to sleep, and the peer
+            // gets the idle CPU.  No wake-up is lost: a pending task always
+            // has an awake worker — the one woken here, or one still
+            // running, which re-checks `pending` under the park lock before
+            // it sleeps.
+            self.shared.work_ready.notify_one();
+        }
     }
 
     /// Runs `tasks` tasks on the pool, calling `f(worker, task)` for each,
@@ -836,6 +866,32 @@ mod tests {
             "every task — including the block queued on the pinned worker's \
              deque — must have been run (stolen) by the free worker"
         );
+    }
+
+    #[test]
+    fn a_job_of_several_tasks_wakes_every_worker() {
+        // Each task waits until all of the job's tasks have started, so the
+        // job only ends if the wake-up the submitter gives to one worker is
+        // passed on until every worker runs (it would hang otherwise).
+        // Workers are parked again between rounds.
+        const WORKERS: usize = 5;
+        let pool = WorkerPool::new(WORKERS);
+        for _ in 0..20 {
+            let arrived = (Mutex::new("test.wake_arrived", 0usize), Condvar::new());
+            let workers = pool.run(WORKERS, |worker, _| {
+                let mut count = arrived.0.lock();
+                *count += 1;
+                arrived.1.notify_all();
+                while *count < WORKERS {
+                    count = arrived.1.wait(count);
+                }
+                worker
+            });
+            let mut distinct = workers.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), WORKERS, "ran on workers {workers:?}");
+        }
     }
 
     #[test]

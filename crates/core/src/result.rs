@@ -94,16 +94,30 @@ pub fn reference_match_count(build: &Relation, probe: &Relation) -> u64 {
 
 /// Reference equi-join result pairs `(build rid, probe rid)`, sorted, for
 /// exact comparison against materialised results.
+///
+/// A sort-merge join over `(key, rid)`: it shares no code (and no hashing)
+/// with the hash tables it is the oracle for.
 pub fn reference_pairs(build: &Relation, probe: &Relation) -> Vec<(u32, u32)> {
-    let mut by_key: HashMap<u32, Vec<u32>> = HashMap::with_capacity(build.len());
-    for (rid, key) in build.iter() {
-        by_key.entry(key).or_default().push(rid);
-    }
+    let by_key = |relation: &Relation| {
+        let mut tuples: Vec<(u32, u32)> = relation.iter().map(|(rid, key)| (key, rid)).collect();
+        tuples.sort_unstable();
+        tuples
+    };
+    let (b, p) = (by_key(build), by_key(probe));
     let mut out = Vec::new();
-    for (prid, key) in probe.iter() {
-        if let Some(brids) = by_key.get(&key) {
-            for &brid in brids {
-                out.push((brid, prid));
+    let (mut i, mut j) = (0, 0);
+    while i < b.len() && j < p.len() {
+        match b[i].0.cmp(&p[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                let key = b[i].0;
+                let b_end = i + b[i..].iter().take_while(|t| t.0 == key).count();
+                let p_end = j + p[j..].iter().take_while(|t| t.0 == key).count();
+                for &(_, brid) in &b[i..b_end] {
+                    out.extend(p[j..p_end].iter().map(|&(_, prid)| (brid, prid)));
+                }
+                (i, j) = (b_end, p_end);
             }
         }
     }

@@ -186,28 +186,44 @@ fn concurrent_cold_requests_build_once() {
 fn cache_eviction_coexists_with_spill_joins_on_one_budget() {
     const TABLES: usize = 3;
     const ROUNDS: usize = 4;
-    let engine = Arc::new(
-        JoinEngine::native(
-            EngineConfig::for_tuples(8_000, 16_000)
-                .memory_budget(700 * 1024)
-                .sessions(4),
-        )
-        .unwrap(),
-    );
+    let request = JoinRequest::builder().build().unwrap();
 
-    // Three distinct build tables (~400 KiB cached each): at most one fits
-    // the 700 KiB budget at a time, so round-robin probing must evict.
-    let mut tables = Vec::new();
+    // Three distinct build tables of one shape.
+    let mut builds = Vec::new();
     let mut probes = Vec::new();
     let mut expected = Vec::new();
     for i in 0..TABLES {
         let (r, s) =
             datagen::generate_pair(&DataGenConfig::small(8_000, 16_000).with_seed(7 + i as u64));
         expected.push(reference_match_count(&r, &s));
-        tables.push(engine.register_table(&format!("t{i}"), r));
+        builds.push(r);
         probes.push(s);
     }
-    let request = JoinRequest::builder().build().unwrap();
+
+    // The budget follows the table layout instead of hard-coding it: measure
+    // one cached table on an unbudgeted engine, then allow 1.7x that — one
+    // table fits, two never do, so round-robin probing must evict.
+    let one_table = {
+        let engine = JoinEngine::native(EngineConfig::for_tuples(8_000, 16_000)).unwrap();
+        let table = engine.register_table("sizing", builds[0].clone());
+        engine.submit_cached(&request, &table, &probes[0]).unwrap();
+        engine.cache_stats().bytes
+    };
+    assert!(one_table > 0);
+    let budget = one_table * 17 / 10;
+    let engine = Arc::new(
+        JoinEngine::native(
+            EngineConfig::for_tuples(8_000, 16_000)
+                .memory_budget(budget)
+                .sessions(4),
+        )
+        .unwrap(),
+    );
+    let tables: Vec<TableHandle> = builds
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| engine.register_table(&format!("t{i}"), r))
+        .collect();
     let spill_request = JoinRequest::builder()
         .collect_results(true)
         .spill(SpillConfig::default())
@@ -247,10 +263,10 @@ fn cache_eviction_coexists_with_spill_joins_on_one_budget() {
     let stats = engine.cache_stats();
     assert!(
         stats.evictions > 0,
-        "three ~400 KiB tables under a 700 KiB budget must evict: {stats:?}"
+        "three {one_table} B tables under a {budget} B budget must evict: {stats:?}"
     );
     assert!(
-        stats.bytes <= 700 * 1024,
+        stats.bytes <= budget,
         "cached bytes may never exceed the budget: {stats:?}"
     );
 
@@ -266,13 +282,17 @@ fn cache_eviction_coexists_with_spill_joins_on_one_budget() {
 // Panicking builder (regression)
 // ---------------------------------------------------------------------------
 
-/// Delegates everything to a real [`NativeCpu`], but panics on the first
-/// cached build after parking until the test releases it.
+/// Delegates everything to a real [`NativeCpu`], but while `armed` panics on
+/// the first cached build after parking until the test releases it; notes
+/// the footprint every completed cached build reports.
+#[derive(Default)]
 struct PanickyBuild {
     inner: NativeCpu,
     armed: AtomicBool,
     entered: Arc<(Mutex<bool>, Condvar)>,
     release: Arc<(Mutex<bool>, Condvar)>,
+    /// `(build tuples, reported bytes)` per cached build, in build order.
+    built: Arc<Mutex<Vec<(usize, usize)>>>,
 }
 
 impl PanickyBuild {
@@ -323,7 +343,12 @@ impl ExecBackend for PanickyBuild {
             PanickyBuild::wait(&self.release);
             panic!("injected cached-build panic");
         }
-        self.inner.build_cached(ctx, build, request)
+        let table = self.inner.build_cached(ctx, build, request)?;
+        self.built
+            .lock()
+            .unwrap()
+            .push((table.build_tuples(), table.bytes()));
+        Ok(table)
     }
 
     fn probe_cached(
@@ -345,10 +370,10 @@ fn a_panicked_build_does_not_wedge_single_flight_waiters() {
     let engine = Arc::new(
         JoinEngine::new(
             Box::new(PanickyBuild {
-                inner: NativeCpu::new(),
                 armed: AtomicBool::new(true),
                 entered: Arc::clone(&entered),
                 release: Arc::clone(&release),
+                ..PanickyBuild::default()
             }),
             EngineConfig::for_tuples(2_000, 4_000).sessions(4),
         )
@@ -400,5 +425,66 @@ fn a_panicked_build_does_not_wedge_single_flight_waiters() {
     assert_eq!(
         stats.misses, 1,
         "only the successful rebuild counts: {stats:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Exact accounting
+// ---------------------------------------------------------------------------
+
+/// The broker is charged what the resident tables say they occupy — no
+/// estimate in between — and a native table occupies a bounded number of
+/// bytes per build tuple.
+#[test]
+fn cache_bytes_are_the_sum_of_the_resident_tables_reported_bytes() {
+    let built = Arc::new(Mutex::new(Vec::new()));
+    let engine = JoinEngine::new(
+        Box::new(PanickyBuild {
+            armed: AtomicBool::new(false),
+            built: Arc::clone(&built),
+            ..PanickyBuild::default()
+        }),
+        EngineConfig::for_tuples(20_000, 4_000),
+    )
+    .unwrap();
+    let request = JoinRequest::builder().build().unwrap();
+    let (_, probe, _) = workload(1_000, 4_000);
+
+    // Distinct keys, long duplicate runs, and a table of a single tuple.
+    let shapes = [
+        datagen::generate_pair(&DataGenConfig::small(20_000, 1)).0,
+        Relation::from_keys((0..12_000).map(|i| i % 97).collect()),
+        Relation::from_keys(vec![42]),
+    ];
+    let mut handles = Vec::new();
+    for (i, build) in shapes.iter().enumerate() {
+        let handle = engine.register_table(&format!("shape{i}"), build.clone());
+        engine.submit_cached(&request, &handle, &probe).unwrap();
+        handles.push(handle);
+    }
+    let reported = built.lock().unwrap().clone();
+    assert_eq!(reported.len(), shapes.len());
+    let stats = engine.cache_stats();
+    assert_eq!(stats.entries, shapes.len());
+    assert_eq!(
+        stats.bytes,
+        reported.iter().map(|&(_, bytes)| bytes).sum::<usize>(),
+        "{stats:?} vs {reported:?}"
+    );
+    // 4 B of rid per tuple plus 12 B directory slots at a load factor
+    // between 0.35 and 0.7 (one power-of-two rounding).
+    for &(tuples, bytes) in &reported[..2] {
+        assert!(
+            bytes >= 4 * tuples && bytes < 40 * tuples,
+            "{bytes} B for {tuples} tuples"
+        );
+    }
+
+    // Re-registration drops exactly that table's bytes.
+    let _v2 = engine.register_table("shape0", shapes[2].clone());
+    assert_eq!(
+        engine.cache_stats().bytes,
+        reported[1].1 + reported[2].1,
+        "{reported:?}"
     );
 }

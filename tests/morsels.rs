@@ -98,6 +98,87 @@ fn morsel_size_one_still_matches() {
     assert_eq!(whole.pairs, single.pairs);
 }
 
+/// The native kernel's pair order is part of its contract: probe order,
+/// then build order within a key — from `submit`, from `submit_cached`, and
+/// (within each spill partition) from a spill-enabled request, whatever the
+/// worker count.
+#[test]
+fn native_pair_order_is_pinned_across_submit_cached_and_spill() {
+    let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
+    let r = random_relation(&mut rng, 3000);
+    let s = random_relation(&mut rng, 5000);
+    let mut expected = Vec::new();
+    for (prid, probe_key) in s.iter() {
+        for (brid, build_key) in r.iter() {
+            if build_key == probe_key {
+                expected.push((brid, prid));
+            }
+        }
+    }
+    let mut expected_sorted = expected.clone();
+    expected_sorted.sort_unstable();
+
+    let in_memory = JoinRequest::builder()
+        .collect_results(true)
+        .morsel_tuples(1024)
+        .build()
+        .unwrap();
+    let spilling = JoinRequest::builder()
+        .collect_results(true)
+        .morsel_tuples(1024)
+        .spill(SpillConfig::default())
+        .build()
+        .unwrap();
+    let mut spilled_at_one_worker = None;
+    for workers in [1, 2, 3] {
+        let engine = JoinEngine::native(
+            EngineConfig::for_tuples(r.len(), s.len())
+                .worker_threads(workers)
+                .memory_budget((r.bytes() + s.bytes()) / 2),
+        )
+        .unwrap();
+        let plain = engine.submit(&in_memory, &r, &s).unwrap();
+        assert_eq!(plain.pairs.as_ref(), Some(&expected), "{workers} workers");
+
+        let table = engine.register_table("pinned", r.clone());
+        for pass in ["miss", "hit"] {
+            let cached = engine.submit_cached(&in_memory, &table, &s).unwrap();
+            assert_eq!(
+                cached.pairs.as_ref(),
+                Some(&expected),
+                "{workers} workers, cache {pass}"
+            );
+        }
+
+        // Spilling joins partition pair by partition pair, so pairs arrive
+        // grouped by partition; inside a group the order is the kernel's,
+        // which keeps every probe tuple's matches in build order.
+        let spilled = engine.submit(&spilling, &r, &s).unwrap();
+        assert!(spilled
+            .spill
+            .as_ref()
+            .is_some_and(|report| report.bytes_spilled > 0));
+        let pairs = spilled.pairs.expect("pairs were requested");
+        let mut last_build_rid = std::collections::HashMap::new();
+        for &(brid, prid) in &pairs {
+            if let Some(previous) = last_build_rid.insert(prid, brid) {
+                assert!(
+                    previous < brid,
+                    "probe rid {prid}: {previous} before {brid}"
+                );
+            }
+        }
+        let mut sorted = pairs.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, expected_sorted, "{workers} workers, spilled");
+        let reference = spilled_at_one_worker.get_or_insert_with(|| pairs.clone());
+        assert_eq!(
+            &pairs, reference,
+            "{workers} workers changed the spilled pair order"
+        );
+    }
+}
+
 #[test]
 fn compose_pipeline_elapsed_is_monotone_in_every_step_time() {
     let mut rng = SmallRng::seed_from_u64(0x7131);
