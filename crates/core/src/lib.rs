@@ -177,17 +177,18 @@
 //! into a network service with SLO-aware admission instead of blunt
 //! saturation:
 //!
-//! * **Wire format** — every message is one length-prefixed frame with an
-//!   FNV-1a-64 payload checksum, validated before allocation:
+//! * **Wire format** — every message is one length-prefixed frame with a
+//!   64-bit payload checksum (XXH64, [`server::frame`] says why), its
+//!   length validated before allocation:
 //!
 //!   | field | bytes | meaning |
 //!   |---|---|---|
 //!   | magic | 4 | `"HJW\x01"` |
-//!   | version | 1 | protocol version (currently 1) |
+//!   | version | 1 | protocol version (currently 2; 1 recorded FNV-1a) |
 //!   | frame type | 1 | Request / Response / Chunk / Done / Error / Overloaded |
 //!   | reserved | 2 | zero |
 //!   | payload len | 4 | little-endian, checked against a ceiling first |
-//!   | checksum | 8 | FNV-1a-64 over the payload |
+//!   | checksum | 8 | `datagen::checksum64` (XXH64) over the payload |
 //!
 //!   Torn, oversized, corrupt or foreign frames surface as typed
 //!   [`server::WireError`]s and a best-effort error reply — never a panic

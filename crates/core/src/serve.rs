@@ -62,7 +62,9 @@ use crate::result::JoinOutcome;
 use hj_analysis::sync::{Condvar, Mutex};
 use hj_metrics::Counter;
 use hj_server::admission::{Admission, AdmissionController, AdmissionStats, SloConfig, Ticket};
-use hj_server::frame::{read_frame, write_frame, FrameType, WireError, DEFAULT_MAX_PAYLOAD_BYTES};
+use hj_server::frame::{
+    read_frame, send_frame, write_frame, FrameType, WireError, DEFAULT_MAX_PAYLOAD_BYTES,
+};
 use hj_server::histogram::LatencyHistogram;
 use hj_server::message::{
     ShedReason, WireChunk, WireDone, WireErrorCode, WireFailure, WireMetricsReply,
@@ -70,7 +72,7 @@ use hj_server::message::{
     WireResponse, WireTrace,
 };
 use std::collections::VecDeque;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -728,8 +730,7 @@ fn close_on_protocol_error(shared: &Arc<ServerShared>, stream: &mut TcpStream, e
         code: WireErrorCode::Protocol,
         message: err.to_string(),
     };
-    let mut w = BufWriter::new(stream);
-    let _ = write_frame(&mut w, FrameType::Error, &failure.encode());
+    let _ = send_frame(stream, FrameType::Error, &failure.encode());
 }
 
 // ---------------------------------------------------------------------------
@@ -972,7 +973,6 @@ fn handle_http_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
 /// Writes one complete HTTP/1.1 response, best-effort (the peer may have
 /// gone away; errors only end this connection).
 fn write_http_response(stream: &mut TcpStream, response: &HttpResponse) {
-    use std::io::Write;
     let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
@@ -1070,8 +1070,7 @@ fn handle_register(
         version: handle.version(),
         tuples: handle.tuples().len() as u64,
     };
-    let mut w = BufWriter::new(stream);
-    write_frame(&mut w, FrameType::Registered, &ack.encode())
+    send_frame(stream, FrameType::Registered, &ack.encode())
 }
 
 /// Serves one metrics snapshot.  Observability deliberately bypasses
@@ -1087,8 +1086,7 @@ fn handle_metrics(
         id: request.id,
         text: shared.engine.render_metrics(),
     };
-    let mut w = BufWriter::new(stream);
-    write_frame(&mut w, FrameType::MetricsReply, &reply.encode())
+    send_frame(stream, FrameType::MetricsReply, &reply.encode())
 }
 
 /// Serves one table-referencing request end to end, mirroring
@@ -1116,8 +1114,7 @@ fn handle_ref_request(
             code: WireErrorCode::UnknownTable,
             message: format!("no registered table named '{}'", wire.table),
         };
-        let mut w = BufWriter::new(stream);
-        return write_frame(&mut w, FrameType::Error, &failure.encode());
+        return send_frame(stream, FrameType::Error, &failure.encode());
     };
 
     // On the hot path only the probe side is new work, so the admission
@@ -1434,12 +1431,8 @@ fn write_outcome(
     };
     write_frame(&mut w, FrameType::Response, &head.encode())?;
     for (seq, slice) in pairs.chunks(chunk_pairs).enumerate() {
-        let chunk = WireChunk {
-            id,
-            seq: seq as u32,
-            pairs: slice.to_vec(),
-        };
-        write_frame(&mut w, FrameType::Chunk, &chunk.encode())?;
+        let chunk = WireChunk::encode_pairs(id, seq as u32, slice);
+        write_frame(&mut w, FrameType::Chunk, &chunk)?;
     }
     write_frame(&mut w, FrameType::Done, &WireDone { id, chunks }.encode())?;
     // The flight recorder rides *after* `Done`, so a client that never
@@ -1451,6 +1444,8 @@ fn write_outcome(
         };
         write_frame(&mut w, FrameType::Trace, &wire.encode())?;
     }
+    // One flush for the whole reply, its error propagated.
+    w.flush()?;
     Ok(())
 }
 
@@ -1480,8 +1475,7 @@ fn write_overloaded(
         in_flight: load.in_flight as u32,
         queued: load.queued as u32,
     };
-    let mut w = BufWriter::new(stream);
-    write_frame(&mut w, FrameType::Overloaded, &notice.encode())
+    send_frame(stream, FrameType::Overloaded, &notice.encode())
 }
 
 fn write_failure(
@@ -1504,6 +1498,5 @@ fn write_failure(
         code,
         message: err.to_string(),
     };
-    let mut w = BufWriter::new(stream);
-    write_frame(&mut w, FrameType::Error, &failure.encode())
+    send_frame(stream, FrameType::Error, &failure.encode())
 }

@@ -644,8 +644,11 @@ impl SpillPass<'_> {
             self.report.bytes_restored += probe_run.bytes();
             let mut probe_reader = probe_run.reader().map_err(JoinError::from)?;
             let mut probe_block = Relation::new();
-            while let Some(frame) = probe_reader.next_frame().map_err(JoinError::from)? {
-                probe_block.extend_from(&frame);
+            while probe_reader
+                .next_frame_into(&mut probe_block)
+                .map_err(JoinError::from)?
+                .is_some()
+            {
                 if probe_block.len() >= pb {
                     merge_outcome(
                         &mut outcome,
@@ -678,7 +681,8 @@ fn push_frames(
     let mut start = 0;
     while start < rel.len() {
         let end = (start + frame).min(rel.len());
-        run.push(&rel.slice(start..end)).map_err(JoinError::from)?;
+        run.push_columns(&rel.keys()[start..end], &rel.rids()[start..end])
+            .map_err(JoinError::from)?;
         start = end;
     }
     Ok(run.bytes() - before)

@@ -15,6 +15,7 @@
 
 #![warn(missing_docs)]
 
+pub mod checksum;
 pub mod generator;
 pub mod relation;
 pub mod rng;
@@ -22,6 +23,7 @@ pub mod stats;
 pub mod tablefile;
 pub mod workload;
 
+pub use checksum::checksum64;
 pub use generator::{generate_pair, DataGenConfig, KeyDistribution};
 pub use relation::{Relation, TUPLE_BYTES};
 pub use rng::SmallRng;

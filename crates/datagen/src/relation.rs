@@ -114,6 +114,21 @@ impl Relation {
         }
     }
 
+    /// Appends whole columns, each in one reservation when the iterators
+    /// know their length (the bulk counterpart of [`push`](Self::push)).
+    ///
+    /// # Panics
+    /// Panics if the columns have different lengths.
+    pub fn extend_columns(
+        &mut self,
+        rids: impl IntoIterator<Item = u32>,
+        keys: impl IntoIterator<Item = u32>,
+    ) {
+        self.rids.extend(rids);
+        self.keys.extend(keys);
+        assert_eq!(self.rids.len(), self.keys.len(), "column length mismatch");
+    }
+
     /// Concatenates another relation onto this one.
     pub fn extend_from(&mut self, other: &Relation) {
         self.keys.extend_from_slice(&other.keys);

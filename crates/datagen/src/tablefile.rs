@@ -10,8 +10,10 @@
 //!
 //! * [`TableFileWriter`] / [`TableFileReader`] — the container: a small
 //!   header (magic, version, tuple count) followed by frames of
-//!   `[count][fnv1a-64 checksum][keys][rids]`, each independently
-//!   verifiable;
+//!   `[count][checksum][keys][rids]`, each independently verifiable.  The
+//!   checksum is [`checksum64`] over the column payload (XXH64; see
+//!   `hj-server`'s `frame` module for why) — version 1 files recorded
+//!   FNV-1a there and are refused by version, not as corrupt;
 //! * [`FileTableSpec`] + [`generate_build_table`] /
 //!   [`generate_probe_table`] — streaming generators.  Build keys come
 //!   from a seeded *bijective* mix of the tuple index (distinct by
@@ -20,6 +22,7 @@
 //!   [`SmallRng`], so every probe tuple matches exactly one build key and
 //!   the expected join cardinality is known without reading either file.
 
+use crate::checksum::checksum64;
 use crate::relation::Relation;
 use crate::rng::SmallRng;
 use std::fs::File;
@@ -27,43 +30,29 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"HJTB";
-const VERSION: u32 = 1;
+/// Bumped to 2 when the frame checksum became [`checksum64`]: the layout
+/// is unchanged, but a version 1 file's recorded values mean something else.
+const VERSION: u32 = 2;
 const HEADER_BYTES: u64 = 4 + 4 + 8;
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Fingerprint of a table file with no frames.
+const EMPTY_FINGERPRINT: u64 = 0;
 
-/// FNV-1a 64 over a byte slice — the frame checksum shared by the table
-/// files here and the spill run files of `hj-spill` (which depends on this
-/// crate and imports this function).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Folds one frame's `(count, checksum)` header into a running FNV-1a
-/// content fingerprint — the per-frame step of
-/// [`table_file_fingerprint`] and [`TableFileWriter::fingerprint`].
+/// Folds one frame's `(count, checksum)` header into a running content
+/// fingerprint — the per-frame step of [`table_file_fingerprint`] and
+/// [`TableFileWriter::fingerprint`].
 fn fold_frame_fingerprint(fingerprint: u64, count: u32, checksum: u64) -> u64 {
-    let mut bytes = [0u8; 12];
-    bytes[..4].copy_from_slice(&count.to_le_bytes());
-    bytes[4..].copy_from_slice(&checksum.to_le_bytes());
-    let mut hash = fingerprint;
-    for &b in &bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    let mut bytes = [0u8; 20];
+    bytes[..8].copy_from_slice(&fingerprint.to_le_bytes());
+    bytes[8..12].copy_from_slice(&count.to_le_bytes());
+    bytes[12..].copy_from_slice(&checksum.to_le_bytes());
+    checksum64(&bytes)
 }
 
 fn invalid(detail: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail)
 }
 
-/// Encodes one `[count][fnv1a-64][keys][rids]` frame (the format shared by
+/// Encodes one `[count][checksum][keys][rids]` frame (the format shared by
 /// table files and `hj-spill` run files); empty batches write nothing.
 /// Returns the bytes appended.
 ///
@@ -76,7 +65,7 @@ pub fn encode_frame<W: Write>(writer: &mut W, keys: &[u32], rids: &[u32]) -> io:
     Ok(encode_frame_checksummed(writer, keys, rids)?.0)
 }
 
-/// Like [`encode_frame`], but also returns the frame's FNV-1a checksum so a
+/// Like [`encode_frame`], but also returns the frame's [`checksum64`] so a
 /// writer can fold it into an incremental content fingerprint without
 /// hashing the payload twice.  Empty batches write nothing and return
 /// `(0, 0)`.
@@ -95,30 +84,32 @@ pub fn encode_frame_checksummed<W: Write>(
     if keys.is_empty() {
         return Ok((0, 0));
     }
-    let mut payload = Vec::with_capacity(keys.len() * 8);
-    for &k in keys {
-        payload.extend_from_slice(&k.to_le_bytes());
-    }
-    for &r in rids {
-        payload.extend_from_slice(&r.to_le_bytes());
-    }
-    let checksum = fnv1a64(&payload);
+    // Both columns in one exact-size pass: on a little-endian host this is
+    // two block copies.
+    let words: Vec<[u8; 4]> = keys.iter().chain(rids).map(|v| v.to_le_bytes()).collect();
+    let payload = words.as_flattened();
+    let checksum = checksum64(payload);
     writer.write_all(&(keys.len() as u32).to_le_bytes())?;
     writer.write_all(&checksum.to_le_bytes())?;
-    writer.write_all(&payload)?;
+    writer.write_all(payload)?;
     Ok(((4 + 8 + payload.len()) as u64, checksum))
 }
 
-/// Decodes the next frame of the shared format, or `None` at a clean end
-/// of stream.  `remaining` tracks the unconsumed file bytes: the untrusted
-/// count is validated against it *before* sizing a buffer, so a corrupted
-/// header surfaces as [`io::ErrorKind::InvalidData`] instead of a huge
-/// allocation.
+/// Decodes the next frame of the shared format and appends its tuples to
+/// `dest`, returning how many it held, or `None` at a clean end of stream.
+/// `remaining` tracks the unconsumed file bytes: the untrusted count is
+/// validated against it *before* sizing a buffer, so a corrupted header
+/// surfaces as [`io::ErrorKind::InvalidData`] instead of a huge allocation.
+/// `dest` is untouched unless the frame's checksum verified.
 ///
 /// # Errors
 /// Non-EOF read failures are propagated; truncation inside a frame and
 /// checksum mismatches return [`io::ErrorKind::InvalidData`].
-pub fn decode_frame<R: Read>(reader: &mut R, remaining: &mut u64) -> io::Result<Option<Relation>> {
+pub fn decode_frame<R: Read>(
+    reader: &mut R,
+    remaining: &mut u64,
+    dest: &mut Relation,
+) -> io::Result<Option<usize>> {
     let mut count_buf = [0u8; 4];
     match reader.read_exact(&mut count_buf) {
         Ok(()) => {}
@@ -144,24 +135,24 @@ pub fn decode_frame<R: Read>(reader: &mut R, remaining: &mut u64) -> io::Result<
         return Err(invalid(format!("truncated frame of {count} tuples: {e}")));
     }
     let expected = u64::from_le_bytes(checksum_buf);
-    let actual = fnv1a64(&payload);
+    let actual = checksum64(&payload);
     if actual != expected {
         return Err(invalid(format!(
             "checksum {actual:#x} != recorded {expected:#x}"
         )));
     }
     *remaining -= needed;
-    let mut rel = Relation::with_capacity(count);
-    for i in 0..count {
-        let key = u32::from_le_bytes(payload[i * 4..i * 4 + 4].try_into().unwrap());
-        let rid = u32::from_le_bytes(
-            payload[(count + i) * 4..(count + i) * 4 + 4]
-                .try_into()
-                .unwrap(),
-        );
-        rel.push(rid, key);
-    }
-    Ok(Some(rel))
+    let (keys, rids) = payload.split_at(count * 4);
+    dest.extend_columns(le_u32s(rids), le_u32s(keys));
+    Ok(Some(count))
+}
+
+/// The `u32`s a little-endian column holds (an exact-size iterator, so a
+/// `Vec` extends from it in one reservation).
+fn le_u32s(column: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
+    column
+        .chunks_exact(4)
+        .map(|word| u32::from_le_bytes(word.try_into().expect("4 bytes")))
 }
 
 /// Writes a `<key, rid>` table file batch by batch.
@@ -186,7 +177,7 @@ impl TableFileWriter {
         Ok(TableFileWriter {
             writer,
             tuples: 0,
-            fingerprint: FNV_OFFSET,
+            fingerprint: EMPTY_FINGERPRINT,
         })
     }
 
@@ -205,9 +196,9 @@ impl TableFileWriter {
         Ok(())
     }
 
-    /// The content fingerprint of everything appended so far — an FNV-1a
-    /// fold over the per-frame `(count, checksum)` headers, free to
-    /// maintain because each frame is checksummed anyway.
+    /// The content fingerprint of everything appended so far — a
+    /// [`checksum64`] fold over the per-frame `(count, checksum)` headers,
+    /// free to maintain because each frame is checksummed anyway.
     ///
     /// Matches [`table_file_fingerprint`] of the finished file, so a
     /// file-backed table can be cache-keyed (e.g. named for
@@ -294,11 +285,18 @@ impl TableFileReader {
     /// mismatch, truncation, or a header count that disagrees with the
     /// frames.
     pub fn next_batch(&mut self) -> io::Result<Option<Relation>> {
-        match decode_frame(&mut self.reader, &mut self.remaining) {
-            Ok(Some(batch)) => {
-                self.read += batch.len() as u64;
+        let mut batch = Relation::new();
+        Ok(self.next_batch_into(&mut batch)?.map(|_| batch))
+    }
+
+    /// Appends the next batch's tuples to `dest`; returns how many, or
+    /// `None` at the end of the table.
+    fn next_batch_into(&mut self, dest: &mut Relation) -> io::Result<Option<usize>> {
+        match decode_frame(&mut self.reader, &mut self.remaining, dest) {
+            Ok(Some(count)) => {
+                self.read += count as u64;
                 self.batch_index += 1;
-                Ok(Some(batch))
+                Ok(Some(count))
             }
             Ok(None) => {
                 if self.read != self.tuples {
@@ -323,16 +321,14 @@ impl TableFileReader {
     /// Those of [`next_batch`](Self::next_batch).
     pub fn read_all(&mut self) -> io::Result<Relation> {
         let mut rel = Relation::with_capacity((self.tuples - self.read) as usize);
-        while let Some(batch) = self.next_batch()? {
-            rel.extend_from(&batch);
-        }
+        while self.next_batch_into(&mut rel)?.is_some() {}
         Ok(rel)
     }
 }
 
 /// The content fingerprint of a table file **without reading its
 /// payloads**: only the 12-byte `(count, checksum)` frame headers are read
-/// and folded (the same FNV-1a fold as [`TableFileWriter::fingerprint`]);
+/// and folded (the same fold as [`TableFileWriter::fingerprint`]);
 /// the tuple data itself is seeked over.  Cost is a handful of bytes per
 /// frame, independent of table size.
 ///
@@ -366,7 +362,7 @@ pub fn table_file_fingerprint(path: &Path) -> io::Result<u64> {
     }
     let mut tuples = [0u8; 8];
     reader.read_exact(&mut tuples)?;
-    let mut fingerprint = FNV_OFFSET;
+    let mut fingerprint = EMPTY_FINGERPRINT;
     loop {
         let mut count_buf = [0u8; 4];
         match reader.read_exact(&mut count_buf) {
@@ -664,6 +660,51 @@ mod tests {
         let err = table_file_fingerprint(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn version_1_files_are_refused_by_version_not_as_corrupt() {
+        let path = temp_path("version-1");
+        generate_build_table(&path, &FileTableSpec::new(64, 3)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let expected = "table file version 1 (this reader understands 2)";
+        let err = TableFileReader::open(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), expected);
+        let err = table_file_fingerprint(&path).unwrap_err();
+        assert_eq!(err.to_string(), expected);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn frames_keep_their_layout_and_size() {
+        let mut bytes = Vec::new();
+        let written = encode_frame(&mut bytes, &[0x0403_0201, 7], &[0x0807_0605, 9]).unwrap();
+        assert_eq!(written, 4 + 8 + 16);
+        assert_eq!(bytes.len() as u64, written);
+        assert_eq!(bytes[..4], 2u32.to_le_bytes());
+        assert_eq!(bytes[4..12], checksum64(&bytes[12..]).to_le_bytes());
+        assert_eq!(
+            bytes[12..],
+            [1, 2, 3, 4, 7, 0, 0, 0, 5, 6, 7, 8, 9, 0, 0, 0],
+            "keys column, then rids column, little endian"
+        );
+        // Decoding appends to whatever the destination already holds.
+        let mut dest = Relation::from_columns(vec![100], vec![200]);
+        let mut remaining = written;
+        let count = decode_frame(&mut bytes.as_slice(), &mut remaining, &mut dest).unwrap();
+        assert_eq!(count, Some(2));
+        assert_eq!(remaining, 0);
+        assert_eq!(dest.keys(), &[200, 0x0403_0201, 7]);
+        assert_eq!(dest.rids(), &[100, 0x0807_0605, 9]);
+        // A frame that fails its checksum leaves the destination alone.
+        *bytes.last_mut().unwrap() ^= 1;
+        let mut remaining = written;
+        let err = decode_frame(&mut bytes.as_slice(), &mut remaining, &mut dest).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(dest.len(), 3);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! response head and the final `Done` marker, so a torn reply surfaces as
 //! a typed [`ClientError`] rather than a silently short pair set.
 
-use crate::frame::{read_frame, write_frame, FrameType, WireError, DEFAULT_MAX_PAYLOAD_BYTES};
+use crate::frame::{read_frame, send_frame, FrameType, WireError, DEFAULT_MAX_PAYLOAD_BYTES};
 use crate::message::{
     ShedReason, WireChunk, WireDone, WireErrorCode, WireFailure, WireMetricsReply,
     WireMetricsRequest, WireOverloaded, WireRefRequest, WireRegister, WireRegistered, WireRequest,
@@ -16,7 +16,6 @@ use crate::message::{
 use datagen::Relation;
 use hj_metrics::JoinTrace;
 use std::fmt;
-use std::io::BufWriter;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -170,10 +169,7 @@ impl JoinClient {
     pub fn join(&mut self, mut request: WireRequest) -> Result<ClientOutcome, ClientError> {
         request.id = self.next_id;
         self.next_id += 1;
-        {
-            let mut w = BufWriter::new(&self.stream);
-            write_frame(&mut w, FrameType::Request, &request.encode())?;
-        }
+        send_frame(&self.stream, FrameType::Request, &request.encode())?;
         self.read_reply(request.id, request.trace)
     }
 
@@ -186,14 +182,11 @@ impl JoinClient {
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        {
-            let mut w = BufWriter::new(&self.stream);
-            write_frame(
-                &mut w,
-                FrameType::Metrics,
-                &WireMetricsRequest { id }.encode(),
-            )?;
-        }
+        send_frame(
+            &self.stream,
+            FrameType::Metrics,
+            &WireMetricsRequest { id }.encode(),
+        )?;
         match self.read_frame_or_close()? {
             (FrameType::MetricsReply, payload) => {
                 let reply = WireMetricsReply::decode(&payload)?;
@@ -234,10 +227,7 @@ impl JoinClient {
             name: name.to_string(),
             tuples,
         };
-        {
-            let mut w = BufWriter::new(&self.stream);
-            write_frame(&mut w, FrameType::Register, &register.encode())?;
-        }
+        send_frame(&self.stream, FrameType::Register, &register.encode())?;
         match self.read_frame_or_close()? {
             (FrameType::Registered, payload) => {
                 let ack = WireRegistered::decode(&payload)?;
@@ -267,10 +257,7 @@ impl JoinClient {
     pub fn join_ref(&mut self, mut request: WireRefRequest) -> Result<ClientOutcome, ClientError> {
         request.id = self.next_id;
         self.next_id += 1;
-        {
-            let mut w = BufWriter::new(&self.stream);
-            write_frame(&mut w, FrameType::TableRef, &request.encode())?;
-        }
+        send_frame(&self.stream, FrameType::TableRef, &request.encode())?;
         self.read_reply(request.id, request.trace)
     }
 

@@ -5,8 +5,9 @@
 //! the adaptive estimator) and holds everything the TCP front-end in
 //! `hj_core::serve` and remote clients share:
 //!
-//! * [`frame`] — the length-prefixed, FNV-checksummed binary frame layer
-//!   ([`write_frame`] / [`read_frame`]), with typed [`WireError`]s for
+//! * [`frame`] — the length-prefixed, checksummed binary frame layer
+//!   ([`write_frame`] / [`read_frame`]; the checksum is XXH64, see the
+//!   module's docs), with typed [`WireError`]s for
 //!   torn, oversized, corrupt or foreign-protocol streams;
 //! * [`message`] — the typed messages frames carry: [`WireRequest`],
 //!   [`WireResponse`], streamed [`WireChunk`]s, the positive [`WireDone`]
@@ -42,7 +43,7 @@ pub mod message;
 pub use admission::{Admission, AdmissionController, AdmissionStats, SloConfig, Ticket};
 pub use client::{ClientError, ClientOutcome, JoinClient, RefRequestBuilder, RequestBuilder};
 pub use frame::{
-    read_frame, write_frame, FrameType, PayloadReader, PayloadWriter, WireError,
+    read_frame, send_frame, write_frame, FrameType, PayloadReader, PayloadWriter, WireError,
     DEFAULT_MAX_PAYLOAD_BYTES, HEADER_BYTES, MAGIC, VERSION,
 };
 pub use histogram::{LatencyHistogram, HISTOGRAM_BUCKETS};

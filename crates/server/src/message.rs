@@ -444,14 +444,17 @@ pub struct WireChunk {
 impl WireChunk {
     /// Encodes the chunk.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(16 + 8 * self.pairs.len());
-        w.put_u64(self.id);
-        w.put_u32(self.seq);
-        w.put_u32(self.pairs.len() as u32);
-        for &(b, p) in &self.pairs {
-            w.put_u32(b);
-            w.put_u32(p);
-        }
+        WireChunk::encode_pairs(self.id, self.seq, &self.pairs)
+    }
+
+    /// Encodes a chunk straight from a borrowed slice of the pair set, so
+    /// a sender streaming one result as many chunks copies no pairs.
+    pub fn encode_pairs(id: u64, seq: u32, pairs: &[(u32, u32)]) -> Vec<u8> {
+        let mut w = PayloadWriter::with_capacity(16 + 8 * pairs.len());
+        w.put_u64(id);
+        w.put_u32(seq);
+        w.put_u32(pairs.len() as u32);
+        w.put_u32_pairs(pairs);
         w.into_bytes()
     }
 
@@ -464,14 +467,7 @@ impl WireChunk {
         let id = r.get_u64("chunk id")?;
         let seq = r.get_u32("chunk seq")?;
         let count = r.get_u32("chunk pair count")? as usize;
-        // A hostile count cannot drive the reservation past what the
-        // payload could physically carry (8 bytes per pair).
-        let mut pairs = Vec::with_capacity(count.min(payload.len() / 8 + 1));
-        for _ in 0..count {
-            let b = r.get_u32("chunk build rid")?;
-            let p = r.get_u32("chunk probe rid")?;
-            pairs.push((b, p));
-        }
+        let pairs = r.get_u32_pairs(count, "chunk pairs")?;
         r.expect_exhausted("chunk")?;
         Ok(WireChunk { id, seq, pairs })
     }

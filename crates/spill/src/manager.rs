@@ -165,10 +165,22 @@ impl PendingRun {
     /// # Errors
     /// [`SpillError::Io`] when the write fails.
     pub fn push(&mut self, relation: &Relation) -> Result<(), SpillError> {
+        self.push_columns(relation.keys(), relation.rids())
+    }
+
+    /// Appends one frame from raw key/rid columns of equal length — no
+    /// intermediate [`Relation`] for callers writing a sub-range.
+    ///
+    /// # Errors
+    /// [`SpillError::Io`] when the write fails.
+    ///
+    /// # Panics
+    /// Panics if the columns have different lengths.
+    pub fn push_columns(&mut self, keys: &[u32], rids: &[u32]) -> Result<(), SpillError> {
         self.writer
             .as_mut()
             .expect("pending run not yet sealed")
-            .push(relation)
+            .push_columns(keys, rids)
     }
 
     /// Tuples written so far.
@@ -257,9 +269,7 @@ impl SpillRun {
     pub fn read_all(&self) -> Result<Relation, SpillError> {
         let mut reader = self.reader()?;
         let mut rel = Relation::with_capacity(self.tuples as usize);
-        while let Some(frame) = reader.next_frame()? {
-            rel.extend_from(&frame);
-        }
+        while reader.next_frame_into(&mut rel)?.is_some() {}
         Ok(rel)
     }
 }
@@ -292,6 +302,24 @@ mod tests {
             std::fs::read_dir(mgr.dir()).unwrap().next().is_none(),
             "sealed run must be unlinked on drop"
         );
+    }
+
+    #[test]
+    fn sub_range_frames_read_back_as_one_relation() {
+        let mgr = SpillManager::create(None).unwrap();
+        let rel = Relation::from_columns((0..1000).collect(), (5000..6000).collect());
+        let mut pending = mgr.create_run("framed").unwrap();
+        for start in (0..rel.len()).step_by(300) {
+            let end = (start + 300).min(rel.len());
+            pending
+                .push_columns(&rel.keys()[start..end], &rel.rids()[start..end])
+                .unwrap();
+        }
+        assert_eq!(pending.tuples(), 1000);
+        let run = pending.seal().unwrap();
+        // Four frames of 12 header bytes each around the 8 000 payload bytes.
+        assert_eq!(run.bytes(), 4 * 12 + 8 * 1000);
+        assert_eq!(run.read_all().unwrap(), rel);
     }
 
     #[test]

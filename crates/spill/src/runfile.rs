@@ -8,9 +8,10 @@
 //! [tuple_count: u32 LE] [checksum: u64 LE] [keys: count × u32 LE] [rids: count × u32 LE]
 //! ```
 //!
-//! The checksum is FNV-1a 64 over the column payload, verified on every
-//! read: a torn write, a filled-up disk or an operator truncating temp
-//! files surfaces as a typed [`SpillError::CorruptFrame`] instead of a
+//! The checksum is [`datagen::checksum64`] over the column payload (XXH64;
+//! `hj-server`'s `frame` module records why and how fast), verified on
+//! every read: a torn write, a filled-up disk or an operator truncating
+//! temp files surfaces as a typed [`SpillError::CorruptFrame`] instead of a
 //! silently wrong join result.  Frames are independent, so readers can
 //! stream a run back one bounded batch at a time — the recursive
 //! re-partitioning pass never holds a whole oversized run in memory.
@@ -163,11 +164,21 @@ impl RunReader {
     /// [`SpillError::Io`] on read failure, [`SpillError::CorruptFrame`] on
     /// a checksum mismatch or truncation.
     pub fn next_frame(&mut self) -> Result<Option<Relation>, SpillError> {
-        match decode_frame(&mut self.reader, &mut self.remaining) {
-            Ok(Some(rel)) => {
+        let mut rel = Relation::new();
+        Ok(self.next_frame_into(&mut rel)?.map(|_| rel))
+    }
+
+    /// Appends the next frame's tuples to `dest`; returns how many, or
+    /// `None` at end of run.  `dest` only ever gains verified frames.
+    ///
+    /// # Errors
+    /// Those of [`next_frame`](Self::next_frame).
+    pub fn next_frame_into(&mut self, dest: &mut Relation) -> Result<Option<usize>, SpillError> {
+        match decode_frame(&mut self.reader, &mut self.remaining, dest) {
+            Ok(Some(count)) => {
                 self.frame += 1;
-                self.read_tuples += rel.len() as u64;
-                Ok(Some(rel))
+                self.read_tuples += count as u64;
+                Ok(Some(count))
             }
             Ok(None) => {
                 if let Some(expected) = self.expected_tuples {

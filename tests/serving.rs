@@ -253,6 +253,37 @@ fn corrupt_checksum_is_rejected_with_a_typed_error() {
     let failure = read_error_then_eof(&mut stream).expect("expected a typed protocol error");
     assert_eq!(failure.code, WireErrorCode::Protocol);
     assert!(failure.message.contains("checksum"), "{}", failure.message);
+    assert_eq!(server.engine().load().in_flight, 0);
+}
+
+/// A peer from before the checksum change (protocol version 1, FNV-1a in
+/// the checksum field) is told so: the version is checked before the
+/// checksum, so its frames are never reported as corrupt.
+#[test]
+fn a_version_1_peer_gets_a_typed_version_error_not_corrupt() {
+    let (r, s) = test_pair(200);
+    let server = start_server(
+        JoinEngine::coupled(EngineConfig::for_tuples(256, 512)).unwrap(),
+        ServerConfig::default(),
+    );
+    let request = RequestBuilder::new(r.clone(), s.clone()).build();
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, FrameType::Request, &request.encode()).unwrap();
+    bytes[4] = 1;
+    bytes[12..20].copy_from_slice(&0xcbf2_9ce4_8422_2325u64.to_le_bytes());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&bytes).unwrap();
+    let failure = read_error_then_eof(&mut stream).expect("expected a typed protocol error");
+    assert_eq!(failure.code, WireErrorCode::Protocol);
+    assert!(
+        failure.message.contains("peer speaks v1"),
+        "{}",
+        failure.message
+    );
+    assert!(!failure.message.contains("checksum"), "{}", failure.message);
+    assert_eq!(server.engine().load().in_flight, 0);
+    let mut client = JoinClient::connect(server.local_addr()).unwrap();
+    assert!(client.join(RequestBuilder::new(r, s).build()).is_ok());
 }
 
 #[test]
