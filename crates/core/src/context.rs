@@ -62,9 +62,9 @@ pub struct ExecContext<'a> {
     pub morsel_tuples: usize,
     /// The engine's persistent worker pool, when this context was created
     /// by a [`JoinEngine`](crate::engine::JoinEngine); native execution
-    /// submits its morsels here instead of spawning threads per step.
-    /// Lazily spawned: backends that never ask (the simulators) never cost
-    /// a thread.
+    /// submits its morsels here instead of spawning threads per step, and
+    /// the spill path routes its chunks on it.  Lazily spawned: a simulator
+    /// join that does not spill never costs a thread.
     workers: Option<&'a SharedWorkerPool>,
     /// The adaptive runtime tuner, when the request asked for
     /// [`Tuning::Adaptive`](crate::engine::Tuning): [`crate::phase::run_step`]

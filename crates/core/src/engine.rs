@@ -1643,9 +1643,9 @@ impl JoinEngine {
     /// The engine's persistent worker pool: sized at construction, shared
     /// by every session, joined (no leaked threads) when the engine drops.
     ///
-    /// The pool is spawned lazily — on the first native execution or the
-    /// first call to this accessor — so simulator-only engines never cost
-    /// a thread.
+    /// The pool is spawned lazily — on the first native execution, the
+    /// first spilling join or the first call to this accessor — so a
+    /// simulator engine that never spills never costs a thread.
     pub fn worker_pool(&self) -> &WorkerPool {
         self.workers.get()
     }
@@ -2155,9 +2155,15 @@ impl JoinEngine {
             }
         }
         let manager = self.spill_manager(spill)?;
-        let inner = request.inner_for_spill();
+        let mut inner = request.inner_for_spill();
+        let morsel = inner.config.morsel_tuples;
+        let workers = self.workers.configured_workers();
         let backend = self.backend.as_ref();
         let mut pair_join = |ctx: &mut ExecContext<'_>, b: &Relation, p: &Relation| {
+            // Partition pairs are mostly smaller than a morsel; cut each so
+            // that every worker gets a share of its build (and probe).  The
+            // simulators morselise by `ctx.morsel_tuples`, not the request.
+            inner.config.morsel_tuples = morsel.min(b.len().div_ceil(workers)).max(1);
             backend.execute(ctx, b, p, &inner)
         };
         let (mut outcome, report) = crate::spilljoin::execute_spill_join(

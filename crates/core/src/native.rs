@@ -1,5 +1,5 @@
 //! The native (real-thread) backend and its join kernel: one flat hash
-//! table, one build loop, one probe loop.
+//! table, one scatter loop, one build loop, one probe loop.
 //!
 //! The paper's hash table (§3.1) is a flat bucket array over key lists and
 //! rid lists, hashed with MurmurHash2, because pointer-light tables are what
@@ -15,13 +15,15 @@
 //!   duplicates of a key are the single run `rids[start..start + len]`, in
 //!   build order.
 //!
-//! `build` and `probe` are the only native build and probe loops in the
-//! crate: [`NativeCpu`]'s `execute`, `build_cached` and `probe_cached` are
-//! thin callers, so an uncached join, a cached probe and every partition
-//! pair of a spilling join run the same code and emit the same pairs in the
-//! same order (probe order, then build order within a key).  The large
-//! buffers a build needs are reused from join to join (`Scratch`), so a
-//! join's speed does not depend on what the allocator did with the last
+//! `scatter`, `build` and `probe` are the only native scatter, build and
+//! probe loops in the crate: [`NativeCpu`]'s `execute`, `build_cached` and
+//! `probe_cached` are thin callers of the last two, so an uncached join, a
+//! cached probe and every partition pair of a spilling join run the same
+//! code and emit the same pairs in the same order (probe order, then build
+//! order within a key).  `scatter` is build's first stage and also routes
+//! the spill path's chunks into partitions ([`crate::spilljoin`]).  The
+//! large buffers a build needs are reused from join to join (`Scratch`), so
+//! a join's speed does not depend on what the allocator did with the last
 //! one's memory.
 
 use crate::cached::{CacheParams, CachedPayload, CachedTable};
@@ -35,6 +37,7 @@ use apu_sim::{Phase, SimTime, SystemSpec};
 use datagen::Relation;
 use hj_adaptive::SeriesKind;
 use hj_analysis::sync::{Condvar, Mutex};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Smallest chunk (tuples) the native backend schedules as one task, even
@@ -244,11 +247,11 @@ fn shard_of(hash: u32, shards: usize) -> usize {
 /// adaptive tuner ingests on this backend.
 type TaskWall = (usize, f64);
 
-/// The tuples of one build morsel destined for one shard, in build order.
+/// The tuples of one scatter task destined for one bucket, in input order.
 #[derive(Debug, Default)]
-struct Scattered {
-    keys: Vec<u32>,
-    rids: Vec<u32>,
+pub(crate) struct Scattered {
+    pub(crate) keys: Vec<u32>,
+    pub(crate) rids: Vec<u32>,
 }
 
 /// The large buffers of finished joins, kept for the next join on the same
@@ -267,7 +270,8 @@ struct Scattered {
 /// buffers per concurrently executing join (the [`ExecGate`] admits as many
 /// as the pool has workers), each as large as the largest build side seen
 /// needed — at most some 50 bytes per tuple of the largest input the engine
-/// accepts.
+/// accepts.  (A spilling join keeps one of its own for the chunks it
+/// routes, dropped with the join.)
 #[derive(Debug)]
 pub(crate) struct Scratch {
     kept: Mutex<Kept>,
@@ -296,15 +300,66 @@ impl Scratch {
     fn recycle(&self, table: NativeTable) {
         self.kept.lock().shards.extend(table.shards);
     }
+
+    /// Takes back the buffer sets [`scatter`] returned, once read.
+    pub(crate) fn keep_scattered(&self, scattered: Vec<(Vec<Scattered>, f64)>) {
+        let emptied = scattered.into_iter().map(|(buffers, _)| buffers);
+        self.kept.lock().scattered.extend(emptied);
+    }
+}
+
+/// The crate's one scatter loop: one task per range of `ranges` — on
+/// `pool`, or one after another on the calling thread without one — each
+/// moving its tuples of `keys`/`rids` into `buckets` buffers by
+/// `bucket_of(key)` (which must be below `buckets`).
+///
+/// Returns every task's buffers (one per bucket, each in input order) and
+/// wall-clock nanoseconds, in task order, so concatenating one bucket's
+/// buffers over the tasks lists its tuples in input order.  The buffers come
+/// from `scratch`; hand them back with [`Scratch::keep_scattered`].  Generic
+/// over the bucket function, so each caller's loop is compiled with it
+/// inlined.
+pub(crate) fn scatter<F>(
+    pool: Option<&WorkerPool>,
+    keys: &[u32],
+    rids: &[u32],
+    ranges: &[Range<usize>],
+    buckets: usize,
+    bucket_of: F,
+    scratch: &Scratch,
+) -> Vec<(Vec<Scattered>, f64)>
+where
+    F: Fn(u32) -> usize + Sync,
+{
+    let task = |task: usize| {
+        let task_start = Instant::now();
+        let range = ranges[task].clone();
+        let mut buffers = scratch.kept.lock().scattered.pop().unwrap_or_default();
+        buffers.resize_with(buckets, Scattered::default);
+        for buffer in &mut buffers {
+            buffer.keys.clear();
+            buffer.rids.clear();
+        }
+        for (&key, &rid) in keys[range.clone()].iter().zip(&rids[range]) {
+            let buffer = &mut buffers[bucket_of(key)];
+            buffer.keys.push(key);
+            buffer.rids.push(rid);
+        }
+        (buffers, task_start.elapsed().as_nanos() as f64)
+    };
+    match pool {
+        Some(pool) => pool.run(ranges.len(), |_, index| task(index)),
+        None => (0..ranges.len()).map(task).collect(),
+    }
 }
 
 /// Builds the table of `relation` on `pool`, one shard per pool worker,
 /// out of `scratch`'s buffers where it has any.
 ///
 /// Two latch-free stages, so the relation is scanned once: work-stealing
-/// workers scatter each build morsel into per-shard buffers, then each shard
-/// owner folds the buffers destined for it ([`Shard::fold`]).  Returns the
-/// table and the scatter tasks' telemetry.
+/// workers [`scatter`] each build morsel into per-shard buffers, then each
+/// shard owner folds the buffers destined for it ([`Shard::fold`]).  Returns
+/// the table and the scatter tasks' telemetry.
 pub(crate) fn build(
     pool: &WorkerPool,
     relation: &Relation,
@@ -313,24 +368,15 @@ pub(crate) fn build(
 ) -> (NativeTable, Vec<TaskWall>) {
     let shard_count = pool.workers();
     let morsels = morsel_ranges(relation.len(), morsel);
-    let scattered: Vec<(Vec<Scattered>, f64)> = pool.run(morsels.len(), |_, task| {
-        let task_start = Instant::now();
-        let range = morsels[task].clone();
-        let mut buffers = scratch.kept.lock().scattered.pop().unwrap_or_default();
-        buffers.resize_with(shard_count, Scattered::default);
-        for buffer in &mut buffers {
-            buffer.keys.clear();
-            buffer.rids.clear();
-        }
-        let keys = &relation.keys()[range.clone()];
-        let rids = &relation.rids()[range];
-        for (&key, &rid) in keys.iter().zip(rids) {
-            let buffer = &mut buffers[shard_of(hash_key(key), shard_count)];
-            buffer.keys.push(key);
-            buffer.rids.push(rid);
-        }
-        (buffers, task_start.elapsed().as_nanos() as f64)
-    });
+    let scattered = scatter(
+        Some(pool),
+        relation.keys(),
+        relation.rids(),
+        &morsels,
+        shard_count,
+        |key| shard_of(hash_key(key), shard_count),
+        scratch,
+    );
     let shards = pool.run(shard_count, |_, shard| {
         Shard::fold(
             scattered.iter().map(|(buffers, _)| &buffers[shard]),
@@ -342,8 +388,7 @@ pub(crate) fn build(
         .zip(&scattered)
         .map(|(range, (_, ns))| (range.len(), *ns))
         .collect();
-    let emptied = scattered.into_iter().map(|(buffers, _)| buffers);
-    scratch.kept.lock().scattered.extend(emptied);
+    scratch.keep_scattered(scattered);
     (NativeTable { shards }, walls)
 }
 
@@ -904,6 +949,99 @@ mod tests {
         let held = cached.shards.iter();
         let held: usize = held.map(|s| s.slots.len() * 12 + s.rids.len() * 4).sum();
         assert_eq!(cached.bytes(), held);
+    }
+
+    /// Each bucket's `(keys, rids)`, routed one tuple at a time.
+    type Routed = Vec<(Vec<u32>, Vec<u32>)>;
+
+    fn reference_route(rel: &Relation, buckets: usize, bucket_of: impl Fn(u32) -> usize) -> Routed {
+        let mut routed = vec![(Vec::new(), Vec::new()); buckets];
+        for (rid, key) in rel.iter() {
+            let bucket = &mut routed[bucket_of(key)];
+            bucket.0.push(key);
+            bucket.1.push(rid);
+        }
+        routed
+    }
+
+    /// [`scatter`]'s buffers, each bucket's concatenated in task order.
+    fn scatter_route(
+        pool: Option<&WorkerPool>,
+        rel: &Relation,
+        ranges: &[Range<usize>],
+        buckets: usize,
+        bucket_of: impl Fn(u32) -> usize + Sync,
+        scratch: &Scratch,
+    ) -> Routed {
+        let scattered = scatter(
+            pool,
+            rel.keys(),
+            rel.rids(),
+            ranges,
+            buckets,
+            bucket_of,
+            scratch,
+        );
+        assert_eq!(scattered.len(), ranges.len());
+        let mut routed = vec![(Vec::new(), Vec::new()); buckets];
+        for (buffers, _) in &scattered {
+            assert_eq!(buffers.len(), buckets);
+            for (bucket, buffer) in routed.iter_mut().zip(buffers) {
+                bucket.0.extend(&buffer.keys);
+                bucket.1.extend(&buffer.rids);
+            }
+        }
+        scratch.keep_scattered(scattered);
+        routed
+    }
+
+    #[test]
+    fn scatter_keeps_every_bucket_in_input_order_at_every_width() {
+        const MORSEL: usize = 7;
+        let pools: Vec<WorkerPool> = WIDTHS.iter().map(|&width| WorkerPool::new(width)).collect();
+        // One scratch for everything: buffer sets move between bucket counts.
+        let scratch = Scratch::default();
+        let lengths = [0, 1, 2, 6, 7, 8, 15, 16, 17, 20, 21, 22, 300];
+        for buckets in [2, 3, 16, 17] {
+            let bucket_of = |key: u32| hash_key(key) as usize % buckets;
+            for len in lengths {
+                let mixed = keys((0..len as u32).map(|i| i.wrapping_mul(2_654_435_761) % 50));
+                let one_key = keys(std::iter::repeat_n(9, len));
+                for (case, rel) in [("mixed", &mixed), ("one key", &one_key)] {
+                    let expected = reference_route(rel, buckets, bucket_of);
+                    let filled = expected.iter().filter(|(k, _)| !k.is_empty()).count();
+                    if case == "one key" {
+                        assert_eq!(filled, usize::from(len > 0), "one bucket gets everything");
+                    }
+                    let whole = morsel_ranges(len, len.max(1));
+                    let inline = scatter_route(None, rel, &whole, buckets, bucket_of, &scratch);
+                    assert_eq!(inline, expected, "{case}: {len} tuples, {buckets} buckets");
+                    for pool in &pools {
+                        let width = pool.workers();
+                        // Build's morsels, and the spill path's one share of
+                        // a chunk per worker.
+                        let morsels = morsel_ranges(len, MORSEL);
+                        let shares = morsel_ranges(len, len.div_ceil(width));
+                        for ranges in [morsels, shares] {
+                            let routed = scatter_route(
+                                Some(pool),
+                                rel,
+                                &ranges,
+                                buckets,
+                                bucket_of,
+                                &scratch,
+                            );
+                            assert_eq!(
+                                routed,
+                                expected,
+                                "{case}: {len} tuples, {buckets} buckets, width {width}, {} tasks",
+                                ranges.len()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

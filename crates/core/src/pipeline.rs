@@ -667,11 +667,12 @@ impl WorkerPool {
 
 /// A lazily-spawned [`WorkerPool`] of a fixed configured size.
 ///
-/// The engine owns one of these per instance: simulator-only engines never
-/// touch it and therefore never spawn a thread, while the first native
-/// execution materialises the full pool exactly once.  Handles are cheap
-/// clones over a shared inner cell (the sampler thread holds one), and the
-/// workers are joined when the *last* handle drops.
+/// The engine owns one of these per instance: a simulator engine that never
+/// spills never touches it and therefore never spawns a thread, while the
+/// first native execution (or spilling join) materialises the full pool
+/// exactly once.  Handles are cheap clones over a shared inner cell (the
+/// sampler thread holds one), and the workers are joined when the *last*
+/// handle drops.
 #[derive(Clone)]
 pub struct SharedWorkerPool {
     inner: Arc<SharedPoolInner>,

@@ -7,14 +7,21 @@
 //! to disk only under actual pressure, in the spirit of the dynamic hybrid
 //! hash joins surveyed by Jahangiri, Carey and Freytag:
 //!
-//! 1. **Partition.**  Both inputs stream chunk-wise through a depth-salted
-//!    hash into [`SpillConfig::partitions`] partitions.  Resident
-//!    partitions accumulate in memory, byte-accounted against the
-//!    session's [`MemoryGrant`]; a denied grow (or the broker's fair-share
-//!    reclaim signal, polled every chunk) evicts the largest resident
-//!    partition to a checksummed run file mid-build.  Probe tuples whose
-//!    partition spilled are staged to that partition's probe run through a
-//!    bounded buffer.
+//! 1. **Partition.**  Both inputs stream through a depth-salted hash into
+//!    [`SpillConfig::partitions`] partitions, one frame
+//!    ([`SpillConfig::frame_tuples`]) per pool worker at a time — a run
+//!    file being re-partitioned is read that many frames at a time.  Each
+//!    such chunk is one job on the engine's worker pool: every worker
+//!    scatters one frame of it with the native kernel's scatter loop.  The
+//!    scattered frames are then taken one by one in input order, so a
+//!    partition's tuples keep the order of its input, and which partitions
+//!    spill does not depend on the pool's width.  Resident partitions
+//!    accumulate in memory, byte-accounted against the session's
+//!    [`MemoryGrant`] with one grow per frame; a denied grow (or the
+//!    broker's fair-share reclaim signal, polled every frame) evicts the
+//!    largest resident partition to a checksummed run file mid-build.
+//!    Probe tuples whose partition spilled are staged to that partition's
+//!    probe run through a bounded buffer.
 //! 2. **Join resident pairs.**  Every partition still in memory is joined
 //!    by the caller-supplied pair join — the same backend entry point the
 //!    engine uses for in-core requests, so resident pairs re-enter the
@@ -33,16 +40,21 @@
 //! fallback (evict, stage, recurse, block) — so concurrent sessions cannot
 //! deadlock on the budget, and a zero-headroom broker degrades every
 //! session to streaming instead of failing any of them.  Bounded working
-//! state (staging frames, fallback blocks) is deliberately kept off the
-//! broker's books; only resident partition payload is granted.
+//! state (the scattered frames of the chunk being routed — about
+//! `frame_tuples × workers × 8` bytes — staging frames, fallback blocks)
+//! is deliberately kept off the broker's books; only resident partition
+//! payload is granted.
 
 use crate::context::{arena_bytes_for, ExecContext};
 use crate::error::JoinError;
 use crate::hash::hash_key;
+use crate::native::{scatter, Scattered, Scratch};
+use crate::pipeline::{morsel_ranges, WorkerPool};
 use crate::result::JoinOutcome;
 use apu_sim::{Phase, SimTime};
 use datagen::{Relation, TUPLE_BYTES};
 use hj_spill::{MemoryGrant, PendingRun, SpillConfig, SpillManager, SpillReport, SpillRun};
+use std::ops::Range;
 use std::time::Instant;
 
 /// The per-pair join the spill executor re-enters for every partition pair
@@ -81,6 +93,8 @@ pub fn execute_spill_join(
         grant,
         manager,
         report: SpillReport::default(),
+        pool: ctx.worker_pool(),
+        scratch: Scratch::default(),
     };
     let mut outcome = pass.hybrid_pass(ctx, Input::Mem(build), Input::Mem(probe), 0, pair_join)?;
     let mut report = pass.report;
@@ -122,6 +136,17 @@ impl Slot {
             Slot::Spilled { .. } => 0,
         }
     }
+
+    /// Where `side`'s routed tuples go: the resident relation, or the
+    /// staging buffer of a spilled partition.
+    fn destination(&mut self, side: Side) -> &mut Relation {
+        match (self, side) {
+            (Slot::Resident { build, .. }, Side::Build) => build,
+            (Slot::Resident { probe, .. }, Side::Probe) => probe,
+            (Slot::Spilled { build_staged, .. }, Side::Build) => build_staged,
+            (Slot::Spilled { probe_staged, .. }, Side::Probe) => probe_staged,
+        }
+    }
 }
 
 /// Which side of the join a chunk belongs to.
@@ -144,6 +169,11 @@ struct SpillPass<'e> {
     grant: &'e MemoryGrant,
     manager: &'e SpillManager,
     report: SpillReport,
+    /// The pool chunks are scattered on; `None` (a context created outside
+    /// an engine) scatters on the calling thread.
+    pool: Option<&'e WorkerPool>,
+    /// The chunk buffers, reused chunk after chunk.
+    scratch: Scratch,
 }
 
 /// The depth-salted partition hash.  Each recursion level must split a
@@ -152,9 +182,13 @@ struct SpillPass<'e> {
 /// perturbed by a per-depth odd constant before hashing.  The result is
 /// also independent of the radix partitioning the in-core PHJ applies to
 /// the pairs afterwards (different salt, different bit range).
-fn spill_partition(key: u32, depth: u32, partitions: usize) -> usize {
+///
+/// 32-bit arithmetic throughout: the shifted hash is below 2^25, so the
+/// remainder is the one 64-bit arithmetic would give, without the wider
+/// division ([`SpillConfig::validate`] keeps the fanout within `u32`).
+fn spill_partition(key: u32, depth: u32, partitions: u32) -> usize {
     let salt = 0x9E37_79B9u32.wrapping_mul(depth.wrapping_add(1));
-    (hash_key(key ^ salt) >> 7) as usize % partitions
+    ((hash_key(key ^ salt) >> 7) % partitions) as usize
 }
 
 impl SpillPass<'_> {
@@ -234,7 +268,8 @@ impl SpillPass<'_> {
         Ok(outcome)
     }
 
-    /// Streams one input side chunk-wise into the partition slots.
+    /// Streams one input side into the partition slots, one frame per pool
+    /// worker at a time.
     fn route_input(
         &mut self,
         input: Input<'_>,
@@ -242,92 +277,103 @@ impl SpillPass<'_> {
         depth: u32,
         side: Side,
     ) -> Result<(), JoinError> {
+        let frame = self.spill.frame_tuples;
+        let width = self.pool.map_or(1, WorkerPool::workers);
         match input {
             Input::Mem(rel) => {
-                let chunk = self.spill.frame_tuples.max(1);
-                let mut start = 0;
-                while start < rel.len() {
-                    let end = (start + chunk).min(rel.len());
-                    self.route_chunk(
-                        &rel.keys()[start..end],
-                        &rel.rids()[start..end],
-                        slots,
-                        depth,
-                        side,
-                    )?;
-                    start = end;
+                for chunk in morsel_ranges(rel.len(), frame.saturating_mul(width)) {
+                    let (keys, rids) = (&rel.keys()[chunk.clone()], &rel.rids()[chunk]);
+                    let frames = morsel_ranges(keys.len(), frame);
+                    self.route_chunk(keys, rids, &frames, slots, depth, side)?;
                 }
             }
             Input::Run(run) => {
-                // Re-partitioning a spilled run reads it back exactly once.
+                // Re-partitioning a spilled run reads it back exactly once,
+                // each frame routed as it was written.
                 self.report.bytes_restored += run.bytes();
                 let mut reader = run.reader().map_err(JoinError::from)?;
-                while let Some(frame) = reader.next_frame().map_err(JoinError::from)? {
-                    self.route_chunk(frame.keys(), frame.rids(), slots, depth, side)?;
+                let mut chunk = Relation::new();
+                let mut frames = Vec::with_capacity(width);
+                while let Some(read) = reader
+                    .next_frame_into(&mut chunk)
+                    .map_err(JoinError::from)?
+                {
+                    frames.push(chunk.len() - read..chunk.len());
+                    if frames.len() == width {
+                        self.route_chunk(chunk.keys(), chunk.rids(), &frames, slots, depth, side)?;
+                        chunk.clear();
+                        frames.clear();
+                    }
+                }
+                if !frames.is_empty() {
+                    self.route_chunk(chunk.keys(), chunk.rids(), &frames, slots, depth, side)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Routes one chunk of tuples: books the resident share against the
-    /// grant (evicting victims on denial), appends, honours reclaim
-    /// pressure.
+    /// Routes one chunk: scatters each of its `frames` by partition, one
+    /// pool task per frame, then routes the frames in input order.
     fn route_chunk(
         &mut self,
         keys: &[u32],
         rids: &[u32],
+        frames: &[Range<usize>],
         slots: &mut [Slot],
         depth: u32,
         side: Side,
     ) -> Result<(), JoinError> {
-        let fanout = slots.len();
-        // One hash per tuple: the partition index is computed once, used
-        // for the counts and reused for routing below.
-        let mut targets = Vec::with_capacity(keys.len());
-        let mut counts = vec![0usize; fanout];
-        for &key in keys {
-            let part = spill_partition(key, depth, fanout);
-            targets.push(part as u32);
-            counts[part] += 1;
+        let partitions = slots.len() as u32;
+        let scattered = scatter(
+            self.pool,
+            keys,
+            rids,
+            frames,
+            slots.len(),
+            |key| spill_partition(key, depth, partitions),
+            &self.scratch,
+        );
+        for (buckets, _) in &scattered {
+            self.route_frame(buckets, slots, side)?;
         }
+        self.scratch.keep_scattered(scattered);
+        Ok(())
+    }
 
+    /// Routes one scattered frame: books its resident share against the
+    /// grant (evicting victims on denial), appends, honours reclaim
+    /// pressure.
+    fn route_frame(
+        &mut self,
+        buckets: &[Scattered],
+        slots: &mut [Slot],
+        side: Side,
+    ) -> Result<(), JoinError> {
         // Book the bytes landing in resident partitions before appending;
         // a denial evicts the largest resident partition and retries (the
-        // eviction both frees budget and turns some of this chunk's bytes
+        // eviction both frees budget and turns some of this frame's bytes
         // into staged-to-disk bytes).
         loop {
             let resident_bytes: usize = slots
                 .iter()
-                .zip(&counts)
+                .zip(buckets)
                 .filter(|(slot, _)| slot.is_resident())
-                .map(|(_, &n)| n * TUPLE_BYTES)
+                .map(|(_, bucket)| bucket.keys.len() * TUPLE_BYTES)
                 .sum();
             if self.grant.try_grow(resident_bytes).is_ok() {
                 break;
             }
             self.report.grant_denials += 1;
             if self.evict_victim(slots)?.is_none() {
-                // Everything is already on disk; the chunk is pure staging.
+                // Everything is already on disk; the frame is pure staging.
                 break;
             }
         }
 
-        for ((&key, &rid), &part) in keys.iter().zip(rids).zip(&targets) {
-            match &mut slots[part as usize] {
-                Slot::Resident { build, probe } => match side {
-                    Side::Build => build.push(rid, key),
-                    Side::Probe => probe.push(rid, key),
-                },
-                Slot::Spilled {
-                    build_staged,
-                    probe_staged,
-                    ..
-                } => match side {
-                    Side::Build => build_staged.push(rid, key),
-                    Side::Probe => probe_staged.push(rid, key),
-                },
-            }
+        for (slot, bucket) in slots.iter_mut().zip(buckets) {
+            slot.destination(side)
+                .extend_columns(bucket.rids.iter().copied(), bucket.keys.iter().copied());
         }
 
         // Flush staging buffers that reached a frame.
@@ -417,9 +463,8 @@ impl SpillPass<'_> {
     }
 
     /// Flushes one staging buffer, frame-sliced: a buffer can exceed
-    /// `frame_tuples` by one incoming chunk, and at recursion depth the
-    /// chunks are parent frames — writing it as one frame would let frame
-    /// sizes compound with depth.
+    /// `frame_tuples` by one incoming frame, and writing it as one frame
+    /// would let frame sizes compound with recursion depth.
     fn flush_staged(
         report: &mut SpillReport,
         run: &mut PendingRun,
@@ -427,7 +472,7 @@ impl SpillPass<'_> {
         frame_tuples: usize,
     ) -> Result<(), JoinError> {
         report.bytes_spilled += push_frames(run, staged, frame_tuples)?;
-        *staged = Relation::new();
+        staged.clear();
         Ok(())
     }
 
@@ -697,4 +742,30 @@ fn merge_outcome(into: &mut JoinOutcome, pair: JoinOutcome) {
         into.pairs.get_or_insert_with(Vec::new).extend(p);
     }
     into.breakdown.merge(&pair.breakdown);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn partitions_are_assigned_as_with_64_bit_arithmetic() {
+        let wide = |key: u32, depth: u32, partitions: usize| {
+            let salt = 0x9E37_79B9u32.wrapping_mul(depth.wrapping_add(1));
+            (hash_key(key ^ salt) >> 7) as usize % partitions
+        };
+        let fanouts = [2, 3, 16, 17, 1000, 1 << 25, u32::MAX as usize];
+        for key in (0..2000u32).chain([u32::MAX - 1, u32::MAX]) {
+            for depth in 0..5 {
+                for partitions in fanouts {
+                    let narrow = spill_partition(key, depth, partitions as u32);
+                    assert_eq!(
+                        narrow,
+                        wide(key, depth, partitions),
+                        "{key} {depth} {partitions}"
+                    );
+                }
+            }
+        }
+    }
 }

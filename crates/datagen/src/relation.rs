@@ -68,6 +68,12 @@ impl Relation {
         self.keys.is_empty()
     }
 
+    /// Removes every tuple, keeping the allocated capacity.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.rids.clear();
+    }
+
     /// The key column.
     #[inline]
     pub fn keys(&self) -> &[u32] {

@@ -79,6 +79,12 @@ impl SpillConfig {
                 self.partitions
             ));
         }
+        if u32::try_from(self.partitions).is_err() {
+            return Err(format!(
+                "spill fanout of {} partitions does not fit in 32 bits",
+                self.partitions
+            ));
+        }
         if self.frame_tuples == 0 {
             return Err("spill frame size must be at least one tuple".to_string());
         }
@@ -146,6 +152,13 @@ mod tests {
     fn degenerate_knobs_are_rejected_with_reasons() {
         let e = SpillConfig::default().partitions(1).validate().unwrap_err();
         assert!(e.contains("at least 2"), "{e}");
+        if let Some(too_many) = (u32::MAX as usize).checked_add(1) {
+            let e = SpillConfig::default()
+                .partitions(too_many)
+                .validate()
+                .unwrap_err();
+            assert!(e.contains("32 bits"), "{e}");
+        }
         assert!(SpillConfig::default().frame_tuples(0).validate().is_err());
         assert!(SpillConfig::default()
             .fallback_block_tuples(0)

@@ -101,7 +101,8 @@ fn morsel_size_one_still_matches() {
 /// The native kernel's pair order is part of its contract: probe order,
 /// then build order within a key — from `submit`, from `submit_cached`, and
 /// (within each spill partition) from a spill-enabled request, whatever the
-/// worker count.
+/// worker count — also when spilled pairs are re-partitioned from their run
+/// files.
 #[test]
 fn native_pair_order_is_pinned_across_submit_cached_and_spill() {
     let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
@@ -129,14 +130,21 @@ fn native_pair_order_is_pinned_across_submit_cached_and_spill() {
         .spill(SpillConfig::default())
         .build()
         .unwrap();
-    let mut spilled_at_one_worker = None;
+    // Memory budgets as fractions of the input's bytes: half spills some
+    // partitions; a 64th fits no partition pair, so spilled pairs are
+    // re-partitioned from their run files.
+    let budgets = [2, 64];
+    let mut spilled_at_one_worker: [Option<Vec<(u32, u32)>>; 2] = [None, None];
     for workers in [1, 2, 3] {
-        let engine = JoinEngine::native(
-            EngineConfig::for_tuples(r.len(), s.len())
-                .worker_threads(workers)
-                .memory_budget((r.bytes() + s.bytes()) / 2),
-        )
-        .unwrap();
+        let engines = budgets.map(|divisor| {
+            JoinEngine::native(
+                EngineConfig::for_tuples(r.len(), s.len())
+                    .worker_threads(workers)
+                    .memory_budget((r.bytes() + s.bytes()) / divisor),
+            )
+            .unwrap()
+        });
+        let engine = &engines[0];
         let plain = engine.submit(&in_memory, &r, &s).unwrap();
         assert_eq!(plain.pairs.as_ref(), Some(&expected), "{workers} workers");
 
@@ -153,29 +161,35 @@ fn native_pair_order_is_pinned_across_submit_cached_and_spill() {
         // Spilling joins partition pair by partition pair, so pairs arrive
         // grouped by partition; inside a group the order is the kernel's,
         // which keeps every probe tuple's matches in build order.
-        let spilled = engine.submit(&spilling, &r, &s).unwrap();
-        assert!(spilled
-            .spill
-            .as_ref()
-            .is_some_and(|report| report.bytes_spilled > 0));
-        let pairs = spilled.pairs.expect("pairs were requested");
-        let mut last_build_rid = std::collections::HashMap::new();
-        for &(brid, prid) in &pairs {
-            if let Some(previous) = last_build_rid.insert(prid, brid) {
-                assert!(
-                    previous < brid,
-                    "probe rid {prid}: {previous} before {brid}"
-                );
+        for ((divisor, engine), reference) in
+            budgets.iter().zip(&engines).zip(&mut spilled_at_one_worker)
+        {
+            let budget = format!("1/{divisor} budget");
+            let spilled = engine.submit(&spilling, &r, &s).unwrap();
+            let report = spilled.spill.expect("a spilling join reports");
+            assert!(report.bytes_spilled > 0, "{budget}");
+            if *divisor == 64 {
+                assert!(report.recursion_depth >= 1, "{budget}: {report:?}");
             }
+            let pairs = spilled.pairs.expect("pairs were requested");
+            let mut last_build_rid = std::collections::HashMap::new();
+            for &(brid, prid) in &pairs {
+                if let Some(previous) = last_build_rid.insert(prid, brid) {
+                    assert!(
+                        previous < brid,
+                        "{budget}: probe rid {prid}: {previous} before {brid}"
+                    );
+                }
+            }
+            let mut sorted = pairs.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, expected_sorted, "{workers} workers, {budget}");
+            let reference = reference.get_or_insert_with(|| pairs.clone());
+            assert_eq!(
+                &pairs, reference,
+                "{workers} workers changed the spilled pair order at {budget}"
+            );
         }
-        let mut sorted = pairs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, expected_sorted, "{workers} workers, spilled");
-        let reference = spilled_at_one_worker.get_or_insert_with(|| pairs.clone());
-        assert_eq!(
-            &pairs, reference,
-            "{workers} workers changed the spilled pair order"
-        );
     }
 }
 

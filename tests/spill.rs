@@ -191,6 +191,131 @@ fn native_backend_spill_is_byte_identical_even_when_oversized_for_the_arena() {
     assert_eq!(constrained.memory_broker().granted(), 0);
 }
 
+/// Partition pairs smaller than a morsel still run on every worker: each
+/// joined pair's build (and probe) is cut into one share per worker, so on
+/// two workers a pair costs at least 8 pool tasks (2 scatter, 2 folds, 2 or
+/// more probe) — where one morsel per pair made exactly 4.
+#[test]
+fn partition_pairs_fan_out_over_the_worker_pool() {
+    const PAIRS: usize = 4;
+    let (r, s, expected) = workload(PAIRS * 16 * 1024, PAIRS * 32 * 1024);
+    let engine = JoinEngine::native(
+        EngineConfig::for_tuples(r.len(), s.len())
+            .worker_threads(2)
+            .memory_budget((r.bytes() + s.bytes()) / 2),
+    )
+    .unwrap();
+    let spill = SpillConfig::default().partitions(PAIRS);
+    let request = JoinRequest::builder().spill(spill.clone()).build().unwrap();
+    let tasks = || engine.stats().per_worker_tasks.iter().sum::<u64>();
+    let before = tasks();
+    let out = engine.submit(&request, &r, &s).unwrap();
+    assert_eq!(out.matches, expected);
+    let report = out.spill.expect("half the input's bytes spills");
+    assert!(report.bytes_spilled > 0);
+    assert_eq!(report.recursion_depth, 0, "every pair is joined once");
+    assert_eq!(report.partitions_total, PAIRS as u64);
+    // Routing scatters each input frame as one task; the rest are the
+    // pair joins'.
+    let routing =
+        (r.len().div_ceil(spill.frame_tuples) + s.len().div_ceil(spill.frame_tuples)) as u64;
+    let pair_tasks = (tasks() - before).saturating_sub(routing);
+    assert!(
+        pair_tasks >= 8 * report.partitions_total,
+        "{pair_tasks} pool tasks for {} partition pairs",
+        report.partitions_total
+    );
+}
+
+/// Routing is chunked by the spill config and the pool's width, never by
+/// the request's morsel: a one-tuple morsel and one larger than the input
+/// spill exactly what the default morsel does — re-partitioned pairs
+/// included — and hand every granted byte back.
+#[test]
+fn spill_routing_does_not_depend_on_the_morsel() {
+    let (r, s, expected) = workload(48_000, 96_000);
+    let engine = JoinEngine::native(
+        EngineConfig::for_tuples(2_000, 4_000)
+            .worker_threads(2)
+            .memory_budget((r.bytes() + s.bytes()) / 64),
+    )
+    .unwrap();
+    let report_at = |morsel: Option<usize>| {
+        let mut request = JoinRequest::builder().spill(SpillConfig::default().frame_tuples(1024));
+        if let Some(morsel) = morsel {
+            request = request.morsel_tuples(morsel);
+        }
+        let out = engine.submit(&request.build().unwrap(), &r, &s).unwrap();
+        assert_eq!(out.matches, expected, "morsel {morsel:?}");
+        assert_eq!(engine.memory_broker().granted(), 0, "morsel {morsel:?}");
+        SpillReport {
+            spill_wall_secs: 0.0,
+            ..out.spill.expect("a 1/64 budget spills")
+        }
+    };
+    let default = report_at(None);
+    assert_eq!(
+        default.recursion_depth, 1,
+        "spilled pairs are re-partitioned"
+    );
+    assert!(
+        default.partitions_spilled < default.partitions_total,
+        "{default:?}"
+    );
+    for morsel in [1, r.len() + s.len() + 1] {
+        assert_eq!(report_at(Some(morsel)), default, "morsel {morsel}");
+    }
+}
+
+/// A spilling simulator join routes on the worker pool, yet what spills,
+/// what is restored and the simulated time — spill I/O included — are
+/// those of the single-threaded router that came before it (values
+/// recorded at that commit), at every pool width.
+#[test]
+fn simulated_spill_values_are_pinned_at_every_pool_width() {
+    let (r, s, expected) = workload(24_000, 48_000);
+    for width in [1, 2, 3] {
+        let engine = JoinEngine::coupled(
+            EngineConfig::for_tuples(1_000, 2_000)
+                .worker_threads(width)
+                .memory_budget((r.bytes() + s.bytes()) / 4),
+        )
+        .unwrap();
+        let request = JoinRequest::builder()
+            .spill(SpillConfig::default().frame_tuples(1024))
+            .build()
+            .unwrap();
+        let out = engine.submit(&request, &r, &s).unwrap();
+        assert_eq!(out.matches, expected);
+        let report = SpillReport {
+            spill_wall_secs: 0.0,
+            ..out.spill.unwrap()
+        };
+        let pinned = SpillReport {
+            bytes_spilled: 470_796,
+            bytes_restored: 470_796,
+            partitions_spilled: 27,
+            partitions_total: 272,
+            recursion_depth: 1,
+            fallback_joins: 0,
+            grant_denials: 27,
+            reclaimed_bytes: 0,
+            spill_wall_secs: 0.0,
+        };
+        assert_eq!(report, pinned, "width {width}");
+        assert_eq!(
+            out.breakdown.get(Phase::SpillIo).as_ns(),
+            52_310.666_666_666_664,
+            "width {width}"
+        );
+        assert_eq!(
+            out.total_time().as_ns(),
+            1_573_117.793_089_848_5,
+            "width {width}"
+        );
+    }
+}
+
 #[test]
 fn spill_enabled_requests_stay_in_memory_when_nothing_presses() {
     // Plenty of arena and budget: the fast path runs, no report is
