@@ -802,8 +802,10 @@ mod tests {
     }
 
     fn table(bytes: usize) -> CachedTable {
+        let scratch = crate::native::Scratch::default();
+        let (empty, _) = crate::native::build(None, &Relation::new(), 1, &scratch);
         CachedTable {
-            payload: CachedPayload::Native(NativeTable::default()),
+            payload: CachedPayload::Native(empty),
             bytes,
             build_ns: 1_000,
             build_tuples: 0,

@@ -984,7 +984,8 @@ pub struct EngineStats {
     pub worker_threads: usize,
     /// Morsel tasks each pool worker has executed over the engine's
     /// lifetime, indexed by worker (all zeros while the lazily-spawned
-    /// pool has not executed anything yet).
+    /// pool has not executed anything yet).  A native phase of one morsel
+    /// runs on the session thread and adds nothing here.
     pub per_worker_tasks: Vec<u64>,
     /// Morsel tasks each pool worker *stole* from another worker's deque,
     /// indexed by the stealing worker (a subset of
@@ -2175,6 +2176,10 @@ impl JoinEngine {
             &manager,
             &mut pair_join,
         )?;
+        // A collecting join answers with pairs even when no pair join ran.
+        if request.config().collect_results && outcome.pairs.is_none() {
+            outcome.pairs = Some(Vec::new());
+        }
         outcome.spill = Some(report);
         Ok(outcome)
     }
@@ -2999,7 +3004,11 @@ mod tests {
                 EngineConfig::for_tuples(2000, 4000).worker_threads(workers),
             )
             .unwrap();
-            let request = JoinRequest::builder().build().unwrap();
+            // Both sides span several morsels, so both phases use the pool.
+            let request = JoinRequest::builder()
+                .morsel_tuples(NATIVE_MIN_CHUNK_TUPLES)
+                .build()
+                .unwrap();
             assert_eq!(engine.execute(&request, &r, &s).unwrap().matches, expected);
             let stats = engine.stats();
             assert_eq!(stats.worker_threads, workers);

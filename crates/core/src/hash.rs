@@ -63,6 +63,43 @@ pub fn partitions_per_pass(bits: u32) -> usize {
     1usize << bits
 }
 
+/// `x % n` for a fixed `n`, without a division: Lemire, Kaser and Kurz's
+/// "fastmod" (*Faster Remainder by Direct Computation*, 2019).  The 64-bit
+/// constant `⌈2^64 / n⌉` is computed once; each remainder is then one
+/// multiply and one multiply-high, exact for every 32-bit `x` and `n`.
+/// Bucket counts that are not powers of two (shards, spill partitions) are
+/// picked per tuple with it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FastMod {
+    /// `⌈2^64 / n⌉`, which wraps to 0 for `n == 1` (every remainder is 0).
+    multiplier: u64,
+    n: u32,
+}
+
+impl FastMod {
+    /// The map `x ↦ x % n`; `n` must be at least 1.
+    pub(crate) fn new(n: u32) -> Self {
+        assert!(n > 0, "a remainder by zero");
+        FastMod {
+            multiplier: (u64::MAX / u64::from(n)).wrapping_add(1),
+            n,
+        }
+    }
+
+    /// `x % n`.
+    #[inline]
+    pub(crate) fn rem(self, x: u32) -> u32 {
+        let fraction = self.multiplier.wrapping_mul(u64::from(x));
+        ((u128::from(fraction) * u128::from(self.n)) >> 64) as u32
+    }
+}
+
+impl From<u32> for FastMod {
+    fn from(n: u32) -> Self {
+        FastMod::new(n)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +147,27 @@ mod tests {
             // Two passes look at disjoint bit ranges.
             assert_eq!(p0, (h & 0xF) as usize);
             assert_eq!(p1, ((h >> 4) & 0xF) as usize);
+        }
+    }
+
+    #[test]
+    fn fastmod_is_the_remainder_for_every_small_divisor() {
+        // Interpreted runs (the Miri CI job) check fewer seeded values.
+        let seeded = if cfg!(miri) { 1 << 12 } else { 1 << 20 };
+        let mut rng = datagen::SmallRng::seed_from_u64(0xFA57_FA57);
+        let values: Vec<u32> = (0..seeded).map(|_| rng.next_u64() as u32).collect();
+        // Each divisor gets the edge cases and its own 1/1024 of the values.
+        for (n, share) in (1..=1024u32).zip(values.chunks(seeded / 1024)) {
+            let map = FastMod::new(n);
+            let edges = [0, 1, n - 1, n, n + 1, u32::MAX];
+            for &x in edges.iter().chain(share) {
+                assert_eq!(map.rem(x), x % n, "{x} % {n}");
+            }
+        }
+        // Every seeded value, against a few divisors of every shape.
+        for n in [3, 7, 16, 1000, 1 << 25, u32::MAX - 1, u32::MAX] {
+            let map = FastMod::new(n);
+            assert!(values.iter().all(|&x| map.rem(x) == x % n), "% {n}");
         }
     }
 

@@ -4,8 +4,9 @@
 //! The paper's hash table (§3.1) is a flat bucket array over key lists and
 //! rid lists, hashed with MurmurHash2, because pointer-light tables are what
 //! make fine-grained co-processing pay.  `NativeTable` is that layout for
-//! host threads.  The build relation is split into one shard per pool
-//! worker; each shard is
+//! host threads.  A build run on the pool is split into one shard per
+//! worker (a hash's shard is `hash % workers`); a build run on the calling
+//! thread has one shard.  Each shard is
 //!
 //! * a power-of-two, open-addressed (linear-probe) **directory** of
 //!   `{key, start, len}` slots, indexed by the *high* bits of the shared
@@ -25,12 +26,19 @@
 //! large buffers a build needs are reused from join to join (`Scratch`), so
 //! a join's speed does not depend on what the allocator did with the last
 //! one's memory.
+//!
+//! Each of the three takes the pool it runs on as an `Option`: `None` runs
+//! the same loop on the calling thread.  [`NativeCpu`] places a phase there
+//! when its input fits one morsel — a pool job would cost a wake-up and
+//! move the input to another core's cache for no parallelism — and on the
+//! engine's pool otherwise.  A build on the calling thread also skips the
+//! scatter, which exists only to feed parallel folds.
 
 use crate::cached::{CacheParams, CachedPayload, CachedTable};
 use crate::context::ExecContext;
 use crate::engine::{ExecBackend, JoinRequest};
 use crate::error::JoinError;
-use crate::hash::hash_key;
+use crate::hash::{hash_key, FastMod};
 use crate::pipeline::{morsel_ranges, SharedWorkerPool, WorkerPool};
 use crate::result::JoinOutcome;
 use apu_sim::{Phase, SimTime, SystemSpec};
@@ -134,14 +142,14 @@ impl Shard {
         }
     }
 
-    /// Builds the shard from every scatter buffer destined for it, given in
-    /// build order: count each key's duplicates, prefix-sum the counts into
-    /// run offsets, then fill the runs.
+    /// Builds the shard from every `(keys, rids)` column pair destined for
+    /// it, given in build order: count each key's duplicates, prefix-sum the
+    /// counts into run offsets, then fill the runs.
     fn fold<'a>(
-        buffers: impl DoubleEndedIterator<Item = &'a Scattered> + Clone,
+        columns: impl DoubleEndedIterator<Item = (&'a [u32], &'a [u32])> + Clone,
         scratch: &Scratch,
     ) -> Shard {
-        let tuples: usize = buffers.clone().map(|buffer| buffer.keys.len()).sum();
+        let tuples: usize = columns.clone().map(|(keys, _)| keys.len()).sum();
         assert!(
             tuples <= MAX_SHARD_TUPLES,
             "a native table shard holds at most {MAX_SHARD_TUPLES} tuples, got {tuples}"
@@ -159,7 +167,7 @@ impl Shard {
         homes.clear();
         homes.reserve(tuples);
         let mut hashes = [0u32; GROUP];
-        for group in buffers.clone().flat_map(|buffer| buffer.keys.chunks(GROUP)) {
+        for group in columns.clone().flat_map(|(keys, _)| keys.chunks(GROUP)) {
             for (hash, &key) in hashes.iter_mut().zip(group) {
                 *hash = hash_key(key);
             }
@@ -178,7 +186,7 @@ impl Shard {
         }
         // `start` is each run's end; walking the tuples backwards moves it
         // down to the run's start while the rids land in build order.
-        let rids = buffers.rev().flat_map(|buffer| buffer.rids.iter().rev());
+        let rids = columns.rev().flat_map(|(_, rids)| rids.iter().rev());
         for (&rid, &at) in rids.zip(homes.iter().rev()) {
             let slot = &mut shard.slots[at as usize];
             slot.start -= 1;
@@ -203,9 +211,12 @@ impl Shard {
 
 /// The native backend's built hash table: immutable, `Sync`, probed
 /// concurrently by any number of sessions when it lives in the cache.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct NativeTable {
+    /// At least one.
     shards: Vec<Shard>,
+    /// `% shards.len()`: picks a hash's shard.
+    shard_of: FastMod,
 }
 
 impl NativeTable {
@@ -229,14 +240,8 @@ impl NativeTable {
     /// differ for a cached table probed by another engine).
     #[inline]
     fn shard(&self, hash: u32) -> &Shard {
-        &self.shards[shard_of(hash, self.shards.len())]
+        &self.shards[self.shard_of.rem(hash) as usize]
     }
-}
-
-/// The shard (of `shards`) a hash belongs to.
-#[inline]
-fn shard_of(hash: u32, shards: usize) -> usize {
-    hash as usize % shards
 }
 
 // ---------------------------------------------------------------------------
@@ -308,10 +313,22 @@ impl Scratch {
     }
 }
 
-/// The crate's one scatter loop: one task per range of `ranges` — on
-/// `pool`, or one after another on the calling thread without one — each
-/// moving its tuples of `keys`/`rids` into `buckets` buffers by
-/// `bucket_of(key)` (which must be below `buckets`).
+/// Runs `tasks` tasks — on `pool`, or one after another on the calling
+/// thread without one — and returns their results in task order.
+fn run_tasks<T, F>(pool: Option<&WorkerPool>, tasks: usize, task: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    match pool {
+        Some(pool) => pool.run(tasks, |_, index| task(index)),
+        None => (0..tasks).map(task).collect(),
+    }
+}
+
+/// The crate's one scatter loop: one task per range of `ranges` (see
+/// [`run_tasks`]), each moving its tuples of `keys`/`rids` into `buckets`
+/// buffers by `bucket_of(key)` (which must be below `buckets`).
 ///
 /// Returns every task's buffers (one per bucket, each in input order) and
 /// wall-clock nanoseconds, in task order, so concatenating one bucket's
@@ -347,26 +364,33 @@ where
         }
         (buffers, task_start.elapsed().as_nanos() as f64)
     };
-    match pool {
-        Some(pool) => pool.run(ranges.len(), |_, index| task(index)),
-        None => (0..ranges.len()).map(task).collect(),
-    }
+    run_tasks(pool, ranges.len(), task)
 }
 
-/// Builds the table of `relation` on `pool`, one shard per pool worker,
-/// out of `scratch`'s buffers where it has any.
+/// Builds the table of `relation` out of `scratch`'s buffers where it has
+/// any, and returns it with the build tasks' telemetry.
 ///
-/// Two latch-free stages, so the relation is scanned once: work-stealing
-/// workers [`scatter`] each build morsel into per-shard buffers, then each
-/// shard owner folds the buffers destined for it ([`Shard::fold`]).  Returns
-/// the table and the scatter tasks' telemetry.
+/// On `pool`: one shard per worker, in two latch-free stages, so the
+/// relation is scanned once — work-stealing workers [`scatter`] each build
+/// morsel into per-shard buffers, then each shard owner folds the buffers
+/// destined for it ([`Shard::fold`]).  Without a pool the calling thread
+/// folds the relation as it stands into a single shard.
 pub(crate) fn build(
-    pool: &WorkerPool,
+    pool: Option<&WorkerPool>,
     relation: &Relation,
     morsel: usize,
     scratch: &Scratch,
 ) -> (NativeTable, Vec<TaskWall>) {
+    let Some(pool) = pool else {
+        let started = Instant::now();
+        let whole = std::iter::once((relation.keys(), relation.rids()));
+        let shards = vec![Shard::fold(whole, scratch)];
+        let wall = (relation.len(), started.elapsed().as_nanos() as f64);
+        let shard_of = FastMod::new(1);
+        return (NativeTable { shards, shard_of }, vec![wall]);
+    };
     let shard_count = pool.workers();
+    let shard_of = FastMod::new(u32::try_from(shard_count).expect("fewer than 2^32 workers"));
     let morsels = morsel_ranges(relation.len(), morsel);
     let scattered = scatter(
         Some(pool),
@@ -374,14 +398,15 @@ pub(crate) fn build(
         relation.rids(),
         &morsels,
         shard_count,
-        |key| shard_of(hash_key(key), shard_count),
+        |key| shard_of.rem(hash_key(key)) as usize,
         scratch,
     );
     let shards = pool.run(shard_count, |_, shard| {
-        Shard::fold(
-            scattered.iter().map(|(buffers, _)| &buffers[shard]),
-            scratch,
-        )
+        let columns = scattered.iter().map(|(buffers, _)| {
+            let buffer = &buffers[shard];
+            (&buffer.keys[..], &buffer.rids[..])
+        });
+        Shard::fold(columns, scratch)
     });
     let walls = morsels
         .iter()
@@ -389,30 +414,30 @@ pub(crate) fn build(
         .map(|(range, (_, ns))| (range.len(), *ns))
         .collect();
     scratch.keep_scattered(scattered);
-    (NativeTable { shards }, walls)
+    (NativeTable { shards, shard_of }, walls)
 }
 
 /// What [`probe`] found.
 pub(crate) struct Probed {
     matches: u64,
     /// `(build rid, probe rid)` in probe order, then build order within a
-    /// key; `Some` only when collecting (and the probe side is non-empty).
+    /// key; `Some` exactly when collecting.
     pairs: Option<Vec<(u32, u32)>>,
     walls: Vec<TaskWall>,
 }
 
-/// Probes `relation` against `table` on `pool`, one task per morsel; the
-/// per-morsel results are folded in morsel order, so the outcome does not
-/// depend on worker count or steal pattern.
+/// Probes `relation` against `table`, one task per morsel (see
+/// [`run_tasks`]); the per-morsel results are folded in morsel order, so
+/// the outcome does not depend on placement, worker count or steal pattern.
 pub(crate) fn probe(
-    pool: &WorkerPool,
+    pool: Option<&WorkerPool>,
     table: &NativeTable,
     relation: &Relation,
     morsel: usize,
     collect: bool,
 ) -> Probed {
     let morsels = morsel_ranges(relation.len(), morsel);
-    let results = pool.run(morsels.len(), |_, task| {
+    let results = run_tasks(pool, morsels.len(), |task| {
         let task_start = Instant::now();
         let range = morsels[task].clone();
         let keys = &relation.keys()[range.clone()];
@@ -420,13 +445,16 @@ pub(crate) fn probe(
         let mut matches = 0u64;
         let mut pairs = Vec::new();
         let mut hashes = [0u32; GROUP];
+        let mut shards = [&table.shards[0]; GROUP];
         for (keys, rids) in keys.chunks(GROUP).zip(rids.chunks(GROUP)) {
-            for (hash, &key) in hashes.iter_mut().zip(keys) {
+            for ((hash, shard), &key) in hashes.iter_mut().zip(&mut shards).zip(keys) {
                 *hash = hash_key(key);
-                table.shard(*hash).prefetch(*hash);
+                *shard = table.shard(*hash);
+                shard.prefetch(*hash);
             }
-            for ((&key, &prid), &hash) in keys.iter().zip(rids).zip(&hashes) {
-                let run = table.shard(hash).run(key, hash);
+            let hashed = hashes.iter().zip(&shards);
+            for ((&key, &prid), (&hash, shard)) in keys.iter().zip(rids).zip(hashed) {
+                let run = shard.run(key, hash);
                 matches += run.len() as u64;
                 if collect {
                     pairs.extend(run.iter().map(|&brid| (brid, prid)));
@@ -437,14 +465,14 @@ pub(crate) fn probe(
     });
     let mut probed = Probed {
         matches: 0,
-        pairs: None,
+        pairs: collect.then(Vec::new),
         walls: Vec::with_capacity(results.len()),
     };
     for (range, (matches, pairs, ns)) in morsels.iter().zip(results) {
         probed.matches += matches;
         match &mut probed.pairs {
+            Some(all) if all.is_empty() => *all = pairs,
             Some(all) => all.extend(pairs),
-            None if collect => probed.pairs = Some(pairs),
             None => {}
         }
         probed.walls.push((range.len(), ns));
@@ -462,17 +490,21 @@ pub(crate) fn probe(
 /// It consumes the same morsel task stream the simulator replays through
 /// its event clock: the build and probe relations are decomposed into
 /// morsels of [`JoinConfig::morsel_tuples`](crate::JoinConfig::morsel_tuples)
-/// tuples, submitted to the engine's persistent work-stealing
-/// [`WorkerPool`] (one pool shared by every session, sized by
-/// [`EngineConfig::worker_threads`](crate::EngineConfig::worker_threads)).
-/// Build morsels scatter into per-shard buffers, shard owners fold them
+/// tuples.  A phase whose input spans more than one morsel is submitted to
+/// the engine's persistent work-stealing [`WorkerPool`] (one pool shared by
+/// every session, sized by
+/// [`EngineConfig::worker_threads`](crate::EngineConfig::worker_threads)):
+/// build morsels scatter into per-shard buffers, shard owners fold them
 /// into this module's flat table (an open-addressed key directory over
 /// contiguous rid runs — the paper's §3.1 bucket / key-list / rid-list
 /// layout without the pointers, and without latches), and probe morsels
-/// scan the read-only shards.  Per-morsel results are folded in morsel
-/// order, so the outcome is deterministic across worker counts.  The
-/// outcome's [`Phase::Build`] / [`Phase::Probe`] entries carry *measured*
-/// elapsed time, so one reporting pipeline serves simulated and native runs.
+/// scan the read-only shards.  A phase whose input fits one morsel runs on
+/// the calling (session) thread instead — a one-shard build, a one-task
+/// probe — and adds no task to the pool's counters.  Per-morsel results
+/// are folded in morsel order, so the outcome is deterministic across
+/// placements and worker counts.  The outcome's [`Phase::Build`] /
+/// [`Phase::Probe`] entries carry *measured* elapsed time, so one reporting
+/// pipeline serves simulated and native runs.
 ///
 /// Scheme, hash-table mode and the out-of-core chunk are placement hints
 /// for the simulator and are ignored here; `collect_results` and
@@ -580,9 +612,9 @@ impl NativeCpu {
     /// Inside a [`JoinEngine`](crate::JoinEngine) this value is ignored —
     /// the engine's shared [`WorkerPool`] (sized by
     /// [`EngineConfig::worker_threads`](crate::EngineConfig::worker_threads))
-    /// executes every morsel.  It is consulted only when the backend runs
-    /// without an engine-provided pool, e.g. through the deprecated one-shot
-    /// shims.
+    /// executes every phase that spans more than one morsel.  It is
+    /// consulted only when the backend runs without an engine-provided
+    /// pool, e.g. through the deprecated one-shot shims.
     pub fn with_threads(threads: usize) -> Self {
         let threads = threads.max(1);
         NativeCpu {
@@ -602,24 +634,40 @@ impl NativeCpu {
         self.threads
     }
 
-    /// What every native execution starts with: the pool its morsels go to
-    /// (the engine's; the backend's own only without an engine), one of the
-    /// gate's execution slots, and the morsel size — floored, because each
-    /// scatter task allocates a buffer per shard and tuple-sized morsels
-    /// (legal for the simulator, where a morsel is an accounting range)
-    /// would mean millions of allocations here.
+    /// What every native execution starts with: the pool its multi-morsel
+    /// phases go to (the engine's; the backend's own only without an
+    /// engine), one of the gate's execution slots, and the morsel size —
+    /// floored, because each scatter task allocates a buffer per shard and
+    /// tuple-sized morsels (legal for the simulator, where a morsel is an
+    /// accounting range) would mean millions of allocations here.
     fn enter<'a>(
         &'a self,
         ctx: &ExecContext<'a>,
         request: &JoinRequest,
-    ) -> (&'a WorkerPool, ExecSlot<'a>, usize) {
+    ) -> (Placement<'a>, ExecSlot<'a>) {
         let pool: &WorkerPool = match ctx.worker_pool() {
             Some(pool) => pool,
             None => self.fallback.get(),
         };
         let slot = self.gate.acquire(pool.workers());
         let morsel = request.config().morsel_tuples.max(NATIVE_MIN_CHUNK_TUPLES);
-        (pool, slot, morsel)
+        (Placement { pool, morsel }, slot)
+    }
+}
+
+/// Where a native execution's phases run.
+#[derive(Clone, Copy)]
+struct Placement<'a> {
+    pool: &'a WorkerPool,
+    morsel: usize,
+}
+
+impl<'a> Placement<'a> {
+    /// The pool for a phase over `tuples` tuples: none — the calling thread
+    /// — when they fit one morsel, since a pool job would cost a wake-up
+    /// and move the input to another core's cache for no parallelism.
+    fn pool_for(self, tuples: usize) -> Option<&'a WorkerPool> {
+        (tuples > self.morsel).then_some(self.pool)
     }
 }
 
@@ -657,14 +705,14 @@ fn record_phase(
 fn probe_phase(
     ctx: &mut ExecContext<'_>,
     outcome: &mut JoinOutcome,
-    pool: &WorkerPool,
+    placement: Placement<'_>,
     table: &NativeTable,
     relation: &Relation,
-    morsel: usize,
     collect: bool,
 ) {
     let started = Instant::now();
-    let probed = probe(pool, table, relation, morsel, collect);
+    let pool = placement.pool_for(relation.len());
+    let probed = probe(pool, table, relation, placement.morsel, collect);
     outcome.matches = probed.matches;
     outcome.pairs = probed.pairs;
     record_phase(ctx, outcome, Phase::Probe, started, &probed.walls);
@@ -686,13 +734,14 @@ impl ExecBackend for NativeCpu {
         probe_side: &Relation,
         request: &JoinRequest,
     ) -> Result<JoinOutcome, JoinError> {
-        let (pool, _slot, morsel) = self.enter(ctx, request);
+        let (placement, _slot) = self.enter(ctx, request);
         let mut outcome = JoinOutcome::default();
         let started = Instant::now();
-        let (table, walls) = build(pool, build_side, morsel, &self.scratch);
+        let pool = placement.pool_for(build_side.len());
+        let (table, walls) = build(pool, build_side, placement.morsel, &self.scratch);
         record_phase(ctx, &mut outcome, Phase::Build, started, &walls);
         let collect = request.config().collect_results;
-        probe_phase(ctx, &mut outcome, pool, &table, probe_side, morsel, collect);
+        probe_phase(ctx, &mut outcome, placement, &table, probe_side, collect);
         self.scratch.recycle(table);
         Ok(outcome)
     }
@@ -716,8 +765,9 @@ impl ExecBackend for NativeCpu {
         build_side: &Relation,
         request: &JoinRequest,
     ) -> Result<CachedTable, JoinError> {
-        let (pool, _slot, morsel) = self.enter(ctx, request);
-        let (mut table, _) = build(pool, build_side, morsel, &self.scratch);
+        let (placement, _slot) = self.enter(ctx, request);
+        let pool = placement.pool_for(build_side.len());
+        let (mut table, _) = build(pool, build_side, placement.morsel, &self.scratch);
         table.shrink_to_fit();
         Ok(CachedTable {
             bytes: table.bytes(),
@@ -739,10 +789,10 @@ impl ExecBackend for NativeCpu {
                 "cached table was built by a different backend kind".to_string(),
             ));
         };
-        let (pool, _slot, morsel) = self.enter(ctx, request);
+        let (placement, _slot) = self.enter(ctx, request);
         let mut outcome = JoinOutcome::default();
         let collect = request.config().collect_results;
-        probe_phase(ctx, &mut outcome, pool, table, probe_side, morsel, collect);
+        probe_phase(ctx, &mut outcome, placement, table, probe_side, collect);
         Ok(outcome)
     }
 }
@@ -769,10 +819,11 @@ mod tests {
             .collect()
     }
 
-    /// Joins through the kernel on a pool of `width` workers, collecting,
-    /// and leaves the table's buffers in `scratch` as `execute` does.
+    /// Joins through the kernel on `pool` (the calling thread without one),
+    /// collecting, and leaves the table's buffers in `scratch` as `execute`
+    /// does.
     fn kernel_pairs(
-        width: usize,
+        pool: Option<&WorkerPool>,
         build_side: &Relation,
         probe_side: &Relation,
         scratch: &Scratch,
@@ -780,14 +831,15 @@ mod tests {
         // Morsels far below the backend's floor, so that small inputs still
         // span many tasks and duplicate runs straddle morsel borders.
         const MORSEL: usize = 7;
-        let pool = WorkerPool::new(width);
-        let (table, walls) = build(&pool, build_side, MORSEL, scratch);
-        assert_eq!(walls.len(), build_side.len().div_ceil(MORSEL));
-        assert_eq!(table.shards.len(), width);
-        let counted = probe(&pool, &table, probe_side, MORSEL, false);
-        let collected = probe(&pool, &table, probe_side, MORSEL, true);
+        let (table, walls) = build(pool, build_side, MORSEL, scratch);
+        let (shards, tasks) = pool.map_or((1, 1), |pool| {
+            (pool.workers(), build_side.len().div_ceil(MORSEL))
+        });
+        assert_eq!((table.shards.len(), walls.len()), (shards, tasks));
+        let counted = probe(pool, &table, probe_side, MORSEL, false);
+        let collected = probe(pool, &table, probe_side, MORSEL, true);
         assert!(counted.pairs.is_none());
-        let pairs = collected.pairs.unwrap_or_default();
+        let pairs = collected.pairs.expect("a collecting probe returns pairs");
         assert_eq!(counted.matches, pairs.len() as u64);
         assert_eq!(collected.matches, pairs.len() as u64);
         scratch.recycle(table);
@@ -795,19 +847,21 @@ mod tests {
     }
 
     /// Sorted pairs equal the sort-merge oracle's (which shares no code with
-    /// `hash.rs` / `hashtable.rs`) at width 1, and every other width returns
-    /// the width-1 pairs in the same order.  All widths share one scratch,
-    /// so every join after the first runs in another join's used buffers.
+    /// `hash.rs` / `hashtable.rs`) on the calling thread (one shard), and
+    /// the pool at every width returns those pairs in the same order.  All
+    /// placements share one scratch, so every join after the first runs in
+    /// another join's used buffers.
     fn check(case: &str, build_side: &Relation, probe_side: &Relation) {
         let scratch = Scratch::default();
-        let baseline = kernel_pairs(1, build_side, probe_side, &scratch);
-        let mut sorted = baseline.clone();
+        let inline = kernel_pairs(None, build_side, probe_side, &scratch);
+        let mut sorted = inline.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, reference_pairs(build_side, probe_side), "{case}");
-        for width in &WIDTHS[1..] {
+        for width in WIDTHS {
+            let pool = WorkerPool::new(width);
             assert_eq!(
-                kernel_pairs(*width, build_side, probe_side, &scratch),
-                baseline,
+                kernel_pairs(Some(&pool), build_side, probe_side, &scratch),
+                inline,
                 "{case}: width {width} changed the pairs or their order"
             );
         }
@@ -835,7 +889,8 @@ mod tests {
     fn one_key_on_both_sides_is_a_cross_product() {
         let (build_side, probe_side) = (keys([7; 50]), keys([7; 20]));
         check("all one key", &build_side, &probe_side);
-        let pairs = kernel_pairs(3, &build_side, &probe_side, &Scratch::default());
+        let pool = WorkerPool::new(3);
+        let pairs = kernel_pairs(Some(&pool), &build_side, &probe_side, &Scratch::default());
         assert_eq!(pairs.len(), 1000);
     }
 
@@ -847,11 +902,8 @@ mod tests {
         let colliding = colliding_keys(45);
         let (built, absent) = colliding.split_at(40);
         let build_side = keys(built.iter().copied());
-        let scattered = Scattered {
-            keys: build_side.keys().to_vec(),
-            rids: build_side.rids().to_vec(),
-        };
-        let shard = Shard::fold(std::iter::once(&scattered), &Scratch::default());
+        let whole = (build_side.keys(), build_side.rids());
+        let shard = Shard::fold(std::iter::once(whole), &Scratch::default());
         assert_eq!(shard.slots.len(), 64);
         assert!(shard.slots[63].len == 1 && shard.slots[..39].iter().all(|slot| slot.len == 1));
         assert!(shard.slots[39..63].iter().all(|slot| slot.len == 0));
@@ -898,7 +950,7 @@ mod tests {
     fn runs_keep_build_order_and_footprint_is_what_is_allocated() {
         let build_side = Relation::from_columns(vec![10, 11, 12, 13, 14], vec![5, 6, 5, 5, 6]);
         let pool = WorkerPool::new(2);
-        let (table, _) = build(&pool, &build_side, 2, &Scratch::default());
+        let (table, _) = build(Some(&pool), &build_side, 2, &Scratch::default());
         let run = |key: u32| {
             let hash = hash_key(key);
             table.shard(hash).run(key, hash).to_vec()
@@ -927,14 +979,16 @@ mod tests {
             buffers.sort_unstable();
             buffers
         };
-        let (first, _) = build(&pool, &large, 100, &scratch);
+        let (first, _) = build(Some(&pool), &large, 100, &scratch);
         let first_buffers = buffers(&first);
         scratch.recycle(first);
         // A smaller join in the larger one's buffers: nothing of the old
         // table shows through, and nothing is allocated.
-        let (second, _) = build(&pool, &small, 100, &scratch);
+        let (second, _) = build(Some(&pool), &small, 100, &scratch);
         assert_eq!(buffers(&second), first_buffers);
-        let mut pairs = probe(&pool, &second, &large, 100, true).pairs.unwrap();
+        let mut pairs = probe(Some(&pool), &second, &large, 100, true)
+            .pairs
+            .unwrap();
         pairs.sort_unstable();
         assert_eq!(pairs, reference_pairs(&small, &large));
         // Five build morsels were in flight at most, and one or two folds.

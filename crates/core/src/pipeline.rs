@@ -17,7 +17,8 @@
 //!   [`crate::phase::run_step`], which consumes the morsel stream;
 //! * the **native backend** executes the same stream for real, submitting
 //!   morsels to a persistent work-stealing [`WorkerPool`] shared by every
-//!   session of the owning engine.
+//!   session of the owning engine (a phase of a single morsel runs on the
+//!   session's own thread instead).
 
 use crate::steps::StepId;
 use hj_analysis::sync::{Condvar, Mutex};

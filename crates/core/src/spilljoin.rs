@@ -47,7 +47,7 @@
 
 use crate::context::{arena_bytes_for, ExecContext};
 use crate::error::JoinError;
-use crate::hash::hash_key;
+use crate::hash::{hash_key, FastMod};
 use crate::native::{scatter, Scattered, Scratch};
 use crate::pipeline::{morsel_ranges, WorkerPool};
 use crate::result::JoinOutcome;
@@ -93,6 +93,7 @@ pub fn execute_spill_join(
         grant,
         manager,
         report: SpillReport::default(),
+        fanout: FastMod::new(spill.partitions as u32),
         pool: ctx.worker_pool(),
         scratch: Scratch::default(),
     };
@@ -169,6 +170,8 @@ struct SpillPass<'e> {
     grant: &'e MemoryGrant,
     manager: &'e SpillManager,
     report: SpillReport,
+    /// `% spill.partitions`, the fanout of every pass.
+    fanout: FastMod,
     /// The pool chunks are scattered on; `None` (a context created outside
     /// an engine) scatters on the calling thread.
     pool: Option<&'e WorkerPool>,
@@ -184,11 +187,12 @@ struct SpillPass<'e> {
 /// the pairs afterwards (different salt, different bit range).
 ///
 /// 32-bit arithmetic throughout: the shifted hash is below 2^25, so the
-/// remainder is the one 64-bit arithmetic would give, without the wider
-/// division ([`SpillConfig::validate`] keeps the fanout within `u32`).
-fn spill_partition(key: u32, depth: u32, partitions: u32) -> usize {
+/// remainder is the one 64-bit arithmetic would give
+/// ([`SpillConfig::validate`] keeps the fanout within `u32`), and it is
+/// taken without a division — a spill join builds its [`FastMod`] once.
+fn spill_partition(key: u32, depth: u32, partitions: impl Into<FastMod>) -> usize {
     let salt = 0x9E37_79B9u32.wrapping_mul(depth.wrapping_add(1));
-    ((hash_key(key ^ salt) >> 7) % partitions) as usize
+    partitions.into().rem(hash_key(key ^ salt) >> 7) as usize
 }
 
 impl SpillPass<'_> {
@@ -324,14 +328,14 @@ impl SpillPass<'_> {
         depth: u32,
         side: Side,
     ) -> Result<(), JoinError> {
-        let partitions = slots.len() as u32;
+        let fanout = self.fanout;
         let scattered = scatter(
             self.pool,
             keys,
             rids,
             frames,
             slots.len(),
-            |key| spill_partition(key, depth, partitions),
+            |key| spill_partition(key, depth, fanout),
             &self.scratch,
         );
         for (buckets, _) in &scattered {

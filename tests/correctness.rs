@@ -163,3 +163,67 @@ fn empty_and_degenerate_inputs_are_handled() {
     let many = datagen::Relation::from_keys(vec![42; 1000]);
     assert_eq!(run(&sys, &one, &many, &cfg).matches, 1000);
 }
+
+/// A collecting join answers with a pair list even when it has no pair to
+/// put in it: the native backend returns what the coupled simulator does
+/// for empty and non-matching sides, in memory, through the table cache and
+/// when spilling.
+#[test]
+fn native_and_simulated_joins_answer_alike_on_empty_and_unmatched_sides() {
+    let empty = Relation::new();
+    let three = Relation::from_keys(vec![1, 2, 3]);
+    let others = Relation::from_keys(vec![4, 5]);
+    let cases = [
+        ("empty build", &empty, &three),
+        ("empty probe", &three, &empty),
+        ("both empty", &empty, &empty),
+        ("no match", &three, &others),
+    ];
+    let plain = JoinRequest::builder()
+        .collect_results(true)
+        .build()
+        .unwrap();
+    // A one-byte budget spills every non-empty join, and with no recursion
+    // allowed each spilled pair goes to the block fallback, which runs no
+    // pair join at all when one of its sides is empty.
+    let spilling = JoinRequest::builder()
+        .collect_results(true)
+        .spill(SpillConfig::default().max_recursion_depth(0))
+        .build()
+        .unwrap();
+    let budget = EngineConfig::for_tuples(8, 8).memory_budget(1);
+    let answers = |engine: &JoinEngine, spill_engine: &JoinEngine| -> Vec<_> {
+        let mut answers = Vec::new();
+        for (case, build, probe) in cases {
+            let table = engine.register_table(case, build.clone());
+            let spilled = spill_engine.submit(&spilling, build, probe).unwrap();
+            let nonempty = !build.is_empty() || !probe.is_empty();
+            assert_eq!(spilled.spill.is_some(), nonempty, "{case}");
+            let outcomes = [
+                ("in memory", engine.submit(&plain, build, probe).unwrap()),
+                (
+                    "cached",
+                    engine.submit_cached(&plain, &table, probe).unwrap(),
+                ),
+                ("spilling", spilled),
+            ];
+            for (path, out) in outcomes {
+                assert_eq!(out.matches, 0, "{case} {path}");
+                answers.push((case, path, out.pairs));
+            }
+        }
+        answers
+    };
+    let simulated = answers(
+        &JoinEngine::coupled(EngineConfig::for_tuples(8, 8)).unwrap(),
+        &JoinEngine::coupled(budget.clone()).unwrap(),
+    );
+    let native = answers(
+        &JoinEngine::native(EngineConfig::for_tuples(8, 8)).unwrap(),
+        &JoinEngine::native(budget).unwrap(),
+    );
+    assert_eq!(native, simulated);
+    for (case, path, pairs) in simulated {
+        assert_eq!(pairs, Some(Vec::new()), "{case} {path}");
+    }
+}

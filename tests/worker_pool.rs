@@ -6,14 +6,20 @@
 
 use coupled_hashjoin::prelude::*;
 use datagen::{Relation, SmallRng};
+use hj_core::engine::NATIVE_MIN_CHUNK_TUPLES;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// A relation with up to `max` tuples over a small key domain (duplicates
+/// A relation of `min..=max` tuples over a small key domain (duplicates
 /// and hash collisions included).
-fn random_relation(rng: &mut SmallRng, max: usize) -> Relation {
-    let n = 1 + rng.random_index(max);
+fn random_relation(rng: &mut SmallRng, min: usize, max: usize) -> Relation {
+    let n = min + rng.random_index(max - min + 1);
     Relation::from_keys((0..n).map(|_| rng.random_u32_below(500)).collect())
+}
+
+/// Pool tasks the engine's workers have run so far.
+fn pool_tasks(engine: &JoinEngine) -> u64 {
+    engine.stats().per_worker_tasks.iter().sum()
 }
 
 #[test]
@@ -34,7 +40,11 @@ fn more_clients_than_workers_complete_correctly() {
         )
         .unwrap(),
     );
-    let request = JoinRequest::builder().build().unwrap();
+    // Several morsels a side, so every join fans out over the pool.
+    let request = JoinRequest::builder()
+        .morsel_tuples(NATIVE_MIN_CHUNK_TUPLES)
+        .build()
+        .unwrap();
 
     std::thread::scope(|scope| {
         for _ in 0..CLIENTS {
@@ -56,9 +66,40 @@ fn more_clients_than_workers_complete_correctly() {
     assert_eq!(stats.worker_threads, 2);
     assert_eq!(stats.per_worker_tasks.len(), 2);
     assert!(
-        stats.per_worker_tasks.iter().sum::<u64>() > 0,
+        pool_tasks(&engine) > 0,
         "all execution must have gone through the shared pool"
     );
+}
+
+#[test]
+fn one_morsel_phases_run_on_the_calling_thread() {
+    const MORSEL: usize = NATIVE_MIN_CHUNK_TUPLES;
+    let engine = JoinEngine::new(
+        Box::new(NativeCpu::new()),
+        EngineConfig::for_tuples(2 * MORSEL, 2 * MORSEL).worker_threads(2),
+    )
+    .unwrap();
+    let request = JoinRequest::builder()
+        .morsel_tuples(MORSEL)
+        .collect_results(true)
+        .build()
+        .unwrap();
+    let one = Relation::from_keys((0..MORSEL as u32).collect());
+    let two = Relation::from_keys((0..2 * MORSEL as u32).collect());
+    let join = |build: &Relation, probe: &Relation| {
+        let before = pool_tasks(&engine);
+        let out = engine.submit(&request, build, probe).unwrap();
+        assert_eq!(out.matches, reference_match_count(build, probe));
+        (pool_tasks(&engine) - before, out.pairs)
+    };
+    let (inline_tasks, inline_pairs) = join(&one, &one);
+    assert_eq!(inline_tasks, 0, "each side fits one morsel");
+    let (empty_tasks, _) = join(&Relation::new(), &one);
+    assert_eq!(empty_tasks, 0, "an empty side fits one morsel");
+    // A two-morsel build fans out (scatter and folds); the probe stays.
+    let (fanned_tasks, fanned_pairs) = join(&two, &one);
+    assert!(fanned_tasks > 0, "a two-morsel build runs on the pool");
+    assert_eq!(fanned_pairs, inline_pairs, "placement changed the pairs");
 }
 
 #[test]
@@ -70,7 +111,8 @@ fn single_worker_engine_passes_the_byte_identity_suite() {
     //   identical output through a single-worker engine;
     // * the native path — which genuinely schedules on the pool — produces
     //   byte-identical pairs at 1 vs 4 workers for every sweep input, with
-    //   small morsels so each join really runs as many pool tasks.
+    //   build sides of more than one morsel so each build really runs as
+    //   pool tasks.
     let sys = SystemSpec::coupled_a8_3870k();
     let mut rng = SmallRng::seed_from_u64(0xB00B5);
     let schemes = [
@@ -79,8 +121,8 @@ fn single_worker_engine_passes_the_byte_identity_suite() {
         Scheme::pipelined_paper(),
     ];
     for case in 0..6 {
-        let r = random_relation(&mut rng, 1200);
-        let s = random_relation(&mut rng, 2400);
+        let r = random_relation(&mut rng, NATIVE_MIN_CHUNK_TUPLES + 1, 2048);
+        let s = random_relation(&mut rng, 1, 2400);
         let expected = reference_match_count(&r, &s);
         let scheme = &schemes[case % schemes.len()];
         for cfg in [
@@ -119,7 +161,7 @@ fn single_worker_engine_passes_the_byte_identity_suite() {
                 .unwrap();
                 let out = engine.submit(&request, &r, &s).unwrap();
                 assert!(
-                    engine.stats().per_worker_tasks.iter().sum::<u64>() > 0,
+                    pool_tasks(&engine) > 0,
                     "native execution must actually schedule on the pool"
                 );
                 out
@@ -145,9 +187,10 @@ fn single_worker_engine_passes_the_byte_identity_suite() {
 #[test]
 fn native_pairs_are_byte_identical_across_worker_counts() {
     let mut rng = SmallRng::seed_from_u64(0xCAFE);
-    let r = random_relation(&mut rng, 3000);
-    let s = random_relation(&mut rng, 6000);
+    let r = random_relation(&mut rng, NATIVE_MIN_CHUNK_TUPLES + 1, 3000);
+    let s = random_relation(&mut rng, NATIVE_MIN_CHUNK_TUPLES + 1, 6000);
     let request = JoinRequest::builder()
+        .morsel_tuples(NATIVE_MIN_CHUNK_TUPLES)
         .collect_results(true)
         .build()
         .unwrap();
