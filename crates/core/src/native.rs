@@ -8,13 +8,22 @@
 //! worker (a hash's shard is `hash % workers`); a build run on the calling
 //! thread has one shard.  Each shard is
 //!
-//! * a power-of-two, open-addressed (linear-probe) **directory** of
-//!   `{key, start, len}` slots, indexed by the *high* bits of the shared
-//!   [`hash_key`] (the low end of the hash picks the shard, so the two
-//!   choices stay independent), and
+//! * a power-of-two, open-addressed (linear-probe) **directory** of 64-byte
+//!   buckets, each one cache line holding 8 keys and their 8 run lengths
+//!   (the runs' starts sit in a parallel array that only a collecting
+//!   probe reads), indexed by the *high* bits of the shared [`hash_key`]
+//!   (the low end of the hash picks the shard, so the two choices stay
+//!   independent), and
 //! * one contiguous `Vec<u32>` of build **rids**, laid out CSR-style: all
 //!   duplicates of a key are the single run `rids[start..start + len]`, in
 //!   build order.
+//!
+//! A lookup compares the key against a whole bucket at once (SSE2 on
+//! x86-64) and moves to the next bucket only past a full one: at the
+//! directory's load factor nearly every lookup reads one line and takes
+//! one compare, with no data-dependent exit from a chain walk to
+//! mispredict — in a directory of one key per slot, that exit rather than
+//! memory latency bounds the probe.
 //!
 //! `scatter`, `build` and `probe` are the only native scatter, build and
 //! probe loops in the crate: [`NativeCpu`]'s `execute`, `build_cached` and
@@ -56,69 +65,124 @@ pub const NATIVE_MIN_CHUNK_TUPLES: usize = 1024;
 // The table
 // ---------------------------------------------------------------------------
 
-/// One directory entry: a distinct build key and its run in [`Shard::rids`].
-/// `len == 0` marks an empty slot (every stored key has at least one rid).
+/// Directory slots per [`Bucket`]: as many `{key, len}` pairs as fill one
+/// 64-byte cache line.
+const LANES: usize = 8;
+
+/// Eight directory slots in one cache line: distinct build keys and the
+/// lengths of their runs in [`Shard::rids`] (the runs' starts are in
+/// [`Shard::starts`], which only a collecting probe reads).
+///
+/// Lanes fill in order: `lens[lane] == 0` marks an empty lane (every stored
+/// key has at least one rid), every empty lane comes after every occupied
+/// one, and the bucket is full exactly when its last lane is occupied.  An
+/// empty lane's key is 0, so a lookup of key 0 matches the first empty lane
+/// when 0 is not stored: that lane's length of 0 reads as "absent", and it
+/// is the lane an insert of 0 takes.
+#[repr(C, align(64))]
 #[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    key: u32,
-    start: u32,
-    len: u32,
+struct Bucket {
+    keys: [u32; LANES],
+    lens: [u32; LANES],
 }
 
 /// One shard of a [`NativeTable`]: the keys whose hash maps to it.
 #[derive(Debug, Default)]
 struct Shard {
-    /// Open-addressed directory; the length is a power of two, at least 2,
-    /// and never full.
-    slots: Vec<Slot>,
-    /// `32 - log2(slots.len())`: the home slot of a hash is its top bits.
+    /// Open-addressed directory of buckets; the length is a power of two and
+    /// fewer than all of its slots are occupied, so some bucket is not full.
+    buckets: Vec<Bucket>,
+    /// Each bucket's run starts in `rids`, lane by lane.
+    starts: Vec<[u32; LANES]>,
+    /// `32 - log2(buckets.len())`: the home bucket of a hash is its top bits.
     shift: u32,
     /// Build rids, one contiguous run per distinct key.
     rids: Vec<u32>,
 }
 
 /// Largest tuple count one shard holds: keeps `start + len` inside `u32` and
-/// the directory inside 2^32 slots.
+/// the directory inside 2^32 slots, so a slot number fits the `u32` memo of
+/// [`Shard::fold`].
 const MAX_SHARD_TUPLES: usize = (u32::MAX / 2) as usize;
 
 /// Keys hashed ahead of being resolved.  A loop that only hashes is one the
-/// compiler vectorises; the probe side also prefetches each key's home slot
-/// then — the directory is larger than the cache, and a group's misses
-/// overlap instead of being taken one after another.  (Prefetching while
-/// building measured no gain: insertion already touches each slot twice.)
+/// compiler vectorises; the probe side also prefetches each key's home
+/// bucket then — the directory is larger than the cache, and a group's
+/// misses overlap instead of being taken one after another.  (Prefetching
+/// while building measured no gain: insertion already touches each bucket
+/// twice.)
 const GROUP: usize = 32;
 
-/// Directory slots for `keys` distinct keys: load factor at most 0.7, so a
-/// probe chain always ends in an empty slot.
-fn directory_slots(keys: usize) -> usize {
-    (keys * 10).div_ceil(7).next_power_of_two().max(2)
+/// Directory buckets for `keys` distinct keys: at least 10/7 slots per key,
+/// rounded up to a power of two, so a probe chain always ends in a bucket
+/// that is not full.
+fn directory_buckets(keys: usize) -> usize {
+    (keys * 10).div_ceil(7).next_power_of_two().div_ceil(LANES)
 }
 
+/// Bit `lane` is set exactly when `keys[lane] == key`: two 4-lane SSE2
+/// compares.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[inline]
+fn eq_mask(keys: &[u32; LANES], key: u32) -> u32 {
+    use std::arch::x86_64::{
+        _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_ps, _mm_set1_epi32,
+    };
+    // SAFETY: the two unaligned 16-byte loads read lanes 0..4 and 4..8 of
+    // `keys`, which is 32 bytes long; SSE2 is part of the x86-64 baseline.
+    unsafe {
+        let needle = _mm_set1_epi32(key as i32);
+        let low = _mm_loadu_si128(keys.as_ptr().cast());
+        let high = _mm_loadu_si128(keys.as_ptr().add(4).cast());
+        let low = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(low, needle)));
+        let high = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(high, needle)));
+        (low | high << 4) as u32
+    }
+}
+
+/// `eq_mask` one lane at a time: what other targets and Miri run.
+#[cfg(any(test, not(all(target_arch = "x86_64", not(miri)))))]
+#[inline]
+fn eq_mask_scalar(keys: &[u32; LANES], key: u32) -> u32 {
+    let lanes = keys.iter().enumerate();
+    lanes.fold(0, |mask, (lane, &k)| mask | u32::from(k == key) << lane)
+}
+
+#[cfg(not(all(target_arch = "x86_64", not(miri))))]
+use eq_mask_scalar as eq_mask;
+
 impl Shard {
-    /// Empties the shard into `slots` free slots and `tuples` rids to be
+    /// Empties the shard into `buckets` empty buckets and `tuples` rids to be
     /// filled in, reusing its buffers; one that had none gets exactly what
     /// it needs.
-    fn reset(&mut self, slots: usize, tuples: usize) {
-        self.slots.clear();
-        self.slots.reserve_exact(slots);
-        self.slots.resize(slots, Slot::default());
-        self.shift = 32 - slots.trailing_zeros();
+    fn reset(&mut self, buckets: usize, tuples: usize) {
+        self.buckets.clear();
+        self.buckets.reserve_exact(buckets);
+        self.buckets.resize(buckets, Bucket::default());
+        self.starts.clear();
+        self.starts.reserve_exact(buckets);
+        self.starts.resize(buckets, [0; LANES]);
+        self.shift = 32 - buckets.trailing_zeros();
         self.rids.clear();
         self.rids.reserve_exact(tuples);
         self.rids.resize(tuples, 0);
     }
 
-    /// Asks the CPU to start loading `hash`'s home slot (nothing to ask on
+    /// The bucket where `hash`'s chain starts.  (The shift is taken in 64
+    /// bits: a one-bucket directory shifts all 32 bits out.)
+    #[inline]
+    fn home(&self, hash: u32) -> usize {
+        (u64::from(hash) >> self.shift) as usize
+    }
+
+    /// Asks the CPU to start loading `hash`'s home bucket (nothing to ask on
     /// targets without a stable prefetch intrinsic).
     #[inline]
     fn prefetch(&self, hash: u32) {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let home = self
-                .slots
-                .as_ptr()
-                .wrapping_add((hash >> self.shift) as usize);
+            let home = self.buckets.as_ptr().wrapping_add(self.home(hash));
             // SAFETY: a prefetch is a hint that accesses no memory as far as
             // the program can observe and never faults, whatever the
             // address; SSE is part of the x86-64 baseline.
@@ -128,18 +192,38 @@ impl Shard {
         let _ = hash;
     }
 
-    /// The slot holding `key`, or the empty slot where its chain ends.
+    /// `Ok` with the slot (`bucket * LANES + lane`) holding `key`, or `Err`
+    /// with the first empty lane of the bucket where its chain ends — which
+    /// is where an absent key 0 is `Ok`, since that lane's key is 0.
     #[inline]
-    fn slot_of(&self, key: u32, hash: u32) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut at = (hash >> self.shift) as usize;
+    fn slot_of(&self, key: u32, hash: u32) -> Result<usize, usize> {
+        let last = self.buckets.len() - 1;
+        let mut at = self.home(hash);
         loop {
-            let slot = &self.slots[at];
-            if slot.len == 0 || slot.key == key {
-                return at;
+            let bucket = &self.buckets[at];
+            let found = eq_mask(&bucket.keys, key);
+            if found != 0 {
+                return Ok(at * LANES + found.trailing_zeros() as usize);
             }
-            at = (at + 1) & mask;
+            if bucket.lens[LANES - 1] == 0 {
+                let empty = eq_mask(&bucket.lens, 0);
+                return Err(at * LANES + empty.trailing_zeros() as usize);
+            }
+            at = (at + 1) & last;
         }
+    }
+
+    /// The length of the run in `slot` (0 for an empty lane).
+    #[inline]
+    fn len(&self, slot: usize) -> u32 {
+        self.buckets[slot / LANES].lens[slot % LANES]
+    }
+
+    /// The `len` rids of the run in `slot`.
+    #[inline]
+    fn rids(&self, slot: usize, len: u32) -> &[u32] {
+        let start = self.starts[slot / LANES][slot % LANES];
+        &self.rids[start as usize..][..len as usize]
     }
 
     /// Builds the shard from every `(keys, rids)` column pair destined for
@@ -163,7 +247,7 @@ impl Shard {
                 kept.homes.pop().unwrap_or_default(),
             )
         };
-        shard.reset(directory_slots(tuples), tuples);
+        shard.reset(directory_buckets(tuples), tuples);
         homes.clear();
         homes.reserve(tuples);
         let mut hashes = [0u32; GROUP];
@@ -172,39 +256,50 @@ impl Shard {
                 *hash = hash_key(key);
             }
             for (&key, &hash) in group.iter().zip(&hashes) {
-                let at = shard.slot_of(key, hash);
-                let slot = &mut shard.slots[at];
-                slot.key = key;
-                slot.len += 1;
-                homes.push(at as u32);
+                // A key is written only into a new lane: rewriting it on
+                // every duplicate would make the next lookup's vector load
+                // of that bucket wait for the store.
+                let slot = match shard.slot_of(key, hash) {
+                    Ok(slot) => slot,
+                    Err(slot) => {
+                        shard.buckets[slot / LANES].keys[slot % LANES] = key;
+                        slot
+                    }
+                };
+                shard.buckets[slot / LANES].lens[slot % LANES] += 1;
+                homes.push(slot as u32);
             }
         }
         let mut end = 0u32;
-        for slot in &mut shard.slots {
-            end += slot.len;
-            slot.start = end;
+        for (bucket, starts) in shard.buckets.iter().zip(&mut shard.starts) {
+            for (len, start) in bucket.lens.iter().zip(starts) {
+                end += len;
+                *start = end;
+            }
         }
-        // `start` is each run's end; walking the tuples backwards moves it
+        // Each start is its run's end; walking the tuples backwards moves it
         // down to the run's start while the rids land in build order.
         let rids = columns.rev().flat_map(|(_, rids)| rids.iter().rev());
-        for (&rid, &at) in rids.zip(homes.iter().rev()) {
-            let slot = &mut shard.slots[at as usize];
-            slot.start -= 1;
-            shard.rids[slot.start as usize] = rid;
+        for (&rid, &slot) in rids.zip(homes.iter().rev()) {
+            let slot = slot as usize;
+            let start = &mut shard.starts[slot / LANES][slot % LANES];
+            *start -= 1;
+            shard.rids[*start as usize] = rid;
         }
         scratch.kept.lock().homes.push(homes);
         shard
     }
 
     /// The build rids matching `key`, in build order (empty when absent).
-    #[inline]
+    #[cfg(test)]
     fn run(&self, key: u32, hash: u32) -> &[u32] {
-        let slot = self.slots[self.slot_of(key, hash)];
-        &self.rids[slot.start as usize..][..slot.len as usize]
+        let (Ok(slot) | Err(slot)) = self.slot_of(key, hash);
+        self.rids(slot, self.len(slot))
     }
 
     fn bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot>()
+        self.buckets.capacity() * std::mem::size_of::<Bucket>()
+            + self.starts.capacity() * std::mem::size_of::<[u32; LANES]>()
             + self.rids.capacity() * std::mem::size_of::<u32>()
     }
 }
@@ -230,7 +325,8 @@ impl NativeTable {
     /// table stays resident, and is charged for what it holds.
     fn shrink_to_fit(&mut self) {
         for shard in &mut self.shards {
-            shard.slots.shrink_to_fit();
+            shard.buckets.shrink_to_fit();
+            shard.starts.shrink_to_fit();
             shard.rids.shrink_to_fit();
         }
     }
@@ -274,9 +370,11 @@ pub(crate) struct Scattered {
 /// What is retained is bounded by the engine's configuration: one set of
 /// buffers per concurrently executing join (the [`ExecGate`] admits as many
 /// as the pool has workers), each as large as the largest build side seen
-/// needed — at most some 50 bytes per tuple of the largest input the engine
-/// accepts.  (A spilling join keeps one of its own for the chunks it
-/// routes, dropped with the join.)
+/// needed — at most 50 bytes per tuple of the largest input the engine
+/// accepts: 8 of scatter buffers, 4 of slot memo, 4 of rids and up to 34 of
+/// directory (12 bytes per slot — 8 in its bucket's line, 4 of run start —
+/// and at most 20/7 slots per tuple).  (A spilling join keeps one of its
+/// own for the chunks it routes, dropped with the join.)
 #[derive(Debug)]
 pub(crate) struct Scratch {
     kept: Mutex<Kept>,
@@ -454,9 +552,11 @@ pub(crate) fn probe(
             }
             let hashed = hashes.iter().zip(&shards);
             for ((&key, &prid), (&hash, shard)) in keys.iter().zip(rids).zip(hashed) {
-                let run = shard.run(key, hash);
-                matches += run.len() as u64;
+                let (Ok(slot) | Err(slot)) = shard.slot_of(key, hash);
+                let len = shard.len(slot);
+                matches += u64::from(len);
                 if collect {
+                    let run = shard.rids(slot, len);
                     pairs.extend(run.iter().map(|&brid| (brid, prid)));
                 }
             }
@@ -495,12 +595,12 @@ pub(crate) fn probe(
 /// every session, sized by
 /// [`EngineConfig::worker_threads`](crate::EngineConfig::worker_threads)):
 /// build morsels scatter into per-shard buffers, shard owners fold them
-/// into this module's flat table (an open-addressed key directory over
-/// contiguous rid runs — the paper's §3.1 bucket / key-list / rid-list
-/// layout without the pointers, and without latches), and probe morsels
-/// scan the read-only shards.  A phase whose input fits one morsel runs on
-/// the calling (session) thread instead — a one-shard build, a one-task
-/// probe — and adds no task to the pool's counters.  Per-morsel results
+/// into this module's flat table (an open-addressed directory of 8-key
+/// cache-line buckets over contiguous rid runs — the paper's §3.1 bucket /
+/// key-list / rid-list layout without the pointers, and without latches),
+/// and probe morsels scan the read-only shards.  A phase whose input fits
+/// one morsel runs on the calling (session) thread instead — a one-shard
+/// build, a one-task probe — and adds no task to the pool's counters.  Per-morsel results
 /// are folded in morsel order, so the outcome is deterministic across
 /// placements and worker counts.  The outcome's [`Phase::Build`] /
 /// [`Phase::Probe`] entries carry *measured* elapsed time, so one reporting
@@ -807,8 +907,9 @@ mod tests {
     const WIDTHS: [usize; 4] = [1, 2, 3, 8];
 
     /// `count` keys that land in shard 0 at every width in [`WIDTHS`] *and*
-    /// whose home is the last slot of any directory of up to 64 slots, so
-    /// their probe chains collide and wrap around the end of the directory.
+    /// whose home is the last bucket of any directory of up to 64 buckets,
+    /// so their probe chains collide and wrap around the end of the
+    /// directory.
     fn colliding_keys(count: usize) -> Vec<u32> {
         (0u32..)
             .filter(|&key| {
@@ -895,23 +996,30 @@ mod tests {
     }
 
     #[test]
-    fn keys_sharing_a_shard_and_a_home_slot_chain_and_wrap() {
-        // 40 colliding keys fill a 64-slot directory from its last slot
-        // around to its head; five more with the same home are probed but
-        // never built, so their lookups walk the whole chain to its end.
+    fn keys_sharing_a_shard_and_a_home_bucket_chain_and_wrap() {
+        // 40 colliding keys fill five buckets of an 8-bucket directory, from
+        // its last bucket around to its head; five more with the same home
+        // are probed but never built, so their lookups walk the whole chain
+        // to its end, the first lane of the first bucket that is not full.
         let colliding = colliding_keys(45);
         let (built, absent) = colliding.split_at(40);
         let build_side = keys(built.iter().copied());
         let whole = (build_side.keys(), build_side.rids());
         let shard = Shard::fold(std::iter::once(whole), &Scratch::default());
-        assert_eq!(shard.slots.len(), 64);
-        assert!(shard.slots[63].len == 1 && shard.slots[..39].iter().all(|slot| slot.len == 1));
-        assert!(shard.slots[39..63].iter().all(|slot| slot.len == 0));
+        assert_eq!(shard.buckets.len(), 8);
+        let filled = |bucket: &Bucket, len: u32| bucket.lens.iter().all(|&l| l == len);
+        assert!(filled(&shard.buckets[7], 1) && shard.buckets[..4].iter().all(|b| filled(b, 1)));
+        assert!(shard.buckets[4..7].iter().all(|b| filled(b, 0)));
         for (i, &key) in built.iter().enumerate() {
-            assert_eq!(shard.run(key, hash_key(key)), [build_side.rid(i)]);
+            let hash = hash_key(key);
+            let bucket = (7 + i / LANES) % 8;
+            assert_eq!(shard.slot_of(key, hash), Ok(bucket * LANES + i % LANES));
+            assert_eq!(shard.run(key, hash), [build_side.rid(i)]);
         }
         for &key in absent {
-            assert!(shard.run(key, hash_key(key)).is_empty());
+            let hash = hash_key(key);
+            assert_eq!(shard.slot_of(key, hash), Err(4 * LANES));
+            assert!(shard.run(key, hash).is_empty());
         }
 
         // The same keys with duplicates, through the whole kernel.
@@ -961,10 +1069,16 @@ mod tests {
         let allocated: usize = table
             .shards
             .iter()
-            .map(|shard| shard.slots.capacity() * 12 + shard.rids.capacity() * 4)
+            .map(|shard| {
+                shard.buckets.capacity() * 64
+                    + shard.starts.capacity() * 32
+                    + shard.rids.capacity() * 4
+            })
             .sum();
         assert_eq!(table.bytes(), allocated);
-        assert_eq!(std::mem::size_of::<Slot>(), 12);
+        // One bucket is one cache line: 8 slots of 12 bytes with the starts.
+        assert_eq!(std::mem::size_of::<Bucket>(), 64);
+        assert_eq!(std::mem::align_of::<Bucket>(), 64);
     }
 
     #[test]
@@ -974,8 +1088,8 @@ mod tests {
         let pool = WorkerPool::new(2);
         let scratch = Scratch::default();
         let buffers = |table: &NativeTable| -> Vec<_> {
-            let slots = table.shards.iter().map(|shard| shard.slots.as_ptr());
-            let mut buffers: Vec<_> = slots.collect();
+            let buckets = table.shards.iter().map(|shard| shard.buckets.as_ptr());
+            let mut buffers: Vec<_> = buckets.collect();
             buffers.sort_unstable();
             buffers
         };
@@ -1001,8 +1115,8 @@ mod tests {
         let mut cached = second;
         cached.shrink_to_fit();
         let held = cached.shards.iter();
-        let held: usize = held.map(|s| s.slots.len() * 12 + s.rids.len() * 4).sum();
-        assert_eq!(cached.bytes(), held);
+        let held = held.map(|s| s.buckets.len() * 64 + s.starts.len() * 32 + s.rids.len() * 4);
+        assert_eq!(cached.bytes(), held.sum::<usize>());
     }
 
     /// Each bucket's `(keys, rids)`, routed one tuple at a time.
@@ -1100,17 +1214,87 @@ mod tests {
 
     #[test]
     fn the_directory_is_sized_by_load_factor_not_by_doubling() {
-        for keys in [0, 1, 2, 7, 8, 1000, 131_072, 131_200, MAX_SHARD_TUPLES] {
-            let slots = directory_slots(keys);
-            assert!(slots.is_power_of_two() && slots >= 2, "{keys} keys");
+        assert_eq!((directory_buckets(5), directory_buckets(6)), (1, 2));
+        for keys in [0, 1, 5, 6, 8, 1000, 131_072, 131_200, MAX_SHARD_TUPLES] {
+            let buckets = directory_buckets(keys);
+            let slots = buckets * LANES;
+            assert!(buckets.is_power_of_two(), "{keys} keys");
             assert!(keys * 10 <= slots * 7, "{keys} keys in {slots} slots");
             assert!(
-                slots * 7 < (keys + 1) * 20,
+                buckets == 1 || slots * 7 < (keys + 1) * 20,
                 "{keys} keys waste {slots} slots"
             );
         }
+        // Every slot number fits the fold's `u32` memo.
+        assert!(directory_buckets(MAX_SHARD_TUPLES) * LANES <= 1 << 32);
         // Half of 256 Ki distinct keys, give or take: one doubling less than
         // rounding 2n up, i.e. 24 + 4 bytes per tuple.
-        assert_eq!(directory_slots(131_200), 262_144);
+        assert_eq!(directory_buckets(131_200) * LANES, 262_144);
+    }
+
+    #[test]
+    fn key_zero_and_the_largest_key_sit_beside_empty_lanes() {
+        // Up to five keys get a one-bucket directory: every key shares it.
+        let fold = |build_side: &Relation| {
+            let whole = (build_side.keys(), build_side.rids());
+            Shard::fold(std::iter::once(whole), &Scratch::default())
+        };
+        let slot = |shard: &Shard, key: u32| shard.slot_of(key, hash_key(key));
+        // A stored 0 precedes every empty lane, so it is the first match.
+        let build_side = keys([5, u32::MAX, 0, 5, 0]);
+        let shard = fold(&build_side);
+        assert_eq!(shard.buckets.len(), 1);
+        assert_eq!(shard.buckets[0].lens, [2, 1, 2, 0, 0, 0, 0, 0]);
+        assert_eq!((slot(&shard, 0), slot(&shard, u32::MAX)), (Ok(2), Ok(1)));
+        assert_eq!(shard.run(0, hash_key(0)), [2, 4]);
+        assert_eq!(shard.run(u32::MAX, hash_key(u32::MAX)), [1]);
+        // An absent 0 matches the first empty lane and reads as no rids; an
+        // absent key of all ones matches nothing and ends in the same lane.
+        let shard = fold(&keys([5, 6]));
+        assert_eq!((slot(&shard, 0), slot(&shard, u32::MAX)), (Ok(2), Err(2)));
+        assert!(shard.run(0, hash_key(0)).is_empty());
+        assert!(shard.run(u32::MAX, hash_key(u32::MAX)).is_empty());
+
+        // Each side below joined with both keys, against and as the build.
+        let extremes = keys([0, u32::MAX, 0, 1, 5, u32::MAX - 1]);
+        let cases = [
+            ("0 and max present", keys([u32::MAX, 7, 0, 0, u32::MAX])),
+            ("0 and max absent", keys([1, 2, 3, u32::MAX - 1])),
+            ("0 alone", keys([0; 3])),
+            ("max alone", keys([u32::MAX; 3])),
+            ("0 built last", keys((0..200).rev())),
+            ("max built last", keys((0..200).map(|i| u32::MAX - 199 + i))),
+        ];
+        for (case, build_side) in &cases {
+            check(case, build_side, &extremes);
+            check(case, &extremes, build_side);
+        }
+    }
+
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[test]
+    fn sse2_and_scalar_masks_agree() {
+        assert_eq!(eq_mask(&[0; LANES], 0), 0xff);
+        assert_eq!(eq_mask(&[1, 0, 1, 0, 1, 0, 1, 0], 0), 0xaa);
+        assert_eq!(eq_mask(&[u32::MAX; LANES], 0), 0);
+        // Lanes drawn from a few values, so repeats and full and empty
+        // masks are common.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mixed = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (mixed ^ (mixed >> 29)) as u32
+        };
+        for _ in 0..1 << 20 {
+            let random = next();
+            let pool = [0, u32::MAX, random, random ^ 1];
+            let key = pool[next() as usize % 3];
+            let lanes = [(); LANES].map(|_| pool[next() as usize % 4]);
+            assert_eq!(
+                eq_mask(&lanes, key),
+                eq_mask_scalar(&lanes, key),
+                "{lanes:?} {key}"
+            );
+        }
     }
 }
