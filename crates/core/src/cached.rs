@@ -803,7 +803,7 @@ mod tests {
 
     fn table(bytes: usize) -> CachedTable {
         let scratch = crate::native::Scratch::default();
-        let (empty, _) = crate::native::build(None, &Relation::new(), 1, &scratch);
+        let (empty, _) = crate::native::build(None, &Relation::new(), 1, &scratch, true);
         CachedTable {
             payload: CachedPayload::Native(empty),
             bytes,

@@ -18,6 +18,15 @@
 //!   duplicates of a key are the single run `rids[start..start + len]`, in
 //!   build order.
 //!
+//! The paper's build has four steps — b1 hash, b2 bucket header, b3 key
+//! list, b4 rid list — and only the probe's output step reads the rid
+//! lists.  A join that only counts its matches therefore builds a
+//! **count-only** table: its scatter moves keys alone, and each shard's
+//! build stops after the counting pass that fills the directory (b1–b3 and
+//! the run lengths), with no run starts and no rids.  The count-only probe
+//! reads only run lengths, so it needs nothing more.  A join that collects
+//! pairs, and every table bound for the cache, builds the runs too.
+//!
 //! A lookup compares the key against a whole bucket at once (SSE2 on
 //! x86-64) and moves to the next bucket only past a full one: at the
 //! directory's load factor nearly every lookup reads one line and takes
@@ -106,11 +115,13 @@ struct Shard {
 const MAX_SHARD_TUPLES: usize = (u32::MAX / 2) as usize;
 
 /// Keys hashed ahead of being resolved.  A loop that only hashes is one the
-/// compiler vectorises; the probe side also prefetches each key's home
-/// bucket then — the directory is larger than the cache, and a group's
-/// misses overlap instead of being taken one after another.  (Prefetching
-/// while building measured no gain: insertion already touches each bucket
-/// twice.)
+/// compiler vectorises; build and probe also prefetch each key's home
+/// bucket before resolving the group — the directory is larger than the
+/// cache, and a group's misses overlap instead of being taken one after
+/// another.  The build prefetches in a pass of its own over the group's
+/// hashes: there it took `join_uniform`'s traced build from 11.6 to 8.2
+/// ns/tuple and `join_dup_heavy`'s from 8.1 to 7.6, where prefetching from
+/// inside the hashing loop left `join_dup_heavy` level (2 vCPUs).
 const GROUP: usize = 32;
 
 /// Directory buckets for `keys` distinct keys: at least 10/7 slots per key,
@@ -152,20 +163,24 @@ fn eq_mask_scalar(keys: &[u32; LANES], key: u32) -> u32 {
 use eq_mask_scalar as eq_mask;
 
 impl Shard {
-    /// Empties the shard into `buckets` empty buckets and `tuples` rids to be
-    /// filled in, reusing its buffers; one that had none gets exactly what
-    /// it needs.
-    fn reset(&mut self, buckets: usize, tuples: usize) {
+    /// Empties the shard into `buckets` empty buckets and — when `collect` —
+    /// as many run starts and `tuples` rids to be filled in, reusing its
+    /// buffers; one that had none gets exactly what it needs.  A count-only
+    /// shard leaves `starts` and `rids` empty, their capacity kept for the
+    /// next collecting build.
+    fn reset(&mut self, buckets: usize, tuples: usize, collect: bool) {
         self.buckets.clear();
         self.buckets.reserve_exact(buckets);
         self.buckets.resize(buckets, Bucket::default());
-        self.starts.clear();
-        self.starts.reserve_exact(buckets);
-        self.starts.resize(buckets, [0; LANES]);
         self.shift = 32 - buckets.trailing_zeros();
+        self.starts.clear();
         self.rids.clear();
-        self.rids.reserve_exact(tuples);
-        self.rids.resize(tuples, 0);
+        if collect {
+            self.starts.reserve_exact(buckets);
+            self.starts.resize(buckets, [0; LANES]);
+            self.rids.reserve_exact(tuples);
+            self.rids.resize(tuples, 0);
+        }
     }
 
     /// The bucket where `hash`'s chain starts.  (The shift is taken in 64
@@ -227,11 +242,15 @@ impl Shard {
     }
 
     /// Builds the shard from every `(keys, rids)` column pair destined for
-    /// it, given in build order: count each key's duplicates, prefix-sum the
-    /// counts into run offsets, then fill the runs.
+    /// it, given in build order: count each key's duplicates into the
+    /// directory, then — when `collect` — prefix-sum the counts into run
+    /// starts and fill the runs.  A count-only fold returns after counting:
+    /// it reads no rids (its columns' rid slices may be empty) and the shard
+    /// holds no runs.
     fn fold<'a>(
         columns: impl DoubleEndedIterator<Item = (&'a [u32], &'a [u32])> + Clone,
         scratch: &Scratch,
+        collect: bool,
     ) -> Shard {
         let tuples: usize = columns.clone().map(|(keys, _)| keys.len()).sum();
         assert!(
@@ -239,21 +258,25 @@ impl Shard {
             "a native table shard holds at most {MAX_SHARD_TUPLES} tuples, got {tuples}"
         );
         // `homes` is each tuple's slot, remembered so that filling needs no
-        // second walk of the probe chains.
+        // second walk of the probe chains; a count-only fold fills nothing.
         let (mut shard, mut homes) = {
             let mut kept = scratch.kept.lock();
+            let homes = if collect { kept.homes.pop() } else { None };
             (
                 kept.shards.pop().unwrap_or_default(),
-                kept.homes.pop().unwrap_or_default(),
+                homes.unwrap_or_default(),
             )
         };
-        shard.reset(directory_buckets(tuples), tuples);
+        shard.reset(directory_buckets(tuples), tuples, collect);
         homes.clear();
-        homes.reserve(tuples);
+        homes.reserve(if collect { tuples } else { 0 });
         let mut hashes = [0u32; GROUP];
         for group in columns.clone().flat_map(|(keys, _)| keys.chunks(GROUP)) {
             for (hash, &key) in hashes.iter_mut().zip(group) {
                 *hash = hash_key(key);
+            }
+            for &hash in &hashes[..group.len()] {
+                shard.prefetch(hash);
             }
             for (&key, &hash) in group.iter().zip(&hashes) {
                 // A key is written only into a new lane: rewriting it on
@@ -267,8 +290,13 @@ impl Shard {
                     }
                 };
                 shard.buckets[slot / LANES].lens[slot % LANES] += 1;
-                homes.push(slot as u32);
+                if collect {
+                    homes.push(slot as u32);
+                }
             }
+        }
+        if !collect {
+            return shard;
         }
         let mut end = 0u32;
         for (bucket, starts) in shard.buckets.iter().zip(&mut shard.starts) {
@@ -312,6 +340,9 @@ pub(crate) struct NativeTable {
     shards: Vec<Shard>,
     /// `% shards.len()`: picks a hash's shard.
     shard_of: FastMod,
+    /// Whether the shards hold their rid runs: false for a count-only
+    /// table, which only a counting probe may read.
+    runs: bool,
 }
 
 impl NativeTable {
@@ -348,7 +379,8 @@ impl NativeTable {
 /// adaptive tuner ingests on this backend.
 type TaskWall = (usize, f64);
 
-/// The tuples of one scatter task destined for one bucket, in input order.
+/// The tuples of one scatter task destined for one bucket, in input order
+/// (`rids` stays empty when the scatter moved keys only).
 #[derive(Debug, Default)]
 pub(crate) struct Scattered {
     pub(crate) keys: Vec<u32>,
@@ -370,11 +402,14 @@ pub(crate) struct Scattered {
 /// What is retained is bounded by the engine's configuration: one set of
 /// buffers per concurrently executing join (the [`ExecGate`] admits as many
 /// as the pool has workers), each as large as the largest build side seen
-/// needed — at most 50 bytes per tuple of the largest input the engine
-/// accepts: 8 of scatter buffers, 4 of slot memo, 4 of rids and up to 34 of
-/// directory (12 bytes per slot — 8 in its bucket's line, 4 of run start —
-/// and at most 20/7 slots per tuple).  (A spilling join keeps one of its
-/// own for the chunks it routes, dropped with the join.)
+/// needed.  Per tuple of the largest input the engine accepts, a collecting
+/// build needs at most 50 bytes: 8 of scatter buffers, 4 of slot memo, 4 of
+/// rids and up to 34 of directory (12 bytes per slot — 8 in its bucket's
+/// line, 4 of run start — and at most 20/7 slots per tuple).  A count-only
+/// build needs at most 27: 4 of key-only scatter buffers and up to 23 of
+/// bucket lines, with no slot memo, run starts or rids; the buffers of
+/// earlier collecting builds stay kept at their size.  (A spilling join
+/// keeps one of its own for the chunks it routes, dropped with the join.)
 #[derive(Debug)]
 pub(crate) struct Scratch {
     kept: Mutex<Kept>,
@@ -425,8 +460,11 @@ where
 }
 
 /// The crate's one scatter loop: one task per range of `ranges` (see
-/// [`run_tasks`]), each moving its tuples of `keys`/`rids` into `buckets`
-/// buffers by `bucket_of(key)` (which must be below `buckets`).
+/// [`run_tasks`]), each moving its tuples of `keys` — and of `rids`, when
+/// given — into `buckets` buffers by `bucket_of(key)` (which must be below
+/// `buckets`).  With `rids` `None` it moves keys only and every
+/// [`Scattered::rids`] is left empty: what a count-only build needs.  Spill
+/// routing always passes the rids.
 ///
 /// Returns every task's buffers (one per bucket, each in input order) and
 /// wall-clock nanoseconds, in task order, so concatenating one bucket's
@@ -437,7 +475,7 @@ where
 pub(crate) fn scatter<F>(
     pool: Option<&WorkerPool>,
     keys: &[u32],
-    rids: &[u32],
+    rids: Option<&[u32]>,
     ranges: &[Range<usize>],
     buckets: usize,
     bucket_of: F,
@@ -455,10 +493,19 @@ where
             buffer.keys.clear();
             buffer.rids.clear();
         }
-        for (&key, &rid) in keys[range.clone()].iter().zip(&rids[range]) {
-            let buffer = &mut buffers[bucket_of(key)];
-            buffer.keys.push(key);
-            buffer.rids.push(rid);
+        match rids {
+            Some(rids) => {
+                for (&key, &rid) in keys[range.clone()].iter().zip(&rids[range]) {
+                    let buffer = &mut buffers[bucket_of(key)];
+                    buffer.keys.push(key);
+                    buffer.rids.push(rid);
+                }
+            }
+            None => {
+                for &key in &keys[range] {
+                    buffers[bucket_of(key)].keys.push(key);
+                }
+            }
         }
         (buffers, task_start.elapsed().as_nanos() as f64)
     };
@@ -473,19 +520,30 @@ where
 /// morsel into per-shard buffers, then each shard owner folds the buffers
 /// destined for it ([`Shard::fold`]).  Without a pool the calling thread
 /// folds the relation as it stands into a single shard.
+///
+/// `collect` says whether the table will serve a collecting probe: without
+/// it the scatter moves keys only and every shard is count-only (a
+/// directory of run lengths, no runs), which only a counting [`probe`] may
+/// read.
 pub(crate) fn build(
     pool: Option<&WorkerPool>,
     relation: &Relation,
     morsel: usize,
     scratch: &Scratch,
+    collect: bool,
 ) -> (NativeTable, Vec<TaskWall>) {
     let Some(pool) = pool else {
         let started = Instant::now();
         let whole = std::iter::once((relation.keys(), relation.rids()));
-        let shards = vec![Shard::fold(whole, scratch)];
+        let shards = vec![Shard::fold(whole, scratch, collect)];
         let wall = (relation.len(), started.elapsed().as_nanos() as f64);
         let shard_of = FastMod::new(1);
-        return (NativeTable { shards, shard_of }, vec![wall]);
+        let table = NativeTable {
+            shards,
+            shard_of,
+            runs: collect,
+        };
+        return (table, vec![wall]);
     };
     let shard_count = pool.workers();
     let shard_of = FastMod::new(u32::try_from(shard_count).expect("fewer than 2^32 workers"));
@@ -493,7 +551,7 @@ pub(crate) fn build(
     let scattered = scatter(
         Some(pool),
         relation.keys(),
-        relation.rids(),
+        collect.then(|| relation.rids()),
         &morsels,
         shard_count,
         |key| shard_of.rem(hash_key(key)) as usize,
@@ -504,7 +562,7 @@ pub(crate) fn build(
             let buffer = &buffers[shard];
             (&buffer.keys[..], &buffer.rids[..])
         });
-        Shard::fold(columns, scratch)
+        Shard::fold(columns, scratch, collect)
     });
     let walls = morsels
         .iter()
@@ -512,7 +570,12 @@ pub(crate) fn build(
         .map(|(range, (_, ns))| (range.len(), *ns))
         .collect();
     scratch.keep_scattered(scattered);
-    (NativeTable { shards, shard_of }, walls)
+    let table = NativeTable {
+        shards,
+        shard_of,
+        runs: collect,
+    };
+    (table, walls)
 }
 
 /// What [`probe`] found.
@@ -527,6 +590,11 @@ pub(crate) struct Probed {
 /// Probes `relation` against `table`, one task per morsel (see
 /// [`run_tasks`]); the per-morsel results are folded in morsel order, so
 /// the outcome does not depend on placement, worker count or steal pattern.
+///
+/// # Panics
+///
+/// When collecting from a count-only table: the caller built the table for
+/// a different request than it probes with.
 pub(crate) fn probe(
     pool: Option<&WorkerPool>,
     table: &NativeTable,
@@ -534,6 +602,10 @@ pub(crate) fn probe(
     morsel: usize,
     collect: bool,
 ) -> Probed {
+    assert!(
+        table.runs || !collect,
+        "a collecting probe needs a table built with its rid runs, not a count-only one"
+    );
     let morsels = morsel_ranges(relation.len(), morsel);
     let results = run_tasks(pool, morsels.len(), |task| {
         let task_start = Instant::now();
@@ -608,8 +680,9 @@ pub(crate) fn probe(
 ///
 /// Scheme, hash-table mode and the out-of-core chunk are placement hints
 /// for the simulator and are ignored here; `collect_results` and
-/// `morsel_tuples` are honoured (the latter floored at
-/// [`NATIVE_MIN_CHUNK_TUPLES`] to bound per-task allocation churn).
+/// `morsel_tuples` are honoured (a request that does not collect builds a
+/// count-only table; the morsel is floored at [`NATIVE_MIN_CHUNK_TUPLES`]
+/// to bound per-task allocation churn).
 #[derive(Debug)]
 pub struct NativeCpu {
     threads: usize,
@@ -838,9 +911,11 @@ impl ExecBackend for NativeCpu {
         let mut outcome = JoinOutcome::default();
         let started = Instant::now();
         let pool = placement.pool_for(build_side.len());
-        let (table, walls) = build(pool, build_side, placement.morsel, &self.scratch);
-        record_phase(ctx, &mut outcome, Phase::Build, started, &walls);
+        // Built and probed with the same flag: a join that only counts
+        // builds a table that only counts.
         let collect = request.config().collect_results;
+        let (table, walls) = build(pool, build_side, placement.morsel, &self.scratch, collect);
+        record_phase(ctx, &mut outcome, Phase::Build, started, &walls);
         probe_phase(ctx, &mut outcome, placement, &table, probe_side, collect);
         self.scratch.recycle(table);
         Ok(outcome)
@@ -867,7 +942,9 @@ impl ExecBackend for NativeCpu {
     ) -> Result<CachedTable, JoinError> {
         let (placement, _slot) = self.enter(ctx, request);
         let pool = placement.pool_for(build_side.len());
-        let (mut table, _) = build(pool, build_side, placement.morsel, &self.scratch);
+        // With its runs whatever this request collects: a cached table
+        // serves every later request.
+        let (mut table, _) = build(pool, build_side, placement.morsel, &self.scratch, true);
         table.shrink_to_fit();
         Ok(CachedTable {
             bytes: table.bytes(),
@@ -900,7 +977,7 @@ impl ExecBackend for NativeCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::reference_pairs;
+    use crate::result::{reference_match_count, reference_pairs};
 
     /// Pool widths every case runs at: 3 is a non-power-of-two shard count,
     /// 8 leaves most shards of a small input empty.
@@ -920,6 +997,35 @@ mod tests {
             .collect()
     }
 
+    /// Morsels far below the backend's floor, so that small inputs still
+    /// span many tasks and duplicate runs straddle morsel borders.
+    const MORSEL: usize = 7;
+
+    /// Builds `build_side` through the kernel on `pool` (the calling thread
+    /// without one) and checks the table's shape: shard and task counts, and
+    /// whether the shards hold runs.
+    fn kernel_table(
+        pool: Option<&WorkerPool>,
+        build_side: &Relation,
+        scratch: &Scratch,
+        collect: bool,
+    ) -> NativeTable {
+        let (table, walls) = build(pool, build_side, MORSEL, scratch, collect);
+        let (shards, tasks) = pool.map_or((1, 1), |pool| {
+            (pool.workers(), build_side.len().div_ceil(MORSEL))
+        });
+        assert_eq!((table.shards.len(), walls.len()), (shards, tasks));
+        assert_eq!(table.runs, collect);
+        if !collect {
+            let runless = |shard: &Shard| shard.starts.is_empty() && shard.rids.is_empty();
+            assert!(
+                table.shards.iter().all(runless),
+                "a count-only shard holds runs"
+            );
+        }
+        table
+    }
+
     /// Joins through the kernel on `pool` (the calling thread without one),
     /// collecting, and leaves the table's buffers in `scratch` as `execute`
     /// does.
@@ -929,14 +1035,7 @@ mod tests {
         probe_side: &Relation,
         scratch: &Scratch,
     ) -> Vec<(u32, u32)> {
-        // Morsels far below the backend's floor, so that small inputs still
-        // span many tasks and duplicate runs straddle morsel borders.
-        const MORSEL: usize = 7;
-        let (table, walls) = build(pool, build_side, MORSEL, scratch);
-        let (shards, tasks) = pool.map_or((1, 1), |pool| {
-            (pool.workers(), build_side.len().div_ceil(MORSEL))
-        });
-        assert_eq!((table.shards.len(), walls.len()), (shards, tasks));
+        let table = kernel_table(pool, build_side, scratch, true);
         let counted = probe(pool, &table, probe_side, MORSEL, false);
         let collected = probe(pool, &table, probe_side, MORSEL, true);
         assert!(counted.pairs.is_none());
@@ -947,25 +1046,58 @@ mod tests {
         pairs
     }
 
+    /// The same join count-only: a table without runs, probed by counting.
+    fn kernel_count(
+        pool: Option<&WorkerPool>,
+        build_side: &Relation,
+        probe_side: &Relation,
+        scratch: &Scratch,
+    ) -> u64 {
+        let table = kernel_table(pool, build_side, scratch, false);
+        let counted = probe(pool, &table, probe_side, MORSEL, false);
+        assert!(counted.pairs.is_none());
+        scratch.recycle(table);
+        counted.matches
+    }
+
     /// Sorted pairs equal the sort-merge oracle's (which shares no code with
     /// `hash.rs` / `hashtable.rs`) on the calling thread (one shard), and
-    /// the pool at every width returns those pairs in the same order.  All
-    /// placements share one scratch, so every join after the first runs in
-    /// another join's used buffers.
+    /// the pool at every width returns those pairs in the same order; a
+    /// count-only join counts the oracle's matches in every placement.  All
+    /// placements and both modes share one scratch, so every join after the
+    /// first runs in another join's used buffers — a collecting build in a
+    /// count-only one's and the reverse.
     fn check(case: &str, build_side: &Relation, probe_side: &Relation) {
         let scratch = Scratch::default();
+        let expected = reference_match_count(build_side, probe_side);
         let inline = kernel_pairs(None, build_side, probe_side, &scratch);
         let mut sorted = inline.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, reference_pairs(build_side, probe_side), "{case}");
+        assert_eq!(inline.len() as u64, expected, "{case}");
+        let counted = kernel_count(None, build_side, probe_side, &scratch);
+        assert_eq!(
+            counted, expected,
+            "{case}: count-only on the calling thread"
+        );
         for width in WIDTHS {
             let pool = WorkerPool::new(width);
+            let counted = kernel_count(Some(&pool), build_side, probe_side, &scratch);
+            assert_eq!(counted, expected, "{case}: count-only at width {width}");
             assert_eq!(
                 kernel_pairs(Some(&pool), build_side, probe_side, &scratch),
                 inline,
                 "{case}: width {width} changed the pairs or their order"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a collecting probe needs a table built with its rid runs")]
+    fn a_collecting_probe_of_a_count_only_table_panics() {
+        let side = keys([1, 2, 2, 3]);
+        let (table, _) = build(None, &side, MORSEL, &Scratch::default(), false);
+        probe(None, &table, &side, MORSEL, true);
     }
 
     fn keys(keys: impl IntoIterator<Item = u32>) -> Relation {
@@ -1005,7 +1137,7 @@ mod tests {
         let (built, absent) = colliding.split_at(40);
         let build_side = keys(built.iter().copied());
         let whole = (build_side.keys(), build_side.rids());
-        let shard = Shard::fold(std::iter::once(whole), &Scratch::default());
+        let shard = Shard::fold(std::iter::once(whole), &Scratch::default(), true);
         assert_eq!(shard.buckets.len(), 8);
         let filled = |bucket: &Bucket, len: u32| bucket.lens.iter().all(|&l| l == len);
         assert!(filled(&shard.buckets[7], 1) && shard.buckets[..4].iter().all(|b| filled(b, 1)));
@@ -1058,7 +1190,7 @@ mod tests {
     fn runs_keep_build_order_and_footprint_is_what_is_allocated() {
         let build_side = Relation::from_columns(vec![10, 11, 12, 13, 14], vec![5, 6, 5, 5, 6]);
         let pool = WorkerPool::new(2);
-        let (table, _) = build(Some(&pool), &build_side, 2, &Scratch::default());
+        let (table, _) = build(Some(&pool), &build_side, 2, &Scratch::default(), true);
         let run = |key: u32| {
             let hash = hash_key(key);
             table.shard(hash).run(key, hash).to_vec()
@@ -1093,12 +1225,12 @@ mod tests {
             buffers.sort_unstable();
             buffers
         };
-        let (first, _) = build(Some(&pool), &large, 100, &scratch);
+        let (first, _) = build(Some(&pool), &large, 100, &scratch, true);
         let first_buffers = buffers(&first);
         scratch.recycle(first);
         // A smaller join in the larger one's buffers: nothing of the old
         // table shows through, and nothing is allocated.
-        let (second, _) = build(Some(&pool), &small, 100, &scratch);
+        let (second, _) = build(Some(&pool), &small, 100, &scratch, true);
         assert_eq!(buffers(&second), first_buffers);
         let mut pairs = probe(Some(&pool), &second, &large, 100, true)
             .pairs
@@ -1133,6 +1265,8 @@ mod tests {
     }
 
     /// [`scatter`]'s buffers, each bucket's concatenated in task order.
+    /// The same ranges scattered keys-only must route the same keys and
+    /// leave every rid buffer empty — in buffers just used with rids.
     fn scatter_route(
         pool: Option<&WorkerPool>,
         rel: &Relation,
@@ -1141,25 +1275,34 @@ mod tests {
         bucket_of: impl Fn(u32) -> usize + Sync,
         scratch: &Scratch,
     ) -> Routed {
-        let scattered = scatter(
-            pool,
-            rel.keys(),
-            rel.rids(),
-            ranges,
-            buckets,
-            bucket_of,
-            scratch,
-        );
-        assert_eq!(scattered.len(), ranges.len());
-        let mut routed = vec![(Vec::new(), Vec::new()); buckets];
-        for (buffers, _) in &scattered {
-            assert_eq!(buffers.len(), buckets);
-            for (bucket, buffer) in routed.iter_mut().zip(buffers) {
-                bucket.0.extend(&buffer.keys);
-                bucket.1.extend(&buffer.rids);
+        let route = |rids: Option<&[u32]>| {
+            let scattered = scatter(pool, rel.keys(), rids, ranges, buckets, &bucket_of, scratch);
+            assert_eq!(scattered.len(), ranges.len());
+            let mut routed = vec![(Vec::new(), Vec::new()); buckets];
+            for (buffers, _) in &scattered {
+                assert_eq!(buffers.len(), buckets);
+                for (bucket, buffer) in routed.iter_mut().zip(buffers) {
+                    bucket.0.extend(&buffer.keys);
+                    bucket.1.extend(&buffer.rids);
+                }
             }
-        }
-        scratch.keep_scattered(scattered);
+            scratch.keep_scattered(scattered);
+            routed
+        };
+        let routed = route(Some(rel.rids()));
+        let keys_only = route(None);
+        assert!(keys_only.iter().all(|(_, rids)| rids.is_empty()));
+        let keys = |routed: &Routed| {
+            routed
+                .iter()
+                .map(|(keys, _)| keys.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            keys(&keys_only),
+            keys(&routed),
+            "a keys-only scatter moved other keys"
+        );
         routed
     }
 
@@ -1237,7 +1380,7 @@ mod tests {
         // Up to five keys get a one-bucket directory: every key shares it.
         let fold = |build_side: &Relation| {
             let whole = (build_side.keys(), build_side.rids());
-            Shard::fold(std::iter::once(whole), &Scratch::default())
+            Shard::fold(std::iter::once(whole), &Scratch::default(), true)
         };
         let slot = |shard: &Shard, key: u32| shard.slot_of(key, hash_key(key));
         // A stored 0 precedes every empty lane, so it is the first match.

@@ -332,7 +332,7 @@ impl SpillPass<'_> {
         let scattered = scatter(
             self.pool,
             keys,
-            rids,
+            Some(rids),
             frames,
             slots.len(),
             |key| spill_partition(key, depth, fanout),

@@ -227,3 +227,77 @@ fn native_and_simulated_joins_answer_alike_on_empty_and_unmatched_sides() {
         assert_eq!(pairs, Some(Vec::new()), "{case} {path}");
     }
 }
+
+/// One native engine alternates count-only and collecting joins, so the
+/// shards of count-only tables (directories without rid runs) feed
+/// collecting builds and the reverse: on the calling thread (one morsel),
+/// on the pool (many morsels) and through the spill path at a quarter
+/// budget.  Every collecting answer is the pair list a fresh engine returns,
+/// in the same order; every count is the oracle's; nothing stays granted or
+/// on disk.
+#[test]
+fn native_buffers_move_between_count_only_and_collecting_joins() {
+    const BUILD: usize = 16 * 1024;
+    const PROBE: usize = 32 * 1024;
+    let sizes = DataGenConfig::small(BUILD, PROBE);
+    let (uniform_r, uniform_s) = datagen::generate_pair(&sizes);
+    let skewed = KeyDistribution::Skewed {
+        duplicate_fraction: 0.9,
+    };
+    let (dup_r, dup_s) = datagen::generate_pair(&sizes.clone().with_distribution(skewed));
+    let (one_r, one_s) = (
+        Relation::from_keys(vec![7; 2_000]),
+        Relation::from_keys(vec![7; 300]),
+    );
+    let empty = Relation::new();
+    let inputs = [
+        ("uniform", &uniform_r, &uniform_s),
+        ("90% duplicates", &dup_r, &dup_s),
+        ("all one key", &one_r, &one_s),
+        ("empty build", &empty, &uniform_s),
+    ];
+    let config = EngineConfig::for_tuples(BUILD, PROBE)
+        .worker_threads(2)
+        .memory_budget((uniform_r.bytes() + uniform_s.bytes()) / 4);
+    let request = |placement: &str, collect: bool| {
+        let builder = JoinRequest::builder().collect_results(collect);
+        let builder = match placement {
+            "one morsel" => builder.morsel_tuples(1 << 20),
+            "many morsels" => builder.morsel_tuples(1024),
+            _ => builder.spill(SpillConfig::default()),
+        };
+        builder.build().unwrap()
+    };
+    let engine = JoinEngine::native(config.clone()).unwrap();
+    let mut spilled = 0;
+    for (case, build, probe) in inputs {
+        let expected = reference_match_count(build, probe);
+        let oracle = hj_core::reference_pairs(build, probe);
+        for placement in ["one morsel", "many morsels", "spill"] {
+            let fresh = JoinEngine::native(config.clone()).unwrap();
+            let fresh = fresh.submit(&request(placement, true), build, probe);
+            let fresh = fresh
+                .unwrap()
+                .pairs
+                .expect("a collecting join returns pairs");
+            let mut sorted = fresh.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, oracle, "{case}, {placement}");
+            // Every build after the first runs in the buffers of a table
+            // built in the other mode.
+            for collect in [false, true, false, true] {
+                let out = engine.submit(&request(placement, collect), build, probe);
+                let out = out.unwrap();
+                let at = format!("{case}, {placement}, collect {collect}");
+                assert_eq!(out.matches, expected, "{at}");
+                assert_eq!(out.pairs.as_ref(), collect.then_some(&fresh), "{at}");
+                spilled += usize::from(out.spill.is_some_and(|r| r.bytes_spilled > 0));
+            }
+        }
+    }
+    assert!(spilled > 0, "a quarter budget spills the larger inputs");
+    assert_eq!(engine.memory_broker().granted(), 0);
+    let dir = engine.spill_dir().expect("spilling happened");
+    let mut files = std::fs::read_dir(dir).unwrap();
+    assert!(files.next().is_none(), "no run file outlives its join");
+}
