@@ -1035,31 +1035,14 @@ pub struct EngineStats {
     /// evictions, invalidations, resident bytes, build nanoseconds hits
     /// saved, and the cache-build latency histogram.
     pub cache: CacheStats,
-    /// Batches accepted by [`JoinEngine::submit_batch`].
-    pub batches_submitted: u64,
-    /// Individual requests that rode inside those batches (each also
-    /// counted in [`requests_served`](Self::requests_served) /
-    /// [`requests_failed`](Self::requests_failed)).
-    pub batched_requests: u64,
     /// Completed joins per wall-clock second since engine construction.
     pub joins_per_sec: f64,
-}
-
-/// One request of a [`JoinEngine::submit_batch`] submission.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchItem<'a> {
-    /// The join to run.
-    pub request: &'a JoinRequest,
-    /// Build-side relation.
-    pub build: &'a Relation,
-    /// Probe-side relation.
-    pub probe: &'a Relation,
 }
 
 /// A cheap point-in-time load snapshot ([`JoinEngine::load`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineLoad {
-    /// Requests (or batches) currently holding a session.
+    /// Requests currently holding a session.
     pub in_flight: usize,
     /// Submissions waiting in the admission queue.
     pub queued: usize,
@@ -1131,8 +1114,6 @@ struct EngineMetrics {
     spill_grant_denials: Arc<Counter>,
     spill_reclaimed_bytes: Arc<Counter>,
     spill_io_wall: Arc<AtomicHistogram>,
-    batches_submitted: Arc<Counter>,
-    batched_requests: Arc<Counter>,
     /// Synced from the worker pool at snapshot time, per worker.
     worker_tasks: Vec<Arc<Gauge>>,
     worker_steals: Vec<Arc<Gauge>>,
@@ -1225,14 +1206,6 @@ impl EngineMetrics {
             spill_io_wall: registry.histogram(
                 "hj_spill_io_wall_ns",
                 "Wall-clock time spent inside the spill path per spilling request (ns)",
-            ),
-            batches_submitted: registry.counter(
-                "hj_engine_batches_submitted_total",
-                "Batches accepted by submit_batch",
-            ),
-            batched_requests: registry.counter(
-                "hj_engine_batched_requests_total",
-                "Individual requests that rode inside batches",
             ),
             worker_tasks: (0..workers)
                 .map(|w| {
@@ -1813,8 +1786,6 @@ impl JoinEngine {
             queue_wait: self.metrics.queue_wait.snapshot(),
             registered_tables,
             cache: self.cache.stats(),
-            batches_submitted: self.metrics.batches_submitted.get(),
-            batched_requests: self.metrics.batched_requests.get(),
             per_session: inner.per_session.clone(),
             worker_threads: self.workers.configured_workers(),
             per_worker_tasks: match self.workers.spawned() {
@@ -1924,23 +1895,6 @@ impl JoinEngine {
                 self.note_acquired(session.id, started.elapsed().as_nanos() as u64);
                 return Ok(session);
             }
-        }
-    }
-
-    /// Records one request's fate against the engine-wide and per-session
-    /// counters.
-    fn record_fate(&self, session_id: usize, served: bool) {
-        if served {
-            self.metrics.requests_served.inc();
-        } else {
-            self.metrics.requests_failed.inc();
-        }
-        let mut stats = self.stats.lock();
-        let per = &mut stats.per_session[session_id];
-        if served {
-            per.requests_served += 1;
-        } else {
-            per.requests_failed += 1;
         }
     }
 
@@ -2094,12 +2048,23 @@ impl JoinEngine {
         }
     }
 
-    /// Returns a session to the pool — handing it to a queued waiter when
-    /// one exists — without recording any request fate (batch submissions
-    /// record one fate per item instead).
-    fn return_session(&self, session: Session) {
+    /// Records one request's fate against the engine-wide and per-session
+    /// counters, then returns its session to the pool — handing it to a
+    /// queued waiter when one exists.
+    fn release_session(&self, session: Session, served: bool) {
+        if served {
+            self.metrics.requests_served.inc();
+        } else {
+            self.metrics.requests_failed.inc();
+        }
         {
             let mut stats = self.stats.lock();
+            let per = &mut stats.per_session[session.id];
+            if served {
+                per.requests_served += 1;
+            } else {
+                per.requests_failed += 1;
+            }
             stats.in_flight -= 1;
             self.metrics.in_flight.set(stats.in_flight as u64);
         }
@@ -2112,12 +2077,6 @@ impl JoinEngine {
         } else {
             pool.free.push(session);
         }
-    }
-
-    /// Returns a session to the pool and records the request's fate.
-    fn release_session(&self, session: Session, served: bool) {
-        self.record_fate(session.id, served);
-        self.return_session(session);
     }
 
     /// Runs a spill-enabled request: plain in-core execution on the fast
@@ -2442,9 +2401,8 @@ impl JoinEngine {
         }
     }
 
-    /// Executes one admitted request on an already-acquired session: the
-    /// shared core of [`submit`](Self::submit) and
-    /// [`submit_batch`](Self::submit_batch).
+    /// Executes one admitted request on an already-acquired session for
+    /// [`submit`](Self::submit).
     ///
     /// A panicking backend surfaces as the outer `Err` — with the session's
     /// arena already reprovisioned, so the caller only has to return the
@@ -2527,73 +2485,6 @@ impl JoinEngine {
                 Err(payload)
             }
         }
-    }
-
-    /// Submits several requests as one unit: the batch acquires (or queues
-    /// for) a *single* session and runs its items sequentially on it.
-    ///
-    /// This is the engine half of the serving layer's cross-client
-    /// batching: under a flood of small requests, one session acquisition,
-    /// one arena and one admission-queue slot are paid per batch instead of
-    /// per request, and the batch occupies one `in_flight` slot so large
-    /// interactive requests keep their share of the pool.
-    ///
-    /// Each item gets its own verdict, in input order.  When the engine is
-    /// saturated, every item reports [`JoinError::Saturated`] (one
-    /// rejection is counted per item).  An oversized item fails alone
-    /// without poisoning its batch.
-    pub fn submit_batch(&self, items: &[BatchItem<'_>]) -> Vec<Result<JoinOutcome, JoinError>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let mut session = match self.acquire_session() {
-            Ok(session) => session,
-            Err(err) => {
-                // acquire_session counted one rejection; the remaining
-                // items are accounted here so per-request arithmetic holds.
-                self.metrics
-                    .rejected_saturated
-                    .add((items.len() - 1) as u64);
-                self.metrics.requests_failed.add((items.len() - 1) as u64);
-                return items.iter().map(|_| Err(err.clone())).collect();
-            }
-        };
-        self.metrics.batches_submitted.inc();
-        self.metrics.batched_requests.add(items.len() as u64);
-        let mut verdicts = Vec::with_capacity(items.len());
-        for item in items {
-            let required = item.request.required_arena_bytes(
-                item.build.len(),
-                item.probe.len(),
-                self.backend.system(),
-            );
-            if required > self.arena_capacity && item.request.spill_config().is_none() {
-                self.record_fate(session.id, false);
-                verdicts.push(Err(JoinError::OversizedInput {
-                    build_tuples: item.build.len(),
-                    probe_tuples: item.probe.len(),
-                    required_bytes: required,
-                    arena_bytes: self.arena_capacity,
-                }));
-                continue;
-            }
-            match self.run_on_session(&mut session, item.request, item.build, item.probe, required)
-            {
-                Ok(result) => {
-                    self.record_fate(session.id, result.is_ok());
-                    verdicts.push(result);
-                }
-                Err(payload) => {
-                    // The panic propagates to the batch submitter (matching
-                    // `submit`); the session goes back healthy either way.
-                    self.record_fate(session.id, false);
-                    self.return_session(session);
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
-        self.return_session(session);
-        verdicts
     }
 
     /// A cheap point-in-time load snapshot — what a server needs to shape
@@ -2738,102 +2629,6 @@ mod tests {
         // The engine stays usable for right-sized requests.
         let (small_r, small_s) = small_pair(16);
         assert!(engine.execute(&request, &small_r, &small_s).is_ok());
-    }
-
-    #[test]
-    fn submit_batch_serves_every_item_on_one_session() {
-        let (r, s) = small_pair(1000);
-        let expected = reference_match_count(&r, &s);
-        let engine = JoinEngine::coupled(EngineConfig::for_tuples(2000, 4000)).unwrap();
-        let shj = JoinRequest::builder().build().unwrap();
-        let phj = JoinRequest::builder()
-            .algorithm(Algorithm::partitioned_auto())
-            .scheme(Scheme::pipelined_paper())
-            .build()
-            .unwrap();
-        let items = vec![
-            BatchItem {
-                request: &shj,
-                build: &r,
-                probe: &s,
-            },
-            BatchItem {
-                request: &phj,
-                build: &r,
-                probe: &s,
-            },
-            BatchItem {
-                request: &shj,
-                build: &r,
-                probe: &s,
-            },
-        ];
-        let verdicts = engine.submit_batch(&items);
-        assert_eq!(verdicts.len(), 3);
-        for verdict in &verdicts {
-            assert_eq!(verdict.as_ref().unwrap().matches, expected);
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.requests_served, 3);
-        assert_eq!(stats.batches_submitted, 1);
-        assert_eq!(stats.batched_requests, 3);
-        // The whole batch held one session: one acquisition in the wait
-        // histogram, peak in-flight of 1.
-        assert_eq!(stats.queue_wait.count(), 1);
-        assert_eq!(stats.peak_in_flight, 1);
-        assert_eq!(stats.in_flight, 0);
-        // Every item ran on the same session.
-        let active: Vec<_> = stats
-            .per_session
-            .iter()
-            .filter(|per| per.requests_served > 0)
-            .collect();
-        assert_eq!(active.len(), 1);
-        assert_eq!(active[0].requests_served, 3);
-    }
-
-    #[test]
-    fn submit_batch_isolates_an_oversized_item() {
-        let (r, s) = small_pair(500);
-        let (big_r, big_s) = small_pair(50_000);
-        let engine = JoinEngine::coupled(EngineConfig::for_tuples(1000, 2000)).unwrap();
-        let request = JoinRequest::builder().build().unwrap();
-        let items = vec![
-            BatchItem {
-                request: &request,
-                build: &r,
-                probe: &s,
-            },
-            BatchItem {
-                request: &request,
-                build: &big_r,
-                probe: &big_s,
-            },
-            BatchItem {
-                request: &request,
-                build: &r,
-                probe: &s,
-            },
-        ];
-        let verdicts = engine.submit_batch(&items);
-        assert!(verdicts[0].is_ok());
-        assert!(matches!(verdicts[1], Err(JoinError::OversizedInput { .. })));
-        assert!(
-            verdicts[2].is_ok(),
-            "an oversized item must not poison its batch"
-        );
-        let stats = engine.stats();
-        assert_eq!(stats.requests_served, 2);
-        assert_eq!(stats.requests_failed, 1);
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let engine = JoinEngine::coupled(EngineConfig::for_tuples(64, 64)).unwrap();
-        assert!(engine.submit_batch(&[]).is_empty());
-        let stats = engine.stats();
-        assert_eq!(stats.batches_submitted, 0);
-        assert_eq!(stats.queue_wait.count(), 0);
     }
 
     #[test]

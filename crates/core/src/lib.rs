@@ -205,10 +205,6 @@
 //!   [`JoinError::Saturated`] (which now snapshots `in_flight`/`queued`)
 //!   is translated the same way, so an overloaded server never times a
 //!   client out.
-//! * **Cross-client batching** — count-only requests below a size floor
-//!   are coalesced across connections into one
-//!   [`JoinEngine::submit_batch`] call: one session acquisition and one
-//!   arena serve the whole run of small joins.
 //! * **Client** — the blocking [`server::JoinClient`]:
 //!
 //!   ```text
@@ -410,9 +406,8 @@ pub use cached::{CacheParams, CacheStats, CachedTable, TableHandle};
 pub use config::{Algorithm, HashTableMode, JoinConfig, Scheme, StepGranularity};
 pub use context::{arena_bytes_for, ExecContext, ExecCounters};
 pub use engine::{
-    BatchItem, CoupledSim, DiscreteSim, EngineConfig, EngineLoad, EngineStats, ExecBackend,
-    JoinEngine, JoinRequest, JoinRequestBuilder, NativeCpu, SessionStats, Tuning,
-    DEFAULT_TRACE_CAPACITY,
+    CoupledSim, DiscreteSim, EngineConfig, EngineLoad, EngineStats, ExecBackend, JoinEngine,
+    JoinRequest, JoinRequestBuilder, NativeCpu, SessionStats, Tuning, DEFAULT_TRACE_CAPACITY,
 };
 pub use error::JoinError;
 pub use executor::execute_join;

@@ -1,6 +1,5 @@
 //! The TCP front-end of the serving layer: accepting socket, connection
-//! handlers, SLO-aware admission, cross-client batching and graceful
-//! shutdown.
+//! handlers, SLO-aware admission and graceful shutdown.
 //!
 //! The protocol/admission/client half lives a layer below in the
 //! `hj-server` crate (re-exported as [`crate::server`]); this module owns
@@ -14,10 +13,6 @@
 //!   token buckets, the queue-time budget and deadline shedding — and a
 //!   shed request is answered with a typed `Overloaded` frame carrying a
 //!   retry hint and the engine load snapshot, never a timeout;
-//! * count-only requests below [`ServerConfig::batch_max_tuples`] from
-//!   *different* connections are coalesced by a background dispatcher into
-//!   one [`JoinEngine::submit_batch`] call, so a flood of small joins pays
-//!   one session acquisition per batch instead of per request;
 //! * a client may `Register` a named build table once and then send
 //!   `TableRef` requests carrying only the probe side: the server resolves
 //!   the name in the engine's table registry and submits on the probe-only
@@ -56,12 +51,12 @@
 //! ```
 
 use crate::config::{Algorithm, Scheme};
-use crate::engine::{BatchItem, JoinEngine, JoinRequest};
+use crate::engine::{JoinEngine, JoinRequest};
 use crate::error::JoinError;
 use crate::result::JoinOutcome;
-use hj_analysis::sync::{Condvar, Mutex};
+use hj_analysis::sync::Mutex;
 use hj_metrics::Counter;
-use hj_server::admission::{Admission, AdmissionController, AdmissionStats, SloConfig, Ticket};
+use hj_server::admission::{Admission, AdmissionController, AdmissionStats, SloConfig};
 use hj_server::frame::{
     read_frame, send_frame, write_frame, FrameType, WireError, DEFAULT_MAX_PAYLOAD_BYTES,
 };
@@ -71,7 +66,6 @@ use hj_server::message::{
     WireMetricsRequest, WireOverloaded, WireRefRequest, WireRegister, WireRegistered, WireRequest,
     WireResponse, WireTrace,
 };
-use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -91,14 +85,6 @@ pub struct ServerConfig {
     pub max_frame_bytes: usize,
     /// Pairs per streamed chunk frame of a collected result.
     pub chunk_pairs: usize,
-    /// Most requests one cross-client batch may coalesce; `1` disables
-    /// batching entirely.
-    pub batch_max_requests: usize,
-    /// Largest request (build + probe tuples) eligible for batching; bigger
-    /// requests — and any request streaming pairs — submit directly.
-    pub batch_max_tuples: usize,
-    /// Background dispatcher threads draining the batch queue.
-    pub dispatchers: usize,
     /// Bind address of the HTTP observability listener (`GET /metrics`,
     /// `GET /health`, `GET /debug/slowlog`); `None` (the default) serves no
     /// HTTP.  Use `127.0.0.1:0` for a free loopback port and read it back
@@ -113,9 +99,6 @@ impl Default for ServerConfig {
             slo: SloConfig::default(),
             max_frame_bytes: DEFAULT_MAX_PAYLOAD_BYTES,
             chunk_pairs: 64 * 1024,
-            batch_max_requests: 8,
-            batch_max_tuples: 8 * 1024,
-            dispatchers: 1,
             http_addr: None,
         }
     }
@@ -134,13 +117,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the cross-client batching bounds (`1` request disables it).
-    pub fn batching(mut self, max_requests: usize, max_tuples: usize) -> Self {
-        self.batch_max_requests = max_requests;
-        self.batch_max_tuples = max_tuples;
-        self
-    }
-
     /// Enables the HTTP observability listener on `addr`.
     pub fn http_addr(mut self, addr: impl Into<String>) -> Self {
         self.http_addr = Some(addr.into());
@@ -151,16 +127,6 @@ impl ServerConfig {
         if self.chunk_pairs == 0 {
             return Err(JoinError::InvalidConfig(
                 "chunk_pairs must be at least 1".to_string(),
-            ));
-        }
-        if self.batch_max_requests == 0 {
-            return Err(JoinError::InvalidConfig(
-                "batch_max_requests must be at least 1 (1 disables batching)".to_string(),
-            ));
-        }
-        if self.batch_max_requests > 1 && self.dispatchers == 0 {
-            return Err(JoinError::InvalidConfig(
-                "a batching server needs at least one dispatcher thread".to_string(),
             ));
         }
         self.slo
@@ -196,9 +162,11 @@ pub struct ServerStats {
     pub shed_queue_budget: u64,
     /// Sheds attributed to engine saturation (pool + admission queue full).
     pub shed_saturated: u64,
-    /// Cross-client batches dispatched to [`JoinEngine::submit_batch`].
+    /// Cross-client batches dispatched.  The server no longer batches, so
+    /// this always reads 0; it stays for readers of the old counter.
     pub batches_dispatched: u64,
-    /// Requests that rode inside those batches.
+    /// Requests that rode inside cross-client batches; always 0, like
+    /// [`batches_dispatched`](Self::batches_dispatched).
     pub batched_requests: u64,
     /// Connections dropped after a wire-protocol violation.
     pub protocol_errors: u64,
@@ -229,79 +197,10 @@ struct StatsInner {
     shed_quota: u64,
     shed_queue_budget: u64,
     shed_saturated: u64,
-    batches_dispatched: u64,
-    batched_requests: u64,
     protocol_errors: u64,
     request_latency: LatencyHistogram,
     http_requests: u64,
     http_bad_requests: u64,
-}
-
-/// What a batch dispatcher leaves in a waiting handler's slot.
-enum BatchReply {
-    /// The engine ran the request.
-    Ran(Box<Result<JoinOutcome, JoinError>>),
-    /// The request's deadline expired while it sat in the batch queue; the
-    /// handler answers with a deadline `Overloaded` frame.
-    Expired,
-    /// The engine panicked mid-batch; the handler answers with an
-    /// `Internal` error frame.
-    Panicked,
-}
-
-/// One handler's rendezvous with the dispatcher that runs its request.
-struct Slot {
-    reply: Mutex<Option<BatchReply>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Arc<Slot> {
-        Arc::new(Slot {
-            reply: Mutex::new("serve.slot_reply", None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, reply: BatchReply) {
-        *self.reply.lock() = Some(reply);
-        self.ready.notify_one();
-    }
-
-    fn take(&self) -> BatchReply {
-        let mut reply = self.reply.lock();
-        loop {
-            if let Some(reply) = reply.take() {
-                return reply;
-            }
-            reply = self.ready.wait(reply);
-        }
-    }
-}
-
-/// One admitted, batchable request parked in the batch queue.
-struct BatchEntry {
-    wire: WireRequest,
-    request: JoinRequest,
-    ticket: Ticket,
-    /// Absolute deadline on the server clock (ns since server start);
-    /// `None` when the request carries no deadline.
-    deadline_at_ns: Option<u64>,
-    slot: Arc<Slot>,
-}
-
-impl BatchEntry {
-    /// Batch compatibility key: only requests the engine would execute
-    /// identically apart from their inputs ride in one batch.
-    fn key(&self) -> (u8, u8) {
-        (self.wire.algorithm as u8, self.wire.scheme as u8)
-    }
-}
-
-struct Batcher {
-    queue: Mutex<VecDeque<BatchEntry>>,
-    nonempty: Condvar,
-    draining: AtomicBool,
 }
 
 /// Index into [`WireMetrics::frames`] for `Request` frames.
@@ -372,9 +271,9 @@ struct ServerShared {
     config: ServerConfig,
     admission: AdmissionController,
     started: Instant,
-    /// `shutting_down`, `live_handlers` and `Batcher::draining` all use
-    /// `SeqCst` deliberately: they are control-flow flags on cold paths
-    /// (accept loop, shutdown, drain), where the strongest ordering costs
+    /// `shutting_down` and `live_handlers` use `SeqCst` deliberately: they
+    /// are control-flow flags on cold paths (accept loop, shutdown),
+    /// where the strongest ordering costs
     /// nothing measurable and removes any reasoning burden.  The hot
     /// request path touches none of them.
     shutting_down: AtomicBool,
@@ -387,7 +286,6 @@ struct ServerShared {
     /// done with, and it keeps the table from growing with connection
     /// churn.
     conns: Mutex<Vec<(u64, TcpStream)>>,
-    batcher: Batcher,
     wire_metrics: WireMetrics,
 }
 
@@ -406,7 +304,6 @@ pub struct JoinServer {
     /// enabled one.
     http_addr: Option<SocketAddr>,
     http_listener_thread: Option<JoinHandle<()>>,
-    dispatcher_threads: Vec<JoinHandle<()>>,
     done: bool,
 }
 
@@ -421,8 +318,7 @@ impl std::fmt::Debug for JoinServer {
 
 impl JoinServer {
     /// Binds [`ServerConfig::addr`] and starts serving `engine` — the
-    /// accept loop, the batch dispatchers and one handler thread per
-    /// connection all run in the background until
+    /// accept loop and one handler thread per connection all run in the background until
     /// [`shutdown`](Self::shutdown) (or drop).
     ///
     /// # Errors
@@ -436,8 +332,6 @@ impl JoinServer {
         })?;
         let admission = AdmissionController::new(config.slo.clone(), engine.config().sessions)
             .map_err(|reason| JoinError::InvalidConfig(format!("invalid SLO config: {reason}")))?;
-        let batching = config.batch_max_requests > 1;
-        let dispatchers = if batching { config.dispatchers } else { 0 };
         let wire_metrics = WireMetrics::register(engine.metrics_registry());
         let shared = Arc::new(ServerShared {
             engine,
@@ -449,23 +343,8 @@ impl JoinServer {
             live_handlers: AtomicUsize::new(0),
             handlers: Mutex::new("serve.handlers", Vec::new()),
             conns: Mutex::new("serve.conns", Vec::new()),
-            batcher: Batcher {
-                queue: Mutex::new("serve.batch_queue", VecDeque::new()),
-                nonempty: Condvar::new(),
-                draining: AtomicBool::new(false),
-            },
             wire_metrics,
         });
-
-        let dispatcher_threads = (0..dispatchers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("hj-serve-batch-{i}"))
-                    .spawn(move || dispatch_loop(&shared))
-                    .expect("spawn batch dispatcher")
-            })
-            .collect();
 
         let listener_thread = {
             let shared = Arc::clone(&shared);
@@ -501,7 +380,6 @@ impl JoinServer {
             listener_thread: Some(listener_thread),
             http_addr,
             http_listener_thread,
-            dispatcher_threads,
             done: false,
         })
     }
@@ -533,8 +411,8 @@ impl JoinServer {
             shed_quota: inner.shed_quota,
             shed_queue_budget: inner.shed_queue_budget,
             shed_saturated: inner.shed_saturated,
-            batches_dispatched: inner.batches_dispatched,
-            batched_requests: inner.batched_requests,
+            batches_dispatched: 0,
+            batched_requests: 0,
             protocol_errors: inner.protocol_errors,
             request_latency: inner.request_latency,
             live_handlers: self.shared.live_handlers.load(Ordering::SeqCst),
@@ -556,8 +434,8 @@ impl JoinServer {
 
     /// Stops the server gracefully: no new connections are accepted,
     /// every in-flight request runs to a complete reply, idle connections
-    /// are woken and closed, and every thread — accept loop, handlers,
-    /// dispatchers — is joined before this returns.  Idempotent; also runs
+    /// are woken and closed, and every thread — accept loops and
+    /// handlers — is joined before this returns.  Idempotent; also runs
     /// on drop.
     pub fn shutdown(&mut self) {
         if self.done {
@@ -589,14 +467,6 @@ impl JoinServer {
         }
         let handlers: Vec<_> = self.shared.handlers.lock().drain(..).collect();
         for handle in handlers {
-            let _ = handle.join();
-        }
-
-        // Only after every handler is gone (no new batch entries possible)
-        // may the dispatchers drain the queue and exit.
-        self.shared.batcher.draining.store(true, Ordering::SeqCst);
-        self.shared.batcher.nonempty.notify_all();
-        for handle in self.dispatcher_threads.drain(..) {
             let _ = handle.join();
         }
     }
@@ -1023,32 +893,14 @@ fn handle_request(
         }
     };
 
-    // Traced requests never batch: the flight recorder is a per-join
-    // artefact, and a batch settles many joins in one engine call.
-    let batchable = !wire.collect_pairs
-        && !wire.trace
-        && shared.config.batch_max_requests > 1
-        && tuples <= shared.config.batch_max_tuples;
-    let result = if batchable {
-        match run_batched(shared, wire, request, ticket, now_ns) {
-            BatchedVerdict::Result(id, result) => {
-                return finish_request(shared, stream, id, false, *result, arrived);
-            }
-            BatchedVerdict::Shed(id, reason, retry_after_ms) => {
-                return write_overloaded(shared, stream, id, reason, retry_after_ms);
-            }
-        }
-    } else {
-        let started = Instant::now();
-        let outcome = submit_guarded(&shared.engine, &request, &wire);
-        match &outcome {
-            Ok(_) => shared
-                .admission
-                .complete(ticket, started.elapsed().as_nanos() as u64),
-            Err(_) => shared.admission.abandon(ticket),
-        }
-        outcome
-    };
+    let started = Instant::now();
+    let result = submit_guarded(&shared.engine, &request, &wire);
+    match &result {
+        Ok(_) => shared
+            .admission
+            .complete(ticket, started.elapsed().as_nanos() as u64),
+        Err(_) => shared.admission.abandon(ticket),
+    }
     finish_request(shared, stream, wire.id, wire.collect_pairs, result, arrived)
 }
 
@@ -1091,9 +943,7 @@ fn handle_metrics(
 
 /// Serves one table-referencing request end to end, mirroring
 /// [`handle_request`] but resolving the build side in the engine's table
-/// registry and submitting on the cached, probe-only path.  Never batched:
-/// the cached path already skips the per-request build the batcher
-/// amortises.
+/// registry and submitting on the cached, probe-only path.
 fn handle_ref_request(
     shared: &Arc<ServerShared>,
     stream: &mut TcpStream,
@@ -1169,156 +1019,6 @@ fn handle_ref_request(
         outcome,
         arrived,
     )
-}
-
-/// What the batched path resolved to.  The result stays boxed (it is
-/// ~400 bytes of `JoinOutcome`) so the shed variant is not padded to it.
-enum BatchedVerdict {
-    Result(u64, Box<Result<JoinOutcome, JoinError>>),
-    Shed(u64, ShedReason, u32),
-}
-
-/// Parks an admitted request in the batch queue and blocks until a
-/// dispatcher settles it.
-fn run_batched(
-    shared: &Arc<ServerShared>,
-    wire: WireRequest,
-    request: JoinRequest,
-    ticket: Ticket,
-    now_ns: u64,
-) -> BatchedVerdict {
-    let id = wire.id;
-    let slot = Slot::new();
-    let deadline_at_ns =
-        (wire.deadline_ms > 0).then(|| now_ns.saturating_add(wire.deadline_ms as u64 * 1_000_000));
-    let entry = BatchEntry {
-        wire,
-        request,
-        ticket,
-        deadline_at_ns,
-        slot: Arc::clone(&slot),
-    };
-    {
-        let mut queue = shared.batcher.queue.lock();
-        queue.push_back(entry);
-    }
-    shared.batcher.nonempty.notify_one();
-    match slot.take() {
-        BatchReply::Ran(result) => BatchedVerdict::Result(id, result),
-        BatchReply::Expired => BatchedVerdict::Shed(
-            id,
-            ShedReason::Deadline,
-            shared.admission.estimated_wait_ms(),
-        ),
-        BatchReply::Panicked => BatchedVerdict::Result(
-            id,
-            Box::new(Err(JoinError::InvalidConfig(
-                "the engine panicked while executing this batch".to_string(),
-            ))),
-        ),
-    }
-}
-
-/// The batch dispatcher: pops a run of compatible entries, re-checks their
-/// deadlines, runs them as one [`JoinEngine::submit_batch`] and settles
-/// every slot.  Exits only when draining is flagged *and* the queue is
-/// empty, so shutdown never strands a waiting handler.
-fn dispatch_loop(shared: &Arc<ServerShared>) {
-    loop {
-        let batch = {
-            let mut queue = shared.batcher.queue.lock();
-            loop {
-                if !queue.is_empty() {
-                    break;
-                }
-                if shared.batcher.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = shared.batcher.nonempty.wait(queue);
-            }
-            let first = queue.pop_front().expect("nonempty queue");
-            let key = first.key();
-            let mut batch = vec![first];
-            let mut tuples: usize = batch[0].wire.build.len() + batch[0].wire.probe.len();
-            let mut i = 0;
-            while i < queue.len() && batch.len() < shared.config.batch_max_requests {
-                let candidate = &queue[i];
-                let candidate_tuples = candidate.wire.build.len() + candidate.wire.probe.len();
-                if candidate.key() == key
-                    && tuples + candidate_tuples
-                        <= shared.config.batch_max_requests * shared.config.batch_max_tuples
-                {
-                    tuples += candidate_tuples;
-                    batch.push(queue.remove(i).expect("index in bounds"));
-                } else {
-                    i += 1;
-                }
-            }
-            batch
-        };
-        run_batch(shared, batch);
-    }
-}
-
-fn run_batch(shared: &Arc<ServerShared>, batch: Vec<BatchEntry>) {
-    // Deadline re-check at dispatch: entries that already missed their
-    // deadline in the queue are shed now — running them would only waste a
-    // session on a reply the client has written off.
-    let now_ns = shared.now_ns();
-    let (expired, live): (Vec<BatchEntry>, Vec<BatchEntry>) = batch
-        .into_iter()
-        .partition(|entry| entry.deadline_at_ns.is_some_and(|at| at < now_ns));
-    for entry in expired {
-        shared.admission.abandon(entry.ticket);
-        {
-            let mut stats = shared.stats.lock();
-            stats.requests_shed += 1;
-            stats.shed_deadline += 1;
-        }
-        entry.slot.fill(BatchReply::Expired);
-    }
-    if live.is_empty() {
-        return;
-    }
-
-    {
-        let mut stats = shared.stats.lock();
-        stats.batches_dispatched += 1;
-        stats.batched_requests += live.len() as u64;
-    }
-    let items: Vec<BatchItem<'_>> = live
-        .iter()
-        .map(|entry| BatchItem {
-            request: &entry.request,
-            build: &entry.wire.build,
-            probe: &entry.wire.probe,
-        })
-        .collect();
-    let started = Instant::now();
-    let verdicts = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shared.engine.submit_batch(&items)
-    }));
-    drop(items);
-    match verdicts {
-        Ok(verdicts) => {
-            let per_item_ns = started.elapsed().as_nanos() as u64 / live.len().max(1) as u64;
-            for (entry, verdict) in live.into_iter().zip(verdicts) {
-                match &verdict {
-                    Ok(_) => shared.admission.complete(entry.ticket, per_item_ns),
-                    Err(_) => shared.admission.abandon(entry.ticket),
-                }
-                entry.slot.fill(BatchReply::Ran(Box::new(verdict)));
-            }
-        }
-        Err(_) => {
-            // The panic is contained to this dispatcher; every waiting
-            // handler gets a typed internal error instead of a hang.
-            for entry in live {
-                shared.admission.abandon(entry.ticket);
-                entry.slot.fill(BatchReply::Panicked);
-            }
-        }
-    }
 }
 
 /// Runs one direct submission, downgrading an engine panic to a typed

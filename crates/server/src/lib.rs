@@ -30,8 +30,8 @@
 //! * [`client`] — the blocking [`JoinClient`] plus [`RequestBuilder`] and
 //!   [`RefRequestBuilder`].
 //!
-//! The engine-facing half — the accepting socket, connection handlers,
-//! cross-client batching and graceful shutdown — lives in
+//! The engine-facing half — the accepting socket, connection handlers
+//! and graceful shutdown — lives in
 //! `hj_core::serve`, which maps [`WireRequest`]s onto engine submissions.
 
 pub mod admission;

@@ -26,8 +26,7 @@ fn main() {
     let tuples = 64 * 1024;
 
     // One engine, four pooled sessions: the server multiplexes every
-    // connection onto this pool, batching small count-only requests from
-    // different clients into single engine submissions.
+    // connection onto this pool, one engine submission per request.
     let engine = Arc::new(
         JoinEngine::native(EngineConfig::for_tuples(tuples, 2 * tuples).sessions(4))
             .expect("engine config"),
@@ -67,7 +66,7 @@ fn main() {
             let cache = engine.cache_stats();
             println!(
                 "served {} | shed {} (deadline {}, quota {}, queue {}, saturated {}) | \
-                 batches {} | p99 {:.2} ms | tables {} | cache {} hits / {} misses \
+                 p99 {:.2} ms | tables {} | cache {} hits / {} misses \
                  ({:.1} ms of builds skipped)",
                 stats.requests_served,
                 stats.requests_shed,
@@ -75,7 +74,6 @@ fn main() {
                 stats.shed_quota,
                 stats.shed_queue_budget,
                 stats.shed_saturated,
-                stats.batches_dispatched,
                 stats.request_latency.quantile_ms(0.99).unwrap_or(0.0),
                 stats.tables_registered,
                 cache.hits,

@@ -80,10 +80,10 @@ pub mod prelude {
     };
     pub use hj_core::spill::{MemoryBroker, SpillConfig, SpillReport};
     pub use hj_core::{
-        reference_match_count, Algorithm, BatchItem, CacheStats, CoupledSim, DiscreteSim,
-        EngineConfig, EngineLoad, EngineStats, ExecBackend, HashTableMode, JoinConfig, JoinEngine,
-        JoinError, JoinOutcome, JoinRequest, JoinServer, Morsel, NativeCpu, Ratios, Scheme,
-        ServerConfig, ServerStats, SessionStats, StepGranularity, TableHandle, Tuning, WorkerPool,
+        reference_match_count, Algorithm, CacheStats, CoupledSim, DiscreteSim, EngineConfig,
+        EngineLoad, EngineStats, ExecBackend, HashTableMode, JoinConfig, JoinEngine, JoinError,
+        JoinOutcome, JoinRequest, JoinServer, Morsel, NativeCpu, Ratios, Scheme, ServerConfig,
+        ServerStats, SessionStats, StepGranularity, TableHandle, Tuning, WorkerPool,
     };
     #[allow(deprecated)]
     pub use hj_core::{run_join, run_out_of_core_join};

@@ -107,7 +107,10 @@ fn sample(text: &str, name: &str) -> f64 {
 fn concurrent_scrapes_parse_and_counters_are_monotone() {
     let (r, s) = test_pair(400);
     for native in [false, true] {
-        let config = EngineConfig::for_tuples(1_024, 2_048).sessions(2);
+        // Every client's join waits for a session rather than being shed.
+        let config = EngineConfig::for_tuples(1_024, 2_048)
+            .sessions(2)
+            .queue_depth(8);
         let engine = if native {
             JoinEngine::native(config).unwrap()
         } else {
