@@ -5,18 +5,14 @@
 //! discrete-architecture transfer/merge accounting and the two algorithms
 //! (SHJ / PHJ) come together, mirroring Section 3 of the paper.  The
 //! functions here are *fallible* and allocate only from the context's
-//! arena, so a long-lived [`JoinEngine`] can run
+//! arena, so a long-lived [`JoinEngine`](crate::engine::JoinEngine) can run
 //! many requests over one reusable arena and reject, rather than crash on,
 //! a request that outgrows it.
-//!
-//! The deprecated free function [`run_join`] remains as a thin shim that
-//! spins up a single-use engine.
 
 use crate::build::{run_build_phase, BuildTarget};
 use crate::coarse::run_coarse_pair_joins;
 use crate::config::{Algorithm, HashTableMode, JoinConfig, Scheme, StepGranularity};
 use crate::context::ExecContext;
-use crate::engine::{EngineConfig, JoinEngine, JoinRequest};
 use crate::error::JoinError;
 use crate::hashtable::HashTable;
 use crate::partition::{default_radix_bits, run_partition_pass};
@@ -74,46 +70,6 @@ fn ratio_plan(cfg: &JoinConfig) -> Result<RatioPlan, JoinError> {
         scheme: cfg.scheme.label(),
         algorithm: cfg.algorithm.label(),
     })
-}
-
-/// Runs one hash join of `build ⨝ probe` on `sys` as configured by `cfg`.
-///
-/// # Deprecated
-/// This one-shot entry point allocates a fresh arena and context per call
-/// and panics on failure.  Construct a [`JoinEngine`] once and execute
-/// [`JoinRequest`]s against it instead:
-///
-/// ```
-/// use hj_core::engine::{EngineConfig, JoinEngine, JoinRequest};
-/// use hj_core::Scheme;
-///
-/// # let (build, probe) = datagen::generate_pair(&datagen::DataGenConfig::small(512, 1024));
-/// let mut engine = JoinEngine::coupled(EngineConfig::for_tuples(8_192, 16_384)).unwrap();
-/// let request = JoinRequest::builder().scheme(Scheme::pipelined_paper()).build().unwrap();
-/// let outcome = engine.execute(&request, &build, &probe).unwrap();
-/// ```
-///
-/// # Panics
-/// Panics when the join fails (e.g. on arena exhaustion); the engine path
-/// returns those failures as [`JoinError`] values.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct a JoinEngine once and execute JoinRequests against it; \
-            see the migration note in the hj_core crate docs"
-)]
-pub fn run_join(
-    sys: &SystemSpec,
-    build: &Relation,
-    probe: &Relation,
-    cfg: &JoinConfig,
-) -> JoinOutcome {
-    let request = JoinRequest::from_config(cfg.clone()).expect("invalid join configuration");
-    let config = EngineConfig::for_tuples(build.len(), probe.len()).with_allocator(cfg.allocator);
-    let mut engine =
-        JoinEngine::for_system(sys.clone(), config).expect("engine construction failed");
-    engine
-        .execute(&request, build, probe)
-        .expect("join execution failed")
 }
 
 /// Whether this run must keep per-device hash tables.
@@ -560,6 +516,7 @@ fn run_basic_unit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineConfig, JoinEngine, JoinRequest};
     use crate::result::reference_match_count;
     use datagen::DataGenConfig;
 
@@ -759,14 +716,5 @@ mod tests {
             }
         );
         assert!(ratio_plan(&JoinConfig::phj(Scheme::pipelined_paper())).is_ok());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_still_runs() {
-        let sys = SystemSpec::coupled_a8_3870k();
-        let (r, s, expected) = data(1000);
-        let out = run_join(&sys, &r, &s, &JoinConfig::shj(Scheme::pipelined_paper()));
-        assert_eq!(out.matches, expected);
     }
 }

@@ -345,30 +345,6 @@
 //! (one morsel per step).  A bad scheme/algorithm combination now surfaces
 //! as [`JoinError::InvalidScheme`] instead of a panic.
 //!
-//! ## Migrating from the 0.1 free functions
-//!
-//! `run_join` / `run_out_of_core_join` remain as deprecated shims that
-//! construct a single-use engine per call.  Replace
-//!
-//! ```text
-//! let out = run_join(&sys, &build, &probe, &JoinConfig::phj(scheme));
-//! ```
-//!
-//! with
-//!
-//! ```text
-//! let engine = JoinEngine::for_system(sys, EngineConfig::for_tuples(max_r, max_s))?;
-//! let request = JoinRequest::builder()
-//!     .algorithm(Algorithm::partitioned_auto())
-//!     .scheme(scheme)
-//!     .build()?;
-//! let out = engine.submit(&request, &build, &probe)?;
-//! ```
-//!
-//! and reuse the engine for subsequent joins.  `JoinConfig` knob setters map
-//! 1:1 onto builder methods (`with_hash_table` → `hash_table`, …); the
-//! out-of-core entry point becomes `.out_of_core(chunk_tuples)` on the
-//! builder.
 
 #![warn(missing_docs)]
 
@@ -411,12 +387,8 @@ pub use engine::{
 };
 pub use error::JoinError;
 pub use executor::execute_join;
-#[allow(deprecated)]
-pub use executor::run_join;
 pub use hashtable::HashTable;
 pub use outofcore::execute_out_of_core;
-#[allow(deprecated)]
-pub use outofcore::run_out_of_core_join;
 pub use outofcore::DEFAULT_CHUNK_TUPLES;
 pub use partition::{default_radix_bits, run_partition_pass};
 pub use phase::{PhaseExecution, StepExecution};

@@ -11,12 +11,10 @@
 //! time, with the copy accounting for only a few percent.
 //!
 //! The out-of-core path is requested through
-//! [`JoinRequest::builder().out_of_core(..)`](crate::engine::JoinRequestBuilder::out_of_core);
-//! the free function [`run_out_of_core_join`] remains as a deprecated shim.
+//! [`JoinRequest::builder().out_of_core(..)`](crate::engine::JoinRequestBuilder::out_of_core).
 
 use crate::config::JoinConfig;
 use crate::context::{arena_bytes_for, ExecContext};
-use crate::engine::{EngineConfig, JoinEngine, JoinRequest};
 use crate::error::JoinError;
 use crate::executor::execute_join;
 use crate::partition::run_partition_pass;
@@ -127,37 +125,6 @@ pub fn execute_out_of_core(
     }
 
     Ok(outcome)
-}
-
-/// Runs `build ⨝ probe` on `sys`, spilling through the zero-copy buffer when
-/// the data set does not fit.
-///
-/// # Deprecated
-/// Use a [`JoinEngine`] with
-/// [`JoinRequest::builder().out_of_core(chunk)`](crate::engine::JoinRequestBuilder::out_of_core)
-/// instead; this shim constructs a single-use engine per call and panics on
-/// failure.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct a JoinEngine and set JoinRequest::builder().out_of_core(chunk); \
-            see the migration note in the hj_core crate docs"
-)]
-pub fn run_out_of_core_join(
-    sys: &SystemSpec,
-    build: &Relation,
-    probe: &Relation,
-    cfg: &JoinConfig,
-    chunk_tuples: usize,
-) -> JoinOutcome {
-    let request = JoinRequest::from_config(cfg.clone())
-        .and_then(|r| r.with_out_of_core(chunk_tuples))
-        .expect("invalid join configuration");
-    let config = EngineConfig::for_tuples(build.len(), probe.len()).with_allocator(cfg.allocator);
-    let mut engine =
-        JoinEngine::for_system(sys.clone(), config).expect("engine construction failed");
-    engine
-        .execute(&request, build, probe)
-        .expect("out-of-core join execution failed")
 }
 
 /// Charges a copy between system memory and the zero-copy buffer at the

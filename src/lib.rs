@@ -42,16 +42,6 @@
 //! let outcome = engine.submit(&request, &build, &probe).unwrap();
 //! assert_eq!(outcome.matches, reference_match_count(&build, &probe));
 //! ```
-//!
-//! ## Migrating from the 0.1 free functions
-//!
-//! `run_join(&sys, &r, &s, &cfg)` and `run_out_of_core_join(..)` are
-//! deprecated shims that build a single-use engine per call.  Construct a
-//! [`JoinEngine`](hj_core::JoinEngine) once (`coupled()`, `discrete()`,
-//! `native()`, or `for_system(sys, ..)`), express the old `JoinConfig` knobs
-//! through [`JoinRequest::builder()`](hj_core::JoinRequest::builder), and
-//! handle the `Result` — see the `hj_core` crate docs for the side-by-side
-//! mapping.
 
 #![warn(missing_docs)]
 
@@ -85,8 +75,6 @@ pub mod prelude {
         JoinOutcome, JoinRequest, JoinServer, Morsel, NativeCpu, Ratios, Scheme, ServerConfig,
         ServerStats, SessionStats, StepGranularity, TableHandle, Tuning, WorkerPool,
     };
-    #[allow(deprecated)]
-    pub use hj_core::{run_join, run_out_of_core_join};
     pub use mem_alloc::AllocatorKind;
 }
 

@@ -1,7 +1,6 @@
 //! Integration tests of the engine/session API: arena reuse across
 //! requests, admission and error paths, builder validation at the facade
-//! level, backend behaviour, and equivalence of the deprecated free-function
-//! shims with the engine path.
+//! level and backend behaviour.
 
 use coupled_hashjoin::prelude::*;
 use datagen::Relation;
@@ -162,77 +161,6 @@ fn builder_validation_rejects_bad_requests_at_build_time() {
     // Errors are printable for operators.
     let err = JoinRequest::builder().out_of_core(0).build().unwrap_err();
     assert!(!err.to_string().is_empty());
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_run_join_shim_matches_the_engine_path() {
-    let (r, s, expected) = workload(3000, 6000);
-    for sys in [
-        SystemSpec::coupled_a8_3870k(),
-        SystemSpec::discrete_emulated(),
-    ] {
-        for cfg in [
-            JoinConfig::shj(Scheme::pipelined_paper()),
-            JoinConfig::phj(Scheme::data_dividing_paper()),
-            JoinConfig::shj(Scheme::basic_unit_default()).with_collect_results(true),
-        ] {
-            let shim = run_join(&sys, &r, &s, &cfg);
-
-            let config = EngineConfig::for_tuples(r.len(), s.len()).with_allocator(cfg.allocator);
-            let mut engine = JoinEngine::for_system(sys.clone(), config).unwrap();
-            let request = JoinRequest::from_config(cfg.clone()).unwrap();
-            let engine_out = engine.execute(&request, &r, &s).unwrap();
-
-            assert_eq!(shim.matches, expected, "{}", cfg.label());
-            assert_eq!(shim.matches, engine_out.matches, "{}", cfg.label());
-            assert_eq!(
-                shim.total_time(),
-                engine_out.total_time(),
-                "{}",
-                cfg.label()
-            );
-            assert_eq!(shim.pairs, engine_out.pairs, "{}", cfg.label());
-            assert_eq!(
-                shim.counters.pcie_bytes,
-                engine_out.counters.pcie_bytes,
-                "{}",
-                cfg.label()
-            );
-            assert_eq!(
-                shim.counters.lock_overhead,
-                engine_out.counters.lock_overhead,
-                "{}",
-                cfg.label()
-            );
-        }
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_out_of_core_shim_matches_the_engine_path() {
-    let mut sys = SystemSpec::coupled_a8_3870k();
-    sys.topology = Topology::Coupled {
-        shared_cache_bytes: 4 * 1024 * 1024,
-        zero_copy_bytes: 64 * 1024,
-    };
-    let (r, s, expected) = workload(15_000, 15_000);
-    let cfg = JoinConfig::shj(Scheme::pipelined_paper());
-
-    let shim = run_out_of_core_join(&sys, &r, &s, &cfg, 4096);
-
-    let mut engine =
-        JoinEngine::for_system(sys.clone(), EngineConfig::for_tuples(r.len(), s.len())).unwrap();
-    let request = JoinRequest::from_config(cfg.clone())
-        .and_then(|req| req.with_out_of_core(4096))
-        .unwrap();
-    let engine_out = engine.execute(&request, &r, &s).unwrap();
-
-    assert_eq!(shim.matches, expected);
-    assert_eq!(shim.matches, engine_out.matches);
-    assert_eq!(shim.total_time(), engine_out.total_time());
-    assert!(engine_out.breakdown.get(Phase::DataCopy) > SimTime::ZERO);
 }
 
 #[test]
