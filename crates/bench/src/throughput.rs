@@ -10,10 +10,7 @@
 //! Every client count runs against an identically-configured engine — the
 //! pool defaults to one worker per hardware thread, so a single client
 //! still uses the whole machine and extra clients only add admission
-//! concurrency.  (The previous runner divided the cores across sessions by
-//! hand with `NativeCpu::with_threads(cores / clients)` to compensate for
-//! per-step thread spawning; the shared pool makes that workaround
-//! obsolete.)
+//! concurrency.
 //!
 //! CI gating knobs (environment):
 //!

@@ -164,9 +164,6 @@
 //!   *fall* as clients rose.  The pool parks idle workers on a condition
 //!   variable and joins them all when the engine drops.
 //!
-//! **Migrating `NativeCpu::with_threads(n)` callers:** size the engine's
-//! pool instead — `JoinEngine::new(Box::new(NativeCpu::new()),
-//! cfg.worker_threads(n))`; see [`NativeCpu::with_threads`].
 //! [`EngineStats::worker_threads`] and [`EngineStats::per_worker_tasks`]
 //! report the pool's size and per-worker activity.
 //!

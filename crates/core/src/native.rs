@@ -57,7 +57,7 @@ use crate::context::ExecContext;
 use crate::engine::{ExecBackend, JoinRequest};
 use crate::error::JoinError;
 use crate::hash::{hash_key, FastMod};
-use crate::pipeline::{morsel_ranges, SharedWorkerPool, WorkerPool};
+use crate::pipeline::{morsel_ranges, WorkerPool};
 use crate::result::JoinOutcome;
 use apu_sim::{Phase, SimTime, SystemSpec};
 use datagen::Relation;
@@ -685,22 +685,18 @@ pub(crate) fn probe(
 /// to bound per-task allocation churn).
 #[derive(Debug)]
 pub struct NativeCpu {
-    threads: usize,
     sys: SystemSpec,
     gate: ExecGate,
     scratch: Scratch,
-    /// Lazily-spawned pool for engine-less use (deprecated shim paths):
-    /// spawned at most once per backend instance, never per call.
-    fallback: SharedWorkerPool,
 }
 
 impl Clone for NativeCpu {
-    /// Clones the configuration but **not** the execution gate, the kept
-    /// buffers or the fallback pool: a clone handed to a second engine
-    /// gates against that engine's own pool instead of sharing (and
-    /// halving) the original's execution slots.
+    /// A fresh backend: **not** the execution gate or the kept buffers, so
+    /// a clone handed to a second engine gates against that engine's own
+    /// pool instead of sharing (and halving) the original's execution
+    /// slots.
     fn clone(&self) -> Self {
-        NativeCpu::with_threads(self.threads)
+        NativeCpu::new()
     }
 }
 
@@ -774,55 +770,36 @@ impl Drop for ExecSlot<'_> {
 }
 
 impl NativeCpu {
-    /// One worker per available hardware thread.
+    /// A native backend.  Inside a [`JoinEngine`](crate::JoinEngine) its
+    /// multi-morsel phases run on the engine's shared [`WorkerPool`]
+    /// (sized by
+    /// [`EngineConfig::worker_threads`](crate::EngineConfig::worker_threads));
+    /// on an [`ExecContext`] without a pool every phase runs on the calling
+    /// thread.  The backend never spawns a thread of its own.
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-        NativeCpu::with_threads(threads)
-    }
-
-    /// A fixed worker count (at least 1) for the **fallback** pool only.
-    ///
-    /// Inside a [`JoinEngine`](crate::JoinEngine) this value is ignored —
-    /// the engine's shared [`WorkerPool`] (sized by
-    /// [`EngineConfig::worker_threads`](crate::EngineConfig::worker_threads))
-    /// executes every phase that spans more than one morsel.  It is
-    /// consulted only when the backend runs without an engine-provided
-    /// pool, e.g. through the deprecated one-shot shims.
-    pub fn with_threads(threads: usize) -> Self {
-        let threads = threads.max(1);
         NativeCpu {
-            threads,
             // The native backend does not simulate; a nominal spec is kept
             // only so the engine can size contexts and admission uniformly.
             sys: SystemSpec::coupled_a8_3870k(),
             gate: ExecGate::default(),
             scratch: Scratch::default(),
-            fallback: SharedWorkerPool::new(threads),
         }
     }
 
-    /// The configured fallback worker count (see
-    /// [`with_threads`](Self::with_threads)).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// What every native execution starts with: the pool its multi-morsel
-    /// phases go to (the engine's; the backend's own only without an
-    /// engine), one of the gate's execution slots, and the morsel size —
-    /// floored, because each scatter task allocates a buffer per shard and
-    /// tuple-sized morsels (legal for the simulator, where a morsel is an
-    /// accounting range) would mean millions of allocations here.
+    /// phases go to (the context's, if it has one), one of the gate's
+    /// execution slots, and the morsel size — floored, because each scatter
+    /// task allocates a buffer per shard and tuple-sized morsels (legal for
+    /// the simulator, where a morsel is an accounting range) would mean
+    /// millions of allocations here.
     fn enter<'a>(
         &'a self,
         ctx: &ExecContext<'a>,
         request: &JoinRequest,
     ) -> (Placement<'a>, ExecSlot<'a>) {
-        let pool: &WorkerPool = match ctx.worker_pool() {
-            Some(pool) => pool,
-            None => self.fallback.get(),
-        };
-        let slot = self.gate.acquire(pool.workers());
+        let pool = ctx.worker_pool();
+        // Without a pool, joins run on their callers' threads one at a time.
+        let slot = self.gate.acquire(pool.map_or(1, WorkerPool::workers));
         let morsel = request.config().morsel_tuples.max(NATIVE_MIN_CHUNK_TUPLES);
         (Placement { pool, morsel }, slot)
     }
@@ -831,16 +808,18 @@ impl NativeCpu {
 /// Where a native execution's phases run.
 #[derive(Clone, Copy)]
 struct Placement<'a> {
-    pool: &'a WorkerPool,
+    /// `None`: every phase runs on the calling thread.
+    pool: Option<&'a WorkerPool>,
     morsel: usize,
 }
 
 impl<'a> Placement<'a> {
     /// The pool for a phase over `tuples` tuples: none — the calling thread
-    /// — when they fit one morsel, since a pool job would cost a wake-up
-    /// and move the input to another core's cache for no parallelism.
+    /// — when there is no pool or they fit one morsel, since a pool job
+    /// would cost a wake-up and move the input to another core's cache for
+    /// no parallelism.
     fn pool_for(self, tuples: usize) -> Option<&'a WorkerPool> {
-        (tuples > self.morsel).then_some(self.pool)
+        self.pool.filter(|_| tuples > self.morsel)
     }
 }
 

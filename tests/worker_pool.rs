@@ -7,6 +7,7 @@
 use coupled_hashjoin::prelude::*;
 use datagen::{Relation, SmallRng};
 use hj_core::engine::NATIVE_MIN_CHUNK_TUPLES;
+use hj_core::{arena_bytes_for, reference_pairs, ExecContext};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -210,6 +211,48 @@ fn native_pairs_are_byte_identical_across_worker_counts() {
         single.pairs, multi.pairs,
         "native morsel fold must stay in morsel order at any worker count"
     );
+}
+
+#[test]
+fn native_backend_without_an_engine_runs_on_the_calling_thread() {
+    // An `ExecContext` with no worker pool: every phase of the native
+    // backend runs on the calling thread, morsel after morsel, and must
+    // answer exactly what the engine's pool answers.
+    let mut rng = SmallRng::seed_from_u64(0x5EED);
+    let r = random_relation(&mut rng, 4 * NATIVE_MIN_CHUNK_TUPLES, 5000);
+    let s = random_relation(&mut rng, 4 * NATIVE_MIN_CHUNK_TUPLES, 9000);
+    let mut expected_pairs = reference_pairs(&r, &s);
+    expected_pairs.sort_unstable();
+    let engine = JoinEngine::native(EngineConfig::for_tuples(r.len(), s.len())).unwrap();
+    let backend = NativeCpu::new();
+    for algorithm in [Algorithm::Simple, Algorithm::partitioned_auto()] {
+        for collect in [false, true] {
+            let request = JoinRequest::builder()
+                .algorithm(algorithm)
+                .morsel_tuples(NATIVE_MIN_CHUNK_TUPLES)
+                .collect_results(collect)
+                .build()
+                .unwrap();
+            let mut ctx = ExecContext::new(
+                backend.system(),
+                AllocatorKind::tuned(),
+                arena_bytes_for(r.len(), s.len()),
+                false,
+            );
+            let alone = backend.execute(&mut ctx, &r, &s, &request).unwrap();
+            let pooled = engine.submit(&request, &r, &s).unwrap();
+            let label = format!("{} collect={collect}", algorithm.label());
+            assert_eq!(alone.matches, expected_pairs.len() as u64, "{label}");
+            assert_eq!(alone.matches, pooled.matches, "{label}");
+            assert_eq!(alone.pairs, pooled.pairs, "{label}");
+            if let Some(mut pairs) = alone.pairs {
+                pairs.sort_unstable();
+                assert_eq!(pairs, expected_pairs, "{label}");
+            } else {
+                assert!(!collect, "{label}: a collecting join returned no pairs");
+            }
+        }
+    }
 }
 
 #[test]
