@@ -709,13 +709,13 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 /// Default interval between the background sampler's registry snapshots.
 pub const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
 
-/// Default capacity (points) of the engine's time-series ring.
+/// Capacity (points) of the engine's time-series ring (drop-oldest).
 pub const DEFAULT_TIMESERIES_CAPACITY: usize = 256;
 
 /// Default wall-clock threshold past which a join lands in the slow-log.
 pub const DEFAULT_SLOW_JOIN_THRESHOLD: Duration = Duration::from_millis(100);
 
-/// Default capacity (records) of the engine's slow-join log.
+/// Capacity (records) of the engine's slow-join log (drop-oldest).
 pub const DEFAULT_SLOWLOG_CAPACITY: usize = 64;
 
 /// Sizing, allocator and concurrency policy of a [`JoinEngine`]'s session
@@ -769,17 +769,11 @@ pub struct EngineConfig {
     /// `Duration::ZERO` disables the sampler thread entirely; sampling can
     /// still be driven explicitly via [`JoinEngine::sample_now`].
     pub sample_interval: Duration,
-    /// Capacity (points) of the time-series ring (drop-oldest; clamped to
-    /// at least 2 — one point derives no rates).
-    pub timeseries_capacity: usize,
     /// Wall-clock threshold past which a completed join is retained in the
     /// slow-log ([`JoinEngine::slow_log`]) with its full flight-recorder
     /// trace, *even when the request was built with `trace(false)`*.
     /// `Duration::ZERO` disables slow-join retention.
     pub slow_join_threshold: Duration,
-    /// Capacity (records) of the slow-join log (drop-oldest; clamped to at
-    /// least 1).
-    pub slowlog_capacity: usize,
 }
 
 impl EngineConfig {
@@ -798,9 +792,7 @@ impl EngineConfig {
             memory_budget: None,
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             sample_interval: DEFAULT_SAMPLE_INTERVAL,
-            timeseries_capacity: DEFAULT_TIMESERIES_CAPACITY,
             slow_join_threshold: DEFAULT_SLOW_JOIN_THRESHOLD,
-            slowlog_capacity: DEFAULT_SLOWLOG_CAPACITY,
         }
     }
 
@@ -880,22 +872,10 @@ impl EngineConfig {
         self
     }
 
-    /// Sizes the time-series ring (points; clamped to at least 2).
-    pub fn timeseries_capacity(mut self, points: usize) -> Self {
-        self.timeseries_capacity = points;
-        self
-    }
-
     /// Sets the slow-join retention threshold (`Duration::ZERO` disables
     /// the slow-log).
     pub fn slow_join_threshold(mut self, threshold: Duration) -> Self {
         self.slow_join_threshold = threshold;
-        self
-    }
-
-    /// Sizes the slow-join log (records; clamped to at least 1).
-    pub fn slowlog_capacity(mut self, records: usize) -> Self {
-        self.slowlog_capacity = records;
         self
     }
 
@@ -1507,7 +1487,7 @@ impl JoinEngine {
         let workers = SharedWorkerPool::new(config.effective_worker_threads());
         let sampler_shared = SamplerShared {
             registry: Arc::clone(&metrics_registry),
-            timeseries: Arc::new(TimeSeriesRing::new(config.timeseries_capacity)),
+            timeseries: Arc::new(TimeSeriesRing::new(DEFAULT_TIMESERIES_CAPACITY)),
             health: Arc::new(HealthMonitor::new(HealthConfig::default())),
             workers: workers.clone(),
             tracer: Arc::clone(&tracer),
@@ -1564,7 +1544,7 @@ impl JoinEngine {
             tracer,
             timeseries: Arc::clone(&sampler_shared.timeseries),
             health: Arc::clone(&sampler_shared.health),
-            slow_log: Arc::new(SlowLog::new(config.slowlog_capacity)),
+            slow_log: Arc::new(SlowLog::new(DEFAULT_SLOWLOG_CAPACITY)),
             sampler_shared,
             sampler,
             arena_capacity: capacity,
