@@ -40,7 +40,8 @@
 use crate::common::{banner, ExpContext};
 use datagen::{Relation, SmallRng};
 use hj_analysis::sync::Mutex;
-use hj_core::server::{JoinClient, LatencyHistogram, RequestBuilder, SloConfig, WireRequest};
+use hj_core::metrics::LatencyHistogram;
+use hj_core::server::{JoinClient, RequestBuilder, SloConfig, WireRequest};
 use hj_core::{EngineConfig, JoinEngine, JoinServer, NativeCpu, ServerConfig};
 use std::net::SocketAddr;
 use std::sync::mpsc;

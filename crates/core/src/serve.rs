@@ -55,12 +55,11 @@ use crate::engine::{JoinEngine, JoinRequest};
 use crate::error::JoinError;
 use crate::result::JoinOutcome;
 use hj_analysis::sync::Mutex;
-use hj_metrics::Counter;
+use hj_metrics::{Counter, LatencyHistogram};
 use hj_server::admission::{Admission, AdmissionController, AdmissionStats, SloConfig};
 use hj_server::frame::{
     read_frame, send_frame, write_frame, FrameType, WireError, DEFAULT_MAX_PAYLOAD_BYTES,
 };
-use hj_server::histogram::LatencyHistogram;
 use hj_server::message::{
     ShedReason, WireChunk, WireDone, WireErrorCode, WireFailure, WireMetricsReply,
     WireMetricsRequest, WireOverloaded, WireRefRequest, WireRegister, WireRegistered, WireRequest,

@@ -488,7 +488,6 @@ pub fn generate_probe_table(
 }
 
 /// Sanity check used by tests: header size is what the writer assumes.
-#[allow(dead_code)]
 const _: () = assert!(HEADER_BYTES == 16);
 
 #[cfg(test)]

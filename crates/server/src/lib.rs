@@ -23,10 +23,6 @@
 //!   token-bucket quotas, an EWMA service-time estimate, a queue-time
 //!   budget and deadline-based shedding, all on a caller-supplied clock
 //!   so every decision is deterministic under test;
-//! * [`histogram`] — a re-export of the shared log2-bucket
-//!   [`LatencyHistogram`] from `hj-metrics`, which the engine (queue-wait
-//!   and cache-build stats) and the bench harness (tail-latency
-//!   percentiles) record into;
 //! * [`client`] — the blocking [`JoinClient`] plus [`RequestBuilder`] and
 //!   [`RefRequestBuilder`].
 //!
@@ -37,7 +33,6 @@
 pub mod admission;
 pub mod client;
 pub mod frame;
-pub mod histogram;
 pub mod message;
 
 pub use admission::{Admission, AdmissionController, AdmissionStats, SloConfig, Ticket};
@@ -46,7 +41,6 @@ pub use frame::{
     read_frame, send_frame, write_frame, FrameType, PayloadReader, PayloadWriter, WireError,
     DEFAULT_MAX_PAYLOAD_BYTES, HEADER_BYTES, MAGIC, VERSION,
 };
-pub use histogram::{LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use message::{
     ShedReason, WireAlgorithm, WireChunk, WireDone, WireErrorCode, WireFailure, WireMetricsReply,
     WireMetricsRequest, WireOverloaded, WireRefRequest, WireRegister, WireRegistered, WireRequest,
