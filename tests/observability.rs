@@ -1,9 +1,12 @@
 //! Observability integration tests: the flight recorder never perturbs
 //! join results, the trace ring drops oldest under overflow instead of
-//! blocking or growing, and the metrics registry snapshot reconciles with
-//! `EngineStats`.
+//! blocking or growing, the metrics registry snapshot reconciles with
+//! `EngineStats`, and the registry matches the documented metric
+//! catalogue.
 
 use coupled_hashjoin::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn test_pair(n: usize) -> (Relation, Relation) {
     datagen::generate_pair(&DataGenConfig::small(n, 2 * n))
@@ -200,4 +203,54 @@ fn spill_metrics_and_trace_events_flow_through() {
             "spilling traced joins must carry spill events"
         );
     }
+}
+
+/// The `hj_*` family names of `docs/OBSERVABILITY.md`'s "Metric catalogue"
+/// tables: the first cell of every table row.
+fn catalogue_families() -> BTreeSet<String> {
+    include_str!("../docs/OBSERVABILITY.md")
+        .split("\n## ")
+        .find(|section| section.starts_with("Metric catalogue"))
+        .expect("the doc has a metric catalogue")
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `hj_"))
+        .map(|rest| format!("hj_{}", &rest[..rest.find('`').expect("closing backtick")]))
+        .collect()
+}
+
+/// Every family a served native engine registers is documented in the
+/// metric catalogue, and every documented family is registered.
+#[test]
+fn metric_catalogue_matches_the_registry() {
+    let (r, s) = test_pair(2_000);
+    let engine = Arc::new(JoinEngine::native(EngineConfig::for_tuples(2_000, 4_000)).unwrap());
+    let server = JoinServer::start(
+        Arc::clone(&engine),
+        ServerConfig::default().http_addr("127.0.0.1:0"),
+    )
+    .unwrap();
+    let mut client = JoinClient::connect(server.local_addr()).unwrap();
+    let out = client
+        .join(RequestBuilder::new(r.clone(), s.clone()).build())
+        .unwrap();
+    assert_eq!(out.matches, reference_match_count(&r, &s));
+
+    let registered: BTreeSet<String> = engine
+        .metrics_registry()
+        .snapshot()
+        .iter()
+        .map(|sample| sample.name.to_string())
+        .filter(|name| name.starts_with("hj_"))
+        .collect();
+    let documented = catalogue_families();
+    let undocumented: Vec<_> = registered.difference(&documented).collect();
+    let unregistered: Vec<_> = documented.difference(&registered).collect();
+    assert!(
+        undocumented.is_empty(),
+        "registered but missing from the catalogue: {undocumented:?}"
+    );
+    assert!(
+        unregistered.is_empty(),
+        "in the catalogue but never registered: {unregistered:?}"
+    );
 }
