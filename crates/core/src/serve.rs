@@ -161,10 +161,10 @@ pub struct ServerStats {
     pub shed_queue_budget: u64,
     /// Sheds attributed to engine saturation (pool + admission queue full).
     pub shed_saturated: u64,
-    /// Cross-client batches dispatched.  The server no longer batches, so
-    /// this always reads 0; it stays for readers of the old counter.
+    /// Cross-client batches dispatched: always 0, since every request is
+    /// submitted on its own.  Kept for readers of this counter.
     pub batches_dispatched: u64,
-    /// Requests that rode inside cross-client batches; always 0, like
+    /// Requests that rode inside cross-client batches: always 0, like
     /// [`batches_dispatched`](Self::batches_dispatched).
     pub batched_requests: u64,
     /// Connections dropped after a wire-protocol violation.
