@@ -58,7 +58,8 @@ use hj_analysis::sync::Mutex;
 use hj_metrics::{Counter, LatencyHistogram};
 use hj_server::admission::{Admission, AdmissionController, AdmissionStats, SloConfig};
 use hj_server::frame::{
-    read_frame, send_frame, write_frame, FrameType, WireError, DEFAULT_MAX_PAYLOAD_BYTES,
+    append_frame, read_frame_into, release_oversized, FrameType, WireError,
+    DEFAULT_MAX_PAYLOAD_BYTES,
 };
 use hj_server::message::{
     ShedReason, WireChunk, WireDone, WireErrorCode, WireFailure, WireMetricsReply,
@@ -515,91 +516,117 @@ fn accept_loop(shared: &Arc<ServerShared>, listener: TcpListener) {
     }
 }
 
-fn handle_connection(shared: &Arc<ServerShared>, mut stream: TcpStream, client_id: u64) {
+/// One client connection and the reply buffer it reuses for every frame
+/// it sends, as long as the connection lives.
+struct Connection {
+    stream: TcpStream,
+    reply: Vec<u8>,
+}
+
+impl Connection {
+    /// Sends a one-frame reply.
+    fn send(
+        &mut self,
+        frame_type: FrameType,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), WireError> {
+        append_frame(&mut self.reply, frame_type, encode);
+        self.write_reply()
+    }
+
+    /// Writes the frames the reply buffer holds in one call and empties
+    /// the buffer, keeping its capacity.
+    fn write_reply(&mut self) -> Result<(), WireError> {
+        let written = self.stream.write_all(&self.reply);
+        self.reply.clear();
+        Ok(written?)
+    }
+}
+
+/// Serves one connection's frames in order.  Every request frame is read
+/// into one buffer and every reply encoded into another, both kept across
+/// requests, so after warm-up a request allocates, zero-fills and faults
+/// in no payload-sized buffer; either one left larger than
+/// [`RETAINED_FRAME_BYTES`](hj_server::frame::RETAINED_FRAME_BYTES) by a
+/// message is released after it.
+fn handle_connection(shared: &Arc<ServerShared>, stream: TcpStream, client_id: u64) {
+    let mut conn = Connection {
+        stream,
+        reply: Vec::new(),
+    };
+    let mut payload = Vec::new();
     loop {
-        match read_frame(&mut stream, shared.config.max_frame_bytes) {
-            Ok(None) => return, // clean close between frames
-            Ok(Some((FrameType::Request, payload))) => {
-                let arrived = Instant::now();
-                match WireRequest::decode(&payload) {
-                    Ok(wire) => {
-                        if handle_request(shared, &mut stream, client_id, wire, arrived).is_err() {
-                            return; // peer gone mid-reply
-                        }
-                    }
-                    Err(err) => {
-                        close_on_protocol_error(shared, &mut stream, &err);
-                        return;
-                    }
-                }
-            }
-            Ok(Some((FrameType::Register, payload))) => match WireRegister::decode(&payload) {
-                Ok(register) => {
-                    if handle_register(shared, &mut stream, register).is_err() {
-                        return; // peer gone mid-reply
-                    }
-                }
-                Err(err) => {
-                    close_on_protocol_error(shared, &mut stream, &err);
-                    return;
-                }
-            },
-            Ok(Some((FrameType::TableRef, payload))) => {
-                let arrived = Instant::now();
-                match WireRefRequest::decode(&payload) {
-                    Ok(wire) => {
-                        if handle_ref_request(shared, &mut stream, client_id, wire, arrived)
-                            .is_err()
-                        {
-                            return; // peer gone mid-reply
-                        }
-                    }
-                    Err(err) => {
-                        close_on_protocol_error(shared, &mut stream, &err);
-                        return;
-                    }
-                }
-            }
-            Ok(Some((FrameType::Metrics, payload))) => match WireMetricsRequest::decode(&payload) {
-                Ok(request) => {
-                    if handle_metrics(shared, &mut stream, request).is_err() {
-                        return; // peer gone mid-reply
-                    }
-                }
-                Err(err) => {
-                    close_on_protocol_error(shared, &mut stream, &err);
-                    return;
-                }
-            },
-            Ok(Some((other, _))) => {
-                let err = WireError::Protocol {
-                    detail: format!(
-                        "clients may only send Request, Register, TableRef or Metrics \
-                         frames, got {other:?}"
-                    ),
-                };
-                close_on_protocol_error(shared, &mut stream, &err);
-                return;
-            }
-            Err(WireError::Io(_)) => return, // peer vanished or timed out
-            Err(err) => {
-                close_on_protocol_error(shared, &mut stream, &err);
-                return;
-            }
+        let frame = read_frame_into(
+            &mut conn.stream,
+            shared.config.max_frame_bytes,
+            &mut payload,
+        );
+        let served = serve_frame(shared, &mut conn, client_id, frame, &payload);
+        release_oversized(&mut payload);
+        release_oversized(&mut conn.reply);
+        if !served {
+            return;
+        }
+    }
+}
+
+/// Answers one frame read by [`handle_connection`]; `false` ends the
+/// connection (clean close, vanished peer or protocol violation).
+fn serve_frame(
+    shared: &Arc<ServerShared>,
+    conn: &mut Connection,
+    client_id: u64,
+    frame: Result<Option<FrameType>, WireError>,
+    payload: &[u8],
+) -> bool {
+    let frame_type = match frame {
+        Ok(Some(frame_type)) => frame_type,
+        // A clean close between frames, or a peer that vanished or timed out.
+        Ok(None) | Err(WireError::Io(_)) => return false,
+        Err(err) => {
+            close_on_protocol_error(shared, conn, &err);
+            return false;
+        }
+    };
+    let arrived = Instant::now();
+    let replied = match frame_type {
+        FrameType::Request => WireRequest::decode(payload)
+            .map(|wire| handle_request(shared, conn, client_id, wire, arrived)),
+        FrameType::Register => {
+            WireRegister::decode(payload).map(|wire| handle_register(shared, conn, wire))
+        }
+        FrameType::TableRef => WireRefRequest::decode(payload)
+            .map(|wire| handle_ref_request(shared, conn, client_id, wire, arrived)),
+        FrameType::Metrics => {
+            WireMetricsRequest::decode(payload).map(|wire| handle_metrics(shared, conn, wire))
+        }
+        other => Err(WireError::Protocol {
+            detail: format!(
+                "clients may only send Request, Register, TableRef or Metrics \
+                 frames, got {other:?}"
+            ),
+        }),
+    };
+    match replied {
+        // A failed reply write means the peer is gone mid-reply.
+        Ok(written) => written.is_ok(),
+        Err(err) => {
+            close_on_protocol_error(shared, conn, &err);
+            false
         }
     }
 }
 
 /// Reports a protocol violation best-effort (the peer may already be gone)
 /// and lets the caller close the connection.
-fn close_on_protocol_error(shared: &Arc<ServerShared>, stream: &mut TcpStream, err: &WireError) {
+fn close_on_protocol_error(shared: &Arc<ServerShared>, conn: &mut Connection, err: &WireError) {
     shared.stats.lock().protocol_errors += 1;
     let failure = WireFailure {
         id: 0,
         code: WireErrorCode::Protocol,
         message: err.to_string(),
     };
-    let _ = send_frame(stream, FrameType::Error, &failure.encode());
+    let _ = conn.send(FrameType::Error, |out| failure.encode_into(out));
 }
 
 // ---------------------------------------------------------------------------
@@ -860,7 +887,7 @@ fn write_http_response(stream: &mut TcpStream, response: &HttpResponse) {
 /// return `Ok`.
 fn handle_request(
     shared: &Arc<ServerShared>,
-    stream: &mut TcpStream,
+    conn: &mut Connection,
     client_id: u64,
     wire: WireRequest,
     arrived: Instant,
@@ -880,7 +907,7 @@ fn handle_request(
                 reason,
                 retry_after_ms,
             } => {
-                return write_overloaded(shared, stream, wire.id, reason, retry_after_ms);
+                return write_overloaded(shared, conn, wire.id, reason, retry_after_ms);
             }
         };
 
@@ -888,7 +915,7 @@ fn handle_request(
         Ok(request) => request,
         Err(err) => {
             shared.admission.abandon(ticket);
-            return write_failure(shared, stream, wire.id, &err);
+            return write_failure(shared, conn, wire.id, &err);
         }
     };
 
@@ -900,7 +927,7 @@ fn handle_request(
             .complete(ticket, started.elapsed().as_nanos() as u64),
         Err(_) => shared.admission.abandon(ticket),
     }
-    finish_request(shared, stream, wire.id, wire.collect_pairs, result, arrived)
+    finish_request(shared, conn, wire.id, wire.collect_pairs, result, arrived)
 }
 
 /// Serves one table registration.  Registration ships data but runs no
@@ -908,7 +935,7 @@ fn handle_request(
 /// acknowledgement carrying the registry version the engine assigned.
 fn handle_register(
     shared: &Arc<ServerShared>,
-    stream: &mut TcpStream,
+    conn: &mut Connection,
     register: WireRegister,
 ) -> Result<(), WireError> {
     shared.wire_metrics.frames[FRAME_REGISTER].inc();
@@ -921,7 +948,7 @@ fn handle_register(
         version: handle.version(),
         tuples: handle.tuples().len() as u64,
     };
-    send_frame(stream, FrameType::Registered, &ack.encode())
+    conn.send(FrameType::Registered, |out| ack.encode_into(out))
 }
 
 /// Serves one metrics snapshot.  Observability deliberately bypasses
@@ -929,7 +956,7 @@ fn handle_register(
 /// server is saturated and shedding join traffic.
 fn handle_metrics(
     shared: &Arc<ServerShared>,
-    stream: &mut TcpStream,
+    conn: &mut Connection,
     request: WireMetricsRequest,
 ) -> Result<(), WireError> {
     shared.wire_metrics.frames[FRAME_METRICS].inc();
@@ -937,7 +964,7 @@ fn handle_metrics(
         id: request.id,
         text: shared.engine.render_metrics(),
     };
-    send_frame(stream, FrameType::MetricsReply, &reply.encode())
+    conn.send(FrameType::MetricsReply, |out| reply.encode_into(out))
 }
 
 /// Serves one table-referencing request end to end, mirroring
@@ -945,7 +972,7 @@ fn handle_metrics(
 /// registry and submitting on the cached, probe-only path.
 fn handle_ref_request(
     shared: &Arc<ServerShared>,
-    stream: &mut TcpStream,
+    conn: &mut Connection,
     client_id: u64,
     wire: WireRefRequest,
     arrived: Instant,
@@ -963,7 +990,7 @@ fn handle_ref_request(
             code: WireErrorCode::UnknownTable,
             message: format!("no registered table named '{}'", wire.table),
         };
-        return send_frame(stream, FrameType::Error, &failure.encode());
+        return conn.send(FrameType::Error, |out| failure.encode_into(out));
     };
 
     // On the hot path only the probe side is new work, so the admission
@@ -982,7 +1009,7 @@ fn handle_ref_request(
             reason,
             retry_after_ms,
         } => {
-            return write_overloaded(shared, stream, wire.id, reason, retry_after_ms);
+            return write_overloaded(shared, conn, wire.id, reason, retry_after_ms);
         }
     };
 
@@ -991,7 +1018,7 @@ fn handle_ref_request(
             Ok(request) => request,
             Err(err) => {
                 shared.admission.abandon(ticket);
-                return write_failure(shared, stream, wire.id, &err);
+                return write_failure(shared, conn, wire.id, &err);
             }
         };
 
@@ -1010,14 +1037,7 @@ fn handle_ref_request(
             .complete(ticket, started.elapsed().as_nanos() as u64),
         Err(_) => shared.admission.abandon(ticket),
     }
-    finish_request(
-        shared,
-        stream,
-        wire.id,
-        wire.collect_pairs,
-        outcome,
-        arrived,
-    )
+    finish_request(shared, conn, wire.id, wire.collect_pairs, outcome, arrived)
 }
 
 /// Runs one direct submission, downgrading an engine panic to a typed
@@ -1042,7 +1062,7 @@ fn submit_guarded(
 /// frame otherwise.
 fn finish_request(
     shared: &Arc<ServerShared>,
-    stream: &mut TcpStream,
+    conn: &mut Connection,
     id: u64,
     sent_pairs: bool,
     result: Result<JoinOutcome, JoinError>,
@@ -1061,17 +1081,17 @@ fn finish_request(
                     .request_latency
                     .record(arrived.elapsed().as_nanos() as u64);
             }
-            write_outcome(shared, stream, id, sent_pairs, &outcome)?;
+            write_outcome(shared, conn, id, sent_pairs, &outcome)?;
             Ok(())
         }
         Err(JoinError::Saturated { .. }) => write_overloaded(
             shared,
-            stream,
+            conn,
             id,
             ShedReason::Saturated,
             shared.admission.estimated_wait_ms(),
         ),
-        Err(err) => write_failure(shared, stream, id, &err),
+        Err(err) => write_failure(shared, conn, id, &err),
     }
 }
 
@@ -1107,9 +1127,13 @@ fn engine_request_for(
         .build()
 }
 
+/// Streams a successful reply through the connection's reply buffer: one
+/// write per chunk frame, the head riding with the first chunk and `Done`
+/// (and `Trace`) with the last, so the buffer never holds more than one
+/// chunk's pairs.
 fn write_outcome(
     shared: &Arc<ServerShared>,
-    stream: &mut TcpStream,
+    conn: &mut Connection,
     id: u64,
     sent_pairs: bool,
     outcome: &JoinOutcome,
@@ -1121,19 +1145,27 @@ fn write_outcome(
     };
     let chunk_pairs = shared.config.chunk_pairs;
     let chunks = pairs.len().div_ceil(chunk_pairs) as u32;
-    let mut w = BufWriter::new(stream);
     let head = WireResponse {
         id,
         matches: outcome.matches,
         pair_count: pairs.len() as u64,
         chunks,
     };
-    write_frame(&mut w, FrameType::Response, &head.encode())?;
+    append_frame(&mut conn.reply, FrameType::Response, |out| {
+        head.encode_into(out)
+    });
     for (seq, slice) in pairs.chunks(chunk_pairs).enumerate() {
-        let chunk = WireChunk::encode_pairs(id, seq as u32, slice);
-        write_frame(&mut w, FrameType::Chunk, &chunk)?;
+        let seq = seq as u32;
+        append_frame(&mut conn.reply, FrameType::Chunk, |out| {
+            WireChunk::encode_pairs_into(id, seq, slice, out)
+        });
+        if seq + 1 < chunks {
+            conn.write_reply()?;
+        }
     }
-    write_frame(&mut w, FrameType::Done, &WireDone { id, chunks }.encode())?;
+    append_frame(&mut conn.reply, FrameType::Done, |out| {
+        WireDone { id, chunks }.encode_into(out)
+    });
     // The flight recorder rides *after* `Done`, so a client that never
     // asked for a trace never has to know the frame exists.
     if let Some(trace) = &outcome.trace {
@@ -1141,16 +1173,16 @@ fn write_outcome(
             id,
             trace: trace.clone(),
         };
-        write_frame(&mut w, FrameType::Trace, &wire.encode())?;
+        append_frame(&mut conn.reply, FrameType::Trace, |out| {
+            wire.encode_into(out)
+        });
     }
-    // One flush for the whole reply, its error propagated.
-    w.flush()?;
-    Ok(())
+    conn.write_reply()
 }
 
 fn write_overloaded(
     shared: &Arc<ServerShared>,
-    stream: &mut TcpStream,
+    conn: &mut Connection,
     id: u64,
     reason: ShedReason,
     retry_after_ms: u32,
@@ -1174,12 +1206,12 @@ fn write_overloaded(
         in_flight: load.in_flight as u32,
         queued: load.queued as u32,
     };
-    send_frame(stream, FrameType::Overloaded, &notice.encode())
+    conn.send(FrameType::Overloaded, |out| notice.encode_into(out))
 }
 
 fn write_failure(
     shared: &Arc<ServerShared>,
-    stream: &mut TcpStream,
+    conn: &mut Connection,
     id: u64,
     err: &JoinError,
 ) -> Result<(), WireError> {
@@ -1197,5 +1229,5 @@ fn write_failure(
         code,
         message: err.to_string(),
     };
-    send_frame(stream, FrameType::Error, &failure.encode())
+    conn.send(FrameType::Error, |out| failure.encode_into(out))
 }

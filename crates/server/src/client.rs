@@ -7,7 +7,10 @@
 //! response head and the final `Done` marker, so a torn reply surfaces as
 //! a typed [`ClientError`] rather than a silently short pair set.
 
-use crate::frame::{read_frame, send_frame, FrameType, WireError, DEFAULT_MAX_PAYLOAD_BYTES};
+use crate::frame::{
+    append_frame, read_frame_into, release_oversized, FrameType, WireError,
+    DEFAULT_MAX_PAYLOAD_BYTES,
+};
 use crate::message::{
     ShedReason, WireChunk, WireDone, WireErrorCode, WireFailure, WireMetricsReply,
     WireMetricsRequest, WireOverloaded, WireRefRequest, WireRegister, WireRegistered, WireRequest,
@@ -16,6 +19,7 @@ use crate::message::{
 use datagen::Relation;
 use hj_metrics::JoinTrace;
 use std::fmt;
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -118,11 +122,24 @@ pub struct ClientOutcome {
 }
 
 /// A blocking connection to a join server.
+///
+/// The client keeps one send buffer and one receive buffer for as long as
+/// it lives.  Each request is encoded straight into the send buffer and
+/// leaves in one write; each reply frame is read into the receive buffer,
+/// and collected pairs are decoded from it straight into
+/// [`ClientOutcome::pairs`].  Once the buffers have grown to the largest
+/// request and reply frame, a steady stream of requests allocates nothing
+/// payload-sized on the client apart from the returned pairs.  A buffer
+/// that one large message grew past
+/// [`RETAINED_FRAME_BYTES`](crate::frame::RETAINED_FRAME_BYTES) is
+/// released after that message.
 #[derive(Debug)]
 pub struct JoinClient {
     stream: TcpStream,
     max_payload: usize,
     next_id: u64,
+    send: Vec<u8>,
+    recv: Vec<u8>,
 }
 
 impl JoinClient {
@@ -137,6 +154,8 @@ impl JoinClient {
             stream,
             max_payload: DEFAULT_MAX_PAYLOAD_BYTES,
             next_id: 1,
+            send: Vec::new(),
+            recv: Vec::new(),
         })
     }
 
@@ -167,10 +186,12 @@ impl JoinClient {
     /// See [`ClientError`]; [`ClientError::Overloaded`] is the typed shed
     /// notice.
     pub fn join(&mut self, mut request: WireRequest) -> Result<ClientOutcome, ClientError> {
-        request.id = self.next_id;
-        self.next_id += 1;
-        send_frame(&self.stream, FrameType::Request, &request.encode())?;
-        self.read_reply(request.id, request.trace)
+        request.id = self.take_id();
+        self.round_trip(
+            FrameType::Request,
+            |out| request.encode_into(out),
+            |client| client.read_reply(request.id, request.trace),
+        )
     }
 
     /// Fetches a snapshot of the server engine's metrics registry in
@@ -180,30 +201,22 @@ impl JoinClient {
     /// # Errors
     /// See [`ClientError`].
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        send_frame(
-            &self.stream,
+        let id = self.take_id();
+        self.round_trip(
             FrameType::Metrics,
-            &WireMetricsRequest { id }.encode(),
-        )?;
-        match self.read_frame_or_close()? {
-            (FrameType::MetricsReply, payload) => {
-                let reply = WireMetricsReply::decode(&payload)?;
-                self.check_id(reply.id, id)?;
-                Ok(reply.text)
-            }
-            (FrameType::Error, payload) => {
-                let fail = WireFailure::decode(&payload)?;
-                Err(ClientError::Server {
-                    code: fail.code,
-                    message: fail.message,
-                })
-            }
-            (other, _) => Err(ClientError::Protocol {
-                detail: format!("expected a MetricsReply, got {other:?}"),
-            }),
-        }
+            |out| WireMetricsRequest { id }.encode_into(out),
+            |client| match client.recv_frame()? {
+                FrameType::MetricsReply => {
+                    let reply = WireMetricsReply::decode(&client.recv)?;
+                    check_id(reply.id, id)?;
+                    Ok(reply.text)
+                }
+                FrameType::Error => Err(client.failure()),
+                other => Err(ClientError::Protocol {
+                    detail: format!("expected a MetricsReply, got {other:?}"),
+                }),
+            },
+        )
     }
 
     /// Registers `tuples` under `name` in the server's table registry and
@@ -220,31 +233,27 @@ impl JoinClient {
         name: &str,
         tuples: Relation,
     ) -> Result<WireRegistered, ClientError> {
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.take_id();
         let register = WireRegister {
             id,
             name: name.to_string(),
             tuples,
         };
-        send_frame(&self.stream, FrameType::Register, &register.encode())?;
-        match self.read_frame_or_close()? {
-            (FrameType::Registered, payload) => {
-                let ack = WireRegistered::decode(&payload)?;
-                self.check_id(ack.id, id)?;
-                Ok(ack)
-            }
-            (FrameType::Error, payload) => {
-                let fail = WireFailure::decode(&payload)?;
-                Err(ClientError::Server {
-                    code: fail.code,
-                    message: fail.message,
-                })
-            }
-            (other, _) => Err(ClientError::Protocol {
-                detail: format!("expected a Registered acknowledgement, got {other:?}"),
-            }),
-        }
+        self.round_trip(
+            FrameType::Register,
+            |out| register.encode_into(out),
+            |client| match client.recv_frame()? {
+                FrameType::Registered => {
+                    let ack = WireRegistered::decode(&client.recv)?;
+                    check_id(ack.id, id)?;
+                    Ok(ack)
+                }
+                FrameType::Error => Err(client.failure()),
+                other => Err(ClientError::Protocol {
+                    detail: format!("expected a Registered acknowledgement, got {other:?}"),
+                }),
+            },
+        )
     }
 
     /// Sends a table-referencing `request` (build side named, probe
@@ -255,18 +264,47 @@ impl JoinClient {
     /// See [`ClientError`]; an unregistered name surfaces as
     /// [`ClientError::Server`] with [`WireErrorCode::UnknownTable`].
     pub fn join_ref(&mut self, mut request: WireRefRequest) -> Result<ClientOutcome, ClientError> {
-        request.id = self.next_id;
+        request.id = self.take_id();
+        self.round_trip(
+            FrameType::TableRef,
+            |out| request.encode_into(out),
+            |client| client.read_reply(request.id, request.trace),
+        )
+    }
+
+    fn take_id(&mut self) -> u64 {
+        let id = self.next_id;
         self.next_id += 1;
-        send_frame(&self.stream, FrameType::TableRef, &request.encode())?;
-        self.read_reply(request.id, request.trace)
+        id
+    }
+
+    /// One message: the request frame is encoded into the send buffer and
+    /// written in one call, `reply` reads the answer through the receive
+    /// buffer, and then either buffer left larger than the retention cap
+    /// is released.
+    fn round_trip<T>(
+        &mut self,
+        frame_type: FrameType,
+        encode: impl FnOnce(&mut Vec<u8>),
+        reply: impl FnOnce(&mut Self) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        self.send.clear();
+        append_frame(&mut self.send, frame_type, encode);
+        let result = match self.stream.write_all(&self.send) {
+            Ok(()) => reply(self),
+            Err(err) => Err(err.into()),
+        };
+        release_oversized(&mut self.send);
+        release_oversized(&mut self.recv);
+        result
     }
 
     fn read_reply(&mut self, id: u64, expect_trace: bool) -> Result<ClientOutcome, ClientError> {
-        let head = match self.read_frame_or_close()? {
-            (FrameType::Response, payload) => WireResponse::decode(&payload)?,
-            (FrameType::Overloaded, payload) => {
-                let over = WireOverloaded::decode(&payload)?;
-                self.check_id(over.id, id)?;
+        let head = match self.recv_frame()? {
+            FrameType::Response => WireResponse::decode(&self.recv)?,
+            FrameType::Overloaded => {
+                let over = WireOverloaded::decode(&self.recv)?;
+                check_id(over.id, id)?;
                 return Err(ClientError::Overloaded {
                     reason: over.reason,
                     retry_after_ms: over.retry_after_ms,
@@ -274,42 +312,34 @@ impl JoinClient {
                     queued: over.queued,
                 });
             }
-            (FrameType::Error, payload) => {
-                let fail = WireFailure::decode(&payload)?;
-                return Err(ClientError::Server {
-                    code: fail.code,
-                    message: fail.message,
-                });
-            }
-            (other, _) => {
+            FrameType::Error => return Err(self.failure()),
+            other => {
                 return Err(ClientError::Protocol {
                     detail: format!("expected a reply head, got a {other:?} frame"),
                 })
             }
         };
-        self.check_id(head.id, id)?;
+        check_id(head.id, id)?;
 
         let mut pairs = Vec::with_capacity(head.pair_count.min(1 << 24) as usize);
         let mut seen_chunks = 0u32;
         loop {
-            match self.read_frame_or_close()? {
-                (FrameType::Chunk, payload) => {
-                    let chunk = WireChunk::decode(&payload)?;
-                    self.check_id(chunk.id, id)?;
-                    if chunk.seq != seen_chunks {
+            match self.recv_frame()? {
+                FrameType::Chunk => {
+                    let (chunk_id, seq) = WireChunk::decode_into(&self.recv, &mut pairs)?;
+                    check_id(chunk_id, id)?;
+                    if seq != seen_chunks {
                         return Err(ClientError::Protocol {
                             detail: format!(
-                                "chunk arrived out of order: seq {} after {} chunks",
-                                chunk.seq, seen_chunks
+                                "chunk arrived out of order: seq {seq} after {seen_chunks} chunks"
                             ),
                         });
                     }
                     seen_chunks += 1;
-                    pairs.extend_from_slice(&chunk.pairs);
                 }
-                (FrameType::Done, payload) => {
-                    let done = WireDone::decode(&payload)?;
-                    self.check_id(done.id, id)?;
+                FrameType::Done => {
+                    let done = WireDone::decode(&self.recv)?;
+                    check_id(done.id, id)?;
                     if done.chunks != seen_chunks || head.chunks != seen_chunks {
                         return Err(ClientError::Protocol {
                             detail: format!(
@@ -339,14 +369,8 @@ impl JoinClient {
                         trace,
                     });
                 }
-                (FrameType::Error, payload) => {
-                    let fail = WireFailure::decode(&payload)?;
-                    return Err(ClientError::Server {
-                        code: fail.code,
-                        message: fail.message,
-                    });
-                }
-                (other, _) => {
+                FrameType::Error => return Err(self.failure()),
+                other => {
                     return Err(ClientError::Protocol {
                         detail: format!("expected a chunk or done frame, got {other:?}"),
                     })
@@ -357,35 +381,47 @@ impl JoinClient {
 
     /// Reads the `Trace` frame a traced request's reply ends with.
     fn read_trace(&mut self, id: u64) -> Result<Option<JoinTrace>, ClientError> {
-        match self.read_frame_or_close()? {
-            (FrameType::Trace, payload) => {
-                let wire = WireTrace::decode(&payload)?;
-                self.check_id(wire.id, id)?;
+        match self.recv_frame()? {
+            FrameType::Trace => {
+                let wire = WireTrace::decode(&self.recv)?;
+                check_id(wire.id, id)?;
                 Ok(Some(wire.trace))
             }
-            (other, _) => Err(ClientError::Protocol {
+            other => Err(ClientError::Protocol {
                 detail: format!("expected the trace frame of a traced reply, got {other:?}"),
             }),
         }
     }
 
-    fn read_frame_or_close(&mut self) -> Result<(FrameType, Vec<u8>), ClientError> {
-        match read_frame(&mut self.stream, self.max_payload)? {
-            Some(frame) => Ok(frame),
+    /// Reads the next reply frame into the receive buffer.
+    fn recv_frame(&mut self) -> Result<FrameType, ClientError> {
+        match read_frame_into(&mut self.stream, self.max_payload, &mut self.recv)? {
+            Some(frame_type) => Ok(frame_type),
             None => Err(ClientError::Protocol {
                 detail: "server closed the connection mid-reply".into(),
             }),
         }
     }
 
-    fn check_id(&self, got: u64, expected: u64) -> Result<(), ClientError> {
-        if got != expected {
-            return Err(ClientError::Protocol {
-                detail: format!("reply for request {got} while waiting on {expected}"),
-            });
+    /// The server's typed failure in the `Error` frame just received.
+    fn failure(&self) -> ClientError {
+        match WireFailure::decode(&self.recv) {
+            Ok(fail) => ClientError::Server {
+                code: fail.code,
+                message: fail.message,
+            },
+            Err(err) => err.into(),
         }
-        Ok(())
     }
+}
+
+fn check_id(got: u64, expected: u64) -> Result<(), ClientError> {
+    if got != expected {
+        return Err(ClientError::Protocol {
+            detail: format!("reply for request {got} while waiting on {expected}"),
+        });
+    }
+    Ok(())
 }
 
 /// A convenience builder for [`WireRequest`]s sent through [`JoinClient`].

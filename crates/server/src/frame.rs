@@ -21,11 +21,32 @@
 //! checksum of a 131 KB chunk frame (~155 µs each way) cost more than the
 //! join it carried.  XXH64 reads 32 bytes per step into four independent
 //! lanes and runs at ~13 GB/s on the same 2-vCPU host (10 µs for that
-//! frame; `hjbench` reads 12 µs for `frame.write_us` and 15 µs for
-//! `frame.read_us`, copy and allocation included).  The layout did
+//! frame; `hjbench` reads ~9 µs for `frame.write_us`, copy included, and
+//! ~10 µs for `frame.read_us` through [`read_frame`]'s fresh buffer,
+//! allocation included).  The layout did
 //! not change, only the meaning of the recorded value, so [`VERSION`] went
 //! to 2 and a version 1 peer gets [`WireError::Version`] — checked before
 //! the checksum is looked at — never [`WireError::Corrupt`].
+//!
+//! # Reused buffers
+//!
+//! [`read_frame_into`] and [`append_frame`] read and write frames through
+//! a caller's `Vec<u8>`, which keeps its capacity from one frame to the
+//! next: the payload is read into reserved capacity, never zero-filled,
+//! and a frame is encoded in place behind a header patched afterwards.
+//! The serving front-end keeps one read and one reply buffer per
+//! connection, and [`JoinClient`] one send and one receive buffer, so once
+//! they have grown to a workload's frames a request allocates, zero-fills
+//! and faults in no payload-sized buffer.  Without that, glibc handed each
+//! request's fresh ~200 KB buffers back to the kernel and faulted them in
+//! again: ~500 k minor faults/s at ~5 300 `wire_closed` joins/s.  A buffer
+//! one message left larger than [`RETAINED_FRAME_BYTES`] is released by
+//! [`release_oversized`] after it, so a connection holds at most
+//! 2 × [`RETAINED_FRAME_BYTES`] between messages.  [`read_frame`] is
+//! [`read_frame_into`] over a fresh buffer, and every writer shares one
+//! header routine, so the bytes on the wire do not depend on the path.
+//!
+//! [`JoinClient`]: crate::client::JoinClient
 
 use datagen::checksum64;
 use std::fmt;
@@ -46,6 +67,16 @@ pub const HEADER_BYTES: usize = 4 + 1 + 1 + 2 + 4 + 8;
 /// engine-sized relations the examples ship, small enough that a corrupt
 /// length field cannot ask for gigabytes.
 pub const DEFAULT_MAX_PAYLOAD_BYTES: usize = 64 * 1024 * 1024;
+
+/// Capacity a reused frame buffer may keep between messages (1 MiB).  A
+/// connection's read and reply buffers and a [`JoinClient`]'s send and
+/// receive buffers keep their capacity from one message to the next, so a
+/// steady stream of requests allocates nothing payload-sized; after a
+/// message that grew one past this size, [`release_oversized`] frees it,
+/// so one 64 MiB frame does not pin 64 MiB for the connection's life.
+///
+/// [`JoinClient`]: crate::client::JoinClient
+pub const RETAINED_FRAME_BYTES: usize = 1024 * 1024;
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,6 +208,19 @@ impl From<io::Error> for WireError {
     }
 }
 
+/// The fixed header of a frame carrying `payload`: the one routine every
+/// writer ([`write_frame`], [`send_frame`], [`append_frame`]) goes through.
+fn frame_header(frame_type: FrameType, payload: &[u8]) -> [u8; HEADER_BYTES] {
+    let mut header = [0u8; HEADER_BYTES];
+    header[0..4].copy_from_slice(&MAGIC);
+    header[4] = VERSION;
+    header[5] = frame_type as u8;
+    // header[6..8] reserved, zero.
+    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[12..20].copy_from_slice(&checksum64(payload).to_le_bytes());
+    header
+}
+
 /// Writes one frame (header + checksummed payload).  Does **not** flush:
 /// a message is often several frames (`Response` + `Chunk`s + `Done`), so
 /// the caller flushes its buffered writer once per message and propagates
@@ -189,14 +233,7 @@ pub fn write_frame<W: Write>(
     frame_type: FrameType,
     payload: &[u8],
 ) -> Result<(), WireError> {
-    let mut header = [0u8; HEADER_BYTES];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4] = VERSION;
-    header[5] = frame_type as u8;
-    // header[6..8] reserved, zero.
-    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[12..20].copy_from_slice(&checksum64(payload).to_le_bytes());
-    w.write_all(&header)?;
+    w.write_all(&frame_header(frame_type, payload))?;
     w.write_all(payload)?;
     Ok(())
 }
@@ -218,9 +255,51 @@ pub fn send_frame<W: Write>(
     Ok(())
 }
 
+/// Appends one whole frame to `out`, whose existing bytes are kept: a
+/// header is reserved, `encode` appends the payload after it, and the
+/// length and checksum are patched in.  The bytes are those
+/// [`write_frame`] would write for the same payload, and a buffer that
+/// already has the capacity is not reallocated.
+pub fn append_frame(out: &mut Vec<u8>, frame_type: FrameType, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; HEADER_BYTES]);
+    encode(out);
+    let header = frame_header(frame_type, &out[start + HEADER_BYTES..]);
+    out[start..start + HEADER_BYTES].copy_from_slice(&header);
+}
+
+/// Releases `buf` when a large frame left it holding more than
+/// [`RETAINED_FRAME_BYTES`] of capacity; smaller buffers are kept for the
+/// next message.
+pub fn release_oversized(buf: &mut Vec<u8>) {
+    if buf.capacity() > RETAINED_FRAME_BYTES {
+        *buf = Vec::new();
+    }
+}
+
 /// Reads one frame, verifying magic, version, type, length ceiling and
 /// checksum.  Returns `Ok(None)` on a clean end of stream (the peer closed
-/// between frames).
+/// between frames).  A wrapper over [`read_frame_into`] with a fresh
+/// buffer.
+///
+/// # Errors
+/// As [`read_frame_into`].
+pub fn read_frame<R: Read>(
+    r: &mut R,
+    max_payload: usize,
+) -> Result<Option<(FrameType, Vec<u8>)>, WireError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, max_payload, &mut payload)?.map(|frame_type| (frame_type, payload)))
+}
+
+/// Reads one frame into `payload`, replacing its contents, and returns its
+/// type; `Ok(None)` on a clean end of stream (the peer closed between
+/// frames).  The payload is read into reserved capacity, never
+/// zero-filled first, so a buffer reused across frames costs no
+/// allocation once it has grown to the largest frame.  The checks run in
+/// order: magic, version, type, the length ceiling (before any
+/// reservation), then the checksum.  After an error `payload` holds
+/// unspecified bytes.
 ///
 /// # Errors
 /// * [`WireError::Protocol`] for bad magic, an unknown frame type, or a
@@ -230,10 +309,12 @@ pub fn send_frame<W: Write>(
 ///   `max_payload` bytes (checked before any allocation);
 /// * [`WireError::Corrupt`] when the payload fails its checksum;
 /// * [`WireError::Io`] for underlying read failures (including timeouts).
-pub fn read_frame<R: Read>(
+pub fn read_frame_into<R: Read>(
     r: &mut R,
     max_payload: usize,
-) -> Result<Option<(FrameType, Vec<u8>)>, WireError> {
+    payload: &mut Vec<u8>,
+) -> Result<Option<FrameType>, WireError> {
+    payload.clear();
     let mut header = [0u8; HEADER_BYTES];
     match read_exact_or_eof(r, &mut header)? {
         Filled::Eof => return Ok(None),
@@ -265,22 +346,20 @@ pub fn read_frame<R: Read>(
         });
     }
     let recorded = u64::from_le_bytes(header[12..20].try_into().expect("8 header bytes"));
-    let mut payload = vec![0u8; len];
-    match read_exact_or_eof(r, &mut payload)? {
-        Filled::Complete => {}
-        Filled::Eof | Filled::Partial(_) => {
-            return Err(WireError::Protocol {
-                detail: format!("stream ended inside a {len} B payload (torn frame)"),
-            })
-        }
+    payload.reserve(len);
+    r.by_ref().take(len as u64).read_to_end(payload)?;
+    if payload.len() != len {
+        return Err(WireError::Protocol {
+            detail: format!("stream ended inside a {len} B payload (torn frame)"),
+        });
     }
-    let actual = checksum64(&payload);
+    let actual = checksum64(payload);
     if actual != recorded {
         return Err(WireError::Corrupt {
             detail: format!("payload checksum {actual:#018x} != recorded {recorded:#018x}"),
         });
     }
-    Ok(Some((frame_type, payload)))
+    Ok(Some(frame_type))
 }
 
 enum Filled {
@@ -315,18 +394,17 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<Filled> {
 // Little-endian payload cursors
 // ---------------------------------------------------------------------------
 
-/// Appends little-endian scalars to a payload buffer.
-#[derive(Debug, Default)]
-pub struct PayloadWriter {
-    buf: Vec<u8>,
+/// Appends little-endian scalars to a caller's payload buffer, after the
+/// bytes it already holds.
+#[derive(Debug)]
+pub struct PayloadWriter<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl PayloadWriter {
-    /// An empty payload with `capacity` bytes reserved.
-    pub fn with_capacity(capacity: usize) -> Self {
-        PayloadWriter {
-            buf: Vec::with_capacity(capacity),
-        }
+impl<'a> PayloadWriter<'a> {
+    /// A writer appending to `buf`.
+    pub fn appending(buf: &'a mut Vec<u8>) -> Self {
+        PayloadWriter { buf }
     }
 
     /// Appends one byte.
@@ -371,11 +449,6 @@ impl PayloadWriter {
     pub fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// The finished payload.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
     }
 }
 
@@ -439,24 +512,23 @@ impl<'a> PayloadReader<'a> {
             .collect())
     }
 
-    /// Reads `count` pairs written by [`PayloadWriter::put_u32_pairs`].
-    /// The bounds check comes first, so a hostile count fails before any
-    /// allocation.
-    pub fn get_u32_pairs(
+    /// Appends `count` pairs written by [`PayloadWriter::put_u32_pairs`] to
+    /// `out`.  The bounds check comes first, so a hostile count fails
+    /// before any allocation and appends nothing.
+    pub fn get_u32_pairs_into(
         &mut self,
         count: usize,
         what: &str,
-    ) -> Result<Vec<(u32, u32)>, WireError> {
+        out: &mut Vec<(u32, u32)>,
+    ) -> Result<(), WireError> {
         let bytes = self.take(count.saturating_mul(8), what)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                (
-                    u32::from_le_bytes(c[..4].try_into().expect("4 bytes")),
-                    u32::from_le_bytes(c[4..].try_into().expect("4 bytes")),
-                )
-            })
-            .collect())
+        out.extend(bytes.chunks_exact(8).map(|c| {
+            (
+                u32::from_le_bytes(c[..4].try_into().expect("4 bytes")),
+                u32::from_le_bytes(c[4..].try_into().expect("4 bytes")),
+            )
+        }));
+        Ok(())
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -614,35 +686,130 @@ mod tests {
     }
 
     #[test]
+    fn a_reused_buffer_holds_exactly_the_new_payload() {
+        let long = vec![0xabu8; 300];
+        let mut stream = Vec::new();
+        write_frame(&mut stream, FrameType::Request, &long).unwrap();
+        write_frame(&mut stream, FrameType::Chunk, b"short").unwrap();
+        write_frame(&mut stream, FrameType::Done, b"").unwrap();
+        let mut cursor = io::Cursor::new(stream);
+        let mut payload = Vec::new();
+        let read = read_frame_into(&mut cursor, 1024, &mut payload).unwrap();
+        assert_eq!(
+            (read, payload.as_slice()),
+            (Some(FrameType::Request), &long[..])
+        );
+        let read = read_frame_into(&mut cursor, 1024, &mut payload).unwrap();
+        assert_eq!(
+            (read, payload.as_slice()),
+            (Some(FrameType::Chunk), &b"short"[..])
+        );
+        assert!(payload.capacity() >= long.len(), "the capacity is kept");
+        let read = read_frame_into(&mut cursor, 1024, &mut payload).unwrap();
+        assert_eq!((read, payload.len()), (Some(FrameType::Done), 0));
+        assert_eq!(
+            read_frame_into(&mut cursor, 1024, &mut payload).unwrap(),
+            None
+        );
+    }
+
+    #[test]
+    fn a_used_buffer_still_gets_every_typed_error() {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, FrameType::Request, b"abcdef").unwrap();
+        let used = || vec![0x5au8; 4096];
+
+        let mut payload = used();
+        let torn = &frame[..frame.len() - 2];
+        let err = read_frame_into(&mut io::Cursor::new(torn), 1024, &mut payload).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Protocol { detail } if detail.contains("torn")),
+            "{err}"
+        );
+
+        let mut payload = used();
+        let mut oversized = frame.clone();
+        oversized[8..12].copy_from_slice(&2048u32.to_le_bytes());
+        let err = read_frame_into(&mut io::Cursor::new(oversized), 1024, &mut payload).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WireError::Oversized {
+                    len: 2048,
+                    max: 1024
+                }
+            ),
+            "{err}"
+        );
+
+        let mut payload = used();
+        let mut corrupt = frame.clone();
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0x01;
+        let err = read_frame_into(&mut io::Cursor::new(corrupt), 1024, &mut payload).unwrap_err();
+        assert!(matches!(err, WireError::Corrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn appended_frames_are_the_bytes_write_frame_writes() {
+        let mut written = Vec::new();
+        write_frame(&mut written, FrameType::Response, b"head").unwrap();
+        write_frame(&mut written, FrameType::Chunk, &[7u8; 100]).unwrap();
+        write_frame(&mut written, FrameType::Done, b"").unwrap();
+        let mut appended = Vec::new();
+        append_frame(&mut appended, FrameType::Response, |out| {
+            out.extend_from_slice(b"head")
+        });
+        append_frame(&mut appended, FrameType::Chunk, |out| {
+            PayloadWriter::appending(out).put_u32_slice(&[0x0707_0707; 25])
+        });
+        append_frame(&mut appended, FrameType::Done, |_| {});
+        assert_eq!(appended, written);
+    }
+
+    #[test]
+    fn only_buffers_over_the_retention_cap_are_released() {
+        let mut kept = Vec::<u8>::with_capacity(RETAINED_FRAME_BYTES);
+        release_oversized(&mut kept);
+        assert_eq!(kept.capacity(), RETAINED_FRAME_BYTES);
+        let mut released = Vec::<u8>::with_capacity(RETAINED_FRAME_BYTES + 1);
+        release_oversized(&mut released);
+        assert_eq!(released.capacity(), 0);
+    }
+
+    #[test]
     fn column_and_pair_codecs_round_trip() {
         let column: Vec<u32> = (0..1000u32).map(|i| i.wrapping_mul(0x0101_0101)).collect();
         let pairs: Vec<(u32, u32)> = (0..333).map(|i| (i, u32::MAX - i)).collect();
-        let mut w = PayloadWriter::default();
+        let mut bytes = Vec::new();
+        let mut w = PayloadWriter::appending(&mut bytes);
         w.put_u8(9); // misalign what follows
         w.put_u32_slice(&column);
         w.put_u32_pairs(&pairs);
         w.put_u32_slice(&[]);
-        let bytes = w.into_bytes();
         assert_eq!(bytes.len(), 1 + 4 * column.len() + 8 * pairs.len());
         assert_eq!(bytes[1..5], column[0].to_le_bytes());
         assert_eq!(bytes[5..9], column[1].to_le_bytes());
         let mut r = PayloadReader::new(&bytes);
         assert_eq!(r.get_u8("tag").unwrap(), 9);
         assert_eq!(r.get_u32_vec(column.len(), "column").unwrap(), column);
-        assert_eq!(r.get_u32_pairs(pairs.len(), "pairs").unwrap(), pairs);
+        let mut got = vec![(7, 7)];
+        r.get_u32_pairs_into(pairs.len(), "pairs", &mut got)
+            .unwrap();
+        assert_eq!(got[1..], pairs[..]);
         assert!(r.expect_exhausted("payload").is_ok());
         // A count the payload cannot carry fails before any allocation.
         let mut r = PayloadReader::new(&bytes);
-        assert!(r.get_u32_pairs(usize::MAX, "pairs").is_err());
+        assert!(r.get_u32_pairs_into(usize::MAX, "pairs", &mut got).is_err());
         assert!(r.get_u32_vec(usize::MAX / 2, "column").is_err());
     }
 
     #[test]
     fn payload_reader_is_bounds_checked() {
-        let mut w = PayloadWriter::default();
+        let mut bytes = Vec::new();
+        let mut w = PayloadWriter::appending(&mut bytes);
         w.put_u32(7);
         w.put_str("hi");
-        let bytes = w.into_bytes();
         let mut r = PayloadReader::new(&bytes);
         assert_eq!(r.get_u32("seven").unwrap(), 7);
         assert_eq!(r.get_str("greeting").unwrap(), "hi");
@@ -653,10 +820,10 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        let mut w = PayloadWriter::default();
+        let mut bytes = Vec::new();
+        let mut w = PayloadWriter::appending(&mut bytes);
         w.put_u8(1);
         w.put_u8(2);
-        let bytes = w.into_bytes();
         let mut r = PayloadReader::new(&bytes);
         r.get_u8("one").unwrap();
         let err = r.expect_exhausted("short message").unwrap_err();

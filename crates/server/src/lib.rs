@@ -6,8 +6,9 @@
 //! `hj_core::serve` and remote clients share:
 //!
 //! * [`frame`] — the length-prefixed, checksummed binary frame layer
-//!   ([`write_frame`] / [`read_frame`]; the checksum is XXH64, see the
-//!   module's docs), with typed [`WireError`]s for
+//!   ([`write_frame`] / [`read_frame`], and [`append_frame`] /
+//!   [`read_frame_into`] over reused buffers; the checksum is XXH64, see
+//!   the module's docs), with typed [`WireError`]s for
 //!   torn, oversized, corrupt or foreign-protocol streams;
 //! * [`message`] — the typed messages frames carry: [`WireRequest`],
 //!   [`WireResponse`], streamed [`WireChunk`]s, the positive [`WireDone`]
@@ -38,8 +39,9 @@ pub mod message;
 pub use admission::{Admission, AdmissionController, AdmissionStats, SloConfig, Ticket};
 pub use client::{ClientError, ClientOutcome, JoinClient, RefRequestBuilder, RequestBuilder};
 pub use frame::{
-    read_frame, send_frame, write_frame, FrameType, PayloadReader, PayloadWriter, WireError,
-    DEFAULT_MAX_PAYLOAD_BYTES, HEADER_BYTES, MAGIC, VERSION,
+    append_frame, read_frame, read_frame_into, release_oversized, send_frame, write_frame,
+    FrameType, PayloadReader, PayloadWriter, WireError, DEFAULT_MAX_PAYLOAD_BYTES, HEADER_BYTES,
+    MAGIC, RETAINED_FRAME_BYTES, VERSION,
 };
 pub use message::{
     ShedReason, WireAlgorithm, WireChunk, WireDone, WireErrorCode, WireFailure, WireMetricsReply,

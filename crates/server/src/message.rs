@@ -38,6 +38,14 @@ fn check_table_name(name: &str) -> Result<(), WireError> {
     Ok(())
 }
 
+/// Runs an appending encoder on a fresh buffer: every `encode` below is
+/// this over its type's `encode_into`, so each message has one encoder.
+fn encoded(encode_into: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(&mut out);
+    out
+}
+
 fn decode_trace_flag(r: &mut PayloadReader<'_>) -> Result<bool, WireError> {
     match r.get_u8("trace flag")? {
         0 => Ok(false),
@@ -133,7 +141,13 @@ pub struct WireRequest {
 impl WireRequest {
     /// Encodes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(32 + 8 * (self.build.len() + self.probe.len()));
+        encoded(|out| self.encode_into(out))
+    }
+
+    /// Appends the request to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(32 + 8 * (self.build.len() + self.probe.len()));
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
         w.put_u8(self.algorithm as u8);
         w.put_u8(self.scheme as u8);
@@ -147,7 +161,6 @@ impl WireRequest {
         w.put_u32_slice(self.build.rids());
         w.put_u32_slice(self.probe.keys());
         w.put_u32_slice(self.probe.rids());
-        w.into_bytes()
     }
 
     /// Decodes a request payload, rejecting malformed tags, impossible
@@ -218,13 +231,18 @@ pub struct WireRegister {
 impl WireRegister {
     /// Encodes the registration into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(24 + self.name.len() + 8 * self.tuples.len());
+        encoded(|out| self.encode_into(out))
+    }
+
+    /// Appends the registration to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(24 + self.name.len() + 8 * self.tuples.len());
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
         w.put_str(&self.name);
         w.put_u32(self.tuples.len() as u32);
         w.put_u32_slice(self.tuples.keys());
         w.put_u32_slice(self.tuples.rids());
-        w.into_bytes()
     }
 
     /// Decodes a registration payload.
@@ -272,11 +290,16 @@ pub struct WireRegistered {
 impl WireRegistered {
     /// Encodes the acknowledgement.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(24);
+        encoded(|out| self.encode_into(out))
+    }
+
+    /// Appends the acknowledgement to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(24);
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
         w.put_u64(self.version);
         w.put_u64(self.tuples);
-        w.into_bytes()
     }
 
     /// Decodes the acknowledgement.
@@ -324,7 +347,13 @@ pub struct WireRefRequest {
 impl WireRefRequest {
     /// Encodes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(32 + self.table.len() + 8 * self.probe.len());
+        encoded(|out| self.encode_into(out))
+    }
+
+    /// Appends the request to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(32 + self.table.len() + 8 * self.probe.len());
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
         w.put_u8(self.algorithm as u8);
         w.put_u8(self.scheme as u8);
@@ -336,7 +365,6 @@ impl WireRefRequest {
         w.put_u32(self.probe.len() as u32);
         w.put_u32_slice(self.probe.keys());
         w.put_u32_slice(self.probe.rids());
-        w.into_bytes()
     }
 
     /// Decodes a table-referencing request payload.
@@ -405,12 +433,17 @@ pub struct WireResponse {
 impl WireResponse {
     /// Encodes the response head.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(28);
+        encoded(|out| self.encode_into(out))
+    }
+
+    /// Appends the response head to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(28);
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
         w.put_u64(self.matches);
         w.put_u64(self.pair_count);
         w.put_u32(self.chunks);
-        w.into_bytes()
     }
 
     /// Decodes a response head.
@@ -444,18 +477,24 @@ pub struct WireChunk {
 impl WireChunk {
     /// Encodes the chunk.
     pub fn encode(&self) -> Vec<u8> {
-        WireChunk::encode_pairs(self.id, self.seq, &self.pairs)
+        encoded(|out| self.encode_into(out))
     }
 
-    /// Encodes a chunk straight from a borrowed slice of the pair set, so
-    /// a sender streaming one result as many chunks copies no pairs.
-    pub fn encode_pairs(id: u64, seq: u32, pairs: &[(u32, u32)]) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(16 + 8 * pairs.len());
+    /// Appends the chunk to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        WireChunk::encode_pairs_into(self.id, self.seq, &self.pairs, out);
+    }
+
+    /// Appends a chunk straight from a borrowed slice of the pair set, so
+    /// a sender streaming one result as many chunks copies no pairs into
+    /// a `WireChunk` first.
+    pub fn encode_pairs_into(id: u64, seq: u32, pairs: &[(u32, u32)], out: &mut Vec<u8>) {
+        out.reserve(16 + 8 * pairs.len());
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(id);
         w.put_u32(seq);
         w.put_u32(pairs.len() as u32);
         w.put_u32_pairs(pairs);
-        w.into_bytes()
     }
 
     /// Decodes a chunk.
@@ -463,13 +502,31 @@ impl WireChunk {
     /// # Errors
     /// [`WireError::Protocol`] on truncation or trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<WireChunk, WireError> {
+        let mut pairs = Vec::new();
+        let (id, seq) = WireChunk::decode_into(payload, &mut pairs)?;
+        Ok(WireChunk { id, seq, pairs })
+    }
+
+    /// Decodes a chunk, appending its pairs to `out` and returning its
+    /// `(id, seq)`, so a receiver reassembles a result without a
+    /// `Vec` per chunk.  On error `out` is left as it was.
+    ///
+    /// # Errors
+    /// [`WireError::Protocol`] on truncation or trailing bytes.
+    pub fn decode_into(payload: &[u8], out: &mut Vec<(u32, u32)>) -> Result<(u64, u32), WireError> {
         let mut r = PayloadReader::new(payload);
         let id = r.get_u64("chunk id")?;
         let seq = r.get_u32("chunk seq")?;
         let count = r.get_u32("chunk pair count")? as usize;
-        let pairs = r.get_u32_pairs(count, "chunk pairs")?;
-        r.expect_exhausted("chunk")?;
-        Ok(WireChunk { id, seq, pairs })
+        let kept = out.len();
+        // Bounds-checked before anything is appended; only trailing bytes
+        // are found after.
+        r.get_u32_pairs_into(count, "chunk pairs", out)?;
+        if let Err(err) = r.expect_exhausted("chunk") {
+            out.truncate(kept);
+            return Err(err);
+        }
+        Ok((id, seq))
     }
 }
 
@@ -486,10 +543,15 @@ pub struct WireDone {
 impl WireDone {
     /// Encodes the marker.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(12);
+        encoded(|out| self.encode_into(out))
+    }
+
+    /// Appends the marker to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(12);
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
         w.put_u32(self.chunks);
-        w.into_bytes()
     }
 
     /// Decodes the marker.
@@ -565,13 +627,18 @@ pub struct WireOverloaded {
 impl WireOverloaded {
     /// Encodes the notice.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(24);
+        encoded(|out| self.encode_into(out))
+    }
+
+    /// Appends the notice to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(24);
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
         w.put_u8(self.reason as u8);
         w.put_u32(self.retry_after_ms);
         w.put_u32(self.in_flight);
         w.put_u32(self.queued);
-        w.into_bytes()
     }
 
     /// Decodes the notice.
@@ -643,11 +710,16 @@ pub struct WireFailure {
 impl WireFailure {
     /// Encodes the failure.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(16 + self.message.len());
+        encoded(|out| self.encode_into(out))
+    }
+
+    /// Appends the failure to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(16 + self.message.len());
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
         w.put_u8(self.code as u8);
         w.put_str(&self.message);
-        w.into_bytes()
     }
 
     /// Decodes the failure.
@@ -679,9 +751,14 @@ pub struct WireMetricsRequest {
 impl WireMetricsRequest {
     /// Encodes the request.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(8);
+        encoded(|out| self.encode_into(out))
+    }
+
+    /// Appends the request to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(8);
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
-        w.into_bytes()
     }
 
     /// Decodes the request.
@@ -710,10 +787,15 @@ pub struct WireMetricsReply {
 impl WireMetricsReply {
     /// Encodes the reply.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(12 + self.text.len());
+        encoded(|out| self.encode_into(out))
+    }
+
+    /// Appends the reply to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(12 + self.text.len());
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
         w.put_str(&self.text);
-        w.into_bytes()
     }
 
     /// Decodes the reply.
@@ -746,8 +828,14 @@ pub struct WireTrace {
 impl WireTrace {
     /// Encodes the trace.
     pub fn encode(&self) -> Vec<u8> {
+        encoded(|out| self.encode_into(out))
+    }
+
+    /// Appends the trace to `out`, after the bytes it already holds.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let t = &self.trace;
-        let mut w = PayloadWriter::with_capacity(64 + 48 * (t.spans.len() + t.events.len()));
+        out.reserve(64 + 48 * (t.spans.len() + t.events.len()));
+        let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
         w.put_u64(t.root);
         w.put_u64(t.dropped_events);
@@ -767,7 +855,6 @@ impl WireTrace {
             w.put_str(&event.label);
             w.put_u64(event.value);
         }
-        w.into_bytes()
     }
 
     /// Decodes a trace payload.
@@ -1049,6 +1136,61 @@ mod tests {
         bytes.push(0);
         let err = WireTrace::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
+    }
+
+    #[test]
+    fn encode_into_appends_what_encode_returns() {
+        let prefix = b"kept".to_vec();
+        let appended = |encode_into: &dyn Fn(&mut Vec<u8>)| {
+            let mut out = prefix.clone();
+            encode_into(&mut out);
+            assert_eq!(out[..prefix.len()], prefix[..]);
+            out.split_off(prefix.len())
+        };
+        let req = sample_request();
+        assert_eq!(appended(&|out| req.encode_into(out)), req.encode());
+        let ref_req = sample_ref_request();
+        assert_eq!(appended(&|out| ref_req.encode_into(out)), ref_req.encode());
+        let reg = sample_register();
+        assert_eq!(appended(&|out| reg.encode_into(out)), reg.encode());
+        let chunk = WireChunk {
+            id: 5,
+            seq: 2,
+            pairs: vec![(1, 2), (3, 4), (5, 6)],
+        };
+        assert_eq!(appended(&|out| chunk.encode_into(out)), chunk.encode());
+        assert_eq!(
+            appended(&|out| WireChunk::encode_pairs_into(5, 2, &chunk.pairs, out)),
+            chunk.encode()
+        );
+    }
+
+    #[test]
+    fn chunk_decode_into_appends_and_rejects_trailing_bytes() {
+        let chunk = WireChunk {
+            id: 5,
+            seq: 2,
+            pairs: vec![(1, 2), (3, 4)],
+        };
+        let mut pairs = vec![(9, 9)];
+        assert_eq!(
+            WireChunk::decode_into(&chunk.encode(), &mut pairs).unwrap(),
+            (5, 2)
+        );
+        assert_eq!(pairs, [(9, 9), (1, 2), (3, 4)]);
+
+        let mut bytes = chunk.encode();
+        bytes.push(0);
+        let err = WireChunk::decode_into(&bytes, &mut pairs).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
+        let bytes = chunk.encode();
+        let err = WireChunk::decode_into(&bytes[..bytes.len() - 1], &mut pairs).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
+        assert_eq!(
+            pairs,
+            [(9, 9), (1, 2), (3, 4)],
+            "a bad chunk appends nothing"
+        );
     }
 
     #[test]

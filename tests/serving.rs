@@ -4,13 +4,15 @@
 //! traffic on the direct path and graceful shutdown.
 
 use coupled_hashjoin::hj_core::server::{
-    read_frame, write_frame, FrameType, WireErrorCode, WireFailure, HEADER_BYTES,
+    read_frame, write_frame, FrameType, WireChunk, WireDone, WireErrorCode, WireFailure,
+    WireResponse, WireTrace, DEFAULT_MAX_PAYLOAD_BYTES, HEADER_BYTES, RETAINED_FRAME_BYTES,
+    VERSION,
 };
-use coupled_hashjoin::hj_core::{ExecContext, JoinOutcome};
+use coupled_hashjoin::hj_core::{reference_pairs, ExecContext, JoinOutcome};
 use coupled_hashjoin::prelude::*;
 use datagen::Relation;
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -149,11 +151,170 @@ fn pair_streaming_chunks_and_reassembles() {
         outcome.matches as usize > 128,
         "the workload must actually span multiple chunks"
     );
-    let mut reference = coupled_hashjoin::hj_core::reference_pairs(&r, &s);
+    let mut reference = reference_pairs(&r, &s);
     let mut got = outcome.pairs.clone();
     reference.sort_unstable();
     got.sort_unstable();
     assert_eq!(got, reference);
+}
+
+/// A connection reuses its read and reply buffers (and the client its send
+/// and receive buffers) from one message to the next.  A long frame's bytes
+/// must never show in a later, shorter answer, and a buffer released after
+/// a frame over the retention cap must come back working.
+#[test]
+fn reused_buffers_never_leak_a_previous_frame() {
+    let (large_r, large_s) = test_pair(4_000);
+    let (small_r, small_s) = test_pair(300);
+    // 8 B a tuple over 3n tuples: a request frame above the retention cap.
+    let huge_n = RETAINED_FRAME_BYTES / 24 + 1;
+    let (huge_r, huge_s) = test_pair(huge_n);
+    let server = start_server(
+        JoinEngine::native(EngineConfig::for_tuples(huge_n, 2 * huge_n)).unwrap(),
+        ServerConfig {
+            chunk_pairs: 128,
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = JoinClient::connect(server.local_addr()).unwrap();
+    let sorted = |mut pairs: Vec<(u32, u32)>| {
+        pairs.sort_unstable();
+        pairs
+    };
+    let collect = |client: &mut JoinClient, r: &Relation, s: &Relation| {
+        let request = RequestBuilder::new(r.clone(), s.clone())
+            .collect_pairs(true)
+            .build();
+        sorted(client.join(request).unwrap().pairs)
+    };
+
+    let count_only = |client: &mut JoinClient, r: &Relation, s: &Relation| {
+        let outcome = client
+            .join(RequestBuilder::new(r.clone(), s.clone()).build())
+            .unwrap();
+        assert!(outcome.pairs.is_empty());
+        outcome.matches
+    };
+
+    let large = sorted(reference_pairs(&large_r, &large_s));
+    assert!(large.len() > 128, "the large reply spans many chunks");
+    assert_eq!(collect(&mut client, &large_r, &large_s), large);
+    assert_eq!(
+        count_only(&mut client, &small_r, &small_s),
+        reference_pairs(&small_r, &small_s).len() as u64
+    );
+    assert_eq!(
+        collect(&mut client, &huge_r, &huge_s),
+        sorted(reference_pairs(&huge_r, &huge_s))
+    );
+    assert_eq!(collect(&mut client, &large_r, &large_s), large);
+}
+
+/// Reads through to `inner`, keeping a copy of every byte read.
+struct Recorded<'a> {
+    inner: &'a mut TcpStream,
+    bytes: Vec<u8>,
+}
+
+impl Read for Recorded<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.bytes.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+}
+
+/// Encoding replies into a reused buffer changes how they are written, not
+/// what: the bytes of a traced, many-chunk collecting reply equal
+/// `write_frame` over a separately encoded head, chunks, `Done` and
+/// `Trace`.
+#[test]
+fn reply_bytes_equal_separately_written_frames() {
+    assert_eq!(VERSION, 2, "the wire format did not change");
+    let (r, s) = test_pair(2_000);
+    let engine = Arc::new(JoinEngine::native(EngineConfig::for_tuples(2_000, 4_000)).unwrap());
+    let chunk_pairs = 100;
+    let server = JoinServer::start(
+        Arc::clone(&engine),
+        ServerConfig {
+            chunk_pairs,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let request = RequestBuilder::new(r.clone(), s.clone())
+        .collect_pairs(true)
+        .trace(true)
+        .build();
+    let id = request.id;
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut frame = Vec::new();
+    write_frame(&mut frame, FrameType::Request, &request.encode()).unwrap();
+    stream.write_all(&frame).unwrap();
+    // Closing our side makes the server close the connection after the
+    // reply, so reading to the end reads the whole reply and nothing else.
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reply = Recorded {
+        inner: &mut stream,
+        bytes: Vec::new(),
+    };
+    let mut trace = None;
+    while let Some((frame_type, payload)) =
+        read_frame(&mut reply, DEFAULT_MAX_PAYLOAD_BYTES).unwrap()
+    {
+        if frame_type == FrameType::Trace {
+            trace = Some(WireTrace::decode(&payload).unwrap().trace);
+        }
+    }
+    // Timings differ from run to run, so the trace is the one sent back.
+    let trace = trace.expect("a traced reply ends with a Trace frame");
+
+    let local = engine
+        .submit(
+            &JoinRequest::builder()
+                .collect_results(true)
+                .build()
+                .unwrap(),
+            &r,
+            &s,
+        )
+        .unwrap();
+    let pairs = local.pairs.unwrap();
+    let chunks = pairs.len().div_ceil(chunk_pairs) as u32;
+    assert!(chunks > 3, "the reply spans many chunks");
+    let mut expected = Vec::new();
+    let head = WireResponse {
+        id,
+        matches: local.matches,
+        pair_count: pairs.len() as u64,
+        chunks,
+    };
+    write_frame(&mut expected, FrameType::Response, &head.encode()).unwrap();
+    for (seq, slice) in pairs.chunks(chunk_pairs).enumerate() {
+        let chunk = WireChunk {
+            id,
+            seq: seq as u32,
+            pairs: slice.to_vec(),
+        };
+        write_frame(&mut expected, FrameType::Chunk, &chunk.encode()).unwrap();
+    }
+    write_frame(
+        &mut expected,
+        FrameType::Done,
+        &WireDone { id, chunks }.encode(),
+    )
+    .unwrap();
+    write_frame(
+        &mut expected,
+        FrameType::Trace,
+        &WireTrace { id, trace }.encode(),
+    )
+    .unwrap();
+    assert_eq!(reply.bytes.len(), expected.len());
+    assert!(reply.bytes == expected, "the reply's bytes changed");
 }
 
 // ---------------------------------------------------------------------------
