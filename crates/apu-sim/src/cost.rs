@@ -108,6 +108,13 @@ impl StepCost {
 /// memory accesses and atomics.  Per-item work units passed to
 /// [`CostRecorder::work`] are grouped into wavefronts of the device's width
 /// to measure lock-step (divergence) overhead.
+///
+/// A kernel may also record a whole run of items at once
+/// ([`CostRecorder::items`], [`CostRecorder::work_repeated`], or one total
+/// passed to the fine-grained methods).  When every recorded quantity is an
+/// integer, as the join kernels' are, each running sum stays an exact
+/// integer (below 2^53), so the result is bit-identical to recording the
+/// same items one by one in any grouping.
 #[derive(Debug, Clone)]
 pub struct CostRecorder {
     wavefront: usize,
@@ -133,6 +140,13 @@ impl CostRecorder {
     pub fn item(&mut self, instructions: f64) {
         self.cost.items += 1;
         self.cost.instructions += instructions;
+    }
+
+    /// Records `n` work items that execute `instructions` instructions each.
+    #[inline]
+    pub fn items(&mut self, n: usize, instructions: f64) {
+        self.cost.items += n as u64;
+        self.cost.instructions += n as f64 * instructions;
     }
 
     /// Adds extra instructions to the current kernel (e.g. per-node work in
@@ -196,6 +210,54 @@ impl CostRecorder {
         self.wave_fill += 1;
         if self.wave_fill == self.wavefront {
             self.flush_wave();
+        }
+    }
+
+    /// Records the work units of a run of items, in order: the same as one
+    /// [`CostRecorder::work`] call per item, with the sums kept in integers
+    /// until the run ends.
+    pub fn work_each(&mut self, units: impl IntoIterator<Item = u32>) {
+        let (mut total, mut lockstep) = (0u64, 0u64);
+        let (mut fill, mut max) = (self.wave_fill, self.wave_max);
+        for u in units {
+            total += u64::from(u);
+            max = max.max(u);
+            fill += 1;
+            if fill == self.wavefront {
+                lockstep += u64::from(max) * self.wavefront as u64;
+                fill = 0;
+                max = 0;
+            }
+        }
+        self.cost.total_work += total as f64;
+        self.cost.lockstep_work += lockstep as f64;
+        self.wave_fill = fill;
+        self.wave_max = max;
+    }
+
+    /// Records `n` consecutive items of `units` work units each: the same
+    /// wavefront packing as `n` calls of [`CostRecorder::work`].
+    pub fn work_repeated(&mut self, units: u32, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.cost.total_work += units as f64 * n as f64;
+        let mut left = n;
+        if self.wave_fill > 0 {
+            let take = (self.wavefront - self.wave_fill).min(left);
+            self.wave_max = self.wave_max.max(units);
+            self.wave_fill += take;
+            left -= take;
+            if self.wave_fill == self.wavefront {
+                self.flush_wave();
+            }
+        }
+        let full_waves = left / self.wavefront;
+        self.cost.lockstep_work += units as f64 * (full_waves * self.wavefront) as f64;
+        left -= full_waves * self.wavefront;
+        if left > 0 {
+            self.wave_max = units;
+            self.wave_fill = left;
         }
     }
 
@@ -358,6 +420,39 @@ mod tests {
         // One partial wavefront of 10 items, max work 2.
         assert_eq!(c.total_work, 20.0);
         assert_eq!(c.lockstep_work, 2.0 * 64.0);
+    }
+
+    #[test]
+    fn bulk_recording_matches_item_by_item_recording() {
+        for wavefront in [1, 4, 64] {
+            for lead in [0usize, 1, 3, 63, 64, 65] {
+                for n in [0usize, 1, 2, 63, 64, 130] {
+                    let mut one_by_one = CostRecorder::new(wavefront);
+                    let mut bulk = CostRecorder::new(wavefront);
+                    for rec in [&mut one_by_one, &mut bulk] {
+                        for i in 0..lead {
+                            rec.item(3.0);
+                            rec.work(i as u32 % 5 + 1);
+                        }
+                    }
+                    for _ in 0..n {
+                        one_by_one.item(180.0);
+                        one_by_one.work(2);
+                    }
+                    bulk.items(n, 180.0);
+                    bulk.work_repeated(2, n / 2);
+                    bulk.work_each(std::iter::repeat_n(2, n - n / 2));
+                    assert_eq!(
+                        one_by_one.snapshot(),
+                        bulk.snapshot(),
+                        "wavefront {wavefront}, lead {lead}, n {n}"
+                    );
+                    one_by_one.work(7);
+                    bulk.work(7);
+                    assert_eq!(one_by_one.finish(), bulk.finish());
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,12 +4,13 @@ use crate::context::ExecContext;
 use crate::divergence::{grouping_order, DEFAULT_GROUPS};
 use crate::error::JoinError;
 use crate::hash::hash_key;
-use crate::hashtable::{HashTable, KEY_NODE_BYTES, RID_NODE_BYTES};
-use crate::phase::{run_step, PhaseExecution};
+use crate::hashtable::{HashTable, Inserted, KEY_NODE_BYTES, RID_NODE_BYTES};
+use crate::phase::{run_step_lanes, PhaseExecution};
 use crate::schedule::Ratios;
 use crate::steps::{instr, StepId};
-use apu_sim::{DeviceKind, Phase};
+use apu_sim::Phase;
 use datagen::Relation;
+use std::ops::Range;
 
 /// Where the build phase inserts tuples: one shared hash table latched
 /// between the devices, or one private table per device (which later
@@ -30,6 +31,29 @@ pub enum BuildTarget<'t> {
 impl BuildTarget<'_> {
     fn is_separate(&self) -> bool {
         matches!(self, BuildTarget::Separate { .. })
+    }
+
+    /// Each table with the tuples `0..n` it receives: all of them when
+    /// shared, the CPU's `0..cut` and the GPU's `cut..n` when separate.
+    fn shares(&mut self, n: usize, cut: usize) -> Vec<(&mut HashTable, Range<usize>)> {
+        match self {
+            BuildTarget::Shared(t) => vec![(&mut **t, 0..n)],
+            BuildTarget::Separate { cpu, gpu } => vec![(&mut **cpu, 0..cut), (&mut **gpu, cut..n)],
+        }
+    }
+
+    /// The table receiving tuple `i`.
+    fn table_of(&self, i: usize, cut: usize) -> &HashTable {
+        match self {
+            BuildTarget::Shared(t) => t,
+            BuildTarget::Separate { cpu, gpu } => {
+                if i < cut {
+                    cpu
+                } else {
+                    gpu
+                }
+            }
+        }
     }
 
     fn bucket_array_bytes(&self) -> usize {
@@ -77,12 +101,6 @@ pub fn run_build_phase(
     let stashed_tuner = if separate { ctx.tuner.take() } else { None };
     let bucket_bytes = target.bucket_array_bytes() as f64;
     let mut steps = Vec::with_capacity(4);
-
-    // Per-tuple state carried between steps (the intermediate results of the
-    // fine-grained decomposition).
-    let mut hashes = vec![0u32; n];
-    let mut bucket_idx = vec![0u32; n];
-    let mut key_node = vec![0u32; n];
     // Bytes of the first allocation that failed, if any; checked after each
     // step so exhaustion aborts the phase instead of panicking mid-kernel.
     let mut oom: Option<usize> = None;
@@ -91,130 +109,177 @@ pub fn run_build_phase(
     // mode (constant across steps because ratios are uniform there).
     let phase_cut = ((n as f64) * ratios.get(0)).round() as usize;
 
-    // b1: compute hash bucket number.
-    steps.push(run_step(
-        ctx,
-        StepId::B1,
-        n,
-        ratios.get(0),
-        0.0,
-        |_, i, _, _, rec| {
-            hashes[i] = hash_key(rel.key(i));
-            rec.item(instr::HASH);
-            rec.seq_read(4.0);
-            rec.seq_write(4.0);
-        },
-    ));
+    // The host pass: each table's share of the tuples, hashed (b1) and
+    // counted into its buckets (b2).
+    let mut bucket = vec![0u32; n];
+    for (table, range) in target.shares(n, phase_cut) {
+        for i in range.clone() {
+            bucket[i] = table.bucket_index(hash_key(rel.key(i))) as u32;
+        }
+        table.count_tuples(&bucket[range]);
+    }
 
-    // b2: visit the hash bucket header (and claim a slot).
-    steps.push(run_step(
-        ctx,
-        StepId::B2,
-        n,
-        ratios.get(1),
-        bucket_bytes,
-        |ctx, i, kind, _, rec| {
-            let table = table_for(&mut target, kind, i, phase_cut);
-            let idx = table.bucket_index(hashes[i]);
-            bucket_idx[i] = idx as u32;
-            table.visit_bucket_for_build(idx);
-            let addr = table.bucket_addr(idx);
-            ctx.cache_access(addr);
-            rec.item(instr::VISIT_HEADER);
-            rec.random_read(1.0);
-            rec.random_write(1.0);
-            if !separate {
-                // The shared table's bucket counter is a latch between devices.
-                rec.parallel_atomic(1.0);
-            }
-        },
-    ));
-
-    // Optional grouping: order tuples by the current occupancy of their
+    // Optional grouping: order tuples by the final occupancy of their
     // bucket so wavefronts see similar key-list lengths in b3/b4.
     let order: Vec<u32> = if grouping {
-        let work: Vec<u32> = (0..n)
-            .map(|i| {
-                let table = table_for_read(&target, i, phase_cut);
-                table.bucket(bucket_idx[i] as usize).count
-            })
-            .collect();
+        let mut work = vec![0u32; n];
+        for (table, range) in target.shares(n, phase_cut) {
+            table.counts_of(&bucket[range.clone()], &mut work[range]);
+        }
         grouping_order(&work, DEFAULT_GROUPS)
     } else {
         (0..n as u32).collect()
     };
 
+    // ... and each tuple inserted, in `order` (b3 and b4).
+    let mut inserted = Inserted::new(n);
+    for (table, range) in target.shares(n, phase_cut) {
+        table.insert_tuples(
+            rel.keys(),
+            rel.rids(),
+            &bucket,
+            &order,
+            range,
+            &mut inserted,
+        );
+    }
+    let target = &target;
+
+    // b1: compute hash bucket number.
+    steps.push(run_step_lanes(
+        ctx,
+        StepId::B1,
+        n,
+        ratios.get(0),
+        0.0,
+        |_, lane, rec| {
+            let items = lane.items.len();
+            rec.items(items, instr::HASH);
+            rec.seq_read(4.0 * items as f64);
+            rec.seq_write(4.0 * items as f64);
+        },
+    ));
+
+    // b2: visit the hash bucket header (and claim a slot).
+    steps.push(run_step_lanes(
+        ctx,
+        StepId::B2,
+        n,
+        ratios.get(1),
+        bucket_bytes,
+        |ctx, lane, rec| {
+            if let Some(sim) = ctx.cache_sim.as_mut() {
+                for i in lane.items.clone() {
+                    let table = target.table_of(i, phase_cut);
+                    sim.access(table.bucket_addr(bucket[i] as usize));
+                }
+            }
+            let items = lane.items.len();
+            rec.items(items, instr::VISIT_HEADER);
+            rec.random_read(items as f64);
+            rec.random_write(items as f64);
+            if !separate {
+                // The shared table's bucket counter is a latch between devices.
+                rec.parallel_atomic(items as f64);
+            }
+        },
+    ));
+
     // b3: visit the key list, creating a key node if necessary.
     let key_ws = bucket_bytes + (n * KEY_NODE_BYTES) as f64;
-    steps.push(run_step(
+    steps.push(run_step_lanes(
         ctx,
         StepId::B3,
         n,
         ratios.get(2),
         key_ws,
-        |ctx, pos, kind, group, rec| {
+        |ctx, lane, rec| {
             if oom.is_some() {
                 return;
             }
-            let i = order[pos] as usize;
-            let table = table_for(&mut target, kind, i, phase_cut);
-            let idx = bucket_idx[i] as usize;
-            let Ok((kn, created, visited)) =
-                table.find_or_create_key(idx, rel.key(i), ctx.allocator.as_mut(), group)
-            else {
-                oom = Some(KEY_NODE_BYTES);
-                return;
-            };
-            key_node[i] = kn;
-            for v in 0..visited {
-                ctx.cache_access(table.key_node_addr(kn.saturating_sub(v)));
+            // Each work group's key-node allocations in one go; a run that
+            // does not fit ends the lane at the insert whose node failed.
+            let mut end = lane.items.end;
+            for (group, run) in lane.group_runs() {
+                let created = &inserted.created[run.clone()];
+                let wanted = created.iter().filter(|&&c| c).count();
+                let got = ctx.allocator.alloc_many(group, KEY_NODE_BYTES, wanted);
+                if got < wanted {
+                    oom = Some(KEY_NODE_BYTES);
+                    let failed = created.iter().enumerate().filter(|(_, &c)| c).nth(got);
+                    end = run.start + failed.map_or(0, |(k, _)| k);
+                    break;
+                }
             }
-            rec.item(0.0);
+            let (mut visited, mut created) = (0u64, 0usize);
+            let mut cache_sim = ctx.cache_sim.as_mut();
+            rec.work_each((lane.items.start..end).map(|pos| {
+                let nodes = inserted.visited[pos];
+                if let Some(sim) = cache_sim.as_deref_mut() {
+                    // The addresses counted back from the tuple's own node,
+                    // not the nodes its walk visited (ROADMAP item 13);
+                    // kept as they are so Table 3's miss counts hold.
+                    let table = target.table_of(order[pos] as usize, phase_cut);
+                    let node = inserted.key_node[pos];
+                    for v in 0..nodes {
+                        sim.access(table.key_node_addr(node.saturating_sub(v)));
+                    }
+                }
+                visited += u64::from(nodes);
+                created += usize::from(inserted.created[pos]);
+                nodes.max(1)
+            }));
+            let items = end - lane.items.start;
+            rec.items(items, 0.0);
             rec.instructions(visited as f64 * instr::KEY_NODE_VISIT);
-            if created {
-                rec.instructions(instr::KEY_NODE_CREATE);
-                rec.random_write(1.0);
-            }
+            rec.instructions(created as f64 * instr::KEY_NODE_CREATE);
+            rec.random_write(created as f64);
             if grouping {
-                rec.instructions(instr::GROUPING_PER_TUPLE);
-                rec.seq_read(4.0);
-                rec.seq_write(4.0);
+                rec.instructions(items as f64 * instr::GROUPING_PER_TUPLE);
+                rec.seq_read(4.0 * items as f64);
+                rec.seq_write(4.0 * items as f64);
             }
             rec.random_read(visited as f64);
-            rec.work(visited.max(1));
             if !separate {
-                rec.parallel_atomic(1.0);
+                rec.parallel_atomic(items as f64);
             }
         },
     ));
 
     // b4: insert the record id into the rid list.
     let rid_ws = (n * (KEY_NODE_BYTES + RID_NODE_BYTES)) as f64;
-    steps.push(run_step(
+    steps.push(run_step_lanes(
         ctx,
         StepId::B4,
         n,
         ratios.get(3),
         rid_ws,
-        |ctx, pos, kind, group, rec| {
+        |ctx, lane, rec| {
             if oom.is_some() {
                 return;
             }
-            let i = order[pos] as usize;
-            let table = table_for(&mut target, kind, i, phase_cut);
-            if table
-                .insert_rid(key_node[i], rel.rid(i), ctx.allocator.as_mut(), group)
-                .is_err()
-            {
-                oom = Some(RID_NODE_BYTES);
-                return;
+            let mut end = lane.items.end;
+            for (group, run) in lane.group_runs() {
+                let got = ctx.allocator.alloc_many(group, RID_NODE_BYTES, run.len());
+                if got < run.len() {
+                    oom = Some(RID_NODE_BYTES);
+                    end = run.start + got;
+                    break;
+                }
             }
-            ctx.cache_access(table.key_node_addr(key_node[i]));
-            rec.item(instr::RID_INSERT);
-            rec.random_write(1.0);
-            rec.work(1);
+            if let Some(sim) = ctx.cache_sim.as_mut() {
+                let done = lane.items.start..end;
+                for (&i, &node) in order[done.clone()].iter().zip(&inserted.key_node[done]) {
+                    let table = target.table_of(i as usize, phase_cut);
+                    sim.access(table.key_node_addr(node));
+                }
+            }
+            let items = end - lane.items.start;
+            rec.items(items, instr::RID_INSERT);
+            rec.random_write(items as f64);
+            rec.work_repeated(1, items);
             if !separate {
-                rec.parallel_atomic(1.0);
+                rec.parallel_atomic(items as f64);
             }
         },
     ));
@@ -231,45 +296,11 @@ pub fn run_build_phase(
     Ok(PhaseExecution::from_steps(Phase::Build, recorded, steps, n))
 }
 
-fn table_for<'a>(
-    target: &'a mut BuildTarget<'_>,
-    kind: DeviceKind,
-    item: usize,
-    phase_cut: usize,
-) -> &'a mut HashTable {
-    match target {
-        BuildTarget::Shared(t) => t,
-        BuildTarget::Separate { cpu, gpu } => {
-            // In separate mode the ratio is uniform, so device assignment is
-            // positional and consistent across steps.
-            let _ = kind;
-            if item < phase_cut {
-                cpu
-            } else {
-                gpu
-            }
-        }
-    }
-}
-
-fn table_for_read<'a>(target: &'a BuildTarget<'_>, item: usize, phase_cut: usize) -> &'a HashTable {
-    match target {
-        BuildTarget::Shared(t) => t,
-        BuildTarget::Separate { cpu, gpu } => {
-            if item < phase_cut {
-                cpu
-            } else {
-                gpu
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::arena_bytes_for;
-    use apu_sim::SystemSpec;
+    use apu_sim::{DeviceKind, SystemSpec};
     use datagen::DataGenConfig;
     use mem_alloc::AllocatorKind;
 

@@ -29,9 +29,10 @@ use crate::config::{Algorithm, HashTableMode, StepGranularity};
 use crate::context::ExecContext;
 use crate::engine::JoinRequest;
 use crate::error::JoinError;
+use crate::executor::{partition_relation, record_phase};
 use crate::hashtable::{HashTable, BUCKET_HEADER_BYTES};
 use crate::native::NativeTable;
-use crate::partition::{default_radix_bits, run_partition_pass};
+use crate::partition::default_radix_bits;
 use crate::result::JoinOutcome;
 use crate::scheme::RatioPlan;
 use apu_sim::DeviceKind;
@@ -219,48 +220,6 @@ pub(crate) fn sim_partitioning(
     }
 }
 
-/// Radix-partitions `rel` exactly as the uncached executor does (empty
-/// inputs fan out without running a pass), without charging transfers — the
-/// cached path only serves non-discrete systems.
-fn partition_for_cache(
-    ctx: &mut ExecContext<'_>,
-    rel: &Relation,
-    bits: u32,
-    passes: u32,
-    plan: &RatioPlan,
-    probe_outcome: Option<&mut JoinOutcome>,
-) -> Result<Vec<Relation>, JoinError> {
-    let fanout = 1usize << bits;
-    let mut parts = vec![rel.clone()];
-    let mut outcome = probe_outcome;
-    for pass in 0..passes {
-        let mut next = Vec::with_capacity(parts.len() * fanout);
-        for p in &parts {
-            if p.is_empty() {
-                next.extend((0..fanout).map(|_| Relation::new()));
-                continue;
-            }
-            let (ps, phase) = run_partition_pass(ctx, p, bits, pass, &plan.partition)?;
-            if let Some(outcome) = outcome.as_deref_mut() {
-                record_phase(ctx, outcome, phase);
-            }
-            next.extend(ps);
-        }
-        parts = next;
-    }
-    Ok(parts)
-}
-
-fn record_phase(
-    ctx: &mut ExecContext<'_>,
-    outcome: &mut JoinOutcome,
-    phase: crate::phase::PhaseExecution,
-) {
-    outcome.breakdown.add(phase.phase, phase.elapsed());
-    ctx.counters.intermediate_tuples += phase.intermediate_tuples;
-    outcome.phases.push(phase);
-}
-
 /// Builds the cacheable payload for a simulator backend: the per-partition
 /// chained hash tables of `build` under `request`'s scheme and algorithm.
 pub(crate) fn sim_build_cached(
@@ -275,12 +234,17 @@ pub(crate) fn sim_build_cached(
     })?;
     let (bits, passes) = sim_partitioning(request, build.len(), ctx.sys);
     let parts = if bits == 0 {
-        vec![build.clone()]
+        Vec::new()
     } else {
-        partition_for_cache(ctx, build, bits, passes, &plan, None)?
+        partition_relation(ctx, build, bits, passes, &plan, None)?
     };
-    let mut tables = Vec::with_capacity(parts.len());
-    for part in &parts {
+    let inputs = if bits == 0 {
+        std::slice::from_ref(build)
+    } else {
+        &parts[..]
+    };
+    let mut tables = Vec::with_capacity(inputs.len());
+    for part in inputs {
         let mut table = HashTable::for_build_size(part.len());
         run_build_phase(
             ctx,
@@ -345,7 +309,7 @@ pub(crate) fn sim_probe_cached(
         record_phase(ctx, &mut outcome, phase);
         return Ok(outcome);
     }
-    let parts = partition_for_cache(ctx, probe, *bits, *passes, &plan, Some(&mut outcome))?;
+    let parts = partition_relation(ctx, probe, *bits, *passes, &plan, Some(&mut outcome))?;
     // Single-thread shape check (partition fan-out arithmetic), not a
     // cross-thread invariant — a debug assert is the right strength.
     debug_assert_eq!(parts.len(), tables.len()); // hj-lint: allow(debug-assert-concurrency)

@@ -202,14 +202,7 @@ impl<'a> ExecContext<'a> {
     /// Items are assigned contiguously, as a real work-group decomposition
     /// would.
     pub fn group_for(&self, kind: DeviceKind, offset_in_range: usize, range_len: usize) -> usize {
-        let (base, n) = match kind {
-            DeviceKind::Cpu => (0, CPU_WORK_GROUPS),
-            DeviceKind::Gpu => (CPU_WORK_GROUPS, GPU_WORK_GROUPS),
-        };
-        if range_len == 0 {
-            return base;
-        }
-        base + (offset_in_range * n / range_len).min(n - 1)
+        work_group(kind, offset_in_range, range_len)
     }
 
     /// Feeds one address to the exact cache simulator, if enabled.
@@ -232,6 +225,19 @@ impl<'a> ExecContext<'a> {
         self.counters.alloc = self.allocator.stats();
         self.counters.cache = self.cache_sim.as_ref().map(|c| c.stats());
     }
+}
+
+/// [`ExecContext::group_for`] without a context.
+#[inline]
+pub(crate) fn work_group(kind: DeviceKind, offset_in_range: usize, range_len: usize) -> usize {
+    let (base, n) = match kind {
+        DeviceKind::Cpu => (0, CPU_WORK_GROUPS),
+        DeviceKind::Gpu => (CPU_WORK_GROUPS, GPU_WORK_GROUPS),
+    };
+    if range_len == 0 {
+        return base;
+    }
+    base + (offset_in_range * n / range_len).min(n - 1)
 }
 
 /// Sizes the allocator arena for a join of `build_tuples` ⨝ `probe_tuples`:

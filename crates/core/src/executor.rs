@@ -94,7 +94,11 @@ fn add_transfer(ctx: &mut ExecContext<'_>, outcome: &mut JoinOutcome, bytes: u64
     ctx.counters.pcie_transfers += 1;
 }
 
-fn record_phase(ctx: &mut ExecContext<'_>, outcome: &mut JoinOutcome, phase: PhaseExecution) {
+pub(crate) fn record_phase(
+    ctx: &mut ExecContext<'_>,
+    outcome: &mut JoinOutcome,
+    phase: PhaseExecution,
+) {
     outcome.breakdown.add(phase.phase, phase.elapsed());
     ctx.counters.intermediate_tuples += phase.intermediate_tuples;
     outcome.phases.push(phase);
@@ -235,27 +239,38 @@ fn join_pair(
     Ok(())
 }
 
-/// Radix-partitions `rel` over `passes` passes of `bits` bits each.
-fn partition_relation(
+/// Radix-partitions `rel` over `passes` (at least one) passes of `bits`
+/// bits each; an empty partition fans out without running a pass.  Pass 0
+/// reads `rel` where it lies.  With an `outcome`, each pass's phase and its
+/// discrete-topology transfer are charged to it; without one (a build for
+/// the table cache) they are not recorded.
+pub(crate) fn partition_relation(
     ctx: &mut ExecContext<'_>,
     rel: &Relation,
     bits: u32,
     passes: u32,
     plan: &RatioPlan,
-    outcome: &mut JoinOutcome,
+    mut outcome: Option<&mut JoinOutcome>,
 ) -> Result<Vec<Relation>, JoinError> {
     let fanout = 1usize << bits;
-    let mut parts = vec![rel.clone()];
+    let mut parts = Vec::new();
     for pass in 0..passes {
-        let mut next = Vec::with_capacity(parts.len() * fanout);
-        for p in &parts {
+        let inputs = if pass == 0 {
+            std::slice::from_ref(rel)
+        } else {
+            &parts[..]
+        };
+        let mut next = Vec::with_capacity(inputs.len() * fanout);
+        for p in inputs {
             if p.is_empty() {
                 next.extend((0..fanout).map(|_| Relation::new()));
                 continue;
             }
             let (ps, phase) = run_partition_pass(ctx, p, bits, pass, &plan.partition)?;
-            add_transfer(ctx, outcome, phase.intermediate_tuples * 8);
-            record_phase(ctx, outcome, phase);
+            if let Some(outcome) = outcome.as_deref_mut() {
+                add_transfer(ctx, outcome, phase.intermediate_tuples * 8);
+                record_phase(ctx, outcome, phase);
+            }
             next.extend(ps);
         }
         parts = next;
@@ -290,8 +305,8 @@ fn run_partitioned(
         (gpu_share * ((build_rel.len() + probe_rel.len()) * 8) as f64) as u64,
     );
 
-    let parts_r = partition_relation(ctx, build_rel, bits, passes, plan, outcome)?;
-    let parts_s = partition_relation(ctx, probe_rel, bits, passes, plan, outcome)?;
+    let parts_r = partition_relation(ctx, build_rel, bits, passes, plan, Some(outcome))?;
+    let parts_s = partition_relation(ctx, probe_rel, bits, passes, plan, Some(outcome))?;
 
     match cfg.granularity {
         StepGranularity::Coarse => {

@@ -10,8 +10,25 @@
 //! node creation is accounted through the simulated
 //! [`KernelAllocator`] so the latch overhead of
 //! dynamic allocation (Figures 11 and 12) is charged faithfully.
+//!
+//! The build and probe phases do their table work in host passes over a
+//! whole relation — [`HashTable::count_tuples`], [`HashTable::insert_tuples`]
+//! and [`HashTable::probe_tuples`] — that resolve each tuple's chain once
+//! and prefetch ahead of it, as Chen, Ailamaki, Gibbons and Mowry prefetch
+//! real hash joins ("Improving Hash Join Performance through Prefetching",
+//! ICDE 2004).  They leave the allocator alone and record what each tuple
+//! did, so the step kernels can replay the allocations in the simulated
+//! order.  The per-tuple primitives below serve the merge and the coarse
+//! (one kernel per phase) joins.
 
+use crate::prefetch;
 use mem_alloc::KernelAllocator;
+use std::ops::Range;
+
+/// Tuples a host pass looks ahead: it prefetches a tuple's bucket header
+/// `2 * PREFETCH_AHEAD` tuples before resolving it, and the head of its key
+/// list `PREFETCH_AHEAD` tuples before.
+const PREFETCH_AHEAD: usize = 16;
 
 /// Sentinel index meaning "null pointer".
 pub const NIL: u32 = u32::MAX;
@@ -50,6 +67,10 @@ pub struct KeyNode {
     pub rid_head: u32,
     /// Next key node in the bucket, or [`NIL`].
     pub next: u32,
+    /// Rids in the rid list: kept on the host so a probe learns its output
+    /// size without walking the list; not part of the simulated node
+    /// ([`KEY_NODE_BYTES`]).
+    pub rid_count: u32,
 }
 
 /// A node of a key's rid list: one build-tuple record ID.
@@ -82,6 +103,46 @@ pub struct MergeStats {
     pub keys_moved: u64,
     /// Rid nodes moved.
     pub rids_moved: u64,
+}
+
+/// What [`HashTable::insert_tuples`] did for each build tuple, indexed by
+/// the tuple's place in the insert order: the facts steps `b3` and `b4`
+/// replay.
+#[derive(Debug, Clone, Default)]
+pub struct Inserted {
+    /// The tuple's key node.
+    pub key_node: Vec<u32>,
+    /// Key nodes the tuple's `b3` visited, the created one included.
+    pub visited: Vec<u32>,
+    /// Whether the tuple created its key node.
+    pub created: Vec<bool>,
+}
+
+impl Inserted {
+    /// Room for the facts of `tuples` tuples.
+    pub fn new(tuples: usize) -> Self {
+        Inserted {
+            key_node: vec![NIL; tuples],
+            visited: vec![0; tuples],
+            created: vec![false; tuples],
+        }
+    }
+}
+
+/// What [`HashTable::probe_tuples`] found for each probe tuple, indexed by
+/// tuple: the facts steps `p2`–`p4` replay.
+#[derive(Debug, Clone, Default)]
+pub struct Probed {
+    /// The tuple's bucket.
+    pub bucket: Vec<u32>,
+    /// The bucket's tuple count.
+    pub bucket_count: Vec<u32>,
+    /// The matching key node, or [`NIL`].
+    pub key_node: Vec<u32>,
+    /// Key nodes visited looking for the key.
+    pub visited: Vec<u32>,
+    /// Rids under the matching key node (0 without a match).
+    pub rids: Vec<u32>,
 }
 
 /// The chained hash table of the paper.
@@ -144,12 +205,6 @@ impl HashTable {
         }
     }
 
-    /// The header of bucket `idx`.
-    #[inline]
-    pub fn bucket(&self, idx: usize) -> BucketHeader {
-        self.buckets[idx]
-    }
-
     /// Step `b2` primitive: visits the bucket header, increments its tuple
     /// count, and returns the previous key-list head.
     #[inline]
@@ -157,12 +212,6 @@ impl HashTable {
         let b = &mut self.buckets[idx];
         b.count += 1;
         b.key_head
-    }
-
-    /// Step `p2` primitive: reads the bucket header.
-    #[inline]
-    pub fn visit_bucket_for_probe(&self, idx: usize) -> BucketHeader {
-        self.buckets[idx]
     }
 
     /// Step `b3` primitive: walks bucket `idx`'s key list looking for `key`,
@@ -177,26 +226,25 @@ impl HashTable {
         alloc: &mut dyn KernelAllocator,
         group: usize,
     ) -> Result<(u32, bool, u32), TableFull> {
-        let mut visited = 0u32;
-        let mut cur = self.buckets[idx].key_head;
-        while cur != NIL {
-            visited += 1;
-            let node = self.key_nodes[cur as usize];
-            if node.key == key {
-                return Ok((cur, false, visited));
-            }
-            cur = node.next;
+        let (found, visited) = self.find_key(idx, key);
+        if let Some(node) = found {
+            return Ok((node, false, visited));
         }
-        // Create a new key node at the head of the list.
         alloc.alloc(group, KEY_NODE_BYTES).ok_or(TableFull)?;
-        let new_idx = self.key_nodes.len() as u32;
+        Ok((self.push_key(idx, key), true, visited + 1))
+    }
+
+    /// Creates a key node for `key` at the head of bucket `idx`'s list.
+    fn push_key(&mut self, idx: usize, key: u32) -> u32 {
+        let node = self.key_nodes.len() as u32;
         self.key_nodes.push(KeyNode {
             key,
             rid_head: NIL,
             next: self.buckets[idx].key_head,
+            rid_count: 0,
         });
-        self.buckets[idx].key_head = new_idx;
-        Ok((new_idx, true, visited + 1))
+        self.buckets[idx].key_head = node;
+        node
     }
 
     /// Step `p3` primitive: walks bucket `idx`'s key list looking for `key`.
@@ -225,11 +273,134 @@ impl HashTable {
         group: usize,
     ) -> Result<(), TableFull> {
         alloc.alloc(group, RID_NODE_BYTES).ok_or(TableFull)?;
-        let new_idx = self.rid_nodes.len() as u32;
-        let head = self.key_nodes[key_node as usize].rid_head;
-        self.rid_nodes.push(RidNode { rid, next: head });
-        self.key_nodes[key_node as usize].rid_head = new_idx;
+        self.push_rid(key_node, rid);
         Ok(())
+    }
+
+    fn push_rid(&mut self, key_node: u32, rid: u32) {
+        let node = self.rid_nodes.len() as u32;
+        let key = &mut self.key_nodes[key_node as usize];
+        self.rid_nodes.push(RidNode {
+            rid,
+            next: key.rid_head,
+        });
+        key.rid_head = node;
+        key.rid_count += 1;
+    }
+
+    /// Step `b2`'s table work for a run of build tuples: counts each tuple
+    /// into its bucket `buckets[k]`.
+    pub fn count_tuples(&mut self, buckets: &[u32]) {
+        for (k, &idx) in buckets.iter().enumerate() {
+            if let Some(&ahead) = buckets.get(k + PREFETCH_AHEAD) {
+                prefetch(&self.buckets, ahead as usize);
+            }
+            self.buckets[idx as usize].count += 1;
+        }
+    }
+
+    /// The tuple count of each bucket `buckets[k]`, into `out[k]`.
+    pub fn counts_of(&self, buckets: &[u32], out: &mut [u32]) {
+        for (k, &idx) in buckets.iter().enumerate() {
+            if let Some(&ahead) = buckets.get(k + PREFETCH_AHEAD) {
+                prefetch(&self.buckets, ahead as usize);
+            }
+            out[k] = self.buckets[idx as usize].count;
+        }
+    }
+
+    /// Steps `b3` and `b4`'s table work: inserts tuple `i` of `(keys, rids)`
+    /// into bucket `buckets[i]` for each `i` of `order` that lies in `own`,
+    /// in that order — finding or creating its key node, then prepending
+    /// its rid — and records what the insert at place `k` of `order` did at
+    /// `out[k]`.
+    ///
+    /// The table ends exactly as the per-tuple primitives would leave it
+    /// after all of `b3` and then all of `b4` in the same order: key nodes
+    /// and rid nodes are numbered in `order`, and a key's rid list holds
+    /// its rids newest first.  Nothing is allocated; the caller replays
+    /// each created node's allocation.
+    pub fn insert_tuples(
+        &mut self,
+        keys: &[u32],
+        rids: &[u32],
+        buckets: &[u32],
+        order: &[u32],
+        own: Range<usize>,
+        out: &mut Inserted,
+    ) {
+        let bucket_at = |k: usize| {
+            let i = *order.get(k)? as usize;
+            own.contains(&i).then(|| buckets[i])
+        };
+        for (k, &i) in order.iter().enumerate() {
+            let i = i as usize;
+            if !own.contains(&i) {
+                continue;
+            }
+            self.prefetch_for(
+                bucket_at(k + 2 * PREFETCH_AHEAD),
+                bucket_at(k + PREFETCH_AHEAD),
+            );
+            let idx = buckets[i] as usize;
+            let key = keys[i];
+            let (node, visited) = match self.find_key(idx, key) {
+                (Some(node), visited) => (node, visited),
+                (None, visited) => {
+                    out.created[k] = true;
+                    (self.push_key(idx, key), visited + 1)
+                }
+            };
+            out.key_node[k] = node;
+            out.visited[k] = visited;
+            self.push_rid(node, rids[i]);
+        }
+    }
+
+    /// Steps `p1`–`p4`'s table work: looks up every key of `keys`, in order,
+    /// without walking any rid list.
+    pub fn probe_tuples(&self, keys: &[u32]) -> Probed {
+        let n = keys.len();
+        let bucket: Vec<u32> = keys
+            .iter()
+            .map(|&key| self.bucket_index(crate::hash::hash_key(key)) as u32)
+            .collect();
+        let mut out = Probed {
+            bucket_count: vec![0; n],
+            key_node: vec![NIL; n],
+            visited: vec![0; n],
+            rids: vec![0; n],
+            bucket: Vec::new(),
+        };
+        for (i, &key) in keys.iter().enumerate() {
+            let ahead = |k: usize| bucket.get(k).copied();
+            self.prefetch_for(ahead(i + 2 * PREFETCH_AHEAD), ahead(i + PREFETCH_AHEAD));
+            let idx = bucket[i] as usize;
+            out.bucket_count[i] = self.buckets[idx].count;
+            let (found, visited) = self.find_key(idx, key);
+            out.visited[i] = visited;
+            if let Some(node) = found {
+                out.key_node[i] = node;
+                out.rids[i] = self.key_nodes[node as usize].rid_count;
+            }
+        }
+        out.bucket = bucket;
+        out
+    }
+
+    /// Prefetches bucket `far`'s header, and the head of bucket `near`'s
+    /// key list (whose header an earlier call prefetched).
+    #[inline]
+    fn prefetch_for(&self, far: Option<u32>, near: Option<u32>) {
+        if let Some(idx) = far {
+            prefetch(&self.buckets, idx as usize);
+        }
+        if let Some(idx) = near {
+            let head = self.buckets[idx as usize].key_head;
+            if head != NIL {
+                prefetch(&self.key_nodes, head as usize);
+            }
+        }
     }
 
     /// Step `p4` primitive: iterates the rids stored under `key_node`.
@@ -441,6 +612,89 @@ mod tests {
         let mut rids: Vec<_> = a_table.rids_of(kn.unwrap()).collect();
         rids.sort_unstable();
         assert_eq!(rids, vec![10, 11]);
+    }
+
+    /// Keys with duplicates and collisions (a small table), inserted in a
+    /// shuffled order.
+    fn skewed_tuples(n: u32) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let keys: Vec<u32> = (0..n).map(|i| ((i * 7919) % (n / 3)) ^ (i % 5)).collect();
+        let rids: Vec<u32> = (0..n).map(|i| i + 1000).collect();
+        let mut order: Vec<u32> = (0..n).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, (i * 2_654_435_761) % (i + 1));
+        }
+        (keys, rids, order)
+    }
+
+    #[test]
+    fn host_passes_build_the_table_the_per_tuple_steps_build() {
+        let (keys, rids, order) = skewed_tuples(600);
+        let mut a = alloc();
+        let mut by_step = HashTable::with_buckets(64);
+        let buckets: Vec<u32> = keys
+            .iter()
+            .map(|&k| by_step.bucket_index(hash_key(k)) as u32)
+            .collect();
+        for &b in &buckets {
+            by_step.visit_bucket_for_build(b as usize);
+        }
+        let mut facts = Vec::new();
+        for &i in &order {
+            let i = i as usize;
+            let kn = by_step.find_or_create_key(buckets[i] as usize, keys[i], &mut a, 0);
+            facts.push(kn.unwrap());
+        }
+        for (k, &i) in order.iter().enumerate() {
+            by_step
+                .insert_rid(facts[k].0, rids[i as usize], &mut a, 0)
+                .unwrap();
+        }
+
+        let mut by_pass = HashTable::with_buckets(64);
+        by_pass.count_tuples(&buckets);
+        let mut inserted = Inserted::new(keys.len());
+        by_pass.insert_tuples(&keys, &rids, &buckets, &order, 0..keys.len(), &mut inserted);
+
+        assert_eq!(by_step.buckets, by_pass.buckets);
+        assert_eq!(by_step.key_nodes, by_pass.key_nodes);
+        assert_eq!(by_step.rid_nodes, by_pass.rid_nodes);
+        for (k, &(node, created, visited)) in facts.iter().enumerate() {
+            assert_eq!(inserted.key_node[k], node);
+            assert_eq!(inserted.created[k], created);
+            assert_eq!(inserted.visited[k], visited);
+        }
+
+        let probes: Vec<u32> = (0..400).map(|i| i * 3 % 250).collect();
+        let probed = by_pass.probe_tuples(&probes);
+        for (i, &key) in probes.iter().enumerate() {
+            let idx = by_pass.bucket_index(hash_key(key));
+            let (found, visited) = by_pass.find_key(idx, key);
+            assert_eq!(probed.bucket[i] as usize, idx);
+            assert_eq!(probed.bucket_count[i], by_pass.buckets[idx].count);
+            assert_eq!(probed.key_node[i], found.unwrap_or(NIL));
+            assert_eq!(probed.visited[i], visited);
+            let rids = found.map_or(0, |node| by_pass.rids_of(node).count());
+            assert_eq!(probed.rids[i] as usize, rids);
+        }
+    }
+
+    #[test]
+    fn insert_tuples_leaves_other_tables_tuples_alone() {
+        let (keys, rids, order) = skewed_tuples(300);
+        let buckets = vec![0u32; keys.len()];
+        let mut low = HashTable::with_buckets(1);
+        let mut high = HashTable::with_buckets(1);
+        let mut inserted = Inserted::new(keys.len());
+        low.insert_tuples(&keys, &rids, &buckets, &order, 0..100, &mut inserted);
+        high.insert_tuples(&keys, &rids, &buckets, &order, 100..300, &mut inserted);
+        assert_eq!(low.rid_node_count(), 100);
+        assert_eq!(high.rid_node_count(), 200);
+        for (k, &i) in order.iter().enumerate() {
+            let table = if i < 100 { &low } else { &high };
+            let node = inserted.key_node[k];
+            assert_eq!(table.key_nodes[node as usize].key, keys[i as usize]);
+            assert!(table.rids_of(node).any(|rid| rid == rids[i as usize]));
+        }
     }
 
     #[test]

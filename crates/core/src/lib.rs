@@ -399,3 +399,23 @@ pub use scheme::RatioPlan;
 pub use serve::{JoinServer, ServerConfig, ServerStats};
 pub use spilljoin::execute_spill_join;
 pub use steps::StepId;
+
+/// Asks the CPU to start loading the cache line that holds `items[index]`,
+/// so a miss overlaps the work before its use.  A hint only: an index past
+/// the end is harmless, and targets without a stable prefetch intrinsic (and
+/// Miri) do nothing.  The native kernel and the simulator's hash table both
+/// prefetch through this one helper.
+#[inline]
+pub(crate) fn prefetch<T>(items: &[T], index: usize) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let at = items.as_ptr().wrapping_add(index);
+        // SAFETY: a prefetch is a hint that accesses no memory as far as the
+        // program can observe and never faults, whatever the address; SSE
+        // is part of the x86-64 baseline.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(at.cast()) };
+    }
+    #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+    let _ = (items, index);
+}

@@ -190,21 +190,10 @@ impl Shard {
         (u64::from(hash) >> self.shift) as usize
     }
 
-    /// Asks the CPU to start loading `hash`'s home bucket (nothing to ask on
-    /// targets without a stable prefetch intrinsic).
+    /// Asks the CPU to start loading `hash`'s home bucket.
     #[inline]
     fn prefetch(&self, hash: u32) {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let home = self.buckets.as_ptr().wrapping_add(self.home(hash));
-            // SAFETY: a prefetch is a hint that accesses no memory as far as
-            // the program can observe and never faults, whatever the
-            // address; SSE is part of the x86-64 baseline.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(home.cast()) };
-        }
-        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-        let _ = hash;
+        crate::prefetch(&self.buckets, self.home(hash));
     }
 
     /// `Ok` with the slot (`bucket * LANES + lane`) holding `key`, or `Err`

@@ -1,9 +1,13 @@
 //! The radix-partitioning pass: steps `n1..n3` of Algorithm 2.
+//!
+//! Like the build and probe phases, a pass does its host work — hashing,
+//! counting and scattering every tuple — once, then replays each step's
+//! accounting (see [`crate::phase`]).
 
 use crate::context::ExecContext;
 use crate::error::JoinError;
 use crate::hash::{hash_key, partitions_per_pass, radix_partition_of};
-use crate::phase::{run_step, PhaseExecution};
+use crate::phase::{run_step_lanes, PhaseExecution};
 use crate::schedule::Ratios;
 use crate::steps::{instr, StepId};
 use apu_sim::Phase;
@@ -36,72 +40,87 @@ pub fn run_partition_pass(
     let mut steps = Vec::with_capacity(3);
     let mut oom: Option<usize> = None;
 
-    let mut part_no = vec![0u32; n];
+    // The host pass: every tuple's partition (n1), the partition sizes (n2)
+    // and the scatter (n3), done once for the steps to replay.
+    let part_no: Vec<u32> = rel
+        .keys()
+        .iter()
+        .map(|&key| radix_partition_of(hash_key(key), bits, pass) as u32)
+        .collect();
     let mut histogram = vec![0u32; num_partitions];
+    for &p in &part_no {
+        histogram[p as usize] += 1;
+    }
+    let mut partitions: Vec<Relation> = histogram
+        .iter()
+        .map(|&c| Relation::with_capacity(c as usize))
+        .collect();
+    for (i, &p) in part_no.iter().enumerate() {
+        partitions[p as usize].push(rel.rid(i), rel.key(i));
+    }
 
     // n1: compute partition number.
-    steps.push(run_step(
+    steps.push(run_step_lanes(
         ctx,
         StepId::N1,
         n,
         ratios.get(0),
         0.0,
-        |_, i, _, _, rec| {
-            let h = hash_key(rel.key(i));
-            part_no[i] = radix_partition_of(h, bits, pass) as u32;
-            rec.item(instr::HASH);
-            rec.seq_read(4.0);
-            rec.seq_write(4.0);
+        |_, lane, rec| {
+            let items = lane.items.len();
+            rec.items(items, instr::HASH);
+            rec.seq_read(4.0 * items as f64);
+            rec.seq_write(4.0 * items as f64);
         },
     ));
 
     // n2: visit the partition header (histogram of partition sizes).
     let header_ws = (num_partitions * 8) as f64;
-    steps.push(run_step(
+    steps.push(run_step_lanes(
         ctx,
         StepId::N2,
         n,
         ratios.get(1),
         header_ws,
-        |_, i, _, _, rec| {
-            histogram[part_no[i] as usize] += 1;
-            rec.item(instr::VISIT_HEADER);
-            rec.random_read(1.0);
-            rec.random_write(1.0);
+        |_, lane, rec| {
+            let items = lane.items.len();
+            rec.items(items, instr::VISIT_HEADER);
+            rec.random_read(items as f64);
+            rec.random_write(items as f64);
             // The partition headers are shared between the devices.
-            rec.parallel_atomic(1.0);
+            rec.parallel_atomic(items as f64);
         },
     ));
 
     // n3: insert the <key, rid> pair into its partition.  Each insertion
     // claims space from the software allocator (the "output buffer for a
-    // partition" allocation of Section 3.3).
-    let mut partitions: Vec<Relation> = histogram
-        .iter()
-        .map(|&c| Relation::with_capacity(c as usize))
-        .collect();
+    // partition" allocation of Section 3.3), replayed a work group's run at
+    // a time.
     // The scatter working set: each partition's active output block.
     let scatter_ws = (num_partitions * 2048) as f64;
-    steps.push(run_step(
+    steps.push(run_step_lanes(
         ctx,
         StepId::N3,
         n,
         ratios.get(2),
         scatter_ws,
-        |ctx, i, _, group, rec| {
+        |ctx, lane, rec| {
             if oom.is_some() {
                 return;
             }
-            let p = part_no[i] as usize;
-            if ctx.allocator.alloc(group, 8).is_none() {
-                oom = Some(8);
-                return;
+            let mut items = 0;
+            for (group, run) in lane.group_runs() {
+                let got = ctx.allocator.alloc_many(group, 8, run.len());
+                items += got;
+                if got < run.len() {
+                    oom = Some(8);
+                    break;
+                }
             }
-            partitions[p].push(rel.rid(i), rel.key(i));
-            rec.item(instr::PARTITION_INSERT);
-            rec.random_write(1.0);
-            rec.seq_write(8.0);
-            rec.work(1);
+            rec.items(items, instr::PARTITION_INSERT);
+            rec.random_write(items as f64);
+            rec.seq_write(8.0 * items as f64);
+            rec.work_repeated(1, items);
         },
     ));
 

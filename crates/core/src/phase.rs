@@ -12,12 +12,13 @@
 //! simulator replays the same task stream the native backend submits to the
 //! engine's persistent [`crate::pipeline::WorkerPool`].
 
-use crate::context::ExecContext;
+use crate::context::{work_group, ExecContext};
 use crate::pipeline::split_range;
 use crate::schedule::{compose_pipeline, PipelineTiming, Ratios};
 use crate::steps::StepId;
 use apu_sim::{CostRecorder, DeviceKind, KernelTime, Phase, SimTime, StepCost};
-use hj_adaptive::Lane;
+use hj_adaptive::Lane as AdaptiveLane;
+use std::ops::Range;
 
 /// Execution record of one step: how many items each device processed, the
 /// measured cost profiles and the resulting simulated kernel times.
@@ -165,6 +166,56 @@ pub(crate) fn recorded_ratios(
     }
 }
 
+/// One device's slice of one morsel: the unit a step body replays at once.
+#[derive(Debug, Clone)]
+pub struct Lane {
+    /// The device running the slice.
+    pub kind: DeviceKind,
+    /// The slice's item positions, in increasing order.
+    pub items: Range<usize>,
+    /// Position of `items.start` within the items the device's work groups
+    /// are spread over.
+    offset: usize,
+    /// Items the device's work groups are spread over.
+    span: usize,
+}
+
+impl Lane {
+    /// The allocator work group of item `pos` (one of [`Lane::items`]):
+    /// each device's work groups take contiguous runs of its share, as
+    /// [`ExecContext::group_for`] assigns them.
+    #[inline]
+    pub fn group(&self, pos: usize) -> usize {
+        work_group(self.kind, self.offset + (pos - self.items.start), self.span)
+    }
+
+    /// The lane's items split into runs that share one work group, in
+    /// order, each with its group: a run's allocations can be replayed
+    /// with one [`mem_alloc::KernelAllocator::alloc_many`].
+    pub fn group_runs(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let mut start = self.items.start;
+        std::iter::from_fn(move || {
+            if start >= self.items.end {
+                return None;
+            }
+            let group = self.group(start);
+            // Groups never decrease along a lane: find where this one ends.
+            let (mut lo, mut hi) = (start + 1, self.items.end);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.group(mid) == group {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let run = start..lo;
+            start = lo;
+            Some((group, run))
+        })
+    }
+}
+
 /// Runs one step over `items` items, splitting them between the devices by
 /// `ratio`, and returns the execution record.
 ///
@@ -190,8 +241,38 @@ pub fn run_step<F>(
 where
     F: FnMut(&mut ExecContext<'_>, usize, DeviceKind, usize, &mut CostRecorder),
 {
+    run_step_lanes(
+        ctx,
+        step,
+        items,
+        ratio,
+        working_set_bytes,
+        |ctx, lane, rec| {
+            for i in lane.items.clone() {
+                body(ctx, i, lane.kind, lane.group(i), rec);
+            }
+        },
+    )
+}
+
+/// [`run_step`] with a body that takes a whole [`Lane`] at a time, in the
+/// same order: morsel by morsel, each morsel's CPU lane before its GPU
+/// lane.  A body that records a lane's costs in bulk, and calls the
+/// allocator and the cache simulator item by item in lane order, produces
+/// exactly what the per-item body would (see [`CostRecorder`]).
+pub fn run_step_lanes<F>(
+    ctx: &mut ExecContext<'_>,
+    step: StepId,
+    items: usize,
+    ratio: f64,
+    working_set_bytes: f64,
+    mut body: F,
+) -> StepExecution
+where
+    F: FnMut(&mut ExecContext<'_>, &Lane, &mut CostRecorder),
+{
     if ctx.tuner.is_some() {
-        return run_step_adaptive(ctx, step, items, ratio, working_set_bytes, body);
+        return run_step_adaptive(ctx, step, items, working_set_bytes, body);
     }
     // Morsels are enumerated arithmetically (no materialised range list) so
     // a degenerate morsel size on a large relation does not allocate.
@@ -202,7 +283,6 @@ where
     let gpu_total = items - cpu_total;
     let totals = [cpu_total, gpu_total];
 
-    let mut costs: [StepCost; 2] = [StepCost::zero(), StepCost::zero()];
     let mut recorders = [
         ctx.recorder_for(DeviceKind::Cpu),
         ctx.recorder_for(DeviceKind::Gpu),
@@ -212,31 +292,40 @@ where
     let mut offsets = [0usize; 2];
 
     for m in 0..morsels {
-        let lane_pair = morsel_lanes(m);
-        for (slot, kind) in [(0, DeviceKind::Cpu), (1, DeviceKind::Gpu)] {
-            let range = match kind {
-                DeviceKind::Cpu => lane_pair.cpu.clone(),
-                DeviceKind::Gpu => lane_pair.gpu.clone(),
-            };
+        let lanes = morsel_lanes(m);
+        for (slot, kind, range) in [
+            (0, DeviceKind::Cpu, lanes.cpu),
+            (1, DeviceKind::Gpu, lanes.gpu),
+        ] {
             if range.is_empty() {
                 continue;
             }
-            let rec = &mut recorders[slot];
-            let before = ctx.alloc_snapshot();
-            for (k, i) in range.clone().enumerate() {
-                let group = ctx.group_for(kind, offsets[slot] + k, totals[slot]);
-                body(ctx, i, kind, group, rec);
-            }
-            let delta = ctx.alloc_snapshot().delta_since(&before);
-            rec.serial_atomic(delta.global_atomics as f64);
-            rec.local_atomic(delta.local_atomics as f64);
-            offsets[slot] += range.len();
+            let lane = Lane {
+                kind,
+                offset: offsets[slot],
+                span: totals[slot],
+                items: range,
+            };
+            replay_lane(ctx, &lane, &mut recorders[slot], &mut body);
+            offsets[slot] += lane.items.len();
         }
     }
     let [cpu_rec, gpu_rec] = recorders;
-    costs[0] = cpu_rec.finish();
-    costs[1] = gpu_rec.finish();
+    let costs = [cpu_rec.finish(), gpu_rec.finish()];
     seal_step(ctx, step, morsels, totals, costs, working_set_bytes)
+}
+
+/// Runs `body` over one lane and charges the allocator atomics it caused
+/// to the lane's device.
+fn replay_lane<F>(ctx: &mut ExecContext<'_>, lane: &Lane, rec: &mut CostRecorder, body: &mut F)
+where
+    F: FnMut(&mut ExecContext<'_>, &Lane, &mut CostRecorder),
+{
+    let before = ctx.alloc_snapshot();
+    body(ctx, lane, rec);
+    let delta = ctx.alloc_snapshot().delta_since(&before);
+    rec.serial_atomic(delta.global_atomics as f64);
+    rec.local_atomic(delta.local_atomics as f64);
 }
 
 /// Shared tail of the static and adaptive step runners: turns the
@@ -277,14 +366,16 @@ fn seal_step(
     }
 }
 
-/// The adaptive variant of [`run_step`]: morsels are processed in blocks of
-/// [`hj_adaptive::AdaptiveConfig::replan_every_morsels`] morsels, each
-/// block's per-lane simulated times are fed to the context's
+/// The adaptive variant of [`run_step_lanes`]: morsels are processed in
+/// blocks of [`hj_adaptive::AdaptiveConfig::replan_every_morsels`] morsels,
+/// each block's per-lane simulated times are fed to the context's
 /// [`hj_adaptive::RatioTuner`] as telemetry, and every block takes its CPU
 /// ratio from the tuner's *current* plan — so the remaining morsels of a
 /// step are re-planned as evidence accumulates, and the next execution of
 /// the same step kind (the next partition pass, partition pair or
-/// out-of-core chunk) starts from the step-boundary re-plan.
+/// out-of-core chunk) starts from the step-boundary re-plan.  The step's
+/// planned ratio seeded the tuner (via the engine), so an untouched tuner
+/// runs the offline plan unchanged.
 ///
 /// Items are still visited in globally increasing order (each morsel's CPU
 /// lane is its prefix), so the real work — and with it the join result —
@@ -294,12 +385,11 @@ fn run_step_adaptive<F>(
     ctx: &mut ExecContext<'_>,
     step: StepId,
     items: usize,
-    planned_ratio: f64,
     working_set_bytes: f64,
     mut body: F,
 ) -> StepExecution
 where
-    F: FnMut(&mut ExecContext<'_>, usize, DeviceKind, usize, &mut CostRecorder),
+    F: FnMut(&mut ExecContext<'_>, &Lane, &mut CostRecorder),
 {
     // Take the tuner out for the duration: `body` needs `&mut ctx` while
     // the tuner is consulted between blocks.
@@ -340,33 +430,26 @@ where
     let mut m = 0usize;
     while m < morsels {
         let block_end = m.saturating_add(block).min(morsels);
-        // The ratio the tuner currently plans for this step; `planned_ratio`
-        // seeds the tuner (via the engine), so an untouched tuner runs the
-        // offline plan unchanged.
         let r = tuner.ratio(kind, step_idx);
         let mut block_items = [0usize; 2];
         for mi in m..block_end {
             let lanes = split_range(mi * morsel..((mi + 1) * morsel).min(items), r);
-            for (slot, lane_kind) in [(0, DeviceKind::Cpu), (1, DeviceKind::Gpu)] {
-                let lane = match lane_kind {
-                    DeviceKind::Cpu => lanes.cpu.clone(),
-                    DeviceKind::Gpu => lanes.gpu.clone(),
-                };
-                if lane.is_empty() {
+            for (slot, lane_kind, range) in [
+                (0, DeviceKind::Cpu, lanes.cpu),
+                (1, DeviceKind::Gpu, lanes.gpu),
+            ] {
+                if range.is_empty() {
                     continue;
                 }
-                let rec = &mut recorders[slot];
-                let before = ctx.alloc_snapshot();
-                let lane_len = lane.len();
-                for (k, i) in lane.clone().enumerate() {
-                    let group = ctx.group_for(lane_kind, offsets[slot] + k, items);
-                    body(ctx, i, lane_kind, group, rec);
-                }
-                let delta = ctx.alloc_snapshot().delta_since(&before);
-                rec.serial_atomic(delta.global_atomics as f64);
-                rec.local_atomic(delta.local_atomics as f64);
-                block_items[slot] += lane_len;
-                offsets[slot] += lane_len;
+                let lane = Lane {
+                    kind: lane_kind,
+                    offset: offsets[slot],
+                    span: items,
+                    items: range,
+                };
+                replay_lane(ctx, &lane, &mut recorders[slot], &mut body);
+                block_items[slot] += lane.items.len();
+                offsets[slot] += lane.items.len();
             }
         }
         // Telemetry: each device's *cumulative* virtual time and item count
@@ -381,8 +464,8 @@ where
         // continuously in the step-wide recorder instead of being quantised
         // per block.
         for (slot, lane, lane_kind) in [
-            (0, Lane::Cpu, DeviceKind::Cpu),
-            (1, Lane::Gpu, DeviceKind::Gpu),
+            (0, AdaptiveLane::Cpu, DeviceKind::Cpu),
+            (1, AdaptiveLane::Gpu, DeviceKind::Gpu),
         ] {
             totals[slot] += block_items[slot];
             if block_items[slot] == 0 {
@@ -407,7 +490,6 @@ where
     tuner.step_boundary(kind);
     ctx.tuner = Some(tuner);
 
-    let _ = planned_ratio; // the tuner's seeded plan carries the same value
     seal_step(ctx, step, morsels, totals, costs, working_set_bytes)
 }
 
@@ -461,6 +543,31 @@ mod tests {
         );
         assert_eq!(exec.cpu_cost.serial_atomics, 0.0);
         assert!(exec.gpu_cost.serial_atomics >= 50.0);
+    }
+
+    #[test]
+    fn group_runs_cover_the_lane_in_order() {
+        for (kind, offset, span, items) in [
+            (DeviceKind::Cpu, 0, 1000, 0..1000),
+            (DeviceKind::Gpu, 70, 1000, 300..700),
+            (DeviceKind::Gpu, 0, 10, 0..10),
+            (DeviceKind::Cpu, 5, 7, 2..4),
+        ] {
+            let lane = Lane {
+                kind,
+                items: items.clone(),
+                offset,
+                span,
+            };
+            let mut next = items.start;
+            for (group, run) in lane.group_runs() {
+                assert_eq!(run.start, next);
+                assert!(!run.is_empty());
+                assert!(run.clone().all(|pos| lane.group(pos) == group));
+                next = run.end;
+            }
+            assert_eq!(next, items.end);
+        }
     }
 
     #[test]

@@ -3,9 +3,8 @@
 use crate::context::ExecContext;
 use crate::divergence::{grouping_order, DEFAULT_GROUPS};
 use crate::error::JoinError;
-use crate::hash::hash_key;
 use crate::hashtable::{HashTable, KEY_NODE_BYTES, NIL, RID_NODE_BYTES};
-use crate::phase::{run_step, PhaseExecution};
+use crate::phase::{run_step_lanes, PhaseExecution};
 use crate::schedule::Ratios;
 use crate::steps::{instr, StepId};
 use apu_sim::Phase;
@@ -46,123 +45,161 @@ pub fn run_probe_phase(
     let n = probe_rel.len();
     let mut steps = Vec::with_capacity(4);
     let mut oom: Option<usize> = None;
-
-    let mut bucket_idx = vec![0u32; n];
-    let mut matched_key = vec![NIL; n];
     let mut matches: u64 = 0;
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     if collect_pairs {
         pairs.reserve(n);
     }
 
+    // The host pass: every tuple's bucket, key node and rid count, found
+    // once for p1..p4 to replay.
+    let probed = table.probe_tuples(probe_rel.keys());
+
     // p1: compute hash bucket number.
-    steps.push(run_step(
+    steps.push(run_step_lanes(
         ctx,
         StepId::P1,
         n,
         ratios.get(0),
         0.0,
-        |_, i, _, _, rec| {
-            bucket_idx[i] = table.bucket_index(hash_key(probe_rel.key(i))) as u32;
-            rec.item(instr::HASH);
-            rec.seq_read(4.0);
-            rec.seq_write(4.0);
+        |_, lane, rec| {
+            let items = lane.items.len();
+            rec.items(items, instr::HASH);
+            rec.seq_read(4.0 * items as f64);
+            rec.seq_write(4.0 * items as f64);
         },
     ));
 
     // p2: visit the hash bucket header.
     let bucket_ws = table.bucket_array_bytes() as f64;
-    let mut bucket_count = vec![0u32; n];
-    steps.push(run_step(
+    steps.push(run_step_lanes(
         ctx,
         StepId::P2,
         n,
         ratios.get(1),
         bucket_ws,
-        |ctx, i, _, _, rec| {
-            let idx = bucket_idx[i] as usize;
-            let header = table.visit_bucket_for_probe(idx);
-            bucket_count[i] = header.count;
-            ctx.cache_access(table.bucket_addr(idx));
-            rec.item(instr::VISIT_HEADER);
-            rec.random_read(1.0);
+        |ctx, lane, rec| {
+            if let Some(sim) = ctx.cache_sim.as_mut() {
+                for i in lane.items.clone() {
+                    sim.access(table.bucket_addr(probed.bucket[i] as usize));
+                }
+            }
+            let items = lane.items.len();
+            rec.items(items, instr::VISIT_HEADER);
+            rec.random_read(items as f64);
         },
     ));
 
     // Optional grouping by expected probe work (the bucket occupancy read in
     // p2), exactly as Section 3.3 describes.
     let order: Vec<u32> = if grouping {
-        grouping_order(&bucket_count, DEFAULT_GROUPS)
+        grouping_order(&probed.bucket_count, DEFAULT_GROUPS)
     } else {
         (0..n as u32).collect()
     };
 
     // p3: visit the key list.
     let key_ws = bucket_ws + (table.key_node_count() * KEY_NODE_BYTES) as f64;
-    steps.push(run_step(
+    steps.push(run_step_lanes(
         ctx,
         StepId::P3,
         n,
         ratios.get(2),
         key_ws,
-        |ctx, pos, _, _, rec| {
-            let i = order[pos] as usize;
-            let idx = bucket_idx[i] as usize;
-            let (found, visited) = table.find_key(idx, probe_rel.key(i));
-            matched_key[i] = found.unwrap_or(NIL);
-            for v in 0..visited {
-                ctx.cache_access(table.key_node_addr(v));
-            }
-            rec.item(0.0);
-            rec.instructions((visited.max(1)) as f64 * instr::KEY_NODE_VISIT);
+        |ctx, lane, rec| {
+            let mut visited = 0u64;
+            let mut cache_sim = ctx.cache_sim.as_mut();
+            rec.work_each(lane.items.clone().map(|pos| {
+                let nodes = probed.visited[order[pos] as usize];
+                if let Some(sim) = cache_sim.as_deref_mut() {
+                    // The table's first nodes, not the chain's (ROADMAP
+                    // item 13); kept as they are so Table 3's miss counts
+                    // hold.
+                    for v in 0..nodes {
+                        sim.access(table.key_node_addr(v));
+                    }
+                }
+                let nodes = nodes.max(1);
+                visited += u64::from(nodes);
+                nodes
+            }));
+            let items = lane.items.len();
+            rec.items(items, 0.0);
+            rec.instructions(visited as f64 * instr::KEY_NODE_VISIT);
             if grouping {
-                rec.instructions(instr::GROUPING_PER_TUPLE);
-                rec.seq_read(4.0);
-                rec.seq_write(4.0);
+                rec.instructions(items as f64 * instr::GROUPING_PER_TUPLE);
+                rec.seq_read(4.0 * items as f64);
+                rec.seq_write(4.0 * items as f64);
             }
-            rec.random_read(visited.max(1) as f64);
-            rec.work(visited.max(1));
+            rec.random_read(visited as f64);
         },
     ));
 
     // p4: visit the matching build tuples, compare keys and produce output.
     let out_ws =
         (table.key_node_count() * KEY_NODE_BYTES + table.rid_node_count() * RID_NODE_BYTES) as f64;
-    steps.push(run_step(
+    steps.push(run_step_lanes(
         ctx,
         StepId::P4,
         n,
         ratios.get(3),
         out_ws,
-        |ctx, pos, _, group, rec| {
+        |ctx, lane, rec| {
             if oom.is_some() {
                 return;
             }
-            let i = order[pos] as usize;
-            rec.item(instr::VISIT_HEADER);
-            let kn = matched_key[i];
-            if kn == NIL {
-                rec.work(1);
-                return;
-            }
-            let mut local_matches = 0u32;
-            for build_rid in table.rids_of(kn) {
-                local_matches += 1;
-                if ctx.allocator.alloc(group, 8).is_none() {
+            // Each work group's output allocations, one per result pair, in
+            // one go; a run that does not fit ends the lane at the tuple
+            // whose output failed, which still counts as visited.
+            let rids_at = |pos: usize| probed.rids[order[pos] as usize] as usize;
+            let (mut end, mut failed) = (lane.items.end, false);
+            for (group, run) in lane.group_runs() {
+                let wanted = run.clone().map(rids_at).sum();
+                let got = ctx.allocator.alloc_many(group, 8, wanted);
+                if got < wanted {
                     oom = Some(8);
-                    return;
+                    let mut left = got;
+                    let short = |&pos: &usize| match left.checked_sub(rids_at(pos)) {
+                        Some(rest) => {
+                            left = rest;
+                            false
+                        }
+                        None => true,
+                    };
+                    end = run.clone().find(short).unwrap_or(run.end);
+                    failed = true;
+                    break;
+                }
+            }
+            let (mut matched, mut outputs) = (0usize, 0u64);
+            let mut cache_sim = ctx.cache_sim.as_mut();
+            rec.work_each((lane.items.start..end).map(|pos| {
+                let i = order[pos] as usize;
+                let node = probed.key_node[i];
+                if node == NIL {
+                    return 1;
+                }
+                let rids = probed.rids[i];
+                if let Some(sim) = cache_sim.as_deref_mut() {
+                    for _ in 0..rids {
+                        sim.access(table.rid_node_addr(node));
+                    }
                 }
                 if collect_pairs {
-                    pairs.push((build_rid, probe_rel.rid(i)));
+                    let probe_rid = probe_rel.rid(i);
+                    pairs.extend(table.rids_of(node).map(|build_rid| (build_rid, probe_rid)));
                 }
-                ctx.cache_access(table.rid_node_addr(kn));
-            }
-            matches += local_matches as u64;
-            rec.instructions(local_matches as f64 * instr::OUTPUT_MATCH);
+                matched += 1;
+                outputs += u64::from(rids);
+                rids.max(1)
+            }));
+            let items = end - lane.items.start + usize::from(failed);
+            matches += outputs;
+            rec.items(items, instr::VISIT_HEADER);
+            rec.instructions(outputs as f64 * instr::OUTPUT_MATCH);
             // Visiting the rid nodes plus the matching build tuple.
-            rec.random_read(local_matches as f64 + 1.0);
-            rec.seq_write(8.0 * local_matches as f64);
-            rec.work(local_matches.max(1));
+            rec.random_read((outputs + matched as u64) as f64);
+            rec.seq_write(8.0 * outputs as f64);
         },
     ));
 
