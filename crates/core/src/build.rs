@@ -1,4 +1,22 @@
 //! The build phase: steps `b1..b4` of Algorithm 1, split between devices.
+//!
+//! The phase first does the table work of all four steps in a host pass
+//! (see [`crate::phase`]): it hashes every tuple to its bucket and counts
+//! it there (`b1`, `b2`, [`HashTable::count_tuples`]), orders the tuples
+//! for grouping by their bucket's final count, then inserts them in that
+//! order — key node found or created, rid prepended
+//! ([`HashTable::insert_tuples`], `b3` and `b4` fused: one walk per tuple).
+//! The steps then replay from flat per-tuple arrays:
+//!
+//! * `b1` reads nothing per tuple;
+//! * `b2` reads each tuple's bucket (for the exact cache simulator);
+//! * `b3` reads, per place in the order, the key nodes visited, whether the
+//!   node was created (one key-node allocation each) and the node itself
+//!   (cache simulator);
+//! * `b4` makes one rid-node allocation per tuple and reads the key node
+//!   (cache simulator).  Its allocations are replayed in `b4`'s own lanes,
+//!   after all of `b3`'s: block fetches per work group show in
+//!   `serial_atomics`.
 
 use crate::context::ExecContext;
 use crate::divergence::{grouping_order, DEFAULT_GROUPS};

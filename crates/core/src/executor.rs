@@ -121,11 +121,10 @@ fn merge_tables(
     };
     let delta = ctx.alloc_snapshot().delta_since(&before);
     let mut rec = ctx.recorder_for(DeviceKind::Cpu);
-    for _ in 0..stats.rids_moved {
-        rec.item(instr::MERGE_PER_TUPLE);
-        rec.random_read(2.0);
-        rec.random_write(2.0);
-    }
+    let moved = stats.rids_moved as usize;
+    rec.items(moved, instr::MERGE_PER_TUPLE);
+    rec.random_read(2.0 * moved as f64);
+    rec.random_write(2.0 * moved as f64);
     rec.serial_atomic(delta.global_atomics as f64);
     rec.local_atomic(delta.local_atomics as f64);
     let cost = rec.finish();

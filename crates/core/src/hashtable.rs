@@ -464,6 +464,11 @@ impl HashTable {
 
     /// Merges `other` into `self` (the merge step required by separate hash
     /// tables), re-inserting every `(key, rid)` pair.
+    ///
+    /// A key's pairs are re-inserted together: its bucket is counted once
+    /// per pair, its key node found or created with the first, and every
+    /// rid prepended to it — the table and the allocator requests of
+    /// inserting the pairs one by one.
     pub fn merge_from(
         &mut self,
         other: &HashTable,
@@ -471,18 +476,23 @@ impl HashTable {
         group: usize,
     ) -> Result<MergeStats, TableFull> {
         let mut stats = MergeStats::default();
-        for bucket in 0..other.num_buckets() {
-            let mut key_cur = other.buckets[bucket].key_head;
+        for bucket in &other.buckets {
+            let mut key_cur = bucket.key_head;
             while key_cur != NIL {
                 let key_node = other.key_nodes[key_cur as usize];
                 stats.keys_moved += 1;
-                for rid in other.rids_of(key_cur) {
-                    let hash = crate::hash::hash_key(key_node.key);
-                    let idx = self.bucket_index(hash);
-                    self.visit_bucket_for_build(idx);
-                    let (kn, _, _) = self.find_or_create_key(idx, key_node.key, alloc, group)?;
-                    self.insert_rid(kn, rid, alloc, group)?;
-                    stats.rids_moved += 1;
+                let rids = key_node.rid_count;
+                if rids > 0 {
+                    let idx = self.bucket_index(crate::hash::hash_key(key_node.key));
+                    self.buckets[idx].count += rids;
+                    let (node, _, _) = self.find_or_create_key(idx, key_node.key, alloc, group)?;
+                    if alloc.alloc_many(group, RID_NODE_BYTES, rids as usize) < rids as usize {
+                        return Err(TableFull);
+                    }
+                    for rid in other.rids_of(key_cur) {
+                        self.push_rid(node, rid);
+                    }
+                    stats.rids_moved += u64::from(rids);
                 }
                 key_cur = key_node.next;
             }

@@ -11,6 +11,30 @@
 //! step, which [`compose_pipeline`] then combines exactly as before — the
 //! simulator replays the same task stream the native backend submits to the
 //! engine's persistent [`crate::pipeline::WorkerPool`].
+//!
+//! **Host pass, then replay.**  The simulator does a phase's real work (the
+//! hash-table walks and inserts, the partition scatter) for each tuple once,
+//! in a host pass before its steps run, and records per tuple what the
+//! work found (see [`crate::build`], [`crate::probe`],
+//! [`crate::partition`]).  Each step then *replays* its accounting through
+//! [`run_step_lanes`], one [`Lane`] at a time in the order [`run_step`]
+//! visits items: morsel by morsel, each morsel's CPU lane before its GPU
+//! lane.  The accounting is everything a simulated value depends on:
+//!
+//! * the [`CostRecorder`] totals, recorded per lane in bulk — every
+//!   quantity is an integer, so the sums are those of item-by-item
+//!   recording bit for bit — and the per-item work units in item order
+//!   (wavefront packing depends on it);
+//! * the allocator requests, in item order, a work group's run at a time
+//!   ([`Lane::group_runs`]); per-lane deltas of the allocator counters are
+//!   charged to the lane's device;
+//! * the exact cache simulator's addresses, item by item;
+//! * under [`Tuning::Adaptive`](crate::engine::Tuning), the tuner's
+//!   telemetry, taken from the replayed recorders between morsel blocks.
+//!
+//! A lane stops at the first request the arena cannot serve, as the
+//! per-item kernel did, so a join that runs out of space fails at the same
+//! request with the same arena fill.
 
 use crate::context::{work_group, ExecContext};
 use crate::pipeline::split_range;

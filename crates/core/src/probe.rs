@@ -1,4 +1,18 @@
 //! The probe phase: steps `p1..p4` of Algorithm 1, split between devices.
+//!
+//! The probe never changes the table, so one host pass
+//! ([`HashTable::probe_tuples`], see [`crate::phase`]) resolves every
+//! tuple up front: its bucket and the bucket's count, the matching key node
+//! and the key nodes visited to find it, and the key's rid count (kept on
+//! the host in the key node).  The steps then replay from those arrays:
+//!
+//! * `p1` reads nothing per tuple;
+//! * `p2` reads the bucket (for the exact cache simulator); grouping
+//!   orders the tuples by the bucket counts;
+//! * `p3` reads the key nodes visited;
+//! * `p4` reads the key node and its rid count: one output allocation per
+//!   match.  When pairs are collected it also walks the key's rid list, so
+//!   pair order is probe order, then rid-list order.
 
 use crate::context::ExecContext;
 use crate::divergence::{grouping_order, DEFAULT_GROUPS};
