@@ -110,11 +110,12 @@ impl StepCost {
 /// to measure lock-step (divergence) overhead.
 ///
 /// A kernel may also record a whole run of items at once
-/// ([`CostRecorder::items`], [`CostRecorder::work_repeated`], or one total
-/// passed to the fine-grained methods).  When every recorded quantity is an
-/// integer, as the join kernels' are, each running sum stays an exact
-/// integer (below 2^53), so the result is bit-identical to recording the
-/// same items one by one in any grouping.
+/// ([`CostRecorder::items`], [`CostRecorder::work_each`],
+/// [`CostRecorder::work_repeated`], or one total passed to the fine-grained
+/// methods).  When every recorded quantity is an integer, as the join
+/// kernels' are, each running sum stays an exact integer (below 2^53), so
+/// the result is bit-identical to recording the same items one by one in
+/// any grouping.
 #[derive(Debug, Clone)]
 pub struct CostRecorder {
     wavefront: usize,

@@ -2,10 +2,10 @@
 //!
 //! The phase first does the table work of all four steps in a host pass
 //! (see [`crate::phase`]): it hashes every tuple to its bucket and counts
-//! it there (`b1`, `b2`, [`HashTable::count_tuples`]), orders the tuples
+//! it there (`b1`, `b2`, `HashTable::count_tuples`), orders the tuples
 //! for grouping by their bucket's final count, then inserts them in that
 //! order — key node found or created, rid prepended
-//! ([`HashTable::insert_tuples`], `b3` and `b4` fused: one walk per tuple).
+//! (`HashTable::insert_tuples`, `b3` and `b4` fused: one walk per tuple).
 //! The steps then replay from flat per-tuple arrays:
 //!
 //! * `b1` reads nothing per tuple;
@@ -23,7 +23,7 @@ use crate::divergence::{grouping_order, DEFAULT_GROUPS};
 use crate::error::JoinError;
 use crate::hash::hash_key;
 use crate::hashtable::{HashTable, Inserted, KEY_NODE_BYTES, RID_NODE_BYTES};
-use crate::phase::{run_step_lanes, PhaseExecution};
+use crate::phase::{run_step, PhaseExecution};
 use crate::schedule::Ratios;
 use crate::steps::{instr, StepId};
 use apu_sim::Phase;
@@ -164,7 +164,7 @@ pub fn run_build_phase(
     let target = &target;
 
     // b1: compute hash bucket number.
-    steps.push(run_step_lanes(
+    steps.push(run_step(
         ctx,
         StepId::B1,
         n,
@@ -179,7 +179,7 @@ pub fn run_build_phase(
     ));
 
     // b2: visit the hash bucket header (and claim a slot).
-    steps.push(run_step_lanes(
+    steps.push(run_step(
         ctx,
         StepId::B2,
         n,
@@ -205,7 +205,7 @@ pub fn run_build_phase(
 
     // b3: visit the key list, creating a key node if necessary.
     let key_ws = bucket_bytes + (n * KEY_NODE_BYTES) as f64;
-    steps.push(run_step_lanes(
+    steps.push(run_step(
         ctx,
         StepId::B3,
         n,
@@ -234,9 +234,10 @@ pub fn run_build_phase(
             rec.work_each((lane.items.start..end).map(|pos| {
                 let nodes = inserted.visited[pos];
                 if let Some(sim) = cache_sim.as_deref_mut() {
-                    // The addresses counted back from the tuple's own node,
-                    // not the nodes its walk visited (ROADMAP item 13);
-                    // kept as they are so Table 3's miss counts hold.
+                    // A known fidelity bug, replayed as it was: these count
+                    // back from the tuple's own node instead of following
+                    // its walk.  Fixing it moves Table 3's profiled misses,
+                    // so it is a change of its own (see ROADMAP.md).
                     let table = target.table_of(order[pos] as usize, phase_cut);
                     let node = inserted.key_node[pos];
                     for v in 0..nodes {
@@ -266,7 +267,7 @@ pub fn run_build_phase(
 
     // b4: insert the record id into the rid list.
     let rid_ws = (n * (KEY_NODE_BYTES + RID_NODE_BYTES)) as f64;
-    steps.push(run_step_lanes(
+    steps.push(run_step(
         ctx,
         StepId::B4,
         n,

@@ -12,14 +12,13 @@
 //! dynamic allocation (Figures 11 and 12) is charged faithfully.
 //!
 //! The build and probe phases do their table work in host passes over a
-//! whole relation — [`HashTable::count_tuples`], [`HashTable::insert_tuples`]
-//! and [`HashTable::probe_tuples`] — that resolve each tuple's chain once
-//! and prefetch ahead of it, as Chen, Ailamaki, Gibbons and Mowry prefetch
-//! real hash joins ("Improving Hash Join Performance through Prefetching",
-//! ICDE 2004).  They leave the allocator alone and record what each tuple
-//! did, so the step kernels can replay the allocations in the simulated
-//! order.  The per-tuple primitives below serve the merge and the coarse
-//! (one kernel per phase) joins.
+//! whole relation — `count_tuples`, `insert_tuples` and `probe_tuples` —
+//! that resolve each tuple's chain once and prefetch ahead of it, as Chen,
+//! Ailamaki, Gibbons and Mowry prefetch real hash joins ("Improving Hash
+//! Join Performance through Prefetching", ICDE 2004).  They leave the
+//! allocator alone and record what each tuple did, so the step kernels can
+//! replay the allocations in the simulated order.  The per-tuple primitives
+//! serve the merge and the coarse (one kernel per phase) joins.
 
 use crate::prefetch;
 use mem_alloc::KernelAllocator;
@@ -105,22 +104,22 @@ pub struct MergeStats {
     pub rids_moved: u64,
 }
 
-/// What [`HashTable::insert_tuples`] did for each build tuple, indexed by
+/// What `HashTable::insert_tuples` did for each build tuple, indexed by
 /// the tuple's place in the insert order: the facts steps `b3` and `b4`
 /// replay.
 #[derive(Debug, Clone, Default)]
-pub struct Inserted {
+pub(crate) struct Inserted {
     /// The tuple's key node.
-    pub key_node: Vec<u32>,
+    pub(crate) key_node: Vec<u32>,
     /// Key nodes the tuple's `b3` visited, the created one included.
-    pub visited: Vec<u32>,
+    pub(crate) visited: Vec<u32>,
     /// Whether the tuple created its key node.
-    pub created: Vec<bool>,
+    pub(crate) created: Vec<bool>,
 }
 
 impl Inserted {
     /// Room for the facts of `tuples` tuples.
-    pub fn new(tuples: usize) -> Self {
+    pub(crate) fn new(tuples: usize) -> Self {
         Inserted {
             key_node: vec![NIL; tuples],
             visited: vec![0; tuples],
@@ -129,20 +128,20 @@ impl Inserted {
     }
 }
 
-/// What [`HashTable::probe_tuples`] found for each probe tuple, indexed by
+/// What `HashTable::probe_tuples` found for each probe tuple, indexed by
 /// tuple: the facts steps `p2`–`p4` replay.
 #[derive(Debug, Clone, Default)]
-pub struct Probed {
+pub(crate) struct Probed {
     /// The tuple's bucket.
-    pub bucket: Vec<u32>,
+    pub(crate) bucket: Vec<u32>,
     /// The bucket's tuple count.
-    pub bucket_count: Vec<u32>,
+    pub(crate) bucket_count: Vec<u32>,
     /// The matching key node, or [`NIL`].
-    pub key_node: Vec<u32>,
+    pub(crate) key_node: Vec<u32>,
     /// Key nodes visited looking for the key.
-    pub visited: Vec<u32>,
+    pub(crate) visited: Vec<u32>,
     /// Rids under the matching key node (0 without a match).
-    pub rids: Vec<u32>,
+    pub(crate) rids: Vec<u32>,
 }
 
 /// The chained hash table of the paper.
@@ -290,7 +289,7 @@ impl HashTable {
 
     /// Step `b2`'s table work for a run of build tuples: counts each tuple
     /// into its bucket `buckets[k]`.
-    pub fn count_tuples(&mut self, buckets: &[u32]) {
+    pub(crate) fn count_tuples(&mut self, buckets: &[u32]) {
         for (k, &idx) in buckets.iter().enumerate() {
             if let Some(&ahead) = buckets.get(k + PREFETCH_AHEAD) {
                 prefetch(&self.buckets, ahead as usize);
@@ -300,7 +299,7 @@ impl HashTable {
     }
 
     /// The tuple count of each bucket `buckets[k]`, into `out[k]`.
-    pub fn counts_of(&self, buckets: &[u32], out: &mut [u32]) {
+    pub(crate) fn counts_of(&self, buckets: &[u32], out: &mut [u32]) {
         for (k, &idx) in buckets.iter().enumerate() {
             if let Some(&ahead) = buckets.get(k + PREFETCH_AHEAD) {
                 prefetch(&self.buckets, ahead as usize);
@@ -320,7 +319,7 @@ impl HashTable {
     /// and rid nodes are numbered in `order`, and a key's rid list holds
     /// its rids newest first.  Nothing is allocated; the caller replays
     /// each created node's allocation.
-    pub fn insert_tuples(
+    pub(crate) fn insert_tuples(
         &mut self,
         keys: &[u32],
         rids: &[u32],
@@ -359,7 +358,7 @@ impl HashTable {
 
     /// Steps `p1`–`p4`'s table work: looks up every key of `keys`, in order,
     /// without walking any rid list.
-    pub fn probe_tuples(&self, keys: &[u32]) -> Probed {
+    pub(crate) fn probe_tuples(&self, keys: &[u32]) -> Probed {
         let n = keys.len();
         let bucket: Vec<u32> = keys
             .iter()

@@ -7,7 +7,7 @@
 use crate::context::ExecContext;
 use crate::error::JoinError;
 use crate::hash::{hash_key, partitions_per_pass, radix_partition_of};
-use crate::phase::{run_step_lanes, PhaseExecution};
+use crate::phase::{run_step, PhaseExecution};
 use crate::schedule::Ratios;
 use crate::steps::{instr, StepId};
 use apu_sim::Phase;
@@ -60,7 +60,7 @@ pub fn run_partition_pass(
     }
 
     // n1: compute partition number.
-    steps.push(run_step_lanes(
+    steps.push(run_step(
         ctx,
         StepId::N1,
         n,
@@ -76,7 +76,7 @@ pub fn run_partition_pass(
 
     // n2: visit the partition header (histogram of partition sizes).
     let header_ws = (num_partitions * 8) as f64;
-    steps.push(run_step_lanes(
+    steps.push(run_step(
         ctx,
         StepId::N2,
         n,
@@ -98,7 +98,7 @@ pub fn run_partition_pass(
     // a time.
     // The scatter working set: each partition's active output block.
     let scatter_ws = (num_partitions * 2048) as f64;
-    steps.push(run_step_lanes(
+    steps.push(run_step(
         ctx,
         StepId::N3,
         n,

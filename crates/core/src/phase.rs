@@ -17,9 +17,9 @@
 //! in a host pass before its steps run, and records per tuple what the
 //! work found (see [`crate::build`], [`crate::probe`],
 //! [`crate::partition`]).  Each step then *replays* its accounting through
-//! [`run_step_lanes`], one [`Lane`] at a time in the order [`run_step`]
-//! visits items: morsel by morsel, each morsel's CPU lane before its GPU
-//! lane.  The accounting is everything a simulated value depends on:
+//! [`run_step`], one [`Lane`] at a time: morsel by morsel, each morsel's
+//! CPU lane before its GPU lane, the order in which the kernels always
+//! visited items.  The accounting is everything a simulated value depends on:
 //!
 //! * the [`CostRecorder`] totals, recorded per lane in bulk — every
 //!   quantity is an integer, so the sums are those of item-by-item
@@ -250,41 +250,11 @@ impl Lane {
 /// monolithic pass — while the device split is decided at morsel
 /// granularity, as the scheduler dispatches it.
 ///
-/// `body` is invoked once per item with `(ctx, item_index, device, work_group,
-/// recorder)` and performs the real work, recording its cost as it goes.
-/// Allocator activity during each device's lanes is attributed to that
-/// device automatically.
+/// `body` is invoked once per [`Lane`] — morsel by morsel, each morsel's
+/// CPU lane before its GPU lane — with `(ctx, lane, recorder)`, and records
+/// the lane's cost.  Allocator activity during each lane is attributed to
+/// its device automatically.
 pub fn run_step<F>(
-    ctx: &mut ExecContext<'_>,
-    step: StepId,
-    items: usize,
-    ratio: f64,
-    working_set_bytes: f64,
-    mut body: F,
-) -> StepExecution
-where
-    F: FnMut(&mut ExecContext<'_>, usize, DeviceKind, usize, &mut CostRecorder),
-{
-    run_step_lanes(
-        ctx,
-        step,
-        items,
-        ratio,
-        working_set_bytes,
-        |ctx, lane, rec| {
-            for i in lane.items.clone() {
-                body(ctx, i, lane.kind, lane.group(i), rec);
-            }
-        },
-    )
-}
-
-/// [`run_step`] with a body that takes a whole [`Lane`] at a time, in the
-/// same order: morsel by morsel, each morsel's CPU lane before its GPU
-/// lane.  A body that records a lane's costs in bulk, and calls the
-/// allocator and the cache simulator item by item in lane order, produces
-/// exactly what the per-item body would (see [`CostRecorder`]).
-pub fn run_step_lanes<F>(
     ctx: &mut ExecContext<'_>,
     step: StepId,
     items: usize,
@@ -390,7 +360,7 @@ fn seal_step(
     }
 }
 
-/// The adaptive variant of [`run_step_lanes`]: morsels are processed in
+/// The adaptive variant of [`run_step`]: morsels are processed in
 /// blocks of [`hj_adaptive::AdaptiveConfig::replan_every_morsels`] morsels,
 /// each block's per-lane simulated times are fed to the context's
 /// [`hj_adaptive::RatioTuner`] as telemetry, and every block takes its CPU
@@ -537,8 +507,8 @@ mod tests {
     fn run_step_splits_and_times_both_devices() {
         let sys = SystemSpec::coupled_a8_3870k();
         let mut ctx = ExecContext::new(&sys, AllocatorKind::tuned(), 1 << 20, false);
-        let exec = run_step(&mut ctx, StepId::B1, 1000, 0.3, 0.0, |_, _, _, _, rec| {
-            rec.item(100.0);
+        let exec = run_step(&mut ctx, StepId::B1, 1000, 0.3, 0.0, |_, lane, rec| {
+            rec.items(lane.items.len(), 100.0);
         });
         assert_eq!(exec.cpu_items, 300);
         assert_eq!(exec.gpu_items, 700);
@@ -552,19 +522,14 @@ mod tests {
         let sys = SystemSpec::coupled_a8_3870k();
         let mut ctx = ExecContext::new(&sys, AllocatorKind::Basic, 1 << 20, false);
         // Only the GPU portion allocates.
-        let exec = run_step(
-            &mut ctx,
-            StepId::B3,
-            100,
-            0.5,
-            0.0,
-            |ctx, _, kind, group, rec| {
-                rec.item(10.0);
-                if kind == DeviceKind::Gpu {
-                    ctx.allocator.alloc(group, 8);
+        let exec = run_step(&mut ctx, StepId::B3, 100, 0.5, 0.0, |ctx, lane, rec| {
+            rec.items(lane.items.len(), 10.0);
+            if lane.kind == DeviceKind::Gpu {
+                for pos in lane.items.clone() {
+                    ctx.allocator.alloc(lane.group(pos), 8);
                 }
-            },
-        );
+            }
+        });
         assert_eq!(exec.cpu_cost.serial_atomics, 0.0);
         assert!(exec.gpu_cost.serial_atomics >= 50.0);
     }
@@ -605,9 +570,7 @@ mod tests {
             500,
             ratios.get(0),
             0.0,
-            |_, _, _, _, rec| {
-                rec.item(50.0);
-            },
+            |_, lane, rec| rec.items(lane.items.len(), 50.0),
         );
         let s2 = run_step(
             &mut ctx,
@@ -615,9 +578,7 @@ mod tests {
             500,
             ratios.get(1),
             0.0,
-            |_, _, _, _, rec| {
-                rec.item(50.0);
-            },
+            |_, lane, rec| rec.items(lane.items.len(), 50.0),
         );
         let phase = PhaseExecution::from_steps(Phase::Build, ratios, vec![s1, s2], 500);
         assert_eq!(phase.steps.len(), 2);
@@ -631,9 +592,9 @@ mod tests {
         let mut ctx =
             ExecContext::new(&sys, AllocatorKind::tuned(), 1 << 20, false).with_morsel_tuples(128);
         let mut visited = Vec::new();
-        let exec = run_step(&mut ctx, StepId::B1, 1000, 0.3, 0.0, |_, i, _, _, rec| {
-            visited.push(i);
-            rec.item(10.0);
+        let exec = run_step(&mut ctx, StepId::B1, 1000, 0.3, 0.0, |_, lane, rec| {
+            visited.extend(lane.items.clone());
+            rec.items(lane.items.len(), 10.0);
         });
         assert_eq!(exec.morsels, 8);
         assert_eq!(exec.cpu_items + exec.gpu_items, 1000);
@@ -648,8 +609,8 @@ mod tests {
     fn single_morsel_matches_the_monolithic_split() {
         let sys = SystemSpec::coupled_a8_3870k();
         let mut ctx = ExecContext::new(&sys, AllocatorKind::tuned(), 1 << 20, false);
-        let exec = run_step(&mut ctx, StepId::P1, 1000, 0.3, 0.0, |_, _, _, _, rec| {
-            rec.item(1.0);
+        let exec = run_step(&mut ctx, StepId::P1, 1000, 0.3, 0.0, |_, lane, rec| {
+            rec.items(lane.items.len(), 1.0);
         });
         assert_eq!(exec.morsels, 1);
         let (cpu, gpu) = split_items(1000, 0.3);
@@ -661,8 +622,8 @@ mod tests {
     fn unit_cost_is_none_for_idle_device() {
         let sys = SystemSpec::coupled_a8_3870k();
         let mut ctx = ExecContext::new(&sys, AllocatorKind::tuned(), 1 << 20, false);
-        let exec = run_step(&mut ctx, StepId::P1, 10, 1.0, 0.0, |_, _, _, _, rec| {
-            rec.item(1.0);
+        let exec = run_step(&mut ctx, StepId::P1, 10, 1.0, 0.0, |_, lane, rec| {
+            rec.items(lane.items.len(), 1.0);
         });
         assert!(exec.unit_cost(DeviceKind::Gpu).is_none());
         assert!(exec.unit_cost(DeviceKind::Cpu).is_some());

@@ -1,7 +1,7 @@
 //! The probe phase: steps `p1..p4` of Algorithm 1, split between devices.
 //!
 //! The probe never changes the table, so one host pass
-//! ([`HashTable::probe_tuples`], see [`crate::phase`]) resolves every
+//! (`HashTable::probe_tuples`, see [`crate::phase`]) resolves every
 //! tuple up front: its bucket and the bucket's count, the matching key node
 //! and the key nodes visited to find it, and the key's rid count (kept on
 //! the host in the key node).  The steps then replay from those arrays:
@@ -18,7 +18,7 @@ use crate::context::ExecContext;
 use crate::divergence::{grouping_order, DEFAULT_GROUPS};
 use crate::error::JoinError;
 use crate::hashtable::{HashTable, KEY_NODE_BYTES, NIL, RID_NODE_BYTES};
-use crate::phase::{run_step_lanes, PhaseExecution};
+use crate::phase::{run_step, PhaseExecution};
 use crate::schedule::Ratios;
 use crate::steps::{instr, StepId};
 use apu_sim::Phase;
@@ -70,7 +70,7 @@ pub fn run_probe_phase(
     let probed = table.probe_tuples(probe_rel.keys());
 
     // p1: compute hash bucket number.
-    steps.push(run_step_lanes(
+    steps.push(run_step(
         ctx,
         StepId::P1,
         n,
@@ -86,7 +86,7 @@ pub fn run_probe_phase(
 
     // p2: visit the hash bucket header.
     let bucket_ws = table.bucket_array_bytes() as f64;
-    steps.push(run_step_lanes(
+    steps.push(run_step(
         ctx,
         StepId::P2,
         n,
@@ -114,7 +114,7 @@ pub fn run_probe_phase(
 
     // p3: visit the key list.
     let key_ws = bucket_ws + (table.key_node_count() * KEY_NODE_BYTES) as f64;
-    steps.push(run_step_lanes(
+    steps.push(run_step(
         ctx,
         StepId::P3,
         n,
@@ -126,9 +126,10 @@ pub fn run_probe_phase(
             rec.work_each(lane.items.clone().map(|pos| {
                 let nodes = probed.visited[order[pos] as usize];
                 if let Some(sim) = cache_sim.as_deref_mut() {
-                    // The table's first nodes, not the chain's (ROADMAP
-                    // item 13); kept as they are so Table 3's miss counts
-                    // hold.
+                    // A known fidelity bug, replayed as it was: the table's
+                    // first key nodes, not the chain's.  Fixing it moves
+                    // Table 3's profiled misses, so it is a change of its
+                    // own (see ROADMAP.md).
                     for v in 0..nodes {
                         sim.access(table.key_node_addr(v));
                     }
@@ -152,7 +153,7 @@ pub fn run_probe_phase(
     // p4: visit the matching build tuples, compare keys and produce output.
     let out_ws =
         (table.key_node_count() * KEY_NODE_BYTES + table.rid_node_count() * RID_NODE_BYTES) as f64;
-    steps.push(run_step_lanes(
+    steps.push(run_step(
         ctx,
         StepId::P4,
         n,
@@ -195,6 +196,9 @@ pub fn run_probe_phase(
                 }
                 let rids = probed.rids[i];
                 if let Some(sim) = cache_sim.as_deref_mut() {
+                    // A known fidelity bug, replayed as it was: the key
+                    // node's index taken as a rid node's, once per rid (see
+                    // ROADMAP.md).
                     for _ in 0..rids {
                         sim.access(table.rid_node_addr(node));
                     }
