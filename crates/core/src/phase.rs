@@ -360,9 +360,9 @@ fn seal_step(
     }
 }
 
-/// The adaptive variant of [`run_step`]: morsels are processed in
-/// blocks of [`hj_adaptive::AdaptiveConfig::replan_every_morsels`] morsels,
-/// each block's per-lane simulated times are fed to the context's
+/// The adaptive variant of [`run_step`]: morsels are processed in blocks of
+/// [`hj_adaptive::AdaptiveConfig::replan_every_morsels`] morsels, each
+/// block's per-lane simulated times are fed to the context's
 /// [`hj_adaptive::RatioTuner`] as telemetry, and every block takes its CPU
 /// ratio from the tuner's *current* plan — so the remaining morsels of a
 /// step are re-planned as evidence accumulates, and the next execution of
