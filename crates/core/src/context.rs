@@ -195,24 +195,6 @@ impl<'a> ExecContext<'a> {
         MemContext::with_hit_rate(cache.hit_rate(working_set_bytes))
     }
 
-    /// The allocator work-group id for item `offset_in_range` of a kernel of
-    /// `range_len` items running on `kind`.
-    ///
-    /// CPU work groups are 0..[`CPU_WORK_GROUPS`]; GPU work groups follow.
-    /// Items are assigned contiguously, as a real work-group decomposition
-    /// would.
-    pub fn group_for(&self, kind: DeviceKind, offset_in_range: usize, range_len: usize) -> usize {
-        work_group(kind, offset_in_range, range_len)
-    }
-
-    /// Feeds one address to the exact cache simulator, if enabled.
-    #[inline]
-    pub fn cache_access(&mut self, addr: u64) {
-        if let Some(sim) = self.cache_sim.as_mut() {
-            sim.access(addr);
-        }
-    }
-
     /// Snapshot of the allocator counters (used to attribute allocator
     /// atomics to the kernel that caused them).
     pub fn alloc_snapshot(&self) -> AllocStats {
@@ -227,9 +209,14 @@ impl<'a> ExecContext<'a> {
     }
 }
 
-/// [`ExecContext::group_for`] without a context.
+/// The allocator work-group id for item `offset_in_range` of a kernel of
+/// `range_len` items running on `kind`.
+///
+/// CPU work groups are 0..[`CPU_WORK_GROUPS`]; GPU work groups follow.
+/// Items are assigned contiguously, as a real work-group decomposition
+/// would.
 #[inline]
-pub(crate) fn work_group(kind: DeviceKind, offset_in_range: usize, range_len: usize) -> usize {
+pub(crate) fn group_for(kind: DeviceKind, offset_in_range: usize, range_len: usize) -> usize {
     let (base, n) = match kind {
         DeviceKind::Cpu => (0, CPU_WORK_GROUPS),
         DeviceKind::Gpu => (CPU_WORK_GROUPS, GPU_WORK_GROUPS),
@@ -279,30 +266,29 @@ mod tests {
 
     #[test]
     fn group_assignment_is_contiguous_and_in_range() {
-        let sys = SystemSpec::coupled_a8_3870k();
-        let ctx = ExecContext::new(&sys, AllocatorKind::tuned(), 1 << 20, false);
-        let g0 = ctx.group_for(DeviceKind::Cpu, 0, 1000);
-        let g_last = ctx.group_for(DeviceKind::Cpu, 999, 1000);
+        let g0 = group_for(DeviceKind::Cpu, 0, 1000);
+        let g_last = group_for(DeviceKind::Cpu, 999, 1000);
         assert_eq!(g0, 0);
         assert_eq!(g_last, CPU_WORK_GROUPS - 1);
-        let gpu0 = ctx.group_for(DeviceKind::Gpu, 0, 10);
+        let gpu0 = group_for(DeviceKind::Gpu, 0, 10);
         assert!(gpu0 >= CPU_WORK_GROUPS);
-        assert!(ctx.group_for(DeviceKind::Gpu, 9, 10) < CPU_WORK_GROUPS + GPU_WORK_GROUPS);
+        assert!(group_for(DeviceKind::Gpu, 9, 10) < CPU_WORK_GROUPS + GPU_WORK_GROUPS);
         // Degenerate empty range still returns a valid group.
-        assert_eq!(ctx.group_for(DeviceKind::Cpu, 0, 0), 0);
+        assert_eq!(group_for(DeviceKind::Cpu, 0, 0), 0);
     }
 
     #[test]
     fn cache_profiling_is_optional() {
         let sys = SystemSpec::coupled_a8_3870k();
         let mut off = ExecContext::new(&sys, AllocatorKind::tuned(), 1 << 20, false);
-        off.cache_access(0x1234);
+        assert!(off.cache_sim.is_none());
         off.finalize_counters();
         assert!(off.counters.cache.is_none());
 
         let mut on = ExecContext::new(&sys, AllocatorKind::tuned(), 1 << 20, true);
-        on.cache_access(0x1234);
-        on.cache_access(0x1234);
+        let sim = on.cache_sim.as_mut().unwrap();
+        sim.access(0x1234);
+        sim.access(0x1234);
         on.finalize_counters();
         let stats = on.counters.cache.unwrap();
         assert_eq!(stats.accesses(), 2);

@@ -36,7 +36,7 @@
 //! per-item kernel did, so a join that runs out of space fails at the same
 //! request with the same arena fill.
 
-use crate::context::{work_group, ExecContext};
+use crate::context::{group_for, ExecContext};
 use crate::pipeline::split_range;
 use crate::schedule::{compose_pipeline, PipelineTiming, Ratios};
 use crate::steps::StepId;
@@ -206,11 +206,10 @@ pub struct Lane {
 
 impl Lane {
     /// The allocator work group of item `pos` (one of [`Lane::items`]):
-    /// each device's work groups take contiguous runs of its share, as
-    /// [`ExecContext::group_for`] assigns them.
+    /// each device's work groups take contiguous runs of its share.
     #[inline]
     pub fn group(&self, pos: usize) -> usize {
-        work_group(self.kind, self.offset + (pos - self.items.start), self.span)
+        group_for(self.kind, self.offset + (pos - self.items.start), self.span)
     }
 
     /// The lane's items split into runs that share one work group, in
