@@ -165,18 +165,19 @@ pub fn run_probe_phase(
             }
             // Each work group's output allocations, one per result pair, in
             // one go; a run that does not fit ends the lane at the tuple
-            // whose output failed, which still counts as visited.
+            // whose output failed, which still counts as visited.  That
+            // tuple's `partial` rids got their allocation before it failed.
             let rids_at = |pos: usize| probed.rids[order[pos] as usize] as usize;
-            let (mut end, mut failed) = (lane.items.end, false);
+            let (mut end, mut failed, mut partial) = (lane.items.end, false, 0);
             for (group, run) in lane.group_runs() {
                 let wanted = run.clone().map(rids_at).sum();
                 let got = ctx.allocator.alloc_many(group, 8, wanted);
                 if got < wanted {
                     oom = Some(8);
-                    let mut left = got;
-                    let short = |&pos: &usize| match left.checked_sub(rids_at(pos)) {
+                    partial = got;
+                    let short = |&pos: &usize| match partial.checked_sub(rids_at(pos)) {
                         Some(rest) => {
-                            left = rest;
+                            partial = rest;
                             false
                         }
                         None => true,
@@ -211,6 +212,13 @@ pub fn run_probe_phase(
                 outputs += u64::from(rids);
                 rids.max(1)
             }));
+            if let Some(sim) = cache_sim.filter(|_| failed) {
+                // The failed tuple's rids that got an allocation were read.
+                let node = probed.key_node[order[end] as usize];
+                for _ in 0..partial {
+                    sim.access(table.rid_node_addr(node));
+                }
+            }
             let items = end - lane.items.start + usize::from(failed);
             matches += outputs;
             rec.items(items, instr::VISIT_HEADER);

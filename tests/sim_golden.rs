@@ -12,8 +12,9 @@
 //! It covers the eleven `sim_paper` requests on four seeds, plus one join
 //! each with the exact cache simulator, the adaptive tuner, collected
 //! pairs, a cached table, the out-of-core path, coarse steps, the
-//! BasicUnit scheduler, skewed keys and a selective probe side; and where
-//! joins on too small an arena run out of space.
+//! BasicUnit scheduler, skewed keys and a selective probe side, and a
+//! profiled one-key join that runs out of space mid-probe and spills; and
+//! where joins on too small an arena run out of space.
 //!
 //! When a change moves a value on purpose, the failure message prints the
 //! whole table in the form of [`GOLDEN`]; the change must say why.
@@ -120,6 +121,11 @@ const GOLDEN: &[(&str, u64, u64)] = &[
         "selective_phj_ol_collect",
         0x41528a957869b743,
         0x79da40ac6946709a,
+    ),
+    (
+        "one_key_shj_pl_profiled_spill",
+        0x4163a4f8bab2f100,
+        0xb62a1aaecd0b1015,
     ),
 ];
 
@@ -465,6 +471,30 @@ fn actual() -> Vec<(String, u64, u64)> {
             rows.push(pinned(format!("{data}_{label}"), &outcome));
         }
     }
+
+    // One key throughout: the result outgrows the arena mid-probe, so the
+    // in-core attempt and the spill path's block joins fail part-way
+    // through a tuple's rids and are retried, while the exact cache
+    // simulator keeps what every attempt fed it.
+    let build = Relation::from_keys(vec![42; 1024]);
+    let probe = Relation::from_keys(vec![42; 4096]);
+    let engine = JoinEngine::new(
+        Box::new(CoupledSim::new()),
+        EngineConfig::for_tuples(build.len(), probe.len()),
+    )
+    .unwrap();
+    let request = builder()
+        .profile_cache(true)
+        .spill(SpillConfig::default().partitions(4).max_recursion_depth(1))
+        .build()
+        .unwrap();
+    let outcome = engine.submit(&request, &build, &probe).unwrap();
+    assert_eq!(outcome.matches, 1024 * 4096, "one-key spill");
+    assert!(outcome.spill.is_some() && outcome.counters.cache.is_some());
+    rows.push(pinned(
+        "one_key_shj_pl_profiled_spill".to_string(),
+        &outcome,
+    ));
     rows
 }
 
@@ -555,41 +585,41 @@ const ARENA_GOLDEN: &[(&str, &str)] = &[
         "ArenaExhausted { requested: 8, capacity: 893145, used: 892928, phase: \"probe\" }",
     ),
     (
-        "SHJ-DD block-2048B 0.01",
+        "SHJ-DD nogroup block-2048B 0.01",
         "ArenaExhausted { requested: 12, capacity: 59543, used: 59392, phase: \"build\" }",
     ),
     (
-        "SHJ-DD block-2048B 0.05",
+        "SHJ-DD nogroup block-2048B 0.05",
         "ArenaExhausted { requested: 12, capacity: 297715, used: 296960, phase: \"build\" }",
     ),
     (
-        "SHJ-DD block-2048B 0.08",
+        "SHJ-DD nogroup block-2048B 0.08",
         "ArenaExhausted { requested: 8, capacity: 476344, used: 475136, phase: \"build\" }",
     ),
-    ("SHJ-DD block-2048B 0.1", "ok 0x4125478fde49e6d1"),
-    ("SHJ-DD block-2048B 0.12", "ok 0x4125478fde49e6d1"),
-    ("SHJ-DD block-2048B 0.15", "ok 0x4125478fde49e6d1"),
+    ("SHJ-DD nogroup block-2048B 0.1", "ok 0x4125478fde49e6d1"),
+    ("SHJ-DD nogroup block-2048B 0.12", "ok 0x4125478fde49e6d1"),
+    ("SHJ-DD nogroup block-2048B 0.15", "ok 0x4125478fde49e6d1"),
     (
-        "SHJ-DD block-2048B 0.01",
+        "SHJ-DD separate block-2048B 0.01",
         "ArenaExhausted { requested: 12, capacity: 59543, used: 59392, phase: \"build\" }",
     ),
     (
-        "SHJ-DD block-2048B 0.05",
+        "SHJ-DD separate block-2048B 0.05",
         "ArenaExhausted { requested: 12, capacity: 297715, used: 296960, phase: \"build\" }",
     ),
     (
-        "SHJ-DD block-2048B 0.08",
+        "SHJ-DD separate block-2048B 0.08",
         "ArenaExhausted { requested: 8, capacity: 476344, used: 475136, phase: \"build\" }",
     ),
     (
-        "SHJ-DD block-2048B 0.1",
+        "SHJ-DD separate block-2048B 0.1",
         "ArenaExhausted { requested: 12, capacity: 595430, used: 593920, phase: \"merge\" }",
     ),
     (
-        "SHJ-DD block-2048B 0.12",
+        "SHJ-DD separate block-2048B 0.12",
         "ArenaExhausted { requested: 12, capacity: 714516, used: 712704, phase: \"merge\" }",
     ),
-    ("SHJ-DD block-2048B 0.15", "ok 0x412f522e71c71c72"),
+    ("SHJ-DD separate block-2048B 0.15", "ok 0x412f522e71c71c72"),
     (
         "SHJ-PL basic 0.01",
         "ArenaExhausted { requested: 12, capacity: 59543, used: 59532, phase: \"build\" }",
@@ -627,41 +657,41 @@ const ARENA_GOLDEN: &[(&str, &str)] = &[
     ),
     ("PHJ-PL basic 0.15", "ok 0x4146c79fdfe73a08"),
     (
-        "SHJ-DD basic 0.01",
+        "SHJ-DD nogroup basic 0.01",
         "ArenaExhausted { requested: 12, capacity: 59543, used: 59532, phase: \"build\" }",
     ),
     (
-        "SHJ-DD basic 0.05",
+        "SHJ-DD nogroup basic 0.05",
         "ArenaExhausted { requested: 8, capacity: 297715, used: 297712, phase: \"build\" }",
     ),
     (
-        "SHJ-DD basic 0.08",
+        "SHJ-DD nogroup basic 0.08",
         "ArenaExhausted { requested: 8, capacity: 476344, used: 476344, phase: \"probe\" }",
     ),
-    ("SHJ-DD basic 0.1", "ok 0x41406eca2a41478a"),
-    ("SHJ-DD basic 0.12", "ok 0x41406eca2a41478a"),
-    ("SHJ-DD basic 0.15", "ok 0x41406eca2a41478a"),
+    ("SHJ-DD nogroup basic 0.1", "ok 0x41406eca2a41478a"),
+    ("SHJ-DD nogroup basic 0.12", "ok 0x41406eca2a41478a"),
+    ("SHJ-DD nogroup basic 0.15", "ok 0x41406eca2a41478a"),
     (
-        "SHJ-DD basic 0.01",
+        "SHJ-DD separate basic 0.01",
         "ArenaExhausted { requested: 12, capacity: 59543, used: 59532, phase: \"build\" }",
     ),
     (
-        "SHJ-DD basic 0.05",
+        "SHJ-DD separate basic 0.05",
         "ArenaExhausted { requested: 8, capacity: 297715, used: 297712, phase: \"build\" }",
     ),
     (
-        "SHJ-DD basic 0.08",
+        "SHJ-DD separate basic 0.08",
         "ArenaExhausted { requested: 12, capacity: 476344, used: 476340, phase: \"merge\" }",
     ),
     (
-        "SHJ-DD basic 0.1",
+        "SHJ-DD separate basic 0.1",
         "ArenaExhausted { requested: 12, capacity: 595430, used: 595420, phase: \"merge\" }",
     ),
     (
-        "SHJ-DD basic 0.12",
+        "SHJ-DD separate basic 0.12",
         "ArenaExhausted { requested: 8, capacity: 714516, used: 714512, phase: \"probe\" }",
     ),
-    ("SHJ-DD basic 0.15", "ok 0x4145547b1eede586"),
+    ("SHJ-DD separate basic 0.15", "ok 0x4145547b1eede586"),
 ];
 
 fn arena_outcomes() -> Vec<(String, String)> {
@@ -670,11 +700,18 @@ fn arena_outcomes() -> Vec<(String, String)> {
     let sys = SystemSpec::coupled_a8_3870k();
     let mut rows = Vec::new();
     for allocator in [AllocatorKind::tuned(), AllocatorKind::Basic] {
-        for cfg in [
-            JoinConfig::shj(Scheme::pipelined_paper()),
-            JoinConfig::phj(Scheme::pipelined_paper()),
-            JoinConfig::shj(Scheme::data_dividing_paper()).with_grouping(false),
-            JoinConfig::shj(Scheme::data_dividing_paper()).with_hash_table(HashTableMode::Separate),
+        for (variant, cfg) in [
+            ("", JoinConfig::shj(Scheme::pipelined_paper())),
+            ("", JoinConfig::phj(Scheme::pipelined_paper())),
+            (
+                " nogroup",
+                JoinConfig::shj(Scheme::data_dividing_paper()).with_grouping(false),
+            ),
+            (
+                " separate",
+                JoinConfig::shj(Scheme::data_dividing_paper())
+                    .with_hash_table(HashTableMode::Separate),
+            ),
         ] {
             let cfg = cfg.with_allocator(allocator);
             for fraction in ARENA_FRACTIONS {
@@ -685,7 +722,7 @@ fn arena_outcomes() -> Vec<(String, String)> {
                     Ok(o) => format!("ok {:#018x}", o.total_time().as_ns().to_bits()),
                     Err(e) => format!("{e:?}"),
                 };
-                let join = format!("{} {} {fraction}", cfg.label(), allocator.label());
+                let join = format!("{}{variant} {} {fraction}", cfg.label(), allocator.label());
                 rows.push((join, outcome));
             }
         }
