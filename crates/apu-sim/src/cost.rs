@@ -110,9 +110,8 @@ impl StepCost {
 /// to measure lock-step (divergence) overhead.
 ///
 /// A kernel may also record a whole run of items at once
-/// ([`CostRecorder::items`], [`CostRecorder::work_each`],
-/// [`CostRecorder::work_repeated`], or one total passed to the fine-grained
-/// methods).  When every recorded quantity is an integer, as the join
+/// ([`CostRecorder::items`], [`CostRecorder::work_each`], or one total
+/// passed to the fine-grained methods).  When every recorded quantity is an integer, as the join
 /// kernels' are, each running sum stays an exact integer (below 2^53), so
 /// the result is bit-identical to recording the same items one by one in
 /// any grouping.
@@ -234,32 +233,6 @@ impl CostRecorder {
         self.cost.lockstep_work += lockstep as f64;
         self.wave_fill = fill;
         self.wave_max = max;
-    }
-
-    /// Records `n` consecutive items of `units` work units each: the same
-    /// wavefront packing as `n` calls of [`CostRecorder::work`].
-    pub fn work_repeated(&mut self, units: u32, n: usize) {
-        if n == 0 {
-            return;
-        }
-        self.cost.total_work += units as f64 * n as f64;
-        let mut left = n;
-        if self.wave_fill > 0 {
-            let take = (self.wavefront - self.wave_fill).min(left);
-            self.wave_max = self.wave_max.max(units);
-            self.wave_fill += take;
-            left -= take;
-            if self.wave_fill == self.wavefront {
-                self.flush_wave();
-            }
-        }
-        let full_waves = left / self.wavefront;
-        self.cost.lockstep_work += units as f64 * (full_waves * self.wavefront) as f64;
-        left -= full_waves * self.wavefront;
-        if left > 0 {
-            self.wave_max = units;
-            self.wave_fill = left;
-        }
     }
 
     fn flush_wave(&mut self) {
@@ -441,7 +414,7 @@ mod tests {
                         one_by_one.work(2);
                     }
                     bulk.items(n, 180.0);
-                    bulk.work_repeated(2, n / 2);
+                    bulk.work_each(std::iter::repeat_n(2, n / 2));
                     bulk.work_each(std::iter::repeat_n(2, n - n / 2));
                     assert_eq!(
                         one_by_one.snapshot(),

@@ -296,7 +296,7 @@ pub fn run_build_phase(
             let items = end - lane.items.start;
             rec.items(items, instr::RID_INSERT);
             rec.random_write(items as f64);
-            rec.work_repeated(1, items);
+            rec.work_each(std::iter::repeat_n(1, items));
             if !separate {
                 rec.parallel_atomic(items as f64);
             }

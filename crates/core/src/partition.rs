@@ -120,7 +120,7 @@ pub fn run_partition_pass(
             rec.items(items, instr::PARTITION_INSERT);
             rec.random_write(items as f64);
             rec.seq_write(8.0 * items as f64);
-            rec.work_repeated(1, items);
+            rec.work_each(std::iter::repeat_n(1, items));
         },
     ));
 

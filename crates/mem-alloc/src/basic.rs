@@ -42,23 +42,6 @@ impl KernelAllocator for BumpAllocator {
         Some(at)
     }
 
-    fn alloc_many(&mut self, _group: usize, bytes: usize, count: usize) -> usize {
-        let room = (self.capacity - self.offset)
-            .checked_div(bytes)
-            .unwrap_or(usize::MAX);
-        let done = room.min(count);
-        self.offset += done * bytes;
-        self.stats.global_atomics += done as u64;
-        self.stats.allocations += done as u64;
-        self.stats.requested_bytes += (done * bytes) as u64;
-        if done < count {
-            // The first request that does not fit still issues its atomic.
-            self.stats.global_atomics += 1;
-            self.stats.failed += 1;
-        }
-        done
-    }
-
     fn stats(&self) -> AllocStats {
         self.stats
     }

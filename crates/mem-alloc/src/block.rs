@@ -93,34 +93,6 @@ impl KernelAllocator for BlockAllocator {
         Some(at)
     }
 
-    fn alloc_many(&mut self, group: usize, bytes: usize, count: usize) -> usize {
-        let slot = group % self.groups.len();
-        let mut done = 0;
-        while done < count {
-            let block = self.groups[slot];
-            // Requests the group's block still has room for: each is one
-            // local atomic, as in `alloc`.
-            let room = (block.end - block.cursor)
-                .checked_div(bytes)
-                .unwrap_or(usize::MAX);
-            let take = room.min(count - done);
-            if take == 0 {
-                // The next request fetches a block, or fails.
-                if self.alloc(group, bytes).is_none() {
-                    break;
-                }
-                done += 1;
-                continue;
-            }
-            self.groups[slot].cursor += take * bytes;
-            self.stats.local_atomics += take as u64;
-            self.stats.allocations += take as u64;
-            self.stats.requested_bytes += (take * bytes) as u64;
-            done += take;
-        }
-        done
-    }
-
     fn stats(&self) -> AllocStats {
         self.stats
     }

@@ -82,9 +82,8 @@ pub trait KernelAllocator: Send {
     fn alloc(&mut self, group: usize, bytes: usize) -> Option<usize>;
 
     /// Makes up to `count` requests of `bytes` bytes each for work group
-    /// `group`, stopping after the first that fails, and returns how many
-    /// succeeded: the same arena and counters as that many calls of
-    /// [`Self::alloc`], for a kernel that replays a run of requests at once.
+    /// `group`, one [`Self::alloc`] at a time, stopping after the first that
+    /// fails; returns how many succeeded.
     fn alloc_many(&mut self, group: usize, bytes: usize, count: usize) -> usize {
         (0..count)
             .take_while(|_| self.alloc(group, bytes).is_some())
@@ -116,34 +115,6 @@ mod tests {
         assert!(block.alloc(0, 16).is_some());
         assert_eq!(basic.capacity(), 1024);
         assert_eq!(block.capacity(), 16 * 1024);
-    }
-
-    /// `alloc_many` against the same requests made one by one, on every
-    /// allocator, across block boundaries and into exhaustion.
-    #[test]
-    fn alloc_many_matches_one_request_at_a_time() {
-        for kind in [
-            AllocatorKind::Basic,
-            AllocatorKind::Block { block_size: 64 },
-            AllocatorKind::Block { block_size: 2048 },
-        ] {
-            for bytes in [0usize, 8, 12, 100] {
-                let mut one = kind.build(3000, 4);
-                let mut many = kind.build(3000, 4);
-                let runs = [(0usize, 5usize), (1, 0), (0, 9), (3, 40), (2, 1), (0, 400)];
-                for (round, &(group, count)) in runs.iter().enumerate() {
-                    let single = (0..count)
-                        .take_while(|_| one.alloc(group, bytes).is_some())
-                        .count();
-                    let bulk = many.alloc_many(group, bytes, count);
-                    let at = format!("{kind:?}, {bytes} B, run {round}");
-                    assert_eq!(single, bulk, "{at}");
-                    assert_eq!(one.stats(), many.stats(), "{at}");
-                    assert_eq!(one.used(), many.used(), "{at}");
-                    assert_eq!(one.alloc(group, 4), many.alloc(group, 4), "{at}");
-                }
-            }
-        }
     }
 
     #[test]
