@@ -38,7 +38,7 @@ use crate::scheme::RatioPlan;
 use apu_sim::DeviceKind;
 use datagen::Relation;
 use hj_analysis::sync::{Condvar, Mutex};
-use hj_metrics::LatencyHistogram;
+use hj_metrics::{AtomicHistogram, Counter, Gauge, LatencyHistogram};
 use hj_spill::{MemoryBroker, MemoryGrant};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -387,26 +387,23 @@ struct CacheInner {
     grant: Option<MemoryGrant>,
     /// Monotonic use counter driving LRU ordering.
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    invalidations: u64,
-    build_ns_saved: u64,
-    build_latency: LatencyHistogram,
 }
 
-/// Registered metric handles the cache updates alongside its lock-held
-/// counters, so the engine's wire-exposed registry and [`CacheStats`]
-/// always agree.  Constructed by the engine from its registry
-/// ([`CacheMetrics::register`]) or detached for tests
-/// ([`CacheMetrics::unregistered`]).
+/// The cache's only counters: registered metric handles, so the engine's
+/// wire-exposed registry and [`CacheStats`] read the same atoms.
+/// Constructed by the engine from its registry ([`CacheMetrics::register`])
+/// or detached for tests ([`CacheMetrics::unregistered`]).
 pub(crate) struct CacheMetrics {
-    hits: Arc<hj_metrics::Counter>,
-    misses: Arc<hj_metrics::Counter>,
-    evictions: Arc<hj_metrics::Counter>,
-    invalidations: Arc<hj_metrics::Counter>,
-    build_ns_saved: Arc<hj_metrics::Counter>,
-    build_latency: Arc<hj_metrics::AtomicHistogram>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    invalidations: Arc<Counter>,
+    build_ns_saved: Arc<Counter>,
+    build_latency: Arc<AtomicHistogram>,
+    /// Set under the `cache.inner` lock wherever the grant or the ready
+    /// entries change ([`HashTableCache::publish_residency`]).
+    resident_bytes: Arc<Gauge>,
+    entries: Arc<Gauge>,
 }
 
 impl CacheMetrics {
@@ -437,6 +434,11 @@ impl CacheMetrics {
                 "hj_cache_build_latency_ns",
                 "Wall-clock latency of single-flight cache builds (ns)",
             ),
+            resident_bytes: registry.gauge(
+                "hj_cache_resident_bytes",
+                "Bytes the cached hash tables currently keep resident",
+            ),
+            entries: registry.gauge("hj_cache_entries", "Hash tables currently cached"),
         }
     }
 
@@ -445,12 +447,14 @@ impl CacheMetrics {
     #[cfg(test)]
     pub(crate) fn unregistered() -> Self {
         CacheMetrics {
-            hits: Arc::new(hj_metrics::Counter::default()),
-            misses: Arc::new(hj_metrics::Counter::default()),
-            evictions: Arc::new(hj_metrics::Counter::default()),
-            invalidations: Arc::new(hj_metrics::Counter::default()),
-            build_ns_saved: Arc::new(hj_metrics::Counter::default()),
-            build_latency: Arc::new(hj_metrics::AtomicHistogram::default()),
+            hits: Arc::default(),
+            misses: Arc::default(),
+            evictions: Arc::default(),
+            invalidations: Arc::default(),
+            build_ns_saved: Arc::default(),
+            build_latency: Arc::default(),
+            resident_bytes: Arc::default(),
+            entries: Arc::default(),
         }
     }
 }
@@ -508,12 +512,6 @@ impl HashTableCache {
                     entries: HashMap::new(),
                     grant: None,
                     tick: 0,
-                    hits: 0,
-                    misses: 0,
-                    evictions: 0,
-                    invalidations: 0,
-                    build_ns_saved: 0,
-                    build_latency: LatencyHistogram::new(),
                 },
             ),
             built: Condvar::new(),
@@ -541,8 +539,6 @@ impl HashTableCache {
                     if let Some(Slot::Ready { last_used, .. }) = inner.entries.get_mut(&key) {
                         *last_used = tick;
                     }
-                    inner.hits += 1;
-                    inner.build_ns_saved += table.build_ns;
                     self.metrics.hits.inc();
                     self.metrics.build_ns_saved.add(table.build_ns);
                     self.service_reclaim(&mut inner);
@@ -602,8 +598,6 @@ impl HashTableCache {
         guard.armed = false;
 
         let mut inner = self.inner.lock();
-        inner.misses += 1;
-        inner.build_latency.record(table.build_ns);
         self.metrics.misses.inc();
         self.metrics.build_latency.record(table.build_ns);
         let bytes = table.bytes;
@@ -636,6 +630,7 @@ impl HashTableCache {
                     last_used: tick,
                 },
             );
+            self.publish_residency(&inner);
         } else {
             // Even a fully drained cache cannot admit this table: serve the
             // request one-shot, uncached, and let waiters rebuild (they will
@@ -667,8 +662,8 @@ impl HashTableCache {
         if let Some(grant) = &inner.grant {
             grant.shrink(table.bytes);
         }
-        inner.evictions += 1;
         self.metrics.evictions.inc();
+        self.publish_residency(inner);
         Some(table.bytes)
     }
 
@@ -722,29 +717,38 @@ impl HashTableCache {
                 if let Some(grant) = &inner.grant {
                     grant.shrink(table.bytes);
                 }
-                inner.invalidations += 1;
                 self.metrics.invalidations.inc();
             }
         }
+        self.publish_residency(&inner);
         self.release_grant_if_idle(&mut inner);
     }
 
-    /// A point-in-time stats snapshot.
+    /// Sets the residency gauges from the state the caller holds the
+    /// `cache.inner` lock on, after the grant or the ready entries changed.
+    fn publish_residency(&self, inner: &CacheInner) {
+        let bytes = inner.grant.as_ref().map_or(0, MemoryGrant::granted);
+        let ready = inner
+            .entries
+            .values()
+            .filter(|slot| matches!(slot, Slot::Ready { .. }))
+            .count();
+        self.metrics.resident_bytes.set(bytes as u64);
+        self.metrics.entries.set(ready as u64);
+    }
+
+    /// A point-in-time stats snapshot, read from the metric atoms.
     pub(crate) fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
+        let m = &self.metrics;
         CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            invalidations: inner.invalidations,
-            bytes: inner.grant.as_ref().map_or(0, MemoryGrant::granted),
-            entries: inner
-                .entries
-                .values()
-                .filter(|slot| matches!(slot, Slot::Ready { .. }))
-                .count(),
-            build_ns_saved: inner.build_ns_saved,
-            build_latency: inner.build_latency,
+            hits: m.hits.get(),
+            misses: m.misses.get(),
+            evictions: m.evictions.get(),
+            invalidations: m.invalidations.get(),
+            bytes: m.resident_bytes.get() as usize,
+            entries: m.entries.get() as usize,
+            build_ns_saved: m.build_ns_saved.get(),
+            build_latency: m.build_latency.snapshot(),
         }
     }
 }

@@ -1056,18 +1056,30 @@ struct SessionPool {
     waiting: usize,
 }
 
-/// The little state that still needs lock coherence (everything monotonic
-/// moved into the [`MetricsRegistry`]'s atomics — see [`EngineMetrics`]).
-///
-/// `in_flight`/`peak_in_flight` must move together (the peak is a max over
-/// the gauge), and `per_session` is a `Vec` of compound records; both stay
-/// behind the `engine.stats` lock and are mirrored into gauges for wire
-/// exposition.
+/// One session's lifetime counters: atoms that no registry lists (the
+/// engine-wide families live in [`EngineMetrics`]), read back by
+/// [`JoinEngine::stats`] as a [`SessionStats`].
 #[derive(Default)]
-struct StatsInner {
-    in_flight: usize,
-    peak_in_flight: usize,
-    per_session: Vec<SessionStats>,
+struct SessionCounters {
+    requests_served: Counter,
+    requests_failed: Counter,
+    replans: Counter,
+    spilled_requests: Counter,
+    spill_bytes_written: Counter,
+    queue_wait: AtomicHistogram,
+}
+
+impl SessionCounters {
+    fn snapshot(&self) -> SessionStats {
+        SessionStats {
+            requests_served: self.requests_served.get(),
+            requests_failed: self.requests_failed.get(),
+            replans: self.replans.get(),
+            spilled_requests: self.spilled_requests.get(),
+            spill_bytes_written: self.spill_bytes_written.get(),
+            queue_wait: self.queue_wait.snapshot(),
+        }
+    }
 }
 
 /// The engine's registered metric handles: every name is a static literal
@@ -1081,6 +1093,8 @@ struct EngineMetrics {
     requests_failed: Arc<Counter>,
     rejected_saturated: Arc<Counter>,
     arenas_created: Arc<Counter>,
+    /// Set under the `engine.session_pool` lock whenever a session is
+    /// taken or returned, like the peak beside it.
     in_flight: Arc<Gauge>,
     peak_in_flight: Arc<Gauge>,
     queue_wait: Arc<AtomicHistogram>,
@@ -1109,9 +1123,6 @@ struct EngineMetrics {
     /// The health monitor's assessed state (0 healthy / 1 degraded /
     /// 2 saturated), set on every sample.
     health_state: Arc<Gauge>,
-    /// Synced from the hash-table cache at snapshot time.
-    cache_bytes: Arc<Gauge>,
-    cache_entries: Arc<Gauge>,
     /// Synced from the trace ring at snapshot time.
     trace_dropped: Arc<Gauge>,
 }
@@ -1239,11 +1250,6 @@ impl EngineMetrics {
                 "hj_health_state",
                 "Assessed health state: 0 healthy, 1 degraded, 2 saturated",
             ),
-            cache_bytes: registry.gauge(
-                "hj_cache_resident_bytes",
-                "Bytes the cached hash tables currently keep resident",
-            ),
-            cache_entries: registry.gauge("hj_cache_entries", "Hash tables currently cached"),
             trace_dropped: registry.gauge(
                 "hj_trace_events_dropped_total",
                 "Events the structured-trace ring dropped (oldest-first) since engine start",
@@ -1267,11 +1273,10 @@ struct SamplerShared {
 }
 
 impl SamplerShared {
-    /// Takes one sample: syncs the pool-derived gauges, snapshots the
-    /// registry into the ring, and feeds the freshest window's rates to
-    /// the health monitor.  Touches only atomics and the two short
-    /// observability locks — never the engine's session pool or stats.
-    fn sample_once(&self) {
+    /// Copies the values no hot path pushes into their gauges: per-worker
+    /// pool activity and the trace ring's drop counter.  Every other gauge
+    /// is set where its value changes.
+    fn sync_gauges(&self) {
         if let Some(pool) = self.workers.spawned() {
             for (gauge, value) in self.metrics.worker_tasks.iter().zip(pool.tasks_executed()) {
                 gauge.set(value);
@@ -1295,6 +1300,14 @@ impl SamplerShared {
             }
         }
         self.metrics.trace_dropped.set(self.tracer.dropped_events());
+    }
+
+    /// Takes one sample: syncs the pool-derived gauges, snapshots the
+    /// registry into the ring, and feeds the freshest window's rates to
+    /// the health monitor.  Touches only atomics and the two short
+    /// observability locks — never the engine's session pool.
+    fn sample_once(&self) {
+        self.sync_gauges();
         let at_ns = self.tracer.now_ns();
         self.timeseries.push(TimePoint {
             at_ns,
@@ -1361,6 +1374,13 @@ impl SamplerHandle {
     }
 }
 
+/// Where a submission's build side comes from: the request's own relation,
+/// or a registered table served from the hash-table cache under `key`.
+enum BuildSource<'a> {
+    Inline(&'a Relation),
+    Cached(&'a TableHandle, CacheKey),
+}
+
 /// One join's root-span bookkeeping, opened by `JoinEngine::begin_join`
 /// and consumed by `JoinEngine::finish_join`: the span id, its start
 /// timestamp, and the ring's drop count at open (so the flight recorder
@@ -1388,7 +1408,8 @@ pub struct JoinEngine {
     config: EngineConfig,
     pool: Mutex<SessionPool>,
     session_freed: Condvar,
-    stats: Mutex<StatsInner>,
+    /// Each session's counters, indexed by session id.
+    per_session: Box<[SessionCounters]>,
     /// The persistent execution pool: sized at construction, spawned once
     /// on first native use, shared by every session's backend execution,
     /// joined when the engine drops.  Simulator-only engines never spawn
@@ -1523,13 +1544,9 @@ impl JoinEngine {
                 },
             ),
             session_freed: Condvar::new(),
-            stats: Mutex::new(
-                "engine.stats",
-                StatsInner {
-                    per_session: vec![SessionStats::default(); config.sessions],
-                    ..StatsInner::default()
-                },
-            ),
+            per_session: (0..config.sessions)
+                .map(|_| SessionCounters::default())
+                .collect(),
             workers,
             cache: HashTableCache::new(
                 broker.clone(),
@@ -1655,57 +1672,16 @@ impl JoinEngine {
     /// health monitor — exactly what the background thread does each
     /// interval, but deterministic (tests drive this instead of sleeping).
     pub fn sample_now(&self) {
-        self.sync_derived_metrics();
         self.sampler_shared.sample_once();
     }
 
     /// Renders every registered metric as a Prometheus text-format
-    /// snapshot, after syncing the gauges that mirror lock-held or
-    /// subsystem-owned state (in-flight, per-worker tasks/steals, cache
-    /// residency, trace drops).  This is what the serving layer returns for
-    /// a `Metrics` frame.
+    /// snapshot, after syncing the gauges no hot path pushes (per-worker
+    /// tasks/steals/busy/park, trace drops).  This is what the serving
+    /// layer returns for a `Metrics` frame.
     pub fn render_metrics(&self) -> String {
-        self.sync_derived_metrics();
+        self.sampler_shared.sync_gauges();
         self.metrics_registry.render_prometheus()
-    }
-
-    /// Copies point-in-time values into their registered gauges: worker
-    /// pool activity, cache residency, in-flight and the ring's drop
-    /// counter.  Counters never need this — hot paths update them directly.
-    fn sync_derived_metrics(&self) {
-        {
-            let inner = self.stats.lock();
-            self.metrics.in_flight.set(inner.in_flight as u64);
-            self.metrics
-                .peak_in_flight
-                .raise(inner.peak_in_flight as u64);
-        }
-        if let Some(pool) = self.workers.spawned() {
-            for (gauge, value) in self.metrics.worker_tasks.iter().zip(pool.tasks_executed()) {
-                gauge.set(value);
-            }
-            for (gauge, value) in self.metrics.worker_steals.iter().zip(pool.tasks_stolen()) {
-                gauge.set(value);
-            }
-            let busy = pool.busy_ns();
-            let park = pool.park_ns();
-            for (gauge, value) in self.metrics.worker_busy.iter().zip(busy.iter()) {
-                gauge.set(*value);
-            }
-            for (gauge, value) in self.metrics.worker_park.iter().zip(park.iter()) {
-                gauge.set(*value);
-            }
-            let total_busy: u64 = busy.iter().sum();
-            let total_park: u64 = park.iter().sum();
-            if total_busy + total_park > 0 {
-                let permille = total_busy as f64 / (total_busy + total_park) as f64 * 1000.0;
-                self.metrics.worker_utilization.set(permille as u64);
-            }
-        }
-        let cache = self.cache.stats();
-        self.metrics.cache_bytes.set(cache.bytes as u64);
-        self.metrics.cache_entries.set(cache.entries as u64);
-        self.metrics.trace_dropped.set(self.tracer.dropped_events());
     }
 
     /// The engine's spill directory, when any request has spilled yet.
@@ -1735,18 +1711,29 @@ impl JoinEngine {
     /// panic is re-raised at its submitter) leaves the counters readable —
     /// one bad join cannot turn every later `stats()` call into a panic.
     pub fn stats(&self) -> EngineStats {
-        // Read the registry size *before* taking the stats lock: holding
-        // `engine.stats` while acquiring `engine.registry` nested the two
-        // classes for no reason (the snapshot is point-in-time either way),
-        // and the lock-order detector rightly treats every avoidable
-        // nesting as ordering the classes forever.
         let registered_tables = self.registry.lock().len();
-        let inner = self.stats.lock();
         let elapsed = self.started.elapsed().as_secs_f64();
-        // Monotonic counters live in the metrics registry's atomics; the
-        // snapshot reads the very same values the wire exposition renders,
-        // so `EngineStats` and a `Metrics` frame always reconcile.
+        // Every count lives in an atom — a session's own, or the metrics
+        // registry's, which the wire exposition renders too, so
+        // `EngineStats` and a `Metrics` frame always reconcile.
         let requests_served = self.metrics.requests_served.get();
+        let workers = self.workers.configured_workers();
+        let (tasks, steals, busy, park) = match self.workers.spawned() {
+            Some(pool) => (
+                pool.tasks_executed(),
+                pool.tasks_stolen(),
+                pool.busy_ns(),
+                pool.park_ns(),
+            ),
+            // Pool never spawned (no native execution yet): all-zero
+            // counters, without forcing the threads into existence.
+            None => {
+                let zeros = || vec![0; workers];
+                (zeros(), zeros(), zeros(), zeros())
+            }
+        };
+        let total_busy: u64 = busy.iter().sum();
+        let total_park: u64 = park.iter().sum();
         EngineStats {
             requests_served,
             requests_failed: self.metrics.requests_failed.get(),
@@ -1754,8 +1741,8 @@ impl JoinEngine {
             arenas_created: self.metrics.arenas_created.get(),
             arena_capacity: self.arena_capacity,
             sessions: self.config.sessions,
-            in_flight: inner.in_flight,
-            peak_in_flight: inner.peak_in_flight,
+            in_flight: self.metrics.in_flight.get() as usize,
+            peak_in_flight: self.metrics.peak_in_flight.get() as usize,
             adaptive_requests: self.metrics.adaptive_requests.get(),
             replans: self.metrics.replans.get(),
             spilled_requests: self.metrics.spilled_requests.get(),
@@ -1766,31 +1753,18 @@ impl JoinEngine {
             queue_wait: self.metrics.queue_wait.snapshot(),
             registered_tables,
             cache: self.cache.stats(),
-            per_session: inner.per_session.clone(),
-            worker_threads: self.workers.configured_workers(),
-            per_worker_tasks: match self.workers.spawned() {
-                Some(pool) => pool.tasks_executed(),
-                // Pool never spawned (no native execution yet): all-zero
-                // counters, without forcing the threads into existence.
-                None => vec![0; self.workers.configured_workers()],
-            },
-            per_worker_steals: match self.workers.spawned() {
-                Some(pool) => pool.tasks_stolen(),
-                None => vec![0; self.workers.configured_workers()],
-            },
-            per_worker_busy_ns: match self.workers.spawned() {
-                Some(pool) => pool.busy_ns(),
-                None => vec![0; self.workers.configured_workers()],
-            },
-            per_worker_park_ns: match self.workers.spawned() {
-                Some(pool) => pool.park_ns(),
-                None => vec![0; self.workers.configured_workers()],
-            },
-            worker_utilization: self.workers.spawned().and_then(|pool| {
-                let busy: u64 = pool.busy_ns().iter().sum();
-                let park: u64 = pool.park_ns().iter().sum();
-                (busy + park > 0).then(|| busy as f64 / (busy + park) as f64)
-            }),
+            per_session: self
+                .per_session
+                .iter()
+                .map(SessionCounters::snapshot)
+                .collect(),
+            worker_threads: workers,
+            per_worker_tasks: tasks,
+            per_worker_steals: steals,
+            per_worker_busy_ns: busy,
+            per_worker_park_ns: park,
+            worker_utilization: (total_busy + total_park > 0)
+                .then(|| total_busy as f64 / (total_busy + total_park) as f64),
             slow_joins: self.metrics.slow_joins.get(),
             joins_per_sec: if elapsed > 0.0 {
                 requests_served as f64 / elapsed
@@ -1810,11 +1784,72 @@ impl JoinEngine {
         kind.build(self.arena_capacity, work_groups)
     }
 
-    /// Records a session acquisition — the in-flight gauge plus the queue
-    /// wait the acquisition paid — in the engine-wide and per-session
-    /// histograms.
-    fn note_acquired(&self, session_id: usize, wait_ns: u64) {
+    /// Requests holding a session, read from the pool the caller holds the
+    /// `engine.session_pool` lock on: every session neither free nor handed
+    /// to a waiter.
+    fn in_flight(&self, pool: &SessionPool) -> usize {
+        self.config.sessions - pool.free.len() - pool.handoff.len()
+    }
+
+    /// Sets the in-flight gauge and raises its peak, under the
+    /// `engine.session_pool` lock of the acquisition or release that just
+    /// changed the value.
+    fn publish_in_flight(&self, pool: &SessionPool) {
+        let in_flight = self.in_flight(pool) as u64;
+        self.metrics.in_flight.set(in_flight);
+        self.metrics.peak_in_flight.raise(in_flight);
+    }
+
+    /// Takes a session from the pool, waiting in the bounded admission
+    /// queue when all sessions are busy.  Freed sessions are handed to
+    /// queued waiters before new arrivals, so the queue cannot be starved.
+    /// The wait is recorded in the engine-wide and per-session histograms.
+    fn acquire_session(&self) -> Result<Session, JoinError> {
+        let started = Instant::now();
+        let mut pool = self.pool.lock();
+        // The free list only holds sessions no queued waiter was owed, so
+        // taking from it never barges past the queue.
+        let session = match pool.free.pop() {
+            Some(session) => session,
+            None if pool.waiting >= self.config.effective_queue_depth() => {
+                let queued = pool.waiting;
+                let in_flight = self.in_flight(&pool);
+                drop(pool);
+                self.metrics.rejected_saturated.inc();
+                self.metrics.requests_failed.inc();
+                self.tracer.push(TraceEvent {
+                    span: 0,
+                    at_ns: self.tracer.now_ns(),
+                    kind: TraceEventKind::Admission,
+                    label: "saturated",
+                    value: queued as u64,
+                });
+                return Err(JoinError::Saturated {
+                    sessions: self.config.sessions,
+                    queue_depth: self.config.effective_queue_depth(),
+                    in_flight,
+                    queued,
+                });
+            }
+            None => {
+                pool.waiting += 1;
+                loop {
+                    pool = self.session_freed.wait(pool);
+                    // `waiting` was already decremented by the releaser that
+                    // pushed this hand-off; an empty deque means the wake-up
+                    // was spurious (or another waiter won the race) and we
+                    // keep waiting.
+                    if let Some(session) = pool.handoff.pop_front() {
+                        break session;
+                    }
+                }
+            }
+        };
+        self.publish_in_flight(&pool);
+        drop(pool);
+        let wait_ns = started.elapsed().as_nanos() as u64;
         self.metrics.queue_wait.record(wait_ns);
+        self.per_session[session.id].queue_wait.record(wait_ns);
         self.tracer.push(TraceEvent {
             span: 0,
             at_ns: self.tracer.now_ns(),
@@ -1822,60 +1857,7 @@ impl JoinEngine {
             label: "admitted",
             value: wait_ns,
         });
-        let mut stats = self.stats.lock();
-        stats.in_flight += 1;
-        stats.peak_in_flight = stats.peak_in_flight.max(stats.in_flight);
-        self.metrics.in_flight.set(stats.in_flight as u64);
-        self.metrics
-            .peak_in_flight
-            .raise(stats.peak_in_flight as u64);
-        stats.per_session[session_id].queue_wait.record(wait_ns);
-    }
-
-    /// Takes a session from the pool, waiting in the bounded admission
-    /// queue when all sessions are busy.  Freed sessions are handed to
-    /// queued waiters before new arrivals, so the queue cannot be starved.
-    fn acquire_session(&self) -> Result<Session, JoinError> {
-        let started = Instant::now();
-        let mut pool = self.pool.lock();
-        // The free list only holds sessions no queued waiter was owed, so
-        // taking from it never barges past the queue.
-        if let Some(session) = pool.free.pop() {
-            drop(pool);
-            self.note_acquired(session.id, started.elapsed().as_nanos() as u64);
-            return Ok(session);
-        }
-        if pool.waiting >= self.config.effective_queue_depth() {
-            let queued = pool.waiting;
-            drop(pool);
-            self.metrics.rejected_saturated.inc();
-            self.metrics.requests_failed.inc();
-            self.tracer.push(TraceEvent {
-                span: 0,
-                at_ns: self.tracer.now_ns(),
-                kind: TraceEventKind::Admission,
-                label: "saturated",
-                value: queued as u64,
-            });
-            return Err(JoinError::Saturated {
-                sessions: self.config.sessions,
-                queue_depth: self.config.effective_queue_depth(),
-                in_flight: self.stats.lock().in_flight,
-                queued,
-            });
-        }
-        pool.waiting += 1;
-        loop {
-            pool = self.session_freed.wait(pool);
-            // `waiting` was already decremented by the releaser that pushed
-            // this hand-off; an empty deque means the wake-up was spurious
-            // (or another waiter won the race) and we keep waiting.
-            if let Some(session) = pool.handoff.pop_front() {
-                drop(pool);
-                self.note_acquired(session.id, started.elapsed().as_nanos() as u64);
-                return Ok(session);
-            }
-        }
+        Ok(session)
     }
 
     /// Opens the join's root span on the trace ring: returns the ticket
@@ -1898,11 +1880,12 @@ impl JoinEngine {
         }
     }
 
-    /// Post-execution observability, shared by the plain and cached paths:
-    /// harvests the outcome's adaptive and spill reports into the metrics
-    /// registry (and the per-session records), emits the join's typed ring
-    /// events, and — when the request opted in — assembles the flight
-    /// recorder into [`JoinOutcome::trace`].
+    /// Closes the join's root span on every exit of the route — success,
+    /// error or panic.  A join that produced an outcome first has its
+    /// adaptive and spill reports harvested into the metrics registry and
+    /// its session's counters, and its typed ring events emitted; then,
+    /// when the request opted in or the join was slow, the flight recorder
+    /// is assembled into [`JoinOutcome::trace`] and the slow-log.
     ///
     /// Everything here reads data the join already produced; nothing about
     /// the join result changes, so traced and untraced runs stay
@@ -1911,7 +1894,7 @@ impl JoinEngine {
         &self,
         session_id: usize,
         request: &JoinRequest,
-        outcome: &mut JoinOutcome,
+        outcome: Option<&mut JoinOutcome>,
         ticket: SpanTicket,
         cached_table: Option<&TableHandle>,
     ) {
@@ -1922,74 +1905,62 @@ impl JoinEngine {
         } = ticket;
         let end_ns = self.tracer.now_ns();
         let wall_ns = end_ns.saturating_sub(start_ns);
-        if let Some(report) = &outcome.adaptive {
-            self.metrics.adaptive_requests.inc();
-            self.metrics.replans.add(report.replans);
-            self.stats.lock().per_session[session_id].replans += report.replans;
-            self.tracer.push(TraceEvent {
-                span,
-                at_ns: end_ns,
-                kind: TraceEventKind::Replan,
-                label: "replans",
-                value: report.replans,
-            });
-        }
-        if let Some(report) = &outcome.spill {
-            self.metrics.spill_bytes_written.add(report.bytes_spilled);
-            self.metrics.spill_bytes_restored.add(report.bytes_restored);
-            self.metrics.spill_partitions.add(report.partitions_spilled);
-            self.metrics.spill_fallback_joins.add(report.fallback_joins);
-            self.metrics.spill_grant_denials.add(report.grant_denials);
-            self.metrics
-                .spill_reclaimed_bytes
-                .add(report.reclaimed_bytes);
-            self.metrics
-                .spill_io_wall
-                .record((report.spill_wall_secs * 1e9) as u64);
-            {
-                let mut stats = self.stats.lock();
-                let per = &mut stats.per_session[session_id];
-                per.spill_bytes_written += report.bytes_spilled;
-                if report.bytes_spilled > 0 {
-                    per.spilled_requests += 1;
-                }
-            }
-            if report.bytes_spilled > 0 {
-                self.metrics.spilled_requests.inc();
-            }
-            self.tracer.push(TraceEvent {
-                span,
-                at_ns: end_ns,
-                kind: TraceEventKind::Spill,
-                label: "bytes-spilled",
-                value: report.bytes_spilled,
-            });
-        }
-        if let Some(table) = cached_table {
-            self.tracer.push(TraceEvent {
-                span,
-                at_ns: end_ns,
-                kind: TraceEventKind::Cache,
-                label: "probe-cached",
-                value: table.id,
-            });
-        }
-        for (phase, time) in outcome.breakdown.iter() {
-            self.tracer.push(TraceEvent {
-                span,
-                at_ns: end_ns,
-                kind: TraceEventKind::Phase,
-                label: phase.label(),
-                value: time.as_ns() as u64,
-            });
-        }
-        self.tracer.push(TraceEvent {
+        let per = &self.per_session[session_id];
+        let event = |kind, label, value| TraceEvent {
             span,
             at_ns: end_ns,
-            kind: TraceEventKind::SpanEnd,
-            label: "join",
-            value: wall_ns,
-        });
+            kind,
+            label,
+            value,
+        };
+        if let Some(outcome) = outcome.as_deref() {
+            if let Some(report) = &outcome.adaptive {
+                self.metrics.adaptive_requests.inc();
+                self.metrics.replans.add(report.replans);
+                per.replans.add(report.replans);
+                self.tracer
+                    .push(event(TraceEventKind::Replan, "replans", report.replans));
+            }
+            if let Some(report) = &outcome.spill {
+                self.metrics.spill_bytes_written.add(report.bytes_spilled);
+                self.metrics.spill_bytes_restored.add(report.bytes_restored);
+                self.metrics.spill_partitions.add(report.partitions_spilled);
+                self.metrics.spill_fallback_joins.add(report.fallback_joins);
+                self.metrics.spill_grant_denials.add(report.grant_denials);
+                self.metrics
+                    .spill_reclaimed_bytes
+                    .add(report.reclaimed_bytes);
+                self.metrics
+                    .spill_io_wall
+                    .record((report.spill_wall_secs * 1e9) as u64);
+                per.spill_bytes_written.add(report.bytes_spilled);
+                if report.bytes_spilled > 0 {
+                    self.metrics.spilled_requests.inc();
+                    per.spilled_requests.inc();
+                }
+                self.tracer.push(event(
+                    TraceEventKind::Spill,
+                    "bytes-spilled",
+                    report.bytes_spilled,
+                ));
+            }
+            if let Some(table) = cached_table {
+                self.tracer
+                    .push(event(TraceEventKind::Cache, "probe-cached", table.id));
+            }
+            for (phase, time) in outcome.breakdown.iter() {
+                self.tracer.push(event(
+                    TraceEventKind::Phase,
+                    phase.label(),
+                    time.as_ns() as u64,
+                ));
+            }
+        }
+        self.tracer
+            .push(event(TraceEventKind::SpanEnd, "join", wall_ns));
+        let Some(outcome) = outcome else {
+            return;
+        };
         // The slow-log retains the flight recorder retroactively: the trace
         // is assembled from data the join already produced, so a join that
         // breached the threshold gets a full trace even when the request
@@ -2032,30 +2003,26 @@ impl JoinEngine {
     /// counters, then returns its session to the pool — handing it to a
     /// queued waiter when one exists.
     fn release_session(&self, session: Session, served: bool) {
+        let per = &self.per_session[session.id];
         if served {
             self.metrics.requests_served.inc();
+            per.requests_served.inc();
         } else {
             self.metrics.requests_failed.inc();
-        }
-        {
-            let mut stats = self.stats.lock();
-            let per = &mut stats.per_session[session.id];
-            if served {
-                per.requests_served += 1;
-            } else {
-                per.requests_failed += 1;
-            }
-            stats.in_flight -= 1;
-            self.metrics.in_flight.set(stats.in_flight as u64);
+            per.requests_failed.inc();
         }
         let mut pool = self.pool.lock();
-        if pool.waiting > 0 {
+        let hand_off = pool.waiting > 0;
+        if hand_off {
             pool.waiting -= 1;
             pool.handoff.push_back(session);
-            drop(pool);
-            self.session_freed.notify_one();
         } else {
             pool.free.push(session);
+        }
+        self.publish_in_flight(&pool);
+        drop(pool);
+        if hand_off {
+            self.session_freed.notify_one();
         }
     }
 
@@ -2147,40 +2114,7 @@ impl JoinEngine {
         build: &Relation,
         probe: &Relation,
     ) -> Result<JoinOutcome, JoinError> {
-        // Admission: reject inputs no session arena can hold, before
-        // queueing for (or occupying) a session.
-        let required =
-            request.required_arena_bytes(build.len(), probe.len(), self.backend.system());
-        if required > self.arena_capacity && request.spill_config().is_none() {
-            // A spill-enabled request is admitted anyway: the hybrid hash
-            // join sizes its partition pairs to the arena.
-            self.metrics.requests_failed.inc();
-            self.tracer.push(TraceEvent {
-                span: 0,
-                at_ns: self.tracer.now_ns(),
-                kind: TraceEventKind::Admission,
-                label: "oversized",
-                value: required as u64,
-            });
-            return Err(JoinError::OversizedInput {
-                build_tuples: build.len(),
-                probe_tuples: probe.len(),
-                required_bytes: required,
-                arena_bytes: self.arena_capacity,
-            });
-        }
-
-        let mut session = self.acquire_session()?;
-        match self.run_on_session(&mut session, request, build, probe, required) {
-            Ok(result) => {
-                self.release_session(session, result.is_ok());
-                result
-            }
-            Err(payload) => {
-                self.release_session(session, false);
-                std::panic::resume_unwind(payload);
-            }
-        }
+        self.run(request, BuildSource::Inline(build), probe)
     }
 
     /// Registers (or replaces) a build table under `name`, returning a
@@ -2257,14 +2191,48 @@ impl JoinEngine {
         table: &TableHandle,
         probe: &Relation,
     ) -> Result<JoinOutcome, JoinError> {
-        let build = table.tuples();
-        let Some(params) = self.backend.cache_params(request, build.len()) else {
-            return self.submit(request, build, probe);
+        let source = match self.backend.cache_params(request, table.tuples().len()) {
+            Some(params) => BuildSource::Cached(
+                table,
+                CacheKey {
+                    table_id: table.id,
+                    version: table.version,
+                    backend: self.backend.name(),
+                    params,
+                },
+            ),
+            None => BuildSource::Inline(table.tuples()),
         };
-        // Probe-only admission: the cached build side lives outside every
-        // session arena, so only the probe's working state must fit.
-        let required = request.required_arena_bytes(0, probe.len(), self.backend.system());
-        if required > self.arena_capacity {
+        self.run(request, source, probe)
+    }
+
+    /// The one route every submission takes: admission, a session, the
+    /// backend call guarded against panics, counter finalisation and the
+    /// request's fate.  Only the backend call depends on `source`.
+    ///
+    /// A panicking backend (or a panicked native worker) must not leak the
+    /// session, or the pool would shrink and later submissions would hang
+    /// or be rejected forever: the session's arena went down with the
+    /// panicking context, so it is reprovisioned, the session returned and
+    /// the span closed before the unwind resumes at the caller.
+    fn run(
+        &self,
+        request: &JoinRequest,
+        source: BuildSource<'_>,
+        probe: &Relation,
+    ) -> Result<JoinOutcome, JoinError> {
+        // Admission: reject inputs no session arena can hold, before
+        // queueing for (or occupying) a session.  A cached build side lives
+        // outside every session arena, so only the probe's working state
+        // must fit; a spill-enabled request is admitted anyway, since the
+        // hybrid hash join sizes its partition pairs to the arena.
+        let (build_tuples, cached_table, spills) = match &source {
+            BuildSource::Inline(build) => (build.len(), None, request.spill_config().is_some()),
+            BuildSource::Cached(table, _) => (0, Some(*table), false),
+        };
+        let required =
+            request.required_arena_bytes(build_tuples, probe.len(), self.backend.system());
+        if required > self.arena_capacity && !spills {
             self.metrics.requests_failed.inc();
             self.tracer.push(TraceEvent {
                 span: 0,
@@ -2274,128 +2242,14 @@ impl JoinEngine {
                 value: required as u64,
             });
             return Err(JoinError::OversizedInput {
-                build_tuples: 0,
+                build_tuples,
                 probe_tuples: probe.len(),
                 required_bytes: required,
                 arena_bytes: self.arena_capacity,
             });
         }
-        let key = CacheKey {
-            table_id: table.id,
-            version: table.version,
-            backend: self.backend.name(),
-            params,
-        };
+
         let mut session = self.acquire_session()?;
-        match self.run_cached_on_session(&mut session, request, table, probe, key) {
-            Ok(result) => {
-                self.release_session(session, result.is_ok());
-                result
-            }
-            Err(payload) => {
-                self.release_session(session, false);
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
-
-    /// The cached-path twin of [`run_on_session`](Self::run_on_session):
-    /// resolves (or single-flight builds) the cached table, then runs the
-    /// probe-only pipeline on the session's context.
-    #[allow(clippy::type_complexity)]
-    fn run_cached_on_session(
-        &self,
-        session: &mut Session,
-        request: &JoinRequest,
-        table: &TableHandle,
-        probe: &Relation,
-        key: CacheKey,
-    ) -> Result<Result<JoinOutcome, JoinError>, Box<dyn std::any::Any + Send>> {
-        if request.config().allocator != session.allocator_kind {
-            session.allocator = Some(self.provision_arena(request.config().allocator));
-            session.allocator_kind = request.config().allocator;
-        }
-        let mut allocator = session.allocator.take().expect("session allocator present");
-        allocator.reset();
-        let tuning = request.tuning().unwrap_or(&self.config.tuning);
-        let tuner = if self.backend.system().is_discrete() {
-            None
-        } else {
-            tuning.tuner_for(&request.config().scheme)
-        };
-        let ticket = self.begin_join();
-        let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut ctx = ExecContext::with_allocator(
-                self.backend.system(),
-                allocator,
-                request.config().profile_cache,
-            )
-            .with_morsel_tuples(request.config().morsel_tuples)
-            .with_worker_pool(&self.workers);
-            if let Some(tuner) = tuner {
-                ctx = ctx.with_tuner(tuner);
-            }
-            // A panicking builder unwinds through get_or_build's failure
-            // guard (waiters drain with a typed error) and then through this
-            // catch_unwind (the session arena is reprovisioned below).
-            let result = self.cache.get_or_build(key, table.name(), || {
-                // The build gets its own transient arena, sized for the
-                // build side alone: the built table is shared across
-                // sessions and must not live in (or exhaust) this session's
-                // arena.
-                let arena = arena_bytes_for(table.tuples().len(), 0);
-                let mut build_ctx = ExecContext::new(
-                    self.backend.system(),
-                    request.config().allocator,
-                    arena,
-                    false,
-                )
-                .with_morsel_tuples(request.config().morsel_tuples)
-                .with_worker_pool(&self.workers);
-                self.backend
-                    .build_cached(&mut build_ctx, table.tuples(), request)
-            });
-            let result = result
-                .and_then(|cached| self.backend.probe_cached(&mut ctx, &cached, probe, request));
-            let result = result.map(|mut outcome| {
-                ctx.finalize_counters();
-                outcome.counters = ctx.counters.clone();
-                outcome.counters.matches = outcome.matches;
-                outcome.adaptive = ctx.take_tuner().map(|tuner| tuner.report());
-                outcome
-            });
-            (result, ctx.into_allocator())
-        }));
-        match executed {
-            Ok((mut result, allocator)) => {
-                session.allocator = Some(allocator);
-                if let Ok(outcome) = &mut result {
-                    self.finish_join(session.id, request, outcome, ticket, Some(table));
-                }
-                Ok(result)
-            }
-            Err(payload) => {
-                session.allocator = Some(self.provision_arena(session.allocator_kind));
-                Err(payload)
-            }
-        }
-    }
-
-    /// Executes one admitted request on an already-acquired session for
-    /// [`submit`](Self::submit).
-    ///
-    /// A panicking backend surfaces as the outer `Err` — with the session's
-    /// arena already reprovisioned, so the caller only has to return the
-    /// session before resuming the unwind.
-    #[allow(clippy::type_complexity)]
-    fn run_on_session(
-        &self,
-        session: &mut Session,
-        request: &JoinRequest,
-        build: &Relation,
-        probe: &Relation,
-        required: usize,
-    ) -> Result<Result<JoinOutcome, JoinError>, Box<dyn std::any::Any + Send>> {
         // A request may choose the other allocator design (the Figure 12
         // comparison); that rebuilds this session's arena once and is
         // counted.
@@ -2403,13 +2257,8 @@ impl JoinEngine {
             session.allocator = Some(self.provision_arena(request.config().allocator));
             session.allocator_kind = request.config().allocator;
         }
-
         let mut allocator = session.allocator.take().expect("session allocator present");
         allocator.reset();
-        // The backend call runs under catch_unwind: a panicking backend (or
-        // a panicked native worker) must not leak the session, or the pool
-        // would shrink and later submissions would hang or be rejected
-        // forever.
         // Adaptive tuning: the request's policy wins, the engine default
         // applies otherwise.  Non-adaptable schemes (BasicUnit,
         // single-device placements) and the discrete topology stay static
@@ -2435,11 +2284,22 @@ impl JoinEngine {
             if let Some(tuner) = tuner {
                 ctx = ctx.with_tuner(tuner);
             }
-            let result = match request.spill_config() {
-                None => self.backend.execute(&mut ctx, build, probe, request),
-                Some(spill) => {
-                    self.execute_with_spill(&mut ctx, build, probe, request, spill, required)
-                }
+            let result = match source {
+                BuildSource::Inline(build) => match request.spill_config() {
+                    None => self.backend.execute(&mut ctx, build, probe, request),
+                    Some(spill) => {
+                        self.execute_with_spill(&mut ctx, build, probe, request, spill, required)
+                    }
+                },
+                // A panicking builder unwinds through get_or_build's failure
+                // guard (waiters drain with a typed error) and then through
+                // the panic guard around this closure.
+                BuildSource::Cached(table, key) => self
+                    .cache
+                    .get_or_build(key, table.name(), || self.build_for_cache(request, table))
+                    .and_then(|cached| {
+                        self.backend.probe_cached(&mut ctx, &cached, probe, request)
+                    }),
             };
             let result = result.map(|mut outcome| {
                 ctx.finalize_counters();
@@ -2450,32 +2310,55 @@ impl JoinEngine {
             });
             (result, ctx.into_allocator())
         }));
-        match executed {
-            Ok((mut result, allocator)) => {
+        let mut executed = match executed {
+            Ok((result, allocator)) => {
                 session.allocator = Some(allocator);
-                if let Ok(outcome) = &mut result {
-                    self.finish_join(session.id, request, outcome, ticket, None);
-                }
                 Ok(result)
             }
             Err(payload) => {
-                // The arena went down with the panicking context; reprovision
-                // it so the session returns to the pool usable.
                 session.allocator = Some(self.provision_arena(session.allocator_kind));
                 Err(payload)
             }
-        }
+        };
+        let outcome = executed
+            .as_mut()
+            .ok()
+            .and_then(|result| result.as_mut().ok());
+        let served = outcome.is_some();
+        self.finish_join(session.id, request, outcome, ticket, cached_table);
+        self.release_session(session, served);
+        executed.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+
+    /// Builds `table`'s shareable hash table for the cache in a transient
+    /// arena sized for the build side alone: the built table is shared
+    /// across sessions and must not live in (or exhaust) any session's
+    /// arena.
+    fn build_for_cache(
+        &self,
+        request: &JoinRequest,
+        table: &TableHandle,
+    ) -> Result<CachedTable, JoinError> {
+        let arena = arena_bytes_for(table.tuples().len(), 0);
+        let mut ctx = ExecContext::new(
+            self.backend.system(),
+            request.config().allocator,
+            arena,
+            false,
+        )
+        .with_morsel_tuples(request.config().morsel_tuples)
+        .with_worker_pool(&self.workers);
+        self.backend.build_cached(&mut ctx, table.tuples(), request)
     }
 
     /// A cheap point-in-time load snapshot — what a server needs to shape
     /// backpressure replies without paying for a full [`stats`](Self::stats)
     /// clone.
     pub fn load(&self) -> EngineLoad {
-        let in_flight = self.stats.lock().in_flight;
-        let queued = self.pool.lock().waiting;
+        let pool = self.pool.lock();
         EngineLoad {
-            in_flight,
-            queued,
+            in_flight: self.in_flight(&pool),
+            queued: pool.waiting,
             sessions: self.config.sessions,
             queue_depth: self.config.effective_queue_depth(),
         }
@@ -2877,45 +2760,80 @@ mod tests {
     // release-mode integration suite (tests/concurrency.rs), which holds
     // sessions busy with a gated backend — not duplicated here.
 
-    /// Panics on the first `panics` executions, then succeeds.
-    struct FlakyBackend {
-        sys: SystemSpec,
-        panics: std::sync::atomic::AtomicUsize,
+    /// The coupled simulator, except that its first `execute_panics`
+    /// executions and its first `probe_panics` cached probes panic.
+    #[derive(Default)]
+    struct Flaky {
+        sim: CoupledSim,
+        execute_panics: std::sync::atomic::AtomicUsize,
+        probe_panics: std::sync::atomic::AtomicUsize,
     }
 
-    impl ExecBackend for FlakyBackend {
+    impl Flaky {
+        fn boxed(execute_panics: usize, probe_panics: usize) -> Box<Flaky> {
+            Box::new(Flaky {
+                execute_panics: execute_panics.into(),
+                probe_panics: probe_panics.into(),
+                ..Flaky::default()
+            })
+        }
+    }
+
+    /// Takes one of `left`'s remaining panics, if any.
+    fn take_panic(left: &std::sync::atomic::AtomicUsize) -> bool {
+        use std::sync::atomic::Ordering;
+        left.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+            .is_ok()
+    }
+
+    impl ExecBackend for Flaky {
         fn name(&self) -> &'static str {
             "flaky"
         }
         fn system(&self) -> &SystemSpec {
-            &self.sys
+            self.sim.system()
         }
         fn execute(
             &self,
-            _ctx: &mut ExecContext<'_>,
-            _build: &Relation,
-            _probe: &Relation,
-            _request: &JoinRequest,
+            ctx: &mut ExecContext<'_>,
+            build: &Relation,
+            probe: &Relation,
+            request: &JoinRequest,
         ) -> Result<JoinOutcome, JoinError> {
-            use std::sync::atomic::Ordering;
-            if self
-                .panics
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok()
-            {
+            if take_panic(&self.execute_panics) {
                 panic!("injected backend panic");
             }
-            Ok(JoinOutcome::default())
+            self.sim.execute(ctx, build, probe, request)
+        }
+        fn cache_params(&self, request: &JoinRequest, build_tuples: usize) -> Option<CacheParams> {
+            self.sim.cache_params(request, build_tuples)
+        }
+        fn build_cached(
+            &self,
+            ctx: &mut ExecContext<'_>,
+            build: &Relation,
+            request: &JoinRequest,
+        ) -> Result<CachedTable, JoinError> {
+            self.sim.build_cached(ctx, build, request)
+        }
+        fn probe_cached(
+            &self,
+            ctx: &mut ExecContext<'_>,
+            cached: &CachedTable,
+            probe: &Relation,
+            request: &JoinRequest,
+        ) -> Result<JoinOutcome, JoinError> {
+            if take_panic(&self.probe_panics) {
+                panic!("injected probe panic");
+            }
+            self.sim.probe_cached(ctx, cached, probe, request)
         }
     }
 
     #[test]
     fn backend_panic_does_not_leak_the_session() {
         let engine = JoinEngine::new(
-            Box::new(FlakyBackend {
-                sys: SystemSpec::coupled_a8_3870k(),
-                panics: std::sync::atomic::AtomicUsize::new(1),
-            }),
+            Flaky::boxed(1, 0),
             EngineConfig::for_tuples(64, 64), // a single session
         )
         .unwrap();
@@ -2938,6 +2856,60 @@ mod tests {
             stats.arenas_created, 2,
             "the panicked session's arena is reprovisioned once"
         );
+
+        // The cached route recovers the same way: the table built and
+        // cached, then the probe panicked.
+        let engine = JoinEngine::new(Flaky::boxed(0, 1), EngineConfig::for_tuples(64, 64)).unwrap();
+        let table = engine.register_table("r", r.clone());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = engine.submit_cached(&request, &table, &s);
+        }));
+        assert!(unwound.is_err(), "the probe panic must propagate");
+        let stats = engine.stats();
+        assert_eq!(stats.in_flight, 0);
+        assert_eq!(stats.requests_failed, 1);
+        assert_eq!(stats.arenas_created, 2, "one arena, reprovisioned once");
+        let out = engine.submit_cached(&request, &table, &s).unwrap();
+        assert_eq!(out.matches, reference_match_count(&r, &s));
+        let stats = engine.stats();
+        assert_eq!((stats.requests_served, stats.requests_failed), (1, 1));
+        assert_eq!((stats.cache.misses, stats.cache.hits), (1, 1));
+    }
+
+    /// The root span a join opens is closed on every exit: a join that
+    /// runs out of arena and one whose backend panics each leave exactly
+    /// one `SpanEnd` behind their `SpanStart`.
+    #[test]
+    fn failed_and_panicked_joins_close_their_root_span() {
+        let spans = |engine: &JoinEngine, kind: TraceEventKind| -> Vec<u64> {
+            let events = engine.trace_buffer().snapshot();
+            events
+                .iter()
+                .filter(|event| event.kind == kind)
+                .map(|event| event.span)
+                .collect()
+        };
+        let request = JoinRequest::builder().build().unwrap();
+
+        // Admission passes, but every probe tuple matches every build tuple.
+        let engine = JoinEngine::coupled(EngineConfig::for_tuples(1024, 4096)).unwrap();
+        let r = Relation::from_keys(vec![7; 1024]);
+        let s = Relation::from_keys(vec![7; 4096]);
+        let err = engine.submit(&request, &r, &s).unwrap_err();
+        assert!(matches!(err, JoinError::ArenaExhausted { .. }), "{err}");
+        let started = spans(&engine, TraceEventKind::SpanStart);
+        assert_eq!(started.len(), 1);
+        assert_eq!(spans(&engine, TraceEventKind::SpanEnd), started);
+
+        let engine = JoinEngine::new(Flaky::boxed(1, 0), EngineConfig::for_tuples(64, 64)).unwrap();
+        let (r, s) = small_pair(16);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = engine.submit(&request, &r, &s);
+        }));
+        assert!(unwound.is_err(), "the backend panic must propagate");
+        let started = spans(&engine, TraceEventKind::SpanStart);
+        assert_eq!(started.len(), 1);
+        assert_eq!(spans(&engine, TraceEventKind::SpanEnd), started);
     }
 
     #[test]
@@ -2946,10 +2918,7 @@ mod tests {
         // panicking backend could leave the stats/pool mutexes poisoned and
         // every later `stats()`/`submit()` call panicked in `.expect(..)`.
         let engine = JoinEngine::new(
-            Box::new(FlakyBackend {
-                sys: SystemSpec::coupled_a8_3870k(),
-                panics: std::sync::atomic::AtomicUsize::new(2),
-            }),
+            Flaky::boxed(2, 0),
             EngineConfig::for_tuples(64, 64).sessions(2),
         )
         .unwrap();

@@ -187,16 +187,8 @@ pub struct ServerStats {
 struct StatsInner {
     connections_accepted: u64,
     connections_refused: u64,
-    requests_received: u64,
-    tables_registered: u64,
-    ref_requests: u64,
     requests_served: u64,
     requests_failed: u64,
-    requests_shed: u64,
-    shed_deadline: u64,
-    shed_quota: u64,
-    shed_queue_budget: u64,
-    shed_saturated: u64,
     protocol_errors: u64,
     request_latency: LatencyHistogram,
     http_requests: u64,
@@ -214,7 +206,8 @@ const FRAME_METRICS: usize = 3;
 
 /// Serving-layer counters registered into the *engine's* metrics registry,
 /// so one `Metrics` request (or [`JoinEngine::render_metrics`]) exposes the
-/// engine and the serving layer in a single snapshot.
+/// engine and the serving layer in a single snapshot.  [`JoinServer::stats`]
+/// reads its frame and shed counts from these same atoms.
 struct WireMetrics {
     /// Sheds by [`ShedReason`], indexed by the reason's wire tag.
     sheds: [Arc<Counter>; 4],
@@ -397,20 +390,23 @@ impl JoinServer {
 
     /// A point-in-time snapshot of the serving counters.
     pub fn stats(&self) -> ServerStats {
+        let wire = &self.shared.wire_metrics;
+        let frames = wire.frames.each_ref().map(|counter| counter.get());
+        let sheds = wire.sheds.each_ref().map(|counter| counter.get());
         let inner = self.shared.stats.lock();
         ServerStats {
             connections_accepted: inner.connections_accepted,
             connections_refused: inner.connections_refused,
-            requests_received: inner.requests_received,
-            tables_registered: inner.tables_registered,
-            ref_requests: inner.ref_requests,
+            requests_received: frames[FRAME_REQUEST] + frames[FRAME_TABLE_REF],
+            tables_registered: frames[FRAME_REGISTER],
+            ref_requests: frames[FRAME_TABLE_REF],
             requests_served: inner.requests_served,
             requests_failed: inner.requests_failed,
-            requests_shed: inner.requests_shed,
-            shed_deadline: inner.shed_deadline,
-            shed_quota: inner.shed_quota,
-            shed_queue_budget: inner.shed_queue_budget,
-            shed_saturated: inner.shed_saturated,
+            requests_shed: sheds.iter().sum(),
+            shed_deadline: sheds[ShedReason::Deadline as usize],
+            shed_quota: sheds[ShedReason::Quota as usize],
+            shed_queue_budget: sheds[ShedReason::QueueBudget as usize],
+            shed_saturated: sheds[ShedReason::Saturated as usize],
             batches_dispatched: 0,
             batched_requests: 0,
             protocol_errors: inner.protocol_errors,
@@ -882,9 +878,9 @@ fn write_http_response(stream: &mut TcpStream, response: &HttpResponse) {
     let _ = w.flush();
 }
 
-/// Serves one decoded request end to end.  `Err` means the *connection* is
-/// dead (a reply write failed); request-level failures are replied to and
-/// return `Ok`.
+/// Serves one decoded inline request end to end.  `Err` means the
+/// *connection* is dead (a reply write failed); request-level failures are
+/// replied to and return `Ok`.
 fn handle_request(
     shared: &Arc<ServerShared>,
     conn: &mut Connection,
@@ -892,42 +888,23 @@ fn handle_request(
     wire: WireRequest,
     arrived: Instant,
 ) -> Result<(), WireError> {
-    shared.stats.lock().requests_received += 1;
     shared.wire_metrics.frames[FRAME_REQUEST].inc();
-    let tuples = wire.build.len() + wire.probe.len();
-    let now_ns = shared.now_ns();
-
-    let ticket =
-        match shared
-            .admission
-            .admit(client_id, tuples, wire.deadline_ms, wire.priority, now_ns)
-        {
-            Admission::Admit(ticket) => ticket,
-            Admission::Shed {
-                reason,
-                retry_after_ms,
-            } => {
-                return write_overloaded(shared, conn, wire.id, reason, retry_after_ms);
-            }
-        };
-
-    let request = match engine_request(&wire) {
-        Ok(request) => request,
-        Err(err) => {
-            shared.admission.abandon(ticket);
-            return write_failure(shared, conn, wire.id, &err);
-        }
+    let frame = JoinFrame {
+        id: wire.id,
+        tuples: wire.build.len() + wire.probe.len(),
+        deadline_ms: wire.deadline_ms,
+        priority: wire.priority,
+        collect_pairs: wire.collect_pairs,
+        request: engine_request(wire.algorithm, wire.scheme, wire.collect_pairs, wire.trace),
     };
-
-    let started = Instant::now();
-    let result = submit_guarded(&shared.engine, &request, &wire);
-    match &result {
-        Ok(_) => shared
-            .admission
-            .complete(ticket, started.elapsed().as_nanos() as u64),
-        Err(_) => shared.admission.abandon(ticket),
-    }
-    finish_request(shared, conn, wire.id, wire.collect_pairs, result, arrived)
+    serve_join(
+        shared,
+        conn,
+        client_id,
+        frame,
+        arrived,
+        |engine, request| engine.submit(request, &wire.build, &wire.probe),
+    )
 }
 
 /// Serves one table registration.  Registration ships data but runs no
@@ -938,11 +915,10 @@ fn handle_register(
     conn: &mut Connection,
     register: WireRegister,
 ) -> Result<(), WireError> {
-    shared.wire_metrics.frames[FRAME_REGISTER].inc();
     let handle = shared
         .engine
         .register_table(&register.name, register.tuples);
-    shared.stats.lock().tables_registered += 1;
+    shared.wire_metrics.frames[FRAME_REGISTER].inc();
     let ack = WireRegistered {
         id: register.id,
         version: handle.version(),
@@ -967,7 +943,7 @@ fn handle_metrics(
     conn.send(FrameType::MetricsReply, |out| reply.encode_into(out))
 }
 
-/// Serves one table-referencing request end to end, mirroring
+/// Serves one table-referencing request end to end, like
 /// [`handle_request`] but resolving the build side in the engine's table
 /// registry and submitting on the cached, probe-only path.
 fn handle_ref_request(
@@ -977,11 +953,6 @@ fn handle_ref_request(
     wire: WireRefRequest,
     arrived: Instant,
 ) -> Result<(), WireError> {
-    {
-        let mut stats = shared.stats.lock();
-        stats.requests_received += 1;
-        stats.ref_requests += 1;
-    }
     shared.wire_metrics.frames[FRAME_TABLE_REF].inc();
     let Some(table) = shared.engine.table(&wire.table) else {
         shared.stats.lock().requests_failed += 1;
@@ -992,16 +963,56 @@ fn handle_ref_request(
         };
         return conn.send(FrameType::Error, |out| failure.encode_into(out));
     };
-
     // On the hot path only the probe side is new work, so the admission
     // estimate sees the probe cardinality; the one-off cold build is
     // absorbed by the service-time EWMA like any slow first request.
+    let frame = JoinFrame {
+        id: wire.id,
+        tuples: wire.probe.len(),
+        deadline_ms: wire.deadline_ms,
+        priority: wire.priority,
+        collect_pairs: wire.collect_pairs,
+        request: engine_request(wire.algorithm, wire.scheme, wire.collect_pairs, wire.trace),
+    };
+    serve_join(
+        shared,
+        conn,
+        client_id,
+        frame,
+        arrived,
+        |engine, request| engine.submit_cached(request, &table, &wire.probe),
+    )
+}
+
+/// What the shared serving path reads from a join frame, inline or
+/// table-referencing.
+struct JoinFrame {
+    id: u64,
+    /// Tuples the admission estimate is charged for.
+    tuples: usize,
+    deadline_ms: u32,
+    priority: u8,
+    collect_pairs: bool,
+    /// The engine request the frame's tags map to.
+    request: Result<JoinRequest, JoinError>,
+}
+
+/// The serving path every join frame shares: SLO admission, the engine
+/// request, a guarded submission, the admission verdict and the reply.
+fn serve_join(
+    shared: &Arc<ServerShared>,
+    conn: &mut Connection,
+    client_id: u64,
+    frame: JoinFrame,
+    arrived: Instant,
+    submit: impl FnOnce(&JoinEngine, &JoinRequest) -> Result<JoinOutcome, JoinError>,
+) -> Result<(), WireError> {
     let now_ns = shared.now_ns();
     let ticket = match shared.admission.admit(
         client_id,
-        wire.probe.len(),
-        wire.deadline_ms,
-        wire.priority,
+        frame.tuples,
+        frame.deadline_ms,
+        frame.priority,
         now_ns,
     ) {
         Admission::Admit(ticket) => ticket,
@@ -1009,48 +1020,33 @@ fn handle_ref_request(
             reason,
             retry_after_ms,
         } => {
-            return write_overloaded(shared, conn, wire.id, reason, retry_after_ms);
+            return write_overloaded(shared, conn, frame.id, reason, retry_after_ms);
         }
     };
-
-    let request =
-        match engine_request_for(wire.algorithm, wire.scheme, wire.collect_pairs, wire.trace) {
-            Ok(request) => request,
-            Err(err) => {
-                shared.admission.abandon(ticket);
-                return write_failure(shared, conn, wire.id, &err);
-            }
-        };
-
+    let request = match frame.request {
+        Ok(request) => request,
+        Err(err) => {
+            shared.admission.abandon(ticket);
+            return write_failure(shared, conn, frame.id, &err);
+        }
+    };
     let started = Instant::now();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shared.engine.submit_cached(&request, &table, &wire.probe)
-    }))
-    .unwrap_or_else(|_| {
-        Err(JoinError::InvalidConfig(
-            "the engine panicked while executing this request".to_string(),
-        ))
-    });
-    match &outcome {
+    let result = submit_guarded(|| submit(&shared.engine, &request));
+    match &result {
         Ok(_) => shared
             .admission
             .complete(ticket, started.elapsed().as_nanos() as u64),
         Err(_) => shared.admission.abandon(ticket),
     }
-    finish_request(shared, conn, wire.id, wire.collect_pairs, outcome, arrived)
+    finish_request(shared, conn, frame.id, frame.collect_pairs, result, arrived)
 }
 
-/// Runs one direct submission, downgrading an engine panic to a typed
-/// error so a poisoned request cannot kill its connection handler.
+/// Runs one submission, downgrading an engine panic to a typed error so a
+/// poisoned request cannot kill its connection handler.
 fn submit_guarded(
-    engine: &JoinEngine,
-    request: &JoinRequest,
-    wire: &WireRequest,
+    submit: impl FnOnce() -> Result<JoinOutcome, JoinError>,
 ) -> Result<JoinOutcome, JoinError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.submit(request, &wire.build, &wire.probe)
-    }))
-    .unwrap_or_else(|_| {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(submit)).unwrap_or_else(|_| {
         Err(JoinError::InvalidConfig(
             "the engine panicked while executing this request".to_string(),
         ))
@@ -1097,11 +1093,7 @@ fn finish_request(
 
 /// Maps wire tags onto an engine request.  The tags are versioned protocol
 /// surface; the presets they select can evolve with the engine.
-fn engine_request(wire: &WireRequest) -> Result<JoinRequest, JoinError> {
-    engine_request_for(wire.algorithm, wire.scheme, wire.collect_pairs, wire.trace)
-}
-
-fn engine_request_for(
+fn engine_request(
     algorithm: hj_server::message::WireAlgorithm,
     scheme: hj_server::message::WireScheme,
     collect_pairs: bool,
@@ -1187,16 +1179,6 @@ fn write_overloaded(
     reason: ShedReason,
     retry_after_ms: u32,
 ) -> Result<(), WireError> {
-    {
-        let mut stats = shared.stats.lock();
-        stats.requests_shed += 1;
-        match reason {
-            ShedReason::Deadline => stats.shed_deadline += 1,
-            ShedReason::Quota => stats.shed_quota += 1,
-            ShedReason::QueueBudget => stats.shed_queue_budget += 1,
-            ShedReason::Saturated => stats.shed_saturated += 1,
-        }
-    }
     shared.wire_metrics.sheds[reason as usize].inc();
     let load = shared.engine.load();
     let notice = WireOverloaded {

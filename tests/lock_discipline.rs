@@ -30,11 +30,10 @@ fn assert_no_violations(context: &str) {
     );
 }
 
-/// Concurrent native submits (worker pool, exec gate, session pool, stats)
+/// Concurrent native submits (worker pool, exec gate, session pool)
 /// interleaved with `stats()` snapshots and table registrations — the
-/// exact interleaving that used to nest `engine.stats` over
-/// `engine.registry` inside `stats()` (fixed by snapshotting the registry
-/// size before taking the stats lock).
+/// interleaving that once nested the engine's former stats lock over
+/// `engine.registry` inside `stats()`.
 #[test]
 fn concurrent_native_submits_and_stats_snapshots_stay_clean() {
     assert!(lockorder::enabled());
@@ -62,7 +61,7 @@ fn concurrent_native_submits_and_stats_snapshots_stay_clean() {
             });
         }
         // Snapshots and registrations race the submits: `stats()` locks
-        // stats + registry, `register_table` locks registry + cache.
+        // the registry, `register_table` locks registry + cache.
         scope.spawn(|| {
             for i in 0..8 {
                 let _ = engine.stats();
@@ -118,7 +117,7 @@ fn cached_single_flight_and_invalidation_stay_clean() {
 
 /// Spilling joins under a tight memory budget: the broker's grant/reclaim
 /// traffic (`spill.broker_state`) and the spill manager's file accounting
-/// (`spill.live_files`) interleave with session and stats locking.
+/// (`spill.live_files`) interleave with session-pool locking.
 #[test]
 fn spilling_joins_under_budget_pressure_stay_clean() {
     let engine = JoinEngine::coupled(

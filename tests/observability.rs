@@ -127,29 +127,44 @@ fn trace_ring_never_blocks_concurrent_joins() {
     assert!(tracer.len() <= 8);
 }
 
+/// The value of the unlabelled family `name` in a bare registry snapshot.
+fn sample(engine: &JoinEngine, name: &str) -> u64 {
+    let registry = coupled_hashjoin::hj_core::JoinEngine::metrics_registry(engine);
+    let sample = registry
+        .snapshot()
+        .into_iter()
+        .find(|sample| sample.name == name)
+        .unwrap_or_else(|| panic!("{name} not registered"));
+    match sample.value {
+        MetricValue::Counter(v) | MetricValue::Gauge(v) => v,
+        MetricValue::Histogram(_) => panic!("{name} is a histogram"),
+    }
+}
+
 /// The in-process metrics snapshot and `EngineStats` read the same
-/// registry atomics, so the monotonic counters agree exactly.
+/// atoms, so the counters and gauges agree exactly, and the per-session
+/// records add up to the engine-wide ones — over inline and cached
+/// submissions alike.
 #[test]
 fn metrics_snapshot_reconciles_with_engine_stats() {
     let (r, s) = test_pair(1_000);
     let engine = JoinEngine::coupled(EngineConfig::for_tuples(1_024, 2_048).sessions(2)).unwrap();
-    for _ in 0..5 {
-        engine.submit(&request(false), &r, &s).unwrap();
-    }
-    let stats = engine.stats();
-    let registry = coupled_hashjoin::hj_core::JoinEngine::metrics_registry(&engine);
-    let counter = |name: &str| -> u64 {
-        let sample = registry
-            .snapshot()
-            .into_iter()
-            .find(|sample| sample.name == name)
-            .unwrap_or_else(|| panic!("{name} not registered"));
-        match sample.value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => v,
-            MetricValue::Histogram(_) => panic!("{name} is a histogram"),
+    let table = engine.register_table("r", r.clone());
+    let inline = engine.submit(&request(false), &r, &s).unwrap();
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for _ in 0..3 {
+                    engine.submit(&request(false), &r, &s).unwrap();
+                    let cached = engine.submit_cached(&request(false), &table, &s).unwrap();
+                    assert_eq!(cached.pairs, inline.pairs);
+                }
+            });
         }
-    };
-    assert_eq!(counter("hj_engine_requests_served_total"), 5);
+    });
+    let stats = engine.stats();
+    let counter = |name: &str| sample(&engine, name);
+    assert_eq!(counter("hj_engine_requests_served_total"), 13);
     assert_eq!(
         counter("hj_engine_requests_served_total"),
         stats.requests_served
@@ -163,6 +178,47 @@ fn metrics_snapshot_reconciles_with_engine_stats() {
         stats.adaptive_requests
     );
     assert_eq!(counter("hj_cache_hits_total"), stats.cache.hits);
+    assert_eq!((stats.cache.misses, stats.cache.hits), (1, 5));
+    assert_eq!(counter("hj_engine_in_flight"), stats.in_flight as u64);
+    assert_eq!(stats.in_flight, 0);
+    assert_eq!(
+        counter("hj_engine_peak_in_flight"),
+        stats.peak_in_flight as u64
+    );
+    assert!((1..=2).contains(&stats.peak_in_flight), "{stats:?}");
+    let served: u64 = stats.per_session.iter().map(|s| s.requests_served).sum();
+    assert_eq!(served, stats.requests_served);
+    let waits: u64 = stats.per_session.iter().map(|s| s.queue_wait.count()).sum();
+    assert_eq!(waits, stats.queue_wait.count());
+    assert_eq!(waits, 13);
+}
+
+/// Gauges are set where their value changes, so a bare registry snapshot
+/// — no `render_metrics`, no `sample_now`, no sampler thread — already
+/// reads the cache's residency and the engine's in-flight count.
+#[test]
+fn cache_and_in_flight_gauges_need_no_sync() {
+    let (r, s) = test_pair(1_000);
+    let engine = JoinEngine::native(
+        EngineConfig::for_tuples(1_024, 2_048).sample_interval(std::time::Duration::ZERO),
+    )
+    .unwrap();
+    let table = engine.register_table("r", r.clone());
+    engine.submit_cached(&request(false), &table, &s).unwrap();
+    let cache = engine.cache_stats();
+    assert!(cache.bytes > 0 && cache.entries == 1, "{cache:?}");
+    assert_eq!(
+        sample(&engine, "hj_cache_resident_bytes"),
+        cache.bytes as u64
+    );
+    assert_eq!(sample(&engine, "hj_cache_entries"), cache.entries as u64);
+    assert_eq!(sample(&engine, "hj_engine_in_flight"), 0);
+    assert_eq!(sample(&engine, "hj_engine_peak_in_flight"), 1);
+
+    // Re-registration drops the cached table: the gauges follow at once.
+    let _v2 = engine.register_table("r", r);
+    assert_eq!(sample(&engine, "hj_cache_resident_bytes"), 0);
+    assert_eq!(sample(&engine, "hj_cache_entries"), 0);
 }
 
 /// A spilling join records its spill counters both on the outcome report
