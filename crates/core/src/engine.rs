@@ -53,7 +53,7 @@ use crate::error::JoinError;
 // The native backend lives in its own module; the historical
 // `hj_core::engine::NativeCpu` path keeps working.
 pub use crate::native::{NativeCpu, NATIVE_MIN_CHUNK_TUPLES};
-use crate::pipeline::{SharedWorkerPool, WorkerPool};
+use crate::pipeline::{read_counters, SharedWorkerPool, WorkerCounters, WorkerPool};
 use crate::result::JoinOutcome;
 use crate::scheme::RatioPlan;
 use apu_sim::SystemSpec;
@@ -61,9 +61,9 @@ use datagen::Relation;
 use hj_adaptive::{AdaptiveConfig, RatioTuner};
 use hj_analysis::sync::{Condvar, Mutex};
 use hj_metrics::{
-    AtomicHistogram, Counter, Gauge, HealthConfig, HealthMonitor, HealthObservation, HealthReport,
-    JoinTrace, LatencyHistogram, MetricsRegistry, SlowJoinRecord, SlowLog, TimePoint,
-    TimeSeriesRing, TraceBuffer, TraceEvent, TraceEventKind,
+    AtomicHistogram, Counter, Gauge, HealthMonitor, HealthObservation, HealthReport, JoinTrace,
+    LatencyHistogram, MetricsRegistry, SlowJoinRecord, SlowLog, TimePoint, TimeSeriesRing,
+    TraceBuffer, TraceEvent, TraceEventKind,
 };
 use hj_spill::{MemoryBroker, SpillConfig, SpillManager};
 use mem_alloc::{AllocatorKind, KernelAllocator};
@@ -1108,14 +1108,8 @@ struct EngineMetrics {
     spill_grant_denials: Arc<Counter>,
     spill_reclaimed_bytes: Arc<Counter>,
     spill_io_wall: Arc<AtomicHistogram>,
-    /// Synced from the worker pool at snapshot time, per worker.
-    worker_tasks: Vec<Arc<Gauge>>,
-    worker_steals: Vec<Arc<Gauge>>,
-    worker_busy: Vec<Arc<Gauge>>,
-    worker_park: Vec<Arc<Gauge>>,
-    /// Pool-wide busy fraction in permille, synced with the busy/park
-    /// gauges above.
-    worker_utilization: Arc<Gauge>,
+    /// The worker pool's own per-worker counters, which its workers bump.
+    workers: WorkerCounters,
     /// Joins retained in the slow-log.
     slow_joins: Arc<Counter>,
     /// Snapshots the background sampler (or `sample_now`) has taken.
@@ -1123,8 +1117,8 @@ struct EngineMetrics {
     /// The health monitor's assessed state (0 healthy / 1 degraded /
     /// 2 saturated), set on every sample.
     health_state: Arc<Gauge>,
-    /// Synced from the trace ring at snapshot time.
-    trace_dropped: Arc<Gauge>,
+    /// The trace ring's own drop counter.
+    trace_dropped: Arc<Counter>,
 }
 
 impl EngineMetrics {
@@ -1198,46 +1192,44 @@ impl EngineMetrics {
                 "hj_spill_io_wall_ns",
                 "Wall-clock time spent inside the spill path per spilling request (ns)",
             ),
-            worker_tasks: (0..workers)
-                .map(|w| {
-                    registry.gauge_with(
-                        "hj_pipeline_tasks_total",
-                        &[("worker", w.to_string())],
-                        "Morsel tasks this pool worker has executed",
-                    )
-                })
-                .collect(),
-            worker_steals: (0..workers)
-                .map(|w| {
-                    registry.gauge_with(
-                        "hj_pipeline_steals_total",
-                        &[("worker", w.to_string())],
-                        "Morsel tasks this pool worker stole from another worker's deque",
-                    )
-                })
-                .collect(),
-            worker_busy: (0..workers)
-                .map(|w| {
-                    registry.gauge_with(
-                        "hj_pipeline_worker_busy_ns",
-                        &[("worker", w.to_string())],
-                        "Wall-clock nanoseconds this pool worker spent executing tasks",
-                    )
-                })
-                .collect(),
-            worker_park: (0..workers)
-                .map(|w| {
-                    registry.gauge_with(
-                        "hj_pipeline_worker_park_ns",
-                        &[("worker", w.to_string())],
-                        "Wall-clock nanoseconds this pool worker spent parked waiting for work",
-                    )
-                })
-                .collect(),
-            worker_utilization: registry.gauge(
-                "hj_pipeline_worker_utilization_permille",
-                "Pool-wide busy fraction, busy/(busy+park), in permille",
-            ),
+            workers: WorkerCounters {
+                tasks: (0..workers)
+                    .map(|w| {
+                        registry.counter_with(
+                            "hj_pipeline_tasks_total",
+                            &[("worker", w.to_string())],
+                            "Morsel tasks this pool worker has executed",
+                        )
+                    })
+                    .collect(),
+                steals: (0..workers)
+                    .map(|w| {
+                        registry.counter_with(
+                            "hj_pipeline_steals_total",
+                            &[("worker", w.to_string())],
+                            "Morsel tasks this pool worker stole from another worker's deque",
+                        )
+                    })
+                    .collect(),
+                busy_ns: (0..workers)
+                    .map(|w| {
+                        registry.counter_with(
+                            "hj_pipeline_worker_busy_ns",
+                            &[("worker", w.to_string())],
+                            "Wall-clock nanoseconds this pool worker spent executing tasks",
+                        )
+                    })
+                    .collect(),
+                park_ns: (0..workers)
+                    .map(|w| {
+                        registry.counter_with(
+                            "hj_pipeline_worker_park_ns",
+                            &[("worker", w.to_string())],
+                            "Wall-clock nanoseconds this pool worker spent parked waiting for work",
+                        )
+                    })
+                    .collect(),
+            },
             slow_joins: registry.counter(
                 "hj_engine_slow_joins_total",
                 "Joins that exceeded the slow-join threshold and were retained in the slow-log",
@@ -1250,7 +1242,7 @@ impl EngineMetrics {
                 "hj_health_state",
                 "Assessed health state: 0 healthy, 1 degraded, 2 saturated",
             ),
-            trace_dropped: registry.gauge(
+            trace_dropped: registry.counter(
                 "hj_trace_events_dropped_total",
                 "Events the structured-trace ring dropped (oldest-first) since engine start",
             ),
@@ -1261,53 +1253,22 @@ impl EngineMetrics {
 /// Everything the background sampler needs, cloneable into its thread so
 /// the thread never holds (and can never cycle with) the engine itself:
 /// shared `Arc` handles on the registry, the time-series ring, the health
-/// monitor, the worker pool and the engine's gauge handles.
+/// monitor, the trace ring's clock and the engine's metric handles.
 #[derive(Clone)]
 struct SamplerShared {
     registry: Arc<MetricsRegistry>,
     timeseries: Arc<TimeSeriesRing>,
     health: Arc<HealthMonitor>,
-    workers: SharedWorkerPool,
     tracer: Arc<TraceBuffer>,
     metrics: EngineMetrics,
 }
 
 impl SamplerShared {
-    /// Copies the values no hot path pushes into their gauges: per-worker
-    /// pool activity and the trace ring's drop counter.  Every other gauge
-    /// is set where its value changes.
-    fn sync_gauges(&self) {
-        if let Some(pool) = self.workers.spawned() {
-            for (gauge, value) in self.metrics.worker_tasks.iter().zip(pool.tasks_executed()) {
-                gauge.set(value);
-            }
-            for (gauge, value) in self.metrics.worker_steals.iter().zip(pool.tasks_stolen()) {
-                gauge.set(value);
-            }
-            let busy = pool.busy_ns();
-            let park = pool.park_ns();
-            for (gauge, value) in self.metrics.worker_busy.iter().zip(busy.iter()) {
-                gauge.set(*value);
-            }
-            for (gauge, value) in self.metrics.worker_park.iter().zip(park.iter()) {
-                gauge.set(*value);
-            }
-            let total_busy: u64 = busy.iter().sum();
-            let total_park: u64 = park.iter().sum();
-            if total_busy + total_park > 0 {
-                let permille = total_busy as f64 / (total_busy + total_park) as f64 * 1000.0;
-                self.metrics.worker_utilization.set(permille as u64);
-            }
-        }
-        self.metrics.trace_dropped.set(self.tracer.dropped_events());
-    }
-
-    /// Takes one sample: syncs the pool-derived gauges, snapshots the
-    /// registry into the ring, and feeds the freshest window's rates to
-    /// the health monitor.  Touches only atomics and the two short
-    /// observability locks — never the engine's session pool.
+    /// Takes one sample: snapshots the registry into the ring and feeds
+    /// the freshest window's rates to the health monitor.  Touches only
+    /// atomics and the two short observability locks — never the engine's
+    /// session pool.
     fn sample_once(&self) {
-        self.sync_gauges();
         let at_ns = self.tracer.now_ns();
         self.timeseries.push(TimePoint {
             at_ns,
@@ -1504,13 +1465,15 @@ impl JoinEngine {
         let metrics = EngineMetrics::register(&metrics_registry, config.effective_worker_threads());
         // The arenas provisioned just above are lifetime allocations too.
         metrics.arenas_created.add(config.sessions as u64);
-        let tracer = Arc::new(TraceBuffer::new(config.trace_capacity));
-        let workers = SharedWorkerPool::new(config.effective_worker_threads());
+        let tracer = Arc::new(TraceBuffer::new(
+            config.trace_capacity,
+            Arc::clone(&metrics.trace_dropped),
+        ));
+        let workers = SharedWorkerPool::new(metrics.workers.clone());
         let sampler_shared = SamplerShared {
             registry: Arc::clone(&metrics_registry),
             timeseries: Arc::new(TimeSeriesRing::new(DEFAULT_TIMESERIES_CAPACITY)),
-            health: Arc::new(HealthMonitor::new(HealthConfig::default())),
-            workers: workers.clone(),
+            health: Arc::new(HealthMonitor::new()),
             tracer: Arc::clone(&tracer),
             metrics: metrics.clone(),
         };
@@ -1667,20 +1630,18 @@ impl JoinEngine {
         &self.slow_log
     }
 
-    /// Takes one sampler tick synchronously: syncs the derived gauges,
-    /// snapshots the registry into the time-series ring and feeds the
-    /// health monitor — exactly what the background thread does each
-    /// interval, but deterministic (tests drive this instead of sleeping).
+    /// Takes one sampler tick synchronously: snapshots the registry into
+    /// the time-series ring and feeds the health monitor — exactly what the
+    /// background thread does each interval, but deterministic (tests drive
+    /// this instead of sleeping).
     pub fn sample_now(&self) {
         self.sampler_shared.sample_once();
     }
 
     /// Renders every registered metric as a Prometheus text-format
-    /// snapshot, after syncing the gauges no hot path pushes (per-worker
-    /// tasks/steals/busy/park, trace drops).  This is what the serving
-    /// layer returns for a `Metrics` frame.
+    /// snapshot.  This is what the serving layer returns for a `Metrics`
+    /// frame.
     pub fn render_metrics(&self) -> String {
-        self.sampler_shared.sync_gauges();
         self.metrics_registry.render_prometheus()
     }
 
@@ -1717,21 +1678,9 @@ impl JoinEngine {
         // registry's, which the wire exposition renders too, so
         // `EngineStats` and a `Metrics` frame always reconcile.
         let requests_served = self.metrics.requests_served.get();
-        let workers = self.workers.configured_workers();
-        let (tasks, steals, busy, park) = match self.workers.spawned() {
-            Some(pool) => (
-                pool.tasks_executed(),
-                pool.tasks_stolen(),
-                pool.busy_ns(),
-                pool.park_ns(),
-            ),
-            // Pool never spawned (no native execution yet): all-zero
-            // counters, without forcing the threads into existence.
-            None => {
-                let zeros = || vec![0; workers];
-                (zeros(), zeros(), zeros(), zeros())
-            }
-        };
+        let counters = &self.metrics.workers;
+        let busy = read_counters(&counters.busy_ns);
+        let park = read_counters(&counters.park_ns);
         let total_busy: u64 = busy.iter().sum();
         let total_park: u64 = park.iter().sum();
         EngineStats {
@@ -1758,9 +1707,9 @@ impl JoinEngine {
                 .iter()
                 .map(SessionCounters::snapshot)
                 .collect(),
-            worker_threads: workers,
-            per_worker_tasks: tasks,
-            per_worker_steals: steals,
+            worker_threads: self.workers.configured_workers(),
+            per_worker_tasks: read_counters(&counters.tasks),
+            per_worker_steals: read_counters(&counters.steals),
             per_worker_busy_ns: busy,
             per_worker_park_ns: park,
             worker_utilization: (total_busy + total_park > 0)

@@ -22,10 +22,11 @@
 
 use crate::steps::StepId;
 use hj_analysis::sync::{Condvar, Mutex};
+use hj_metrics::Counter;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -277,6 +278,39 @@ struct WorkerDeque {
     deque: Mutex<VecDeque<PoolTask>>,
 }
 
+/// A pool's per-worker lifetime counters, each indexed by worker.  An
+/// engine registers them as its `hj_pipeline_*` families, so the registry
+/// reads the very atoms the workers bump; a standalone
+/// [`WorkerPool::new`] keeps counters no registry lists.
+#[derive(Clone)]
+pub struct WorkerCounters {
+    /// Tasks each worker executed.
+    pub tasks: Vec<Arc<Counter>>,
+    /// Tasks each worker took from *another* worker's deque.
+    pub steals: Vec<Arc<Counter>>,
+    /// Wall-clock nanoseconds each worker spent executing tasks.
+    pub busy_ns: Vec<Arc<Counter>>,
+    /// Wall-clock nanoseconds each worker spent parked waiting for work.
+    pub park_ns: Vec<Arc<Counter>>,
+}
+
+impl WorkerCounters {
+    fn unregistered(workers: usize) -> Self {
+        let fresh = || (0..workers).map(|_| Arc::default()).collect();
+        WorkerCounters {
+            tasks: fresh(),
+            steals: fresh(),
+            busy_ns: fresh(),
+            park_ns: fresh(),
+        }
+    }
+}
+
+/// The current value of each counter, in order.
+pub(crate) fn read_counters(counters: &[Arc<Counter>]) -> Vec<u64> {
+    counters.iter().map(|counter| counter.get()).collect()
+}
+
 /// State shared between the pool handle and its worker threads.
 struct PoolShared {
     deques: Vec<WorkerDeque>,
@@ -285,17 +319,7 @@ struct PoolShared {
     park: Mutex<()>,
     work_ready: Condvar,
     shutdown: AtomicBool,
-    /// Per-worker lifetime task counters (surfaced through engine stats).
-    tasks_executed: Vec<AtomicU64>,
-    /// Per-worker lifetime steal counters (tasks taken from a *victim's*
-    /// deque), indexed by the stealing worker.
-    tasks_stolen: Vec<AtomicU64>,
-    /// Per-worker wall-clock nanoseconds spent *executing* tasks — the
-    /// numerator of the utilization gauge the sampler derives.
-    busy_ns: Vec<AtomicU64>,
-    /// Per-worker wall-clock nanoseconds spent parked waiting for work —
-    /// the idle side of the utilization window.
-    park_ns: Vec<AtomicU64>,
+    counters: WorkerCounters,
     /// Workers currently alive; reaches zero only after every worker thread
     /// has exited its loop.
     live_workers: Arc<AtomicUsize>,
@@ -319,8 +343,7 @@ impl PoolShared {
                 continue;
             }
             if let Some(task) = self.take(victim, false) {
-                // Relaxed: pure telemetry, nothing branches on it.
-                self.tasks_stolen[own].fetch_add(1, Ordering::Relaxed);
+                self.counters.steals[own].inc();
                 return Some(task);
             }
         }
@@ -354,9 +377,7 @@ fn worker_loop(shared: Arc<PoolShared>, me: usize) {
                 drop(shared.park.lock());
                 shared.work_ready.notify_one();
             }
-            // Relaxed: a pure telemetry counter — nothing branches on it,
-            // and a stats snapshot may lag in-flight tasks by design.
-            shared.tasks_executed[me].fetch_add(1, Ordering::Relaxed);
+            shared.counters.tasks[me].inc();
             let busy_started = Instant::now();
             let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 // SAFETY: the pointee is a Sync closure owned by the
@@ -367,10 +388,7 @@ fn worker_loop(shared: Arc<PoolShared>, me: usize) {
                 unsafe { (*task.job.run)(me, task.index) }
             }))
             .err();
-            // Relaxed telemetry: busy wall-time feeds the utilization
-            // gauge; a lagging snapshot is fine.
-            shared.busy_ns[me]
-                .fetch_add(busy_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            shared.counters.busy_ns[me].add(busy_started.elapsed().as_nanos() as u64);
             task.job.complete_one(panic);
             continue;
         }
@@ -388,8 +406,7 @@ fn worker_loop(shared: Arc<PoolShared>, me: usize) {
             }
             let park_started = Instant::now();
             guard = shared.work_ready.wait(guard);
-            shared.park_ns[me]
-                .fetch_add(park_started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            shared.counters.park_ns[me].add(park_started.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -430,9 +447,15 @@ impl std::fmt::Debug for WorkerPool {
 
 impl WorkerPool {
     /// Spawns a pool of `workers` threads (at least one), parked until work
-    /// arrives.
+    /// arrives, counting into counters no registry lists.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
+        WorkerPool::with_counters(WorkerCounters::unregistered(workers.max(1)))
+    }
+
+    /// Spawns one worker per entry of `counters`, each counting into its
+    /// own entry.
+    fn with_counters(counters: WorkerCounters) -> Self {
+        let workers = counters.tasks.len();
         let live_workers = Arc::new(AtomicUsize::new(workers));
         let shared = Arc::new(PoolShared {
             deques: (0..workers)
@@ -445,10 +468,7 @@ impl WorkerPool {
             park: Mutex::new("pool.park", ()),
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            tasks_executed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            tasks_stolen: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            park_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            counters,
             live_workers: Arc::clone(&live_workers),
             next_deque: AtomicUsize::new(0),
         });
@@ -484,31 +504,19 @@ impl WorkerPool {
 
     /// Lifetime count of tasks each worker executed, indexed by worker.
     pub fn tasks_executed(&self) -> Vec<u64> {
-        self.shared
-            .tasks_executed
-            .iter()
-            .map(|count| count.load(Ordering::Relaxed))
-            .collect()
+        read_counters(&self.shared.counters.tasks)
     }
 
     /// Lifetime count of tasks each worker *stole* from another worker's
     /// deque, indexed by the stealing worker.
     pub fn tasks_stolen(&self) -> Vec<u64> {
-        self.shared
-            .tasks_stolen
-            .iter()
-            .map(|count| count.load(Ordering::Relaxed))
-            .collect()
+        read_counters(&self.shared.counters.steals)
     }
 
     /// Lifetime wall-clock nanoseconds each worker spent executing tasks,
     /// indexed by worker.
     pub fn busy_ns(&self) -> Vec<u64> {
-        self.shared
-            .busy_ns
-            .iter()
-            .map(|ns| ns.load(Ordering::Relaxed))
-            .collect()
+        read_counters(&self.shared.counters.busy_ns)
     }
 
     /// Lifetime wall-clock nanoseconds each worker spent parked waiting
@@ -516,11 +524,7 @@ impl WorkerPool {
     /// pool's lifetime: the short pop/steal scans between the two are
     /// deliberately unattributed.
     pub fn park_ns(&self) -> Vec<u64> {
-        self.shared
-            .park_ns
-            .iter()
-            .map(|ns| ns.load(Ordering::Relaxed))
-            .collect()
+        read_counters(&self.shared.counters.park_ns)
     }
 
     /// Enqueues the job's `tasks` task indices: contiguous blocks per
@@ -671,54 +675,40 @@ impl WorkerPool {
 /// The engine owns one of these per instance: a simulator engine that never
 /// spills never touches it and therefore never spawns a thread, while the
 /// first native execution (or spilling join) materialises the full pool
-/// exactly once.  Handles are cheap clones over a shared inner cell (the
-/// sampler thread holds one), and the workers are joined when the *last*
-/// handle drops.
-#[derive(Clone)]
+/// exactly once.  The workers are joined when the holder drops.
 pub struct SharedWorkerPool {
-    inner: Arc<SharedPoolInner>,
-}
-
-struct SharedPoolInner {
-    size: usize,
+    counters: WorkerCounters,
     cell: std::sync::OnceLock<WorkerPool>,
 }
 
 impl std::fmt::Debug for SharedWorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedWorkerPool")
-            .field("size", &self.inner.size)
-            .field("spawned", &self.inner.cell.get().is_some())
+            .field("size", &self.configured_workers())
+            .field("spawned", &self.cell.get().is_some())
             .finish()
     }
 }
 
 impl SharedWorkerPool {
-    /// A holder that will spawn `size` workers (at least one) on first use.
-    pub fn new(size: usize) -> Self {
+    /// A holder that will spawn one worker per entry of `counters` on
+    /// first use, each counting into its own entry.
+    pub fn new(counters: WorkerCounters) -> Self {
         SharedWorkerPool {
-            inner: Arc::new(SharedPoolInner {
-                size: size.max(1),
-                cell: std::sync::OnceLock::new(),
-            }),
+            counters,
+            cell: std::sync::OnceLock::new(),
         }
     }
 
     /// The worker count the pool is (or will be) provisioned with.
     pub fn configured_workers(&self) -> usize {
-        self.inner.size
+        self.counters.tasks.len()
     }
 
     /// The pool, spawning its workers on the first call.
     pub fn get(&self) -> &WorkerPool {
-        self.inner
-            .cell
-            .get_or_init(|| WorkerPool::new(self.inner.size))
-    }
-
-    /// The pool if its workers were ever spawned.
-    pub fn spawned(&self) -> Option<&WorkerPool> {
-        self.inner.cell.get()
+        self.cell
+            .get_or_init(|| WorkerPool::with_counters(self.counters.clone()))
     }
 }
 

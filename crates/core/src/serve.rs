@@ -55,7 +55,7 @@ use crate::engine::{JoinEngine, JoinRequest};
 use crate::error::JoinError;
 use crate::result::JoinOutcome;
 use hj_analysis::sync::Mutex;
-use hj_metrics::{Counter, LatencyHistogram};
+use hj_metrics::{AtomicHistogram, Counter, LatencyHistogram};
 use hj_server::admission::{Admission, AdmissionController, AdmissionStats, SloConfig};
 use hj_server::frame::{
     append_frame, read_frame_into, release_oversized, FrameType, WireError,
@@ -183,18 +183,6 @@ pub struct ServerStats {
     pub http_bad_requests: u64,
 }
 
-#[derive(Debug, Default)]
-struct StatsInner {
-    connections_accepted: u64,
-    connections_refused: u64,
-    requests_served: u64,
-    requests_failed: u64,
-    protocol_errors: u64,
-    request_latency: LatencyHistogram,
-    http_requests: u64,
-    http_bad_requests: u64,
-}
-
 /// Index into [`WireMetrics::frames`] for `Request` frames.
 const FRAME_REQUEST: usize = 0;
 /// Index into [`WireMetrics::frames`] for `Register` frames.
@@ -270,7 +258,6 @@ struct ServerShared {
     /// nothing measurable and removes any reasoning burden.  The hot
     /// request path touches none of them.
     shutting_down: AtomicBool,
-    stats: Mutex<StatsInner>,
     live_handlers: AtomicUsize,
     handlers: Mutex<Vec<JoinHandle<()>>>,
     /// Per-connection stream clones, keyed by client id, used to wake idle
@@ -280,6 +267,16 @@ struct ServerShared {
     /// churn.
     conns: Mutex<Vec<(u64, TcpStream)>>,
     wire_metrics: WireMetrics,
+    // The server's own counts: atoms no registry lists, read back by
+    // `JoinServer::stats` like the registered atoms in `wire_metrics`.
+    connections_accepted: Counter,
+    connections_refused: Counter,
+    requests_served: Counter,
+    requests_failed: Counter,
+    protocol_errors: Counter,
+    request_latency: AtomicHistogram,
+    http_requests: Counter,
+    http_bad_requests: Counter,
 }
 
 impl ServerShared {
@@ -332,11 +329,18 @@ impl JoinServer {
             admission,
             started: Instant::now(),
             shutting_down: AtomicBool::new(false),
-            stats: Mutex::new("serve.stats", StatsInner::default()),
             live_handlers: AtomicUsize::new(0),
             handlers: Mutex::new("serve.handlers", Vec::new()),
             conns: Mutex::new("serve.conns", Vec::new()),
             wire_metrics,
+            connections_accepted: Counter::default(),
+            connections_refused: Counter::default(),
+            requests_served: Counter::default(),
+            requests_failed: Counter::default(),
+            protocol_errors: Counter::default(),
+            request_latency: AtomicHistogram::default(),
+            http_requests: Counter::default(),
+            http_bad_requests: Counter::default(),
         });
 
         let listener_thread = {
@@ -393,15 +397,15 @@ impl JoinServer {
         let wire = &self.shared.wire_metrics;
         let frames = wire.frames.each_ref().map(|counter| counter.get());
         let sheds = wire.sheds.each_ref().map(|counter| counter.get());
-        let inner = self.shared.stats.lock();
+        let shared = &self.shared;
         ServerStats {
-            connections_accepted: inner.connections_accepted,
-            connections_refused: inner.connections_refused,
+            connections_accepted: shared.connections_accepted.get(),
+            connections_refused: shared.connections_refused.get(),
             requests_received: frames[FRAME_REQUEST] + frames[FRAME_TABLE_REF],
             tables_registered: frames[FRAME_REGISTER],
             ref_requests: frames[FRAME_TABLE_REF],
-            requests_served: inner.requests_served,
-            requests_failed: inner.requests_failed,
+            requests_served: shared.requests_served.get(),
+            requests_failed: shared.requests_failed.get(),
             requests_shed: sheds.iter().sum(),
             shed_deadline: sheds[ShedReason::Deadline as usize],
             shed_quota: sheds[ShedReason::Quota as usize],
@@ -409,11 +413,11 @@ impl JoinServer {
             shed_saturated: sheds[ShedReason::Saturated as usize],
             batches_dispatched: 0,
             batched_requests: 0,
-            protocol_errors: inner.protocol_errors,
-            request_latency: inner.request_latency,
-            live_handlers: self.shared.live_handlers.load(Ordering::SeqCst),
-            http_requests: inner.http_requests,
-            http_bad_requests: inner.http_bad_requests,
+            protocol_errors: shared.protocol_errors.get(),
+            request_latency: shared.request_latency.snapshot(),
+            live_handlers: shared.live_handlers.load(Ordering::SeqCst),
+            http_requests: shared.http_requests.get(),
+            http_bad_requests: shared.http_bad_requests.get(),
         }
     }
 
@@ -481,7 +485,7 @@ fn accept_loop(shared: &Arc<ServerShared>, listener: TcpListener) {
         if shared.shutting_down.load(Ordering::SeqCst) {
             // The shutdown self-connect lands here too; real late arrivals
             // are refused by the close below and counted.
-            shared.stats.lock().connections_refused += 1;
+            shared.connections_refused.inc();
             drop(stream);
             break;
         }
@@ -491,7 +495,7 @@ fn accept_loop(shared: &Arc<ServerShared>, listener: TcpListener) {
         if let Ok(clone) = stream.try_clone() {
             shared.conns.lock().push((client_id, clone));
         }
-        shared.stats.lock().connections_accepted += 1;
+        shared.connections_accepted.inc();
         shared.live_handlers.fetch_add(1, Ordering::SeqCst);
         let handler_shared = Arc::clone(shared);
         let handle = std::thread::Builder::new()
@@ -616,7 +620,7 @@ fn serve_frame(
 /// Reports a protocol violation best-effort (the peer may already be gone)
 /// and lets the caller close the connection.
 fn close_on_protocol_error(shared: &Arc<ServerShared>, conn: &mut Connection, err: &WireError) {
-    shared.stats.lock().protocol_errors += 1;
+    shared.protocol_errors.inc();
     let failure = WireFailure {
         id: 0,
         code: WireErrorCode::Protocol,
@@ -722,7 +726,7 @@ fn http_accept_loop(shared: &Arc<ServerShared>, listener: TcpListener) {
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
         if shared.shutting_down.load(Ordering::SeqCst) {
-            shared.stats.lock().connections_refused += 1;
+            shared.connections_refused.inc();
             drop(stream);
             break;
         }
@@ -850,13 +854,10 @@ fn handle_http_connection(shared: &Arc<ServerShared>, mut stream: TcpStream) {
             }
         },
     };
-    {
-        let mut stats = shared.stats.lock();
-        if (400..500).contains(&response.status) {
-            stats.http_bad_requests += 1;
-        } else {
-            stats.http_requests += 1;
-        }
+    if (400..500).contains(&response.status) {
+        shared.http_bad_requests.inc();
+    } else {
+        shared.http_requests.inc();
     }
     write_http_response(&mut stream, &response);
     let _ = stream.shutdown(Shutdown::Both);
@@ -955,7 +956,7 @@ fn handle_ref_request(
 ) -> Result<(), WireError> {
     shared.wire_metrics.frames[FRAME_TABLE_REF].inc();
     let Some(table) = shared.engine.table(&wire.table) else {
-        shared.stats.lock().requests_failed += 1;
+        shared.requests_failed.inc();
         let failure = WireFailure {
             id: wire.id,
             code: WireErrorCode::UnknownTable,
@@ -1070,13 +1071,10 @@ fn finish_request(
             // observe its response, a stats snapshot must already include
             // the request (latency therefore measures arrival → settled,
             // excluding reply serialisation).
-            {
-                let mut stats = shared.stats.lock();
-                stats.requests_served += 1;
-                stats
-                    .request_latency
-                    .record(arrived.elapsed().as_nanos() as u64);
-            }
+            shared.requests_served.inc();
+            shared
+                .request_latency
+                .record(arrived.elapsed().as_nanos() as u64);
             write_outcome(shared, conn, id, sent_pairs, &outcome)?;
             Ok(())
         }
@@ -1197,7 +1195,7 @@ fn write_failure(
     id: u64,
     err: &JoinError,
 ) -> Result<(), WireError> {
-    shared.stats.lock().requests_failed += 1;
+    shared.requests_failed.inc();
     let code = match err {
         JoinError::OversizedInput { .. } => WireErrorCode::Oversized,
         JoinError::ArenaExhausted { .. }

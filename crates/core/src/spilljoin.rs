@@ -57,6 +57,10 @@ use hj_spill::{MemoryGrant, PendingRun, SpillConfig, SpillManager, SpillReport, 
 use std::ops::Range;
 use std::time::Instant;
 
+/// Largest build or probe block, in tuples, of the nested-loop fallback,
+/// which halves a block until the pair fits the arena.
+const FALLBACK_BLOCK_TUPLES: usize = 64 * 1024;
+
 /// The per-pair join the spill executor re-enters for every partition pair
 /// that fits in memory: in the engine this is the backend's `execute` on a
 /// stripped-down inner request, i.e. the full morsel pipeline.
@@ -603,8 +607,8 @@ impl SpillPass<'_> {
         probe_tuples: usize,
     ) -> Result<(usize, usize), JoinError> {
         let capacity = ctx.allocator.capacity();
-        let mut bb = self.spill.fallback_block_tuples.min(build_tuples).max(1);
-        let mut pb = self.spill.fallback_block_tuples.min(probe_tuples).max(1);
+        let mut bb = FALLBACK_BLOCK_TUPLES.min(build_tuples).max(1);
+        let mut pb = FALLBACK_BLOCK_TUPLES.min(probe_tuples).max(1);
         while arena_bytes_for(bb, pb) > capacity {
             if bb == 1 && pb == 1 {
                 return Err(ctx.arena_error("spill fallback", arena_bytes_for(1, 1)));

@@ -4,9 +4,8 @@
 //! The engine's sampler feeds one [`HealthObservation`] per sample into
 //! [`HealthMonitor::observe`]; the monitor classifies it as
 //! `Healthy`/`Degraded`/`Saturated` and only *transitions* after several
-//! consecutive windows agree — degrading needs
-//! [`HealthConfig::degrade_after`] worse windows in a row, recovering needs
-//! [`HealthConfig::recover_after`] better ones.  The `/health` HTTP
+//! consecutive windows agree — degrading needs two worse windows in a row,
+//! recovering needs three better ones.  The `/health` HTTP
 //! endpoint renders the latest [`HealthReport`] as JSON and maps
 //! `Saturated` to 503.
 
@@ -73,40 +72,23 @@ pub struct HealthObservation {
     pub worker_utilization: Option<f64>,
 }
 
-/// Thresholds and hysteresis depths of one [`HealthMonitor`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthConfig {
-    /// Queue-wait p99 budget; a window above it is a degradation reason.
-    pub queue_wait_p99_budget_ns: u64,
-    /// Shed ratio at which a window counts as degraded.
-    pub shed_ratio_degraded: f64,
-    /// Shed ratio at which a window counts as saturated.
-    pub shed_ratio_saturated: f64,
-    /// Reclaim pressure (bytes/sec) at which a window counts as degraded.
-    pub reclaim_bytes_per_sec_degraded: f64,
-    /// Worker utilization at which a window counts as degraded (the pool
-    /// has no headroom left).
-    pub utilization_degraded: f64,
-    /// Consecutive worse windows required before the state worsens.
-    pub degrade_after: usize,
-    /// Consecutive better windows required before the state improves
-    /// (recovery is deliberately slower than degradation).
-    pub recover_after: usize,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            queue_wait_p99_budget_ns: 50_000_000, // 50 ms
-            shed_ratio_degraded: 0.02,
-            shed_ratio_saturated: 0.50,
-            reclaim_bytes_per_sec_degraded: 64.0 * 1024.0 * 1024.0,
-            utilization_degraded: 0.98,
-            degrade_after: 2,
-            recover_after: 3,
-        }
-    }
-}
+/// Queue-wait p99 budget (50 ms); a window above it is a degradation
+/// reason.
+const QUEUE_WAIT_P99_BUDGET_NS: u64 = 50_000_000;
+/// Shed ratio at which a window counts as degraded.
+const SHED_RATIO_DEGRADED: f64 = 0.02;
+/// Shed ratio at which a window counts as saturated.
+const SHED_RATIO_SATURATED: f64 = 0.50;
+/// Reclaim pressure (bytes/sec) at which a window counts as degraded.
+const RECLAIM_BYTES_PER_SEC_DEGRADED: f64 = 64.0 * 1024.0 * 1024.0;
+/// Worker utilization at which a window counts as degraded (the pool has
+/// no headroom left).
+const UTILIZATION_DEGRADED: f64 = 0.98;
+/// Consecutive worse windows required before the state worsens.
+const DEGRADE_AFTER: usize = 2;
+/// Consecutive better windows required before the state improves
+/// (recovery is deliberately slower than degradation).
+const RECOVER_AFTER: usize = 3;
 
 /// The monitor's verdict on one observation, plus the inputs it judged.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,24 +179,27 @@ struct MonitorInner {
 /// Classifies observations into a [`HealthState`] with hysteresis (lock
 /// class `health.state`).
 pub struct HealthMonitor {
-    config: HealthConfig,
     inner: Mutex<MonitorInner>,
 }
 
 impl std::fmt::Debug for HealthMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HealthMonitor")
-            .field("config", &self.config)
             .field("state", &self.inner.lock().current)
             .finish()
     }
 }
 
+impl Default for HealthMonitor {
+    fn default() -> Self {
+        HealthMonitor::new()
+    }
+}
+
 impl HealthMonitor {
-    /// A monitor starting `Healthy` under the given thresholds.
-    pub fn new(config: HealthConfig) -> Self {
+    /// A monitor starting `Healthy`.
+    pub fn new() -> Self {
         HealthMonitor {
-            config,
             inner: Mutex::new(
                 "health.state",
                 MonitorInner {
@@ -227,51 +212,45 @@ impl HealthMonitor {
         }
     }
 
-    /// The monitor's thresholds.
-    pub fn config(&self) -> &HealthConfig {
-        &self.config
-    }
-
     /// Classifies one observation without hysteresis: the raw severity
     /// level and the reasons behind it.
     fn assess(&self, obs: &HealthObservation) -> (u8, Vec<String>) {
-        let cfg = &self.config;
-        if obs.shed_ratio >= cfg.shed_ratio_saturated {
+        if obs.shed_ratio >= SHED_RATIO_SATURATED {
             return (
                 2,
                 vec![format!(
                     "shed ratio {:.2} at or over the saturation threshold {:.2}",
-                    obs.shed_ratio, cfg.shed_ratio_saturated
+                    obs.shed_ratio, SHED_RATIO_SATURATED
                 )],
             );
         }
         let mut reasons = Vec::new();
-        if obs.shed_ratio >= cfg.shed_ratio_degraded {
+        if obs.shed_ratio >= SHED_RATIO_DEGRADED {
             reasons.push(format!(
                 "shed ratio {:.3} over budget {:.3}",
-                obs.shed_ratio, cfg.shed_ratio_degraded
+                obs.shed_ratio, SHED_RATIO_DEGRADED
             ));
         }
         if let Some(p99) = obs.queue_wait_p99_ns {
-            if p99 > cfg.queue_wait_p99_budget_ns {
+            if p99 > QUEUE_WAIT_P99_BUDGET_NS {
                 reasons.push(format!(
                     "queue-wait p99 {:.1} ms over budget {:.1} ms",
                     p99 as f64 / 1e6,
-                    cfg.queue_wait_p99_budget_ns as f64 / 1e6
+                    QUEUE_WAIT_P99_BUDGET_NS as f64 / 1e6
                 ));
             }
         }
-        if obs.reclaim_bytes_per_sec >= cfg.reclaim_bytes_per_sec_degraded {
+        if obs.reclaim_bytes_per_sec >= RECLAIM_BYTES_PER_SEC_DEGRADED {
             reasons.push(format!(
                 "broker reclaim pressure {:.0} B/s over budget {:.0} B/s",
-                obs.reclaim_bytes_per_sec, cfg.reclaim_bytes_per_sec_degraded
+                obs.reclaim_bytes_per_sec, RECLAIM_BYTES_PER_SEC_DEGRADED
             ));
         }
         if let Some(util) = obs.worker_utilization {
-            if util >= cfg.utilization_degraded {
+            if util >= UTILIZATION_DEGRADED {
                 reasons.push(format!(
                     "worker utilization {:.2} leaves no headroom (budget {:.2})",
-                    util, cfg.utilization_degraded
+                    util, UTILIZATION_DEGRADED
                 ));
             }
         }
@@ -303,11 +282,11 @@ impl HealthMonitor {
                 inner.pending_streak = 1;
             }
             let needed = if raw_level > current_level {
-                self.config.degrade_after
+                DEGRADE_AFTER
             } else {
-                self.config.recover_after
+                RECOVER_AFTER
             };
-            if inner.pending_streak >= needed.max(1) {
+            if inner.pending_streak >= needed {
                 inner.current = match raw_level {
                     0 => HealthState::Healthy,
                     1 => HealthState::Degraded { reasons },
@@ -336,14 +315,6 @@ impl HealthMonitor {
 mod tests {
     use super::*;
 
-    fn quick_config() -> HealthConfig {
-        HealthConfig {
-            degrade_after: 2,
-            recover_after: 3,
-            ..HealthConfig::default()
-        }
-    }
-
     fn shedding(ratio: f64) -> HealthObservation {
         HealthObservation {
             shed_ratio: ratio,
@@ -353,7 +324,7 @@ mod tests {
 
     #[test]
     fn one_bad_window_does_not_degrade() {
-        let monitor = HealthMonitor::new(quick_config());
+        let monitor = HealthMonitor::new();
         let report = monitor.observe(shedding(0.10));
         assert_eq!(report.state, HealthState::Healthy, "hysteresis holds");
         // A good window in between resets the streak.
@@ -364,7 +335,7 @@ mod tests {
 
     #[test]
     fn consecutive_bad_windows_degrade_and_recovery_is_slower() {
-        let monitor = HealthMonitor::new(quick_config());
+        let monitor = HealthMonitor::new();
         monitor.observe(shedding(0.10));
         let report = monitor.observe(shedding(0.10));
         assert_eq!(report.state.level(), 1, "2 bad windows degrade");
@@ -378,7 +349,7 @@ mod tests {
 
     #[test]
     fn dominant_shedding_saturates() {
-        let monitor = HealthMonitor::new(quick_config());
+        let monitor = HealthMonitor::new();
         monitor.observe(shedding(0.9));
         let report = monitor.observe(shedding(0.9));
         assert_eq!(report.state, HealthState::Saturated);
@@ -387,7 +358,7 @@ mod tests {
 
     #[test]
     fn queue_wait_reclaim_and_utilization_are_reasons() {
-        let monitor = HealthMonitor::new(quick_config());
+        let monitor = HealthMonitor::new();
         let obs = HealthObservation {
             queue_wait_p99_ns: Some(200_000_000),
             reclaim_bytes_per_sec: 1e9,
@@ -404,7 +375,7 @@ mod tests {
 
     #[test]
     fn flapping_assessments_never_transition() {
-        let monitor = HealthMonitor::new(quick_config());
+        let monitor = HealthMonitor::new();
         for _ in 0..8 {
             monitor.observe(shedding(0.10));
             monitor.observe(shedding(0.0));
@@ -414,7 +385,7 @@ mod tests {
 
     #[test]
     fn report_renders_valid_enough_json() {
-        let monitor = HealthMonitor::new(quick_config());
+        let monitor = HealthMonitor::new();
         let json = monitor.report().render_json();
         assert!(json.starts_with("{\"state\":\"healthy\""));
         assert!(json.contains("\"reasons\":[]"));

@@ -29,7 +29,7 @@ mod registry;
 mod timeseries;
 mod trace;
 
-pub use health::{HealthConfig, HealthMonitor, HealthObservation, HealthReport, HealthState};
+pub use health::{HealthMonitor, HealthObservation, HealthReport, HealthState};
 pub use histogram::{exact_quantile, LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use registry::{AtomicHistogram, Counter, Gauge, MetricSample, MetricValue, MetricsRegistry};
 pub use timeseries::{family_histogram, family_total, TimePoint, TimeSeriesRing, WindowRates};

@@ -8,9 +8,11 @@
 //! push`](TraceBuffer::push) down to a no-op for deployments that want
 //! provably zero trace overhead.
 
+use crate::registry::Counter;
 use hj_analysis::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What kind of thing a [`TraceEvent`] records.
@@ -107,19 +109,21 @@ pub struct TraceEvent {
 pub struct TraceBuffer {
     ring: Mutex<VecDeque<TraceEvent>>,
     capacity: usize,
-    dropped: AtomicU64,
+    dropped: Arc<Counter>,
     next_span: AtomicU64,
     epoch: Instant,
 }
 
 impl TraceBuffer {
-    /// A ring holding at most `capacity` events (clamped to at least 1).
-    pub fn new(capacity: usize) -> Self {
+    /// A ring holding at most `capacity` events (clamped to at least 1)
+    /// that counts each dropped event in `dropped` — an engine passes its
+    /// registered `hj_trace_events_dropped_total` counter.
+    pub fn new(capacity: usize, dropped: Arc<Counter>) -> Self {
         let capacity = capacity.max(1);
         TraceBuffer {
             ring: Mutex::new("trace.ring", VecDeque::with_capacity(capacity)),
             capacity,
-            dropped: AtomicU64::new(0),
+            dropped,
             next_span: AtomicU64::new(1),
             epoch: Instant::now(),
         }
@@ -149,7 +153,7 @@ impl TraceBuffer {
         let mut ring = self.ring.lock();
         if ring.len() == self.capacity {
             ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+            self.dropped.inc();
         }
         ring.push_back(event);
     }
@@ -175,7 +179,7 @@ impl TraceBuffer {
 
     /// Events dropped (oldest-first) since creation.
     pub fn dropped_events(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.get()
     }
 
     /// A copy of the buffered events, oldest first.
@@ -439,7 +443,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_newest_and_counts_drops() {
-        let buf = TraceBuffer::new(3);
+        let buf = TraceBuffer::new(3, Arc::default());
         for i in 0..5 {
             buf.push(event(1, i, i));
         }
@@ -456,7 +460,7 @@ mod tests {
 
     #[test]
     fn span_ids_are_unique_and_nonzero() {
-        let buf = TraceBuffer::new(4);
+        let buf = TraceBuffer::new(4, Arc::default());
         let a = buf.next_span();
         let b = buf.next_span();
         assert_ne!(a, 0);
@@ -465,7 +469,7 @@ mod tests {
 
     #[test]
     fn now_is_monotonic() {
-        let buf = TraceBuffer::new(1);
+        let buf = TraceBuffer::new(1, Arc::default());
         let a = buf.now_ns();
         let b = buf.now_ns();
         assert!(b >= a);
@@ -559,10 +563,10 @@ mod tests {
 
     #[test]
     fn ring_never_blocks_concurrent_pushers() {
-        let buf = std::sync::Arc::new(TraceBuffer::new(8));
+        let buf = Arc::new(TraceBuffer::new(8, Arc::default()));
         std::thread::scope(|scope| {
             for t in 0..4u64 {
-                let buf = std::sync::Arc::clone(&buf);
+                let buf = Arc::clone(&buf);
                 scope.spawn(move || {
                     for i in 0..500 {
                         buf.push(event(t, i, i));

@@ -37,6 +37,9 @@ use hj_adaptive::EwmaEstimator;
 use hj_analysis::sync::Mutex;
 use std::collections::HashMap;
 
+/// EWMA weight of each new service-time sample.
+const SERVICE_TIME_EWMA_ALPHA: f64 = 0.25;
+
 /// Service-level objectives and quota knobs of one serving endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloConfig {
@@ -56,8 +59,6 @@ pub struct SloConfig {
     /// Priority at or above which a request bypasses the queue-budget shed
     /// (never the quota or deadline sheds).  Default `u8::MAX` — no bypass.
     pub priority_bypass: u8,
-    /// EWMA weight of new service-time samples, in `(0, 1]`.
-    pub ewma_alpha: f64,
     /// Optional prior for the service-time estimate (ns per input tuple),
     /// replaced by the first real observation; `0` disables the seed.
     pub prior_ns_per_tuple: f64,
@@ -71,7 +72,6 @@ impl Default for SloConfig {
             queue_budget_ms: 0,
             default_deadline_ms: 0,
             priority_bypass: u8::MAX,
-            ewma_alpha: 0.25,
             prior_ns_per_tuple: 0.0,
         }
     }
@@ -120,12 +120,6 @@ impl SloConfig {
         }
         if !self.burst_tokens.is_finite() || self.burst_tokens < 1.0 {
             return Err("burst_tokens must be finite and at least 1".into());
-        }
-        if !self.ewma_alpha.is_finite()
-            || !(0.0..=1.0).contains(&self.ewma_alpha)
-            || self.ewma_alpha == 0.0
-        {
-            return Err("ewma_alpha must be in (0, 1]".into());
         }
         if !self.prior_ns_per_tuple.is_finite() || self.prior_ns_per_tuple < 0.0 {
             return Err("prior_ns_per_tuple must be finite and non-negative".into());
@@ -219,7 +213,7 @@ impl AdmissionController {
     /// `parallelism` requests at a time (the engine's session count).
     pub fn new(config: SloConfig, parallelism: usize) -> Result<Self, String> {
         config.validate()?;
-        let mut estimator = EwmaEstimator::new(config.ewma_alpha);
+        let mut estimator = EwmaEstimator::new(SERVICE_TIME_EWMA_ALPHA);
         if config.prior_ns_per_tuple > 0.0 {
             estimator.seed(config.prior_ns_per_tuple);
         }
@@ -600,11 +594,6 @@ mod tests {
     fn invalid_configs_are_rejected() {
         assert!(AdmissionController::new(SloConfig::default().quota(0.0, 1.0), 1).is_err());
         assert!(AdmissionController::new(SloConfig::default().quota(1.0, 0.5), 1).is_err());
-        let bad = SloConfig {
-            ewma_alpha: 0.0,
-            ..SloConfig::default()
-        };
-        assert!(AdmissionController::new(bad, 1).is_err());
         let bad = SloConfig {
             prior_ns_per_tuple: f64::NAN,
             ..SloConfig::default()

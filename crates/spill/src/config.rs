@@ -6,8 +6,8 @@ use std::path::PathBuf;
 ///
 /// The defaults are tuned for "just works" degradation: enough fanout that
 /// one eviction frees a useful fraction of the grant, a recursion cap that
-/// terminates even on pathological (single-key) skew, and frame/block sizes
-/// that keep per-session working memory bounded and off the budget's books.
+/// terminates even on pathological (single-key) skew, and a frame size
+/// that keeps per-session working memory bounded and off the budget's books.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpillConfig {
     /// Partition fanout of each hybrid-hash pass (≥ 2).
@@ -19,8 +19,6 @@ pub struct SpillConfig {
     /// Tuples per staged frame: spilled partitions buffer at most this many
     /// tuples in memory before flushing a frame to their run file.
     pub frame_tuples: usize,
-    /// Build tuples per block of the nested-loop fallback.
-    pub fallback_block_tuples: usize,
     /// Directory to spill under (the OS temp dir when `None`).
     pub spill_dir: Option<PathBuf>,
 }
@@ -31,7 +29,6 @@ impl Default for SpillConfig {
             partitions: 16,
             max_recursion_depth: 4,
             frame_tuples: 8 * 1024,
-            fallback_block_tuples: 64 * 1024,
             spill_dir: None,
         }
     }
@@ -53,12 +50,6 @@ impl SpillConfig {
     /// Sets the staged-frame size in tuples.
     pub fn frame_tuples(mut self, tuples: usize) -> Self {
         self.frame_tuples = tuples;
-        self
-    }
-
-    /// Sets the nested-loop fallback block size in tuples.
-    pub fn fallback_block_tuples(mut self, tuples: usize) -> Self {
-        self.fallback_block_tuples = tuples;
         self
     }
 
@@ -87,9 +78,6 @@ impl SpillConfig {
         }
         if self.frame_tuples == 0 {
             return Err("spill frame size must be at least one tuple".to_string());
-        }
-        if self.fallback_block_tuples == 0 {
-            return Err("nested-loop fallback block must be at least one tuple".to_string());
         }
         Ok(())
     }
@@ -160,10 +148,6 @@ mod tests {
             assert!(e.contains("32 bits"), "{e}");
         }
         assert!(SpillConfig::default().frame_tuples(0).validate().is_err());
-        assert!(SpillConfig::default()
-            .fallback_block_tuples(0)
-            .validate()
-            .is_err());
     }
 
     #[test]

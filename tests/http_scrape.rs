@@ -229,6 +229,67 @@ fn malformed_http_requests_get_clean_4xx_and_close() {
 }
 
 // ---------------------------------------------------------------------------
+// Server counts: exact over a scripted session
+// ---------------------------------------------------------------------------
+
+/// Every server count lands exactly once per event, over both listeners:
+/// two inline joins, a table join, a join on an unknown table, a garbage
+/// frame on a second connection, one valid and one unknown scrape.  Under
+/// `--features lock-order` the acquisition graph stays clean too.
+#[test]
+fn server_counts_are_exact_over_a_scripted_session() {
+    let (r, s) = test_pair(400);
+    let server = JoinServer::start(
+        Arc::new(JoinEngine::native(EngineConfig::for_tuples(512, 1_024)).unwrap()),
+        http_config(),
+    )
+    .unwrap();
+    let mut client = JoinClient::connect(server.local_addr()).unwrap();
+    for _ in 0..2 {
+        client
+            .join(RequestBuilder::new(r.clone(), s.clone()).build())
+            .unwrap();
+    }
+    client.register_table("dim", r.clone()).unwrap();
+    client
+        .join_ref(RefRequestBuilder::new("dim", s.clone()).build())
+        .unwrap();
+    match client.join_ref(RefRequestBuilder::new("missing", s).build()) {
+        Err(ClientError::Server { .. }) => {}
+        other => panic!("expected a typed failure, got {other:?}"),
+    }
+
+    let mut garbage = TcpStream::connect(server.local_addr()).unwrap();
+    garbage
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    garbage
+        .write_all(b"this is not a frame header, not even close")
+        .unwrap();
+    // The typed error frame, then the close: an EOF, or a reset when the
+    // server closed with garbage still unread.
+    let _ = garbage.read_to_end(&mut Vec::new());
+
+    let http = server.http_local_addr().unwrap();
+    assert_eq!(http_get(http, "/metrics").status, 200);
+    assert_eq!(http_get(http, "/nope").status, 404);
+
+    let stats = server.stats();
+    assert_eq!(stats.connections_accepted, 2, "{stats:?}");
+    assert_eq!(stats.connections_refused, 0, "{stats:?}");
+    assert_eq!(stats.requests_served, 3, "{stats:?}");
+    assert_eq!(stats.requests_failed, 1, "{stats:?}");
+    assert_eq!(stats.protocol_errors, 1, "{stats:?}");
+    assert_eq!(stats.request_latency.count(), 3, "{stats:?}");
+    assert_eq!(stats.http_requests, 1, "{stats:?}");
+    assert_eq!(stats.http_bad_requests, 1, "{stats:?}");
+    drop(client);
+    drop(server);
+    let violations = hj_analysis::lockorder::violations();
+    assert!(violations.is_empty(), "{violations:#?}");
+}
+
+// ---------------------------------------------------------------------------
 // Health flips under induced overload, with hysteresis
 // ---------------------------------------------------------------------------
 

@@ -5,7 +5,7 @@
 //! catalogue.
 
 use coupled_hashjoin::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn test_pair(n: usize) -> (Relation, Relation) {
@@ -221,6 +221,75 @@ fn cache_and_in_flight_gauges_need_no_sync() {
     assert_eq!(sample(&engine, "hj_cache_entries"), 0);
 }
 
+/// The worker pool and the trace ring count in the registry's own atoms,
+/// so a bare registry snapshot reads each worker's tasks, steals, busy
+/// and park time as `stats()` does, and the ring's drops as the ring does.
+#[test]
+fn pool_and_trace_counters_need_no_sync() {
+    let (r, s) = test_pair(200 * 1024);
+    let engine = JoinEngine::native(
+        EngineConfig::for_tuples(200 * 1024, 400 * 1024)
+            .sample_interval(std::time::Duration::ZERO)
+            .trace_capacity(4),
+    )
+    .unwrap();
+    for _ in 0..3 {
+        engine.submit(&request(false), &r, &s).unwrap();
+    }
+    let per_worker = |snapshot: &[MetricSample], name: &str| -> Vec<u64> {
+        let mut values: Vec<(usize, u64)> = snapshot
+            .iter()
+            .filter(|sample| sample.name == name)
+            .map(|sample| {
+                let (_, worker) = sample.labels.iter().find(|(k, _)| *k == "worker").unwrap();
+                match sample.value {
+                    MetricValue::Counter(v) => (worker.parse().unwrap(), v),
+                    ref other => panic!("{name} is not a counter: {other:?}"),
+                }
+            })
+            .collect();
+        values.sort_unstable();
+        values.into_iter().map(|(_, v)| v).collect()
+    };
+    // A worker woken as the last job finished may still book park time,
+    // so read until two `stats()` calls around the snapshot agree.
+    let (stats, snapshot) = loop {
+        let before = engine.stats();
+        let snapshot = engine.metrics_registry().snapshot();
+        let after = engine.stats();
+        if before.per_worker_park_ns == after.per_worker_park_ns {
+            break (after, snapshot);
+        }
+    };
+    assert!(
+        stats.per_worker_tasks.iter().sum::<u64>() > 0,
+        "the joins must reach the pool: {stats:?}"
+    );
+    assert_eq!(
+        per_worker(&snapshot, "hj_pipeline_tasks_total"),
+        stats.per_worker_tasks
+    );
+    assert_eq!(
+        per_worker(&snapshot, "hj_pipeline_steals_total"),
+        stats.per_worker_steals
+    );
+    assert_eq!(
+        per_worker(&snapshot, "hj_pipeline_worker_busy_ns"),
+        stats.per_worker_busy_ns
+    );
+    assert_eq!(
+        per_worker(&snapshot, "hj_pipeline_worker_park_ns"),
+        stats.per_worker_park_ns
+    );
+    let dropped = engine.trace_buffer().dropped_events();
+    assert!(dropped > 0, "three joins must overflow a 4-event ring");
+    let exported = snapshot
+        .iter()
+        .find(|sample| sample.name == "hj_trace_events_dropped_total")
+        .unwrap();
+    assert_eq!(exported.value, MetricValue::Counter(dropped));
+}
+
 /// A spilling join records its spill counters both on the outcome report
 /// and in the registry, and its trace carries the spill events.
 #[test]
@@ -261,21 +330,28 @@ fn spill_metrics_and_trace_events_flow_through() {
     }
 }
 
-/// The `hj_*` family names of `docs/OBSERVABILITY.md`'s "Metric catalogue"
-/// tables: the first cell of every table row.
-fn catalogue_families() -> BTreeSet<String> {
+/// The `hj_*` families of `docs/OBSERVABILITY.md`'s "Metric catalogue"
+/// tables, each with its documented type: the first two cells of every
+/// table row.
+fn catalogue_families() -> BTreeMap<String, String> {
     include_str!("../docs/OBSERVABILITY.md")
         .split("\n## ")
         .find(|section| section.starts_with("Metric catalogue"))
         .expect("the doc has a metric catalogue")
         .lines()
-        .filter_map(|line| line.strip_prefix("| `hj_"))
-        .map(|rest| format!("hj_{}", &rest[..rest.find('`').expect("closing backtick")]))
+        .filter(|line| line.starts_with("| `hj_"))
+        .map(|line| {
+            let mut cells = line.split('|').skip(1).map(str::trim);
+            let name = cells.next().unwrap().trim_matches('`').to_string();
+            let kind = cells.next().expect("a type column").to_string();
+            (name, kind)
+        })
         .collect()
 }
 
 /// Every family a served native engine registers is documented in the
-/// metric catalogue, and every documented family is registered.
+/// metric catalogue under the type it is registered as, every documented
+/// family is registered, and every `_total` family is a counter.
 #[test]
 fn metric_catalogue_matches_the_registry() {
     let (r, s) = test_pair(2_000);
@@ -291,16 +367,29 @@ fn metric_catalogue_matches_the_registry() {
         .unwrap();
     assert_eq!(out.matches, reference_match_count(&r, &s));
 
-    let registered: BTreeSet<String> = engine
+    let registered: BTreeMap<String, String> = engine
         .metrics_registry()
         .snapshot()
         .iter()
-        .map(|sample| sample.name.to_string())
-        .filter(|name| name.starts_with("hj_"))
+        .filter(|sample| sample.name.starts_with("hj_"))
+        .map(|sample| {
+            let kind = match sample.value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "histogram",
+            };
+            (sample.name.to_string(), kind.to_string())
+        })
         .collect();
     let documented = catalogue_families();
-    let undocumented: Vec<_> = registered.difference(&documented).collect();
-    let unregistered: Vec<_> = documented.difference(&registered).collect();
+    let undocumented: Vec<_> = registered
+        .keys()
+        .filter(|name| !documented.contains_key(*name))
+        .collect();
+    let unregistered: Vec<_> = documented
+        .keys()
+        .filter(|name| !registered.contains_key(*name))
+        .collect();
     assert!(
         undocumented.is_empty(),
         "registered but missing from the catalogue: {undocumented:?}"
@@ -308,5 +397,22 @@ fn metric_catalogue_matches_the_registry() {
     assert!(
         unregistered.is_empty(),
         "in the catalogue but never registered: {unregistered:?}"
+    );
+    let mistyped: Vec<_> = registered
+        .iter()
+        .filter(|(name, kind)| documented[*name] != **kind)
+        .map(|(name, kind)| format!("{name}: registered {kind}, documented {}", documented[name]))
+        .collect();
+    assert!(
+        mistyped.is_empty(),
+        "catalogue types disagree: {mistyped:?}"
+    );
+    let misnamed: Vec<_> = registered
+        .iter()
+        .filter(|(name, kind)| name.ends_with("_total") && *kind != "counter")
+        .collect();
+    assert!(
+        misnamed.is_empty(),
+        "families named `_total` must be counters: {misnamed:?}"
     );
 }
