@@ -139,8 +139,8 @@ pub struct AdaptiveConfig {
     /// Re-plan the remaining morsels of a step after every this many
     /// observed morsels; `0` re-plans at step boundaries only.
     pub replan_every_morsels: usize,
-    /// Ratio granularity δ of the re-solver's coordinate refinement (the
-    /// paper uses 0.02).
+    /// Ratio granularity δ of the re-solver's coordinate refinement
+    /// (default [`solver::PAPER_DELTA`], the paper's 0.02).
     pub delta: f64,
     /// Smallest workload share forced onto a lane that has produced no
     /// samples yet, so the controller can measure a device the current
@@ -155,7 +155,7 @@ impl Default for AdaptiveConfig {
         AdaptiveConfig {
             ewma_alpha: 0.4,
             replan_every_morsels: 4,
-            delta: 0.02,
+            delta: solver::PAPER_DELTA,
             explore_share: 0.10,
             prior: None,
         }

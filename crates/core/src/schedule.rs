@@ -10,12 +10,15 @@
 //! * **PL** — arbitrary `r_i` per step.
 //!
 //! [`compose_pipeline`] combines per-device per-step times into the elapsed
-//! time of the series, implementing Eqs. 1, 2, 4 and 5 of the paper: each
-//! device's total is the sum of its step times plus pipeline delays incurred
-//! when consecutive steps use different ratios, and the series' elapsed time
-//! is the maximum over the two devices.
+//! time of the series (Eqs. 1, 2, 4 and 5 of the paper): each device's
+//! total is the sum of its step times plus pipeline delays incurred when
+//! consecutive steps use different ratios, and the series' elapsed time is
+//! the maximum over the two devices.  It maps `SimTime` onto
+//! [`hj_adaptive::solver::compose_steps`], the one copy of the composition,
+//! which the cost model and the runtime ratio re-solver share.
 
 use apu_sim::SimTime;
+use hj_adaptive::solver::compose_steps;
 
 /// Per-step CPU workload ratios for one step series.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,7 +121,8 @@ pub struct PipelineTiming {
 ///
 /// `cpu[i]` and `gpu[i]` are the times each device spends on its share of
 /// step `i` (zero when its ratio gives it no tuples); `ratios[i]` is the CPU
-/// share of step `i`.  Implements Eqs. 1, 2, 4, 5 of the paper.
+/// share of step `i`.  Implements Eqs. 1, 2, 4, 5 of the paper through
+/// [`compose_steps`].
 ///
 /// # Panics
 /// Panics if the three slices have different lengths.
@@ -129,67 +133,14 @@ pub fn compose_pipeline(cpu: &[SimTime], gpu: &[SimTime], ratios: &Ratios) -> Pi
         ratios.len(),
         "ratio count differs from step count"
     );
-    let n = cpu.len();
-    if n == 0 {
-        return PipelineTiming::default();
-    }
-
-    // Running totals of T^j_XPU including already-charged delays, as the
-    // paper's Σ T^j terms require.
-    let mut cpu_total = SimTime::ZERO;
-    let mut gpu_total = SimTime::ZERO;
-    let mut cpu_delay_total = SimTime::ZERO;
-    let mut gpu_delay_total = SimTime::ZERO;
-    let mut cpu_busy = SimTime::ZERO;
-    let mut gpu_busy = SimTime::ZERO;
-
-    for i in 0..n {
-        let t_cpu = cpu[i];
-        let t_gpu = gpu[i];
-        cpu_busy += t_cpu;
-        gpu_busy += t_gpu;
-
-        let mut d_cpu = SimTime::ZERO;
-        let mut d_gpu = SimTime::ZERO;
-        if i > 0 {
-            let r_i = ratios.get(i);
-            let r_prev = ratios.get(i - 1);
-            if r_i > r_prev + 1e-12 {
-                // Case 1 (Eq. 4): the CPU takes on more work than in the
-                // previous step, so it may stall waiting for GPU output of
-                // step i-1.
-                let frac = if (1.0 - r_prev) > 1e-12 {
-                    (1.0 - r_i) / (1.0 - r_prev)
-                } else {
-                    0.0
-                };
-                let gpu_pipelined_end = gpu_total.saturating_sub(gpu[i - 1] * frac);
-                d_cpu = gpu_pipelined_end.saturating_sub(cpu_total + t_cpu);
-            } else if r_i + 1e-12 < r_prev {
-                // Case 2 (Eq. 5): the GPU takes on more work, so it may stall
-                // waiting for CPU output of step i-1.
-                let frac = if (1.0 - r_i) > 1e-12 {
-                    (1.0 - r_prev) / (1.0 - r_i)
-                } else {
-                    0.0
-                };
-                let gpu_after_step = gpu_total + t_gpu;
-                d_gpu = cpu_total.saturating_sub(gpu_after_step.saturating_sub(t_gpu * frac));
-            }
-        }
-
-        cpu_total += t_cpu + d_cpu;
-        gpu_total += t_gpu + d_gpu;
-        cpu_delay_total += d_cpu;
-        gpu_delay_total += d_gpu;
-    }
-
+    let steps = cpu.iter().zip(gpu).zip(ratios.as_slice());
+    let timing = compose_steps(steps.map(|((c, g), &r)| (c.as_ns(), g.as_ns(), r)));
     PipelineTiming {
-        cpu_busy,
-        gpu_busy,
-        cpu_delay: cpu_delay_total,
-        gpu_delay: gpu_delay_total,
-        elapsed: cpu_total.max(gpu_total),
+        cpu_busy: SimTime::from_ns(timing.cpu_busy),
+        gpu_busy: SimTime::from_ns(timing.gpu_busy),
+        cpu_delay: SimTime::from_ns(timing.cpu_delay),
+        gpu_delay: SimTime::from_ns(timing.gpu_delay),
+        elapsed: SimTime::from_ns(timing.elapsed),
     }
 }
 
@@ -237,26 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn single_device_pipeline_is_a_plain_sum() {
-        let cpu = [t(100.0), t(200.0), t(50.0)];
-        let gpu = [t(0.0); 3];
-        let timing = compose_pipeline(&cpu, &gpu, &Ratios::cpu_only(3));
-        assert_eq!(timing.elapsed.as_ns(), 350.0);
-        assert_eq!(timing.cpu_delay, SimTime::ZERO);
-        assert_eq!(timing.gpu_delay, SimTime::ZERO);
-    }
-
-    #[test]
-    fn equal_ratios_have_no_pipeline_delay() {
-        let cpu = [t(100.0), t(120.0)];
-        let gpu = [t(90.0), t(80.0)];
-        let timing = compose_pipeline(&cpu, &gpu, &Ratios::uniform(0.5, 2));
-        assert_eq!(timing.cpu_delay, SimTime::ZERO);
-        assert_eq!(timing.gpu_delay, SimTime::ZERO);
-        assert_eq!(timing.elapsed.as_ns(), 220.0);
-    }
-
-    #[test]
     fn elapsed_is_max_of_device_totals() {
         let cpu = [t(10.0), t(10.0)];
         let gpu = [t(500.0), t(500.0)];
@@ -264,51 +195,8 @@ mod tests {
         assert_eq!(timing.elapsed.as_ns(), 1000.0);
         assert_eq!(timing.cpu_busy.as_ns(), 20.0);
         assert_eq!(timing.gpu_busy.as_ns(), 1000.0);
-    }
-
-    #[test]
-    fn cpu_stalls_when_it_needs_gpu_output() {
-        // Step 1 runs entirely on the GPU and is slow; step 2 runs entirely
-        // on the CPU.  Execution is pipelined at tuple granularity, so the
-        // CPU consumes GPU output as it is produced and finishes (per Eq. 4)
-        // together with the GPU's last tuple: the stall is the difference
-        // between the GPU production time and the CPU's own work.
-        let cpu = [t(0.0), t(300.0)];
-        let gpu = [t(1000.0), t(0.0)];
-        let ratios = Ratios::new(vec![0.0, 1.0]);
-        let timing = compose_pipeline(&cpu, &gpu, &ratios);
-        assert!((timing.cpu_delay.as_ns() - 700.0).abs() < 1e-6);
-        assert!((timing.elapsed.as_ns() - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gpu_stalls_when_it_needs_cpu_output() {
-        let cpu = [t(1000.0), t(0.0)];
-        let gpu = [t(0.0), t(400.0)];
-        let ratios = Ratios::new(vec![1.0, 0.0]);
-        let timing = compose_pipeline(&cpu, &gpu, &ratios);
-        assert!((timing.gpu_delay.as_ns() - 600.0).abs() < 1e-6);
-        assert!((timing.elapsed.as_ns() - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn partial_ratio_shift_stalls_less_than_full_shift() {
-        // Shifting only part of the workload between devices should stall
-        // less than handing the entire step over.
-        let cpu_full = [t(0.0), t(400.0)];
-        let gpu_full = [t(800.0), t(0.0)];
-        let full = compose_pipeline(&cpu_full, &gpu_full, &Ratios::new(vec![0.0, 1.0]));
-
-        let cpu_part = [t(0.0), t(200.0)];
-        let gpu_part = [t(800.0), t(200.0)];
-        let part = compose_pipeline(&cpu_part, &gpu_part, &Ratios::new(vec![0.0, 0.5]));
-        assert!(part.cpu_delay <= full.cpu_delay);
-    }
-
-    #[test]
-    fn empty_series_is_zero() {
-        let timing = compose_pipeline(&[], &[], &Ratios::new(vec![]));
-        assert_eq!(timing.elapsed, SimTime::ZERO);
+        assert_eq!(timing.cpu_delay, SimTime::ZERO);
+        assert_eq!(timing.gpu_delay, SimTime::ZERO);
     }
 
     #[test]

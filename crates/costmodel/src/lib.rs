@@ -18,6 +18,11 @@
 //!   with coordinate refinement, plus OL placement and DD ratio selection;
 //! * [`montecarlo`] — random-ratio sampling used to evaluate how close the
 //!   model-chosen ratios come to the best achievable (Figure 9).
+//!
+//! The composition (Eqs. 1, 2, 4, 5), the grid-plus-descent search and the
+//! δ grid are written once, in `hj_adaptive::solver` (re-exported as
+//! `hj_core::adaptive::solver`), and shared with the runtime ratio
+//! re-solver; [`model`] and [`optimizer`] wrap them.
 
 #![warn(missing_docs)]
 

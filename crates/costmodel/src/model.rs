@@ -6,7 +6,8 @@
 //! consecutive steps use different ratios; the series costs the slower of
 //! the two devices.  Lock contention is intentionally not modelled
 //! (Section 5.3), which is why measured times sit slightly above the
-//! estimates.
+//! estimates.  The composition itself is `hj_core::compose_pipeline`, the
+//! `SimTime` face of the one copy in `hj_adaptive::solver`.
 
 use crate::params::{JoinUnitCosts, SeriesUnitCosts};
 use apu_sim::SimTime;

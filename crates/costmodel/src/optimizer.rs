@@ -1,31 +1,29 @@
 //! Choosing workload ratios with the cost model.
 //!
 //! The paper enumerates all ratio combinations at a step of δ = 0.02 and
-//! keeps the best prediction (Section 3.2).  For a 4-step series that grid
-//! has 51⁴ ≈ 6.8 M points, so this module uses the same idea with a cheap
-//! refinement: a coarse full grid followed by per-step coordinate descent at
-//! the fine δ, which reaches the same optima in a fraction of the
-//! evaluations.
+//! keeps the best prediction (Section 3.2).  The PL optimiser here runs
+//! [`search_ratios`] — a coarse full grid seeding per-step coordinate
+//! descent at δ, the same search the runtime re-solver runs — on
+//! [`SeriesCostModel::estimate`]; the DD scan walks the δ grid
+//! [`ratio_levels`].  Both live in `hj_adaptive::solver`, the one copy of
+//! the composition, the search and the grid.
 
 use crate::model::{JoinCostModel, SeriesCostModel};
 use apu_sim::SimTime;
+use hj_core::adaptive::solver::{ratio_levels, search_ratios};
 use hj_core::{Algorithm, RatioPlan, Ratios, Scheme};
 
-/// The paper's ratio granularity δ.
-pub const PAPER_DELTA: f64 = 0.02;
+pub use hj_core::adaptive::solver::PAPER_DELTA;
 
 /// Chooses the best single (data-dividing) ratio for a series by scanning
-/// `r = 0, δ, 2δ, …, 1`.
+/// [`ratio_levels`]`(delta)`: `r = 0, δ, 2δ, …, 1`.
 pub fn optimize_dd_ratio(model: &SeriesCostModel, items: usize, delta: f64) -> (f64, SimTime) {
-    let delta = delta.clamp(1e-3, 0.5);
     let mut best = (0.0f64, SimTime::from_secs(f64::MAX / 1e9));
-    let mut r = 0.0f64;
-    while r <= 1.0 + 1e-9 {
-        let t = model.estimate(items, &Ratios::uniform(r.min(1.0), model.num_steps()));
+    for r in ratio_levels(delta) {
+        let t = model.estimate(items, &Ratios::uniform(r, model.num_steps()));
         if t < best.1 {
-            best = (r.min(1.0), t);
+            best = (r, t);
         }
-        r += delta;
     }
     best
 }
@@ -47,90 +45,15 @@ pub fn optimize_offload(model: &SeriesCostModel, items: usize) -> (Vec<bool>, Si
 
 /// Chooses per-step ratios for pipelined co-processing.
 ///
-/// A full grid at a coarse δ seeds per-step coordinate descent at the fine
-/// `delta` (default [`PAPER_DELTA`]); the result is the model-optimal ratio
-/// vector and its predicted time.
+/// A full grid at the coarse step `max(0.1, delta)` seeds per-step
+/// coordinate descent at the fine `delta` (default [`PAPER_DELTA`]); the
+/// result is the model-optimal ratio vector and its predicted time.
 pub fn optimize_pl_ratios(model: &SeriesCostModel, items: usize, delta: f64) -> (Ratios, SimTime) {
-    let n = model.num_steps();
-    let delta = delta.clamp(1e-3, 0.5);
-    let coarse = 0.1f64.max(delta);
-
-    // Coarse full grid.
-    let levels: Vec<f64> = steps_between(0.0, 1.0, coarse);
-    let mut best_vec = vec![0.0; n];
-    let mut best_time = SimTime::from_secs(f64::MAX / 1e9);
-    let mut current = vec![0usize; n];
-    loop {
-        let ratios = Ratios::new(current.iter().map(|&i| levels[i]).collect());
-        let t = model.estimate(items, &ratios);
-        if t < best_time {
-            best_time = t;
-            best_vec = ratios.as_slice().to_vec();
-        }
-        // Odometer increment over the grid.
-        let mut pos = 0;
-        loop {
-            if pos == n {
-                // Grid exhausted: refine and return.
-                let (refined, time) = coordinate_descent(model, items, best_vec, delta);
-                return (Ratios::new(refined), time);
-            }
-            current[pos] += 1;
-            if current[pos] < levels.len() {
-                break;
-            }
-            current[pos] = 0;
-            pos += 1;
-        }
-    }
-}
-
-/// Per-step refinement at the fine δ around a seed vector.
-fn coordinate_descent(
-    model: &SeriesCostModel,
-    items: usize,
-    mut seed: Vec<f64>,
-    delta: f64,
-) -> (Vec<f64>, SimTime) {
-    let n = seed.len();
-    let levels: Vec<f64> = steps_between(0.0, 1.0, delta);
-    let mut best_time = model.estimate(items, &Ratios::new(seed.clone()));
-    for _round in 0..4 {
-        let mut improved = false;
-        for step in 0..n {
-            let mut local_best = (seed[step], best_time);
-            for &candidate in &levels {
-                let mut trial = seed.clone();
-                trial[step] = candidate;
-                let t = model.estimate(items, &Ratios::new(trial));
-                if t < local_best.1 {
-                    local_best = (candidate, t);
-                }
-            }
-            if local_best.1 < best_time {
-                seed[step] = local_best.0;
-                best_time = local_best.1;
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    (seed, best_time)
-}
-
-fn steps_between(lo: f64, hi: f64, delta: f64) -> Vec<f64> {
-    let mut v = Vec::new();
-    let mut x = lo;
-    while x < hi + 1e-9 {
-        v.push(x.min(hi));
-        x += delta;
-    }
-    if (v.last().copied().unwrap_or(lo) - hi).abs() > 1e-9 {
-        v.push(hi);
-    }
-    v
+    let coarse = ratio_levels(delta.max(0.1));
+    let (ratios, time) = search_ratios(model.num_steps(), &coarse, delta, |ratios| {
+        model.estimate(items, &Ratios::new(ratios.to_vec())).as_ns()
+    });
+    (Ratios::new(ratios), SimTime::from_ns(time))
 }
 
 /// The plan produced by [`tune_scheme`]: the tuned PL, DD and OL schemes
@@ -392,13 +315,5 @@ mod tests {
         assert_eq!(tuned.best(), &tuned.pipelined);
         assert_eq!(tuned.best_predicted(), tuned.predicted_pl);
         assert_eq!(Scheme::from(&tuned), tuned.pipelined);
-    }
-
-    #[test]
-    fn steps_between_includes_endpoints() {
-        let v = steps_between(0.0, 1.0, 0.25);
-        assert_eq!(v.first().copied(), Some(0.0));
-        assert_eq!(v.last().copied(), Some(1.0));
-        assert_eq!(v.len(), 5);
     }
 }

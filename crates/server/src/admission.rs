@@ -19,10 +19,11 @@
 //! 2. **Queue budget** — the controller tracks the estimated backlog
 //!    (admitted-but-unfinished work, in ns).  When the backlog's expected
 //!    wait exceeds [`SloConfig::queue_budget_ms`], new requests are shed
-//!    with [`ShedReason::QueueBudget`] — unless their priority is at or
-//!    above [`SloConfig::priority_bypass`], which lets paying traffic ride
+//!    with [`ShedReason::QueueBudget`] — unless their priority is
+//!    [`PRIORITY_BYPASS`] (`u8::MAX`), which lets paying traffic ride
 //!    through a backlog that drops best-effort work.
-//! 3. **Deadline** — a request carrying a deadline is shed with
+//! 3. **Deadline** — a request carrying a deadline (there is no implicit
+//!    one) is shed with
 //!    [`ShedReason::Deadline`] when `estimated wait + estimated service
 //!    time > deadline`.  The service estimate is an EWMA of observed
 //!    ns-per-tuple (the same estimator design the adaptive tuner uses),
@@ -40,6 +41,10 @@ use std::collections::HashMap;
 /// EWMA weight of each new service-time sample.
 const SERVICE_TIME_EWMA_ALPHA: f64 = 0.25;
 
+/// The priority that bypasses the queue-budget shed (never the quota or
+/// deadline sheds): only `u8::MAX` rides through a backlog.
+pub const PRIORITY_BYPASS: u8 = u8::MAX;
+
 /// Service-level objectives and quota knobs of one serving endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloConfig {
@@ -49,16 +54,9 @@ pub struct SloConfig {
     /// Token-bucket capacity per client (burst allowance); at least 1.
     pub burst_tokens: f64,
     /// Backlog ceiling: when the estimated queue wait exceeds this many
-    /// milliseconds, deadline-less requests below
-    /// [`priority_bypass`](Self::priority_bypass) are shed.  `0` (the
+    /// milliseconds, requests below [`PRIORITY_BYPASS`] are shed.  `0` (the
     /// default) means unlimited.
     pub queue_budget_ms: u32,
-    /// Deadline applied to requests that carry none; `0` (the default)
-    /// means no implicit deadline.
-    pub default_deadline_ms: u32,
-    /// Priority at or above which a request bypasses the queue-budget shed
-    /// (never the quota or deadline sheds).  Default `u8::MAX` — no bypass.
-    pub priority_bypass: u8,
     /// Optional prior for the service-time estimate (ns per input tuple),
     /// replaced by the first real observation; `0` disables the seed.
     pub prior_ns_per_tuple: f64,
@@ -70,8 +68,6 @@ impl Default for SloConfig {
             tokens_per_sec: f64::INFINITY,
             burst_tokens: 1.0,
             queue_budget_ms: 0,
-            default_deadline_ms: 0,
-            priority_bypass: u8::MAX,
             prior_ns_per_tuple: 0.0,
         }
     }
@@ -89,18 +85,6 @@ impl SloConfig {
     /// Sets the backlog ceiling in milliseconds.
     pub fn queue_budget_ms(mut self, ms: u32) -> Self {
         self.queue_budget_ms = ms;
-        self
-    }
-
-    /// Sets the implicit deadline for requests that carry none.
-    pub fn default_deadline_ms(mut self, ms: u32) -> Self {
-        self.default_deadline_ms = ms;
-        self
-    }
-
-    /// Sets the priority floor that bypasses the queue-budget shed.
-    pub fn priority_bypass(mut self, priority: u8) -> Self {
-        self.priority_bypass = priority;
         self
     }
 
@@ -243,9 +227,8 @@ impl AdmissionController {
     ///   per connection);
     /// * `tuples` — input size (build + probe) driving the service-time
     ///   estimate;
-    /// * `deadline_ms` — the request's deadline (`0`: fall back to
-    ///   [`SloConfig::default_deadline_ms`], which may also be `0` = none);
-    /// * `priority` — see [`SloConfig::priority_bypass`];
+    /// * `deadline_ms` — the request's deadline (`0` = none);
+    /// * `priority` — [`PRIORITY_BYPASS`] rides through the queue budget;
     /// * `now_ns` — the caller's monotonic clock.
     pub fn admit(
         &self,
@@ -291,7 +274,7 @@ impl AdmissionController {
         // 2. Queue budget: a backlog past the ceiling sheds everything below
         // the bypass priority, deadline or not.
         let budget_ns = self.config.queue_budget_ms as f64 * 1e6;
-        if budget_ns > 0.0 && est_wait_ns > budget_ns && priority < self.config.priority_bypass {
+        if budget_ns > 0.0 && est_wait_ns > budget_ns && priority < PRIORITY_BYPASS {
             let retry = retry_after_ms(est_wait_ns - budget_ns);
             // The shed request keeps its token: quota pays for *service*,
             // not for being told to come back later.
@@ -305,13 +288,8 @@ impl AdmissionController {
         }
 
         // 3. Deadline: shed when the estimated completion busts it.
-        let deadline = if deadline_ms > 0 {
-            deadline_ms
-        } else {
-            self.config.default_deadline_ms
-        };
-        if deadline > 0 {
-            let deadline_ns = deadline as f64 * 1e6;
+        if deadline_ms > 0 {
+            let deadline_ns = deadline_ms as f64 * 1e6;
             let est_completion_ns = est_wait_ns + est_service_ns;
             if est_completion_ns > deadline_ns {
                 let retry = retry_after_ms(est_completion_ns - deadline_ns);
@@ -515,27 +493,29 @@ mod tests {
 
     #[test]
     fn queue_budget_sheds_unless_priority_bypasses() {
-        let config = SloConfig::default().queue_budget_ms(2).priority_bypass(200);
+        let config = SloConfig::default().queue_budget_ms(2);
         let c = AdmissionController::new(config, 1).unwrap();
         let t = admit_ok(&c, 1, 100, 0);
         c.complete(t, MS); // 10_000 ns/tuple
                            // 3 admitted x 1 ms = 3 ms backlog > 2 ms budget.
         let _held: Vec<Ticket> = (0..3).map(|_| admit_ok(&c, 1, 100, MS)).collect();
-        match c.admit(1, 100, 0, 0, MS) {
-            Admission::Shed {
-                reason: ShedReason::QueueBudget,
-                retry_after_ms,
-            } => {
-                assert!(retry_after_ms >= 1);
+        for priority in [0, PRIORITY_BYPASS - 1] {
+            match c.admit(1, 100, 0, priority, MS) {
+                Admission::Shed {
+                    reason: ShedReason::QueueBudget,
+                    retry_after_ms,
+                } => {
+                    assert!(retry_after_ms >= 1);
+                }
+                other => panic!("expected queue-budget shed, got {other:?}"),
             }
-            other => panic!("expected queue-budget shed, got {other:?}"),
         }
-        // Priority 200 bypasses the budget.
-        match c.admit(1, 100, 0, 200, MS) {
+        // Priority u8::MAX bypasses the budget.
+        match c.admit(1, 100, 0, PRIORITY_BYPASS, MS) {
             Admission::Admit(t) => c.abandon(t),
             other => panic!("expected bypass admit, got {other:?}"),
         }
-        assert_eq!(c.stats().shed_queue_budget, 1);
+        assert_eq!(c.stats().shed_queue_budget, 2);
     }
 
     #[test]
@@ -544,12 +524,12 @@ mod tests {
         // deadline sheds burned tokens too, the second shed below would
         // come back as a quota shed instead — so three consecutive
         // deadline sheds prove the refund.
-        let config = SloConfig::default().quota(1.0, 2.0).default_deadline_ms(1);
+        let config = SloConfig::default().quota(1.0, 2.0);
         let c = AdmissionController::new(config, 1).unwrap();
         let t = admit_ok_deadline(&c, 1, 100, 1_000_000, 0);
-        c.complete(t, 100 * MS); // 1 ms/tuple -> the 1 ms default busts
+        c.complete(t, 100 * MS); // 1 ms/tuple -> a 1 ms deadline busts
         for _ in 0..3 {
-            match c.admit(1, 100, 0, 0, MS) {
+            match c.admit(1, 100, 1, 0, MS) {
                 Admission::Shed {
                     reason: ShedReason::Deadline,
                     ..

@@ -14,7 +14,7 @@
 //!    the simulated-time gap.
 
 use coupled_hashjoin::hj_core::adaptive::{AdaptiveConfig, SeriesKind};
-use coupled_hashjoin::hj_core::{compose_pipeline, Ratios, Tuning};
+use coupled_hashjoin::hj_core::Tuning;
 use coupled_hashjoin::prelude::*;
 use datagen::Relation;
 
@@ -397,34 +397,4 @@ fn degenerate_adaptive_knobs_are_rejected() {
     )
     .unwrap_err();
     assert!(matches!(err, JoinError::InvalidConfig(_)), "{err}");
-}
-
-#[test]
-fn adaptive_solver_composition_matches_the_core_pipeline_model() {
-    // The adaptive crate re-implements Eqs. 1–5 on plain f64 so it can sit
-    // below hj-core; the two compositions must agree exactly.
-    use coupled_hashjoin::hj_core::adaptive::solver::pipeline_elapsed_ns;
-    let mut rng = datagen::SmallRng::seed_from_u64(0xADA);
-    for _case in 0..200 {
-        let n = 3 + rng.random_index(2); // 3 or 4 steps
-        let cpu_ns: Vec<f64> = (0..n).map(|_| rng.random_unit() * 30.0).collect();
-        let gpu_ns: Vec<f64> = (0..n).map(|_| rng.random_unit() * 30.0).collect();
-        let ratios: Vec<f64> = (0..n).map(|_| rng.random_unit()).collect();
-        let items = 1_000_000.0;
-        let cpu: Vec<SimTime> = (0..n)
-            .map(|i| SimTime::from_ns(cpu_ns[i] * ratios[i] * items))
-            .collect();
-        let gpu: Vec<SimTime> = (0..n)
-            .map(|i| SimTime::from_ns(gpu_ns[i] * (1.0 - ratios[i]) * items))
-            .collect();
-        let core = compose_pipeline(&cpu, &gpu, &Ratios::new(ratios.clone()))
-            .elapsed
-            .as_ns();
-        let adaptive = pipeline_elapsed_ns(&cpu_ns, &gpu_ns, &ratios) * items;
-        let err = (core - adaptive).abs() / core.max(1.0);
-        assert!(
-            err < 1e-9,
-            "composition mismatch: core {core} vs adaptive {adaptive}"
-        );
-    }
 }
