@@ -17,8 +17,7 @@
 //! asserts result identity (ratios are placement hints there; the tuner
 //! only collects wall-clock telemetry).
 //!
-//! CI gating knobs (environment, hard parse errors like the throughput
-//! gate):
+//! CI gating knobs (environment; a malformed value is a hard error):
 //!
 //! * `HJ_ADAPTIVE_MIN_VS_BAD` — fail (exit 1) when adaptive-bad throughput
 //!   falls below this multiple of static-bad (CI sets 1.15);
@@ -206,9 +205,6 @@ pub fn adaptive(ctx: &mut ExpContext) {
         report.max_ratio_shift()
     );
 
-    // The native engine is the only one with a wall-clock registry worth
-    // keeping (the sim legs run on simulated time).
-    let registry_metrics = crate::common::registry_json(native.metrics_registry());
     let json = render_json(
         r.len(),
         s.len(),
@@ -216,7 +212,6 @@ pub fn adaptive(ctx: &mut ExpContext) {
         vs_bad,
         vs_oracle,
         native_report.samples,
-        &registry_metrics,
     );
     let path = "BENCH_adaptive.json";
     match std::fs::write(path, &json) {
@@ -265,7 +260,6 @@ pub fn adaptive(ctx: &mut ExpContext) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     build_tuples: usize,
     probe_tuples: usize,
@@ -273,7 +267,6 @@ fn render_json(
     vs_bad: f64,
     vs_oracle: f64,
     native_samples: u64,
-    registry_metrics: &str,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"benchmark\": \"adaptive-tuner-recovery\",\n");
@@ -282,7 +275,6 @@ fn render_json(
     out.push_str(&format!("  \"build_tuples\": {build_tuples},\n"));
     out.push_str(&format!("  \"probe_tuples\": {probe_tuples},\n"));
     out.push_str(&format!("  \"morsel_tuples\": {MORSEL_TUPLES},\n"));
-    out.push_str(&format!("  \"metrics\": {registry_metrics},\n"));
     out.push_str("  \"results\": [\n");
     for (i, leg) in legs.iter().enumerate() {
         out.push_str(&format!(
@@ -330,9 +322,8 @@ mod tests {
                 replans: 40,
             },
         ];
-        let json = render_json(1000, 4000, &legs, 4.15, 0.83, 128, "{\n  }");
+        let json = render_json(1000, 4000, &legs, 4.15, 0.83, 128);
         assert_eq!(json.matches("\"run\"").count(), 3);
-        assert!(json.contains("\"metrics\": {\n  },"));
         assert!(json.contains("\"adaptive_vs_static_bad\": 4.150"));
         assert!(json.contains("\"adaptive_vs_static_oracle\": 0.830"));
         assert!(json.contains("\"native_wall_samples\": 128"));

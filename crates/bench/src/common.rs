@@ -200,59 +200,6 @@ impl ExpContext {
     }
 }
 
-/// Renders a [`MetricsRegistry`] snapshot as one flat JSON object, the
-/// `"metrics"` block every `BENCH_*.json` payload embeds so a perf
-/// regression can be cross-read against the engine's own counters
-/// without re-running the experiment.
-///
-/// Counters and gauges appear as `"name": value` (labels folded into the
-/// key without quotes — `name{worker=0}` — so keys never need JSON
-/// escaping); histograms contribute `_count`, `_p50_ms` and `_p99_ms`
-/// entries.  The blob is indented to sit inside a top-level object.
-///
-/// [`MetricsRegistry`]: hj_metrics::MetricsRegistry
-pub fn registry_json(registry: &hj_metrics::MetricsRegistry) -> String {
-    use std::fmt::Write as _;
-    let mut entries: Vec<String> = Vec::new();
-    for sample in registry.snapshot() {
-        let mut key = sample.name.to_string();
-        if !sample.labels.is_empty() {
-            key.push('{');
-            for (i, (k, v)) in sample.labels.iter().enumerate() {
-                if i > 0 {
-                    key.push(',');
-                }
-                let _ = write!(key, "{k}={v}");
-            }
-            key.push('}');
-        }
-        match sample.value {
-            hj_metrics::MetricValue::Counter(v) | hj_metrics::MetricValue::Gauge(v) => {
-                entries.push(format!("\"{key}\": {v}"));
-            }
-            hj_metrics::MetricValue::Histogram(h) => {
-                entries.push(format!("\"{key}_count\": {}", h.count()));
-                entries.push(format!(
-                    "\"{key}_p50_ms\": {:.6}",
-                    h.quantile_ms(0.50).unwrap_or(0.0)
-                ));
-                entries.push(format!(
-                    "\"{key}_p99_ms\": {:.6}",
-                    h.quantile_ms(0.99).unwrap_or(0.0)
-                ));
-            }
-        }
-    }
-    let mut out = String::from("{\n");
-    for (i, entry) in entries.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(entry);
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  }");
-    out
-}
-
 /// Reads a CI gate floor from environment variable `name`: a finite,
 /// non-negative ratio, or `None` when unset.
 ///
@@ -310,29 +257,6 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(s1, s2);
         assert_eq!(r1.len(), PAPER_TUPLES / 4096);
-    }
-
-    #[test]
-    fn registry_json_is_flat_and_embedded_friendly() {
-        let registry = hj_metrics::MetricsRegistry::new();
-        registry.counter("bench_probe_total", "test counter").add(3);
-        let labelled = registry.counter_with(
-            "bench_labelled_total",
-            &[("worker", "0".to_string())],
-            "test labelled counter",
-        );
-        labelled.inc();
-        registry
-            .histogram("bench_probe_ns", "test histogram")
-            .record(1_000_000);
-        let json = registry_json(&registry);
-        assert!(json.starts_with("{\n") && json.ends_with('}'));
-        assert!(json.contains("\"bench_probe_total\": 3"));
-        assert!(json.contains("\"bench_labelled_total{worker=0}\": 1"));
-        assert!(json.contains("\"bench_probe_ns_count\": 1"));
-        assert!(json.contains("\"bench_probe_ns_p50_ms\": "));
-        // Embeddable: no trailing comma before the closing brace.
-        assert!(!json.contains(",\n  }"));
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! rows/series the paper reports and writes a CSV next to it under
 //! `results/`.
 //!
+//! Every number an experiment reports is simulated time or a count, so it
+//! repeats exactly from run to run.  Wall-clock performance (joins/s,
+//! spill, cache hits, open-loop tail latency over TCP) is measured by the
+//! `hjbench` package under `benchmark/`, and the behaviour behind it
+//! (concurrent sessions, typed sheds, spill hygiene, cache hits) is
+//! asserted by the integration tests under `tests/`.
+//!
 //! | Experiment | Paper reference | Module |
 //! |---|---|---|
 //! | `table1` | Table 1 (hardware configuration) | [`unitcosts`] |
@@ -18,11 +25,7 @@
 //! | `fig13`–`fig16`, `fig17_18` | Figures 13–18 (end-to-end comparison) | [`endtoend`] |
 //! | `fig19` | Figure 19 (out-of-core joins) | [`breakdown`] |
 //! | `fig20` | Figure 20 (latch micro-benchmark) | [`micro`] |
-//! | `throughput` | joins/sec under concurrent clients (not in the paper) | [`throughput`] |
 //! | `adaptive` | runtime tuner recovering from a bad prior (not in the paper) | [`adaptive`] |
-//! | `spill` | larger-than-memory joins under the memory governor (not in the paper) | [`spill`] |
-//! | `serving` | open-loop tail latency of the TCP serving layer (not in the paper) | [`serving`] |
-//! | `cached` | build-side hash-table cache, cold vs probe-only hot path (not in the paper) | [`cached`] |
 //!
 //! The global `HJ_SCALE` environment variable divides every cardinality
 //! (default 32, i.e. 512 K instead of 16 M tuples) so the whole suite runs in
@@ -33,14 +36,10 @@
 
 pub mod adaptive;
 pub mod breakdown;
-pub mod cached;
 pub mod common;
 pub mod endtoend;
 pub mod micro;
 pub mod model_eval;
-pub mod serving;
-pub mod spill;
-pub mod throughput;
 pub mod tradeoffs;
 pub mod unitcosts;
 
@@ -155,31 +154,9 @@ pub fn registry() -> Vec<Experiment> {
             run: micro::fig20,
         },
         Experiment {
-            name: "throughput",
-            description: "BENCH_throughput: joins/sec of one shared engine at 1/4/8 clients",
-            run: throughput::throughput,
-        },
-        Experiment {
             name: "adaptive",
             description: "BENCH_adaptive: runtime tuner recovery from a mis-calibrated prior",
             run: adaptive::adaptive,
-        },
-        Experiment {
-            name: "spill",
-            description: "BENCH_spill: larger-than-memory joins under the memory governor",
-            run: spill::spill,
-        },
-        Experiment {
-            name: "serving",
-            description: "BENCH_serving: open-loop tail latency of the TCP serving layer \
-                          at 0.5/0.9/1.2x saturation",
-            run: serving::serving,
-        },
-        Experiment {
-            name: "cached",
-            description: "BENCH_cached: hash-table cache, rebuild-per-request vs probe-only \
-                          hot path (in-process and over TCP)",
-            run: cached::cached,
         },
     ]
 }
@@ -192,30 +169,9 @@ mod tests {
     fn registry_covers_every_table_and_figure() {
         let names: Vec<_> = registry().iter().map(|e| e.name).collect();
         for expected in [
-            "table1",
-            "fig03",
-            "fig04",
-            "fig05",
-            "fig06",
-            "fig07",
-            "fig08",
-            "fig09",
-            "fig10",
-            "fig11",
-            "fig12",
-            "table3",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "fig17_18",
-            "fig19",
-            "fig20",
-            "throughput",
-            "adaptive",
-            "spill",
-            "serving",
-            "cached",
+            "table1", "fig03", "fig04", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10",
+            "fig11", "fig12", "table3", "fig13", "fig14", "fig15", "fig16", "fig17_18", "fig19",
+            "fig20", "adaptive",
         ] {
             assert!(names.contains(&expected), "missing experiment {expected}");
         }

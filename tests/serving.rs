@@ -1,6 +1,7 @@
 //! Serving-layer integration tests (run in release mode by CI): wire
 //! results byte-identical to in-process submission, protocol robustness
-//! against malformed frames, typed overload shedding, small count-only
+//! against malformed frames, typed overload shedding (queue budget
+//! included), p99 below saturation (release builds), small count-only
 //! traffic on the direct path and graceful shutdown.
 
 use coupled_hashjoin::hj_core::server::{
@@ -14,7 +15,7 @@ use datagen::Relation;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_pair(n: usize) -> (Relation, Relation) {
     datagen::generate_pair(&DataGenConfig::small(n, 2 * n))
@@ -477,7 +478,7 @@ struct GatedSim {
 }
 
 impl GatedSim {
-    fn pair(sessions: usize) -> (Arc<(Mutex<bool>, Condvar)>, JoinEngine) {
+    fn pair(sessions: usize, queue_depth: usize) -> (Arc<(Mutex<bool>, Condvar)>, JoinEngine) {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let engine = JoinEngine::new(
             Box::new(GatedSim {
@@ -486,7 +487,7 @@ impl GatedSim {
             }),
             EngineConfig::for_tuples(1_024, 2_048)
                 .sessions(sessions)
-                .queue_depth(0),
+                .queue_depth(queue_depth),
         )
         .unwrap();
         (gate, engine)
@@ -495,6 +496,15 @@ impl GatedSim {
     fn open(gate: &Arc<(Mutex<bool>, Condvar)>) {
         *gate.0.lock().unwrap() = true;
         gate.1.notify_all();
+    }
+}
+
+/// Opens a [`GatedSim`] gate when dropped.
+struct OpenOnDrop(Arc<(Mutex<bool>, Condvar)>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        GatedSim::open(&self.0);
     }
 }
 
@@ -525,7 +535,7 @@ impl ExecBackend for GatedSim {
 
 #[test]
 fn engine_saturation_is_a_typed_overloaded_reply() {
-    let (gate, engine) = GatedSim::pair(1);
+    let (gate, engine) = GatedSim::pair(1, 0);
     let server = start_server(engine, ServerConfig::default());
     let (r, s) = test_pair(200);
 
@@ -620,6 +630,179 @@ fn unmeetable_deadlines_are_shed_not_timed_out() {
     // service time replaces the lying prior).
     assert!(client.join(RequestBuilder::new(r, s).build()).is_ok());
     assert_eq!(server.stats().shed_deadline, 1);
+}
+
+/// Sends `CLIENTS` requests, one per connection, while a gate holds every
+/// session of a 2-session engine, against a 10 ms queue budget and a prior
+/// of 10 µs per tuple: each 600-tuple request is charged 6 ms, so the
+/// estimated wait (backlog / 2 sessions) crosses the budget after the
+/// fourth admission and every later arrival must be shed with
+/// `QueueBudget` — no engine queue fills, and no client waits for a
+/// timeout.  Returns the served and shed counts after the gate opens.
+fn queue_budget_burst(trace: bool) -> (u64, u64) {
+    const CLIENTS: usize = 8;
+    const SESSIONS: usize = 2;
+    // Admitted while backlog / SESSIONS <= budget: 0, 6, 12, 18 ms.
+    const ADMITTED: usize = 4;
+    let (gate, engine) = GatedSim::pair(SESSIONS, CLIENTS);
+    let server = start_server(
+        engine,
+        ServerConfig::default().slo(
+            SloConfig::default()
+                .prior_ns_per_tuple(1e4)
+                .queue_budget_ms(10),
+        ),
+    );
+    // Dropped before the server: a failed assertion must not leave the
+    // server's shutdown waiting on sessions the gate still holds.
+    let _open_on_exit = OpenOnDrop(Arc::clone(&gate));
+    let addr = server.local_addr();
+    let (r, s) = test_pair(200);
+
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let (r, s) = (r.clone(), s.clone());
+            std::thread::spawn(move || {
+                let mut client =
+                    JoinClient::connect_timeout(addr, Duration::from_secs(30)).unwrap();
+                client.join(RequestBuilder::new(r, s).trace(trace).build())
+            })
+        })
+        .collect();
+
+    // Every request is decided while the gate is closed: shed, or holding
+    // a session, or waiting in the engine queue.
+    let decided = || {
+        let load = server.engine().load();
+        server.stats().requests_shed as usize + load.in_flight + load.queued
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while decided() < CLIENTS {
+        assert!(
+            Instant::now() < deadline,
+            "only {} of {CLIENTS} requests were decided",
+            decided()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let load = server.engine().load();
+    assert_eq!(
+        (load.in_flight, load.queued),
+        (SESSIONS, ADMITTED - SESSIONS)
+    );
+
+    GatedSim::open(&gate);
+    let (mut served, mut shed) = (0u64, 0u64);
+    for handle in clients {
+        match handle.join().unwrap() {
+            Ok(outcome) => {
+                assert_eq!(outcome.trace.is_some(), trace, "the trace is opt-in");
+                served += 1;
+            }
+            Err(ClientError::Overloaded {
+                reason: ShedReason::QueueBudget,
+                retry_after_ms,
+                ..
+            }) => {
+                assert!(retry_after_ms >= 1);
+                shed += 1;
+            }
+            Err(other) => panic!("expected a reply or a queue-budget shed, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        served + shed,
+        CLIENTS as u64,
+        "every request is accounted for"
+    );
+    assert_eq!(served, ADMITTED as u64);
+
+    let stats = server.stats();
+    assert_eq!(stats.requests_served, served, "{stats:?}");
+    assert_eq!(stats.shed_queue_budget, shed, "{stats:?}");
+    assert_eq!(stats.requests_shed, shed, "no other shed reason: {stats:?}");
+    assert_eq!(stats.requests_failed, 0, "{stats:?}");
+    assert_eq!(stats.protocol_errors, 0, "{stats:?}");
+    let metrics = server.engine().render_metrics();
+    let row = format!("hj_server_sheds_total{{reason=\"queue-budget\"}} {shed}\n");
+    assert!(metrics.contains(&row), "missing {row:?} in:\n{metrics}");
+    assert_eq!(server.engine().load().in_flight, 0);
+    (served, shed)
+}
+
+/// Overload past the queue budget is shed over the wire, typed and
+/// accounted, never a client timeout; a traced burst sheds exactly what
+/// an untraced one does.
+#[test]
+fn queue_budget_overload_is_shed_over_the_wire() {
+    let untraced = queue_budget_burst(false);
+    assert!(untraced.1 >= 1, "the burst must cross the queue budget");
+    assert_eq!(
+        queue_budget_burst(true),
+        untraced,
+        "tracing must add no sheds"
+    );
+}
+
+/// Paced requests well below saturation keep their p99 latency, charged
+/// from each request's due time, under 500 ms (release builds only: a
+/// timing bound far wider than its spread — 1.3–10.6 ms over seven runs
+/// on a 2-vCPU host).  Two clients each send an 8 Ki ⨝ 16 Ki join every
+/// 5 ms to a 4-session native engine.
+#[cfg(not(debug_assertions))]
+#[test]
+fn paced_requests_below_saturation_keep_p99_under_500_ms() {
+    const MAX_P99_MS: f64 = 500.0;
+    const CLIENTS: usize = 2;
+    const REQUESTS: u32 = 50;
+    const INTERVAL: Duration = Duration::from_millis(5);
+    let (r, s) = test_pair(8 * 1024);
+    let server = start_server(
+        JoinEngine::native(
+            EngineConfig::for_tuples(r.len(), s.len())
+                .sessions(4)
+                .queue_depth(256),
+        )
+        .unwrap(),
+        ServerConfig::default().slo(SloConfig::default().queue_budget_ms(100)),
+    );
+    let addr = server.local_addr();
+    let mut latencies_ms: Vec<f64> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client =
+                        JoinClient::connect_timeout(addr, Duration::from_secs(30)).unwrap();
+                    let start = Instant::now();
+                    (0..REQUESTS)
+                        .map(|i| {
+                            let due = start + INTERVAL * i;
+                            if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                                std::thread::sleep(wait);
+                            }
+                            client
+                                .join(RequestBuilder::new(r.clone(), s.clone()).build())
+                                .unwrap();
+                            due.elapsed().as_secs_f64() * 1e3
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|client| client.join().unwrap())
+            .collect()
+    });
+    assert_eq!(
+        server.stats().requests_served,
+        CLIENTS as u64 * u64::from(REQUESTS)
+    );
+    let p99 = exact_quantile(&mut latencies_ms, 0.99).unwrap();
+    assert!(
+        p99 <= MAX_P99_MS,
+        "p99 {p99:.2} ms below saturation, above {MAX_P99_MS} ms"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -766,7 +949,7 @@ fn unknown_table_is_a_typed_error_and_the_connection_survives() {
 
 #[test]
 fn shutdown_drains_in_flight_rejects_new_and_joins_all_threads() {
-    let (gate, engine) = GatedSim::pair(1);
+    let (gate, engine) = GatedSim::pair(1, 0);
     let mut server = start_server(engine, ServerConfig::default());
     let addr = server.local_addr();
     let (r, s) = test_pair(200);
