@@ -78,7 +78,7 @@ impl EwmaEstimator {
     }
 
     /// True once at least one real observation arrived.
-    pub fn sampled(&self) -> bool {
+    pub(crate) fn sampled(&self) -> bool {
         self.samples > 0
     }
 

@@ -181,12 +181,6 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Sets the exploration share forced onto unsampled lanes.
-    pub fn with_explore_share(mut self, share: f64) -> Self {
-        self.explore_share = share;
-        self
-    }
-
     /// Seeds the estimators with a calibrated unit-cost prior.
     pub fn with_prior(mut self, prior: JoinPrior) -> Self {
         self.prior = Some(prior);
@@ -260,10 +254,12 @@ mod tests {
             .with_delta(0.0)
             .validate()
             .is_err());
-        assert!(AdaptiveConfig::default()
-            .with_explore_share(0.75)
-            .validate()
-            .is_err());
+        assert!(AdaptiveConfig {
+            explore_share: 0.75,
+            ..AdaptiveConfig::default()
+        }
+        .validate()
+        .is_err());
         assert!(AdaptiveConfig::default()
             .with_ewma_alpha(f64::NAN)
             .validate()

@@ -7,8 +7,8 @@
 //! `f64` nanoseconds so it can sit below `hj-core` in the dependency graph:
 //!
 //! * [`compose_steps`] — the composition.  `hj_core::compose_pipeline`
-//!   wraps it in `SimTime` for simulated phases and for `costmodel`'s
-//!   estimates; [`solve_ratios`] calls it per tuple.
+//!   wraps it in `SimTime` for simulated phases, `costmodel`'s estimates
+//!   feed it step by step, and [`solve_ratios`] calls it per tuple.
 //! * [`search_ratios`] — a full grid over coarse levels seeding per-step
 //!   coordinate descent at δ.  `costmodel::optimizer::optimize_pl_ratios`
 //!   runs it on 11 coarse levels, [`solve_ratios`] on 5.

@@ -268,7 +268,7 @@ impl RatioTuner {
 
     /// The current per-step `(CPU, GPU)` unit-cost estimates of one series
     /// (ns per tuple; `None` while a lane is neither seeded nor sampled).
-    pub fn estimates_ns(&self, kind: SeriesKind) -> Vec<(Option<f64>, Option<f64>)> {
+    pub(crate) fn estimates_ns(&self, kind: SeriesKind) -> Vec<(Option<f64>, Option<f64>)> {
         let state = &self.series[kind.index()];
         (0..state.current.len())
             .map(|i| (state.cpu[i].estimate_ns(), state.gpu[i].estimate_ns()))
@@ -367,7 +367,10 @@ mod tests {
 
     #[test]
     fn fully_sampled_series_converges_to_the_solver_optimum() {
-        let mut t = tuner(AdaptiveConfig::default().with_explore_share(0.0));
+        let mut t = tuner(AdaptiveConfig {
+            explore_share: 0.0,
+            ..AdaptiveConfig::default()
+        });
         // Feed the Figure-4 build costs on both lanes of every step.
         let cpu = [22.0, 5.0, 10.0, 6.0];
         let gpu = [1.5, 4.0, 9.0, 5.0];

@@ -82,23 +82,6 @@ impl<T: ?Sized> Mutex<T> {
         }
     }
 
-    /// Acquires the lock only if it is free right now.
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let site = Location::caller();
-        match self.inner.try_lock() {
-            Ok(inner) => Some(MutexGuard {
-                inner,
-                tracked: Tracked::acquire(self.class, site),
-            }),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => Some(MutexGuard {
-                inner: poisoned.into_inner(),
-                tracked: Tracked::acquire(self.class, site),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Mutable access through exclusive ownership — no locking needed.
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
@@ -342,14 +325,10 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_contends_and_get_mut_bypasses() {
-        let mut m = Mutex::new("test.try", vec![1, 2]);
+    fn get_mut_bypasses_the_lock() {
+        let mut m = Mutex::new("test.get_mut", vec![1, 2]);
         m.get_mut().push(3);
-        let guard = m.lock();
-        // Same thread, lock already held: try_lock must not succeed.
-        assert!(m.try_lock().is_none());
-        drop(guard);
-        assert_eq!(m.try_lock().map(|g| g.len()), Some(3));
+        assert_eq!(m.lock().len(), 3);
     }
 
     #[test]

@@ -54,12 +54,6 @@ impl SimTime {
         self.0
     }
 
-    /// The duration in microseconds.
-    #[inline]
-    pub fn as_us(self) -> f64 {
-        self.0 / 1e3
-    }
-
     /// The duration in milliseconds.
     #[inline]
     pub fn as_ms(self) -> f64 {
@@ -373,7 +367,6 @@ mod tests {
     fn simtime_conversions_round_trip() {
         let t = SimTime::from_secs(1.5);
         assert!((t.as_ms() - 1500.0).abs() < 1e-9);
-        assert!((t.as_us() - 1_500_000.0).abs() < 1e-6);
         assert!((t.as_ns() - 1.5e9).abs() < 1e-3);
         assert!((SimTime::from_ms(2.0).as_secs() - 0.002).abs() < 1e-12);
         assert!((SimTime::from_us(3.0).as_ns() - 3000.0).abs() < 1e-9);

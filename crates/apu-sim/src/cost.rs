@@ -42,7 +42,7 @@ pub struct StepCost {
 
 impl StepCost {
     /// An empty cost profile.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Self::default()
     }
 
@@ -88,15 +88,6 @@ impl StepCost {
             local_atomics: self.local_atomics * factor,
             total_work: self.total_work * factor,
             lockstep_work: self.lockstep_work * factor,
-        }
-    }
-
-    /// Average instructions per item (0 when empty).
-    pub fn instructions_per_item(&self) -> f64 {
-        if self.items == 0 {
-            0.0
-        } else {
-            self.instructions / self.items as f64
         }
     }
 }
@@ -282,13 +273,6 @@ impl MemContext {
         }
     }
 
-    /// A context where every random access hits the cache.
-    pub fn fully_cached() -> Self {
-        MemContext {
-            random_hit_rate: 1.0,
-        }
-    }
-
     /// A context with the given hit rate (clamped to `[0, 1]`).
     pub fn with_hit_rate(rate: f64) -> Self {
         MemContext {
@@ -322,13 +306,6 @@ impl KernelTime {
     pub fn total(&self) -> SimTime {
         self.compute + self.memory + self.atomic
     }
-
-    /// Total excluding the atomic/latch term — this is what the paper's cost
-    /// model predicts, since it deliberately omits lock contention
-    /// (Section 5.3).
-    pub fn total_without_atomics(&self) -> SimTime {
-        self.compute + self.memory
-    }
 }
 
 #[cfg(test)]
@@ -358,7 +335,6 @@ mod tests {
         assert_eq!(c.serial_atomics, 10.0);
         assert_eq!(c.parallel_atomics, 20.0);
         assert_eq!(c.local_atomics, 30.0);
-        assert_eq!(c.instructions_per_item(), 5.0);
     }
 
     #[test]
@@ -465,7 +441,6 @@ mod tests {
             divergence_overhead: SimTime::from_ns(1.0),
         };
         assert_eq!(kt.total().as_ns(), 17.0);
-        assert_eq!(kt.total_without_atomics().as_ns(), 15.0);
     }
 
     #[test]

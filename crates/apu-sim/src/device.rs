@@ -31,9 +31,6 @@ impl DeviceKind {
             DeviceKind::Gpu => "GPU",
         }
     }
-
-    /// The two kinds in presentation order.
-    pub const BOTH: [DeviceKind; 2] = [DeviceKind::Cpu, DeviceKind::Gpu];
 }
 
 impl std::fmt::Display for DeviceKind {
@@ -256,11 +253,6 @@ impl Device {
             divergence_overhead: SimTime::from_ns(divergence_overhead_ns.max(0.0)),
         }
     }
-
-    /// Convenience: total elapsed time of [`Self::kernel_time`].
-    pub fn kernel_elapsed(&self, cost: &StepCost, mem: &MemContext) -> SimTime {
-        self.kernel_time(cost, mem).total()
-    }
 }
 
 #[cfg(test)]
@@ -296,10 +288,12 @@ mod tests {
         let gpu = Device::new(DeviceSpec::a8_3870k_gpu());
         let mem = MemContext::uncached();
         let t_cpu = cpu
-            .kernel_elapsed(&pure_compute_cost(1_000_000, 200.0, 1), &mem)
+            .kernel_time(&pure_compute_cost(1_000_000, 200.0, 1), &mem)
+            .total()
             .as_ns();
         let t_gpu = gpu
-            .kernel_elapsed(&pure_compute_cost(1_000_000, 200.0, 64), &mem)
+            .kernel_time(&pure_compute_cost(1_000_000, 200.0, 64), &mem)
+            .total()
             .as_ns();
         let speedup = t_cpu / t_gpu;
         assert!(
@@ -331,8 +325,8 @@ mod tests {
             }
             rec.finish()
         };
-        let t_cpu = cpu.kernel_elapsed(&cost_cpu, &mem).as_ns();
-        let t_gpu = gpu.kernel_elapsed(&cost_gpu, &mem).as_ns();
+        let t_cpu = cpu.kernel_time(&cost_cpu, &mem).total().as_ns();
+        let t_gpu = gpu.kernel_time(&cost_gpu, &mem).total().as_ns();
         let ratio = t_cpu / t_gpu;
         assert!(
             (0.4..=2.5).contains(&ratio),
@@ -349,8 +343,10 @@ mod tests {
             rec.random_read(1.0);
         }
         let cost = rec.finish();
-        let hot = cpu.kernel_elapsed(&cost, &MemContext::fully_cached());
-        let cold = cpu.kernel_elapsed(&cost, &MemContext::uncached());
+        let hot = cpu
+            .kernel_time(&cost, &MemContext::with_hit_rate(1.0))
+            .total();
+        let cold = cpu.kernel_time(&cost, &MemContext::uncached()).total();
         assert!(hot < cold);
     }
 

@@ -106,7 +106,7 @@ impl LatchModel {
     }
 
     /// Average number of threads contending for the same latch.
-    pub fn contention(&self, workload: &AtomicWorkload) -> f64 {
+    pub(crate) fn contention(&self, workload: &AtomicWorkload) -> f64 {
         let uniform_targets = workload.array_len as f64;
         let hot_targets = self.hot_set_len(workload);
         let threads = workload.threads as f64;

@@ -37,7 +37,7 @@ pub mod clock;
 pub mod cost;
 pub mod device;
 pub mod executor;
-pub mod pcie;
+pub(crate) mod pcie;
 pub mod topology;
 
 pub use cache::{AnalyticCache, CacheSim, CacheStats};

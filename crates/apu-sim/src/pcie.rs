@@ -3,9 +3,8 @@
 //! The paper compares the coupled APU against a *discrete* CPU-GPU system by
 //! emulating the PCI-e bus with a delay of `latency + size / bandwidth`
 //! (Section 5.1), using `latency = 0.015 ms` and `bandwidth = 3 GB/s`.
-//! [`PcieSpec`] reproduces exactly that model and keeps running transfer
-//! statistics so experiments can report the 4–10 % transfer share found in
-//! Figure 3.
+//! [`PcieSpec`] reproduces exactly that model; the discrete schemes charge
+//! it per transfer, which gives the 4–10 % transfer share of Figure 3.
 
 use crate::SimTime;
 
@@ -20,18 +19,10 @@ pub struct PcieSpec {
 
 impl PcieSpec {
     /// The bus emulated in the paper: 0.015 ms latency, 3 GB/s bandwidth.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         PcieSpec {
             latency_ms: 0.015,
             bandwidth_gbps: 3.0,
-        }
-    }
-
-    /// A PCI-e 3.0 x16 class link, for sensitivity studies.
-    pub fn pcie3_x16() -> Self {
-        PcieSpec {
-            latency_ms: 0.010,
-            bandwidth_gbps: 12.0,
         }
     }
 
@@ -41,39 +32,6 @@ impl PcieSpec {
         // bandwidth in GB/s == bytes per nanosecond.
         let payload = SimTime::from_ns(bytes as f64 / self.bandwidth_gbps);
         latency + payload
-    }
-
-    /// Delay of `count` transfers totalling `bytes` bytes (each transfer pays
-    /// the latency once).
-    pub fn transfers_time(&self, count: u64, bytes: u64) -> SimTime {
-        if count == 0 {
-            return SimTime::ZERO;
-        }
-        SimTime::from_ms(self.latency_ms) * count as f64
-            + SimTime::from_ns(bytes as f64 / self.bandwidth_gbps)
-    }
-}
-
-/// Running totals of PCI-e traffic, useful for reporting the transfer share
-/// of the total execution time.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PcieTraffic {
-    /// Number of individual transfers performed.
-    pub transfers: u64,
-    /// Total bytes moved across the bus.
-    pub bytes: u64,
-    /// Accumulated bus time.
-    pub time: SimTime,
-}
-
-impl PcieTraffic {
-    /// Records a transfer of `bytes` bytes over `spec`, returning its delay.
-    pub fn record(&mut self, spec: &PcieSpec, bytes: u64) -> SimTime {
-        let t = spec.transfer_time(bytes);
-        self.transfers += 1;
-        self.bytes += bytes;
-        self.time += t;
-        t
     }
 }
 
@@ -102,35 +60,5 @@ mod tests {
     fn zero_bytes_still_pays_latency() {
         let p = PcieSpec::paper_default();
         assert!((p.transfer_time(0).as_ms() - 0.015).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batched_transfers_pay_latency_per_transfer() {
-        let p = PcieSpec::paper_default();
-        let one = p.transfer_time(1_000_000);
-        let four_split = p.transfers_time(4, 4_000_000);
-        let four_merged = p.transfer_time(4_000_000);
-        assert!(four_split > four_merged);
-        assert!(four_split.as_ns() > one.as_ns());
-        assert_eq!(p.transfers_time(0, 0), SimTime::ZERO);
-    }
-
-    #[test]
-    fn traffic_accumulates() {
-        let p = PcieSpec::paper_default();
-        let mut traffic = PcieTraffic::default();
-        traffic.record(&p, 1024);
-        traffic.record(&p, 2048);
-        assert_eq!(traffic.transfers, 2);
-        assert_eq!(traffic.bytes, 3072);
-        assert!(traffic.time > SimTime::ZERO);
-    }
-
-    #[test]
-    fn faster_link_is_faster() {
-        let slow = PcieSpec::paper_default();
-        let fast = PcieSpec::pcie3_x16();
-        let bytes = 64 * 1024 * 1024;
-        assert!(fast.transfer_time(bytes) < slow.transfer_time(bytes));
     }
 }

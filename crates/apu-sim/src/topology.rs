@@ -77,20 +77,6 @@ impl SystemSpec {
         }
     }
 
-    /// A discrete system with the high-end Radeon HD 7970 from Table 1, for
-    /// sensitivity studies beyond the paper's main experiments.
-    pub fn discrete_hd7970() -> Self {
-        SystemSpec {
-            cpu: DeviceSpec::a8_3870k_cpu(),
-            gpu: DeviceSpec::radeon_hd7970(),
-            topology: Topology::Discrete {
-                pcie: PcieSpec::paper_default(),
-                cpu_cache_bytes: 4 * 1024 * 1024,
-                gpu_cache_bytes: 768 * 1024,
-            },
-        }
-    }
-
     /// True when the topology is discrete (PCI-e attached).
     pub fn is_discrete(&self) -> bool {
         matches!(self.topology, Topology::Discrete { .. })
@@ -124,12 +110,6 @@ impl SystemSpec {
         }
     }
 
-    /// Whether the two devices share a cache (enables cache reuse between
-    /// build and probe portions processed on different devices).
-    pub fn shares_cache(&self) -> bool {
-        matches!(self.topology, Topology::Coupled { .. })
-    }
-
     /// The zero-copy buffer capacity, if the topology has one.
     pub fn zero_copy_bytes(&self) -> Option<usize> {
         match &self.topology {
@@ -150,14 +130,6 @@ impl SystemSpec {
             Topology::Discrete { pcie, .. } => pcie.transfer_time(bytes),
         }
     }
-
-    /// The PCI-e model if the topology is discrete.
-    pub fn pcie(&self) -> Option<&PcieSpec> {
-        match &self.topology {
-            Topology::Discrete { pcie, .. } => Some(pcie),
-            Topology::Coupled { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +140,6 @@ mod tests {
     fn coupled_preset_matches_table1() {
         let sys = SystemSpec::coupled_a8_3870k();
         assert!(!sys.is_discrete());
-        assert!(sys.shares_cache());
         assert_eq!(sys.zero_copy_bytes(), Some(512 * 1024 * 1024));
         assert_eq!(sys.cache_bytes_for(DeviceKind::Cpu), 4 * 1024 * 1024);
         assert_eq!(
@@ -176,19 +147,16 @@ mod tests {
             sys.cache_bytes_for(DeviceKind::Gpu)
         );
         assert_eq!(sys.transfer_time(1 << 20), SimTime::ZERO);
-        assert!(sys.pcie().is_none());
     }
 
     #[test]
     fn discrete_preset_pays_for_transfers() {
         let sys = SystemSpec::discrete_emulated();
         assert!(sys.is_discrete());
-        assert!(!sys.shares_cache());
         assert_eq!(sys.zero_copy_bytes(), None);
         let t = sys.transfer_time(3_000_000_000);
         // 3 GB over 3 GB/s = 1 s plus latency.
         assert!(t.as_secs() > 1.0 && t.as_secs() < 1.01);
-        assert!(sys.pcie().is_some());
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn ratio_row(label: &str, ratios: &[f64]) -> String {
 
 /// `adaptive`: runtime ratio re-planning recovering from a mis-calibrated
 /// prior on a Zipf-skewed workload.
-pub fn adaptive(ctx: &mut ExpContext) {
+pub(crate) fn adaptive(ctx: &mut ExpContext) {
     banner("BENCH_adaptive: tuner recovery from a mis-calibrated cost model");
     let sys = ctx.coupled();
     let (r, s) = ctx.relations(

@@ -28,7 +28,7 @@ fn breakdown_row(label: &str, arch: &str, out: &JoinOutcome) -> (String, String)
 
 /// Figure 3: time breakdown of SHJ-DD / SHJ-OL / PHJ-DD / PHJ-OL on the
 /// emulated discrete architecture and on the coupled architecture.
-pub fn fig03(ctx: &mut ExpContext) {
+pub(crate) fn fig03(ctx: &mut ExpContext) {
     banner("Figure 3: time breakdown on discrete and coupled architectures");
     let (build, probe) = ctx.default_relations();
     // The workload ratios the paper reports for the discrete architecture.
@@ -62,7 +62,7 @@ pub fn fig03(ctx: &mut ExpContext) {
 
 /// Figure 15: PHJ time breakdown with join selectivity 12.5 %, 50 % and
 /// 100 % for DD, OL and PL.
-pub fn fig15(ctx: &mut ExpContext) {
+pub(crate) fn fig15(ctx: &mut ExpContext) {
     banner("Figure 15: PHJ with join selectivity varied");
     let sys = ctx.coupled();
     let mut rows = Vec::new();
@@ -109,7 +109,7 @@ pub fn fig15(ctx: &mut ExpContext) {
 /// Figure 19: joins on data sets larger than the zero-copy buffer
 /// (16 M – 128 M tuples per relation at paper scale), SHJ-PL vs PHJ-PL on
 /// each partition pair.
-pub fn fig19(ctx: &mut ExpContext) {
+pub(crate) fn fig19(ctx: &mut ExpContext) {
     banner("Figure 19: large data sets beyond the zero-copy buffer (|R| = |S|)");
     // Shrink the zero-copy buffer with the scale so the spill behaviour is
     // identical to the paper's at any HJ_SCALE.

@@ -10,7 +10,7 @@ use std::io::Write;
 use std::path::PathBuf;
 
 /// The paper's default cardinality (16 M tuples per relation).
-pub const PAPER_TUPLES: usize = 16 * 1024 * 1024;
+pub(crate) const PAPER_TUPLES: usize = 16 * 1024 * 1024;
 
 /// Reads the global scale divisor from `HJ_SCALE` (default 32).
 ///
@@ -42,7 +42,7 @@ pub struct ExpContext {
 
 impl ExpContext {
     /// Creates a context with the given scale, writing CSVs to `out_dir`.
-    pub fn new(scale: usize, out_dir: impl Into<PathBuf>) -> Self {
+    pub(crate) fn new(scale: usize, out_dir: impl Into<PathBuf>) -> Self {
         let out_dir = out_dir.into();
         let _ = fs::create_dir_all(&out_dir);
         ExpContext {
@@ -60,23 +60,23 @@ impl ExpContext {
     }
 
     /// The scaled equivalent of a paper-sized cardinality.
-    pub fn scaled(&self, paper_tuples: usize) -> usize {
+    pub(crate) fn scaled(&self, paper_tuples: usize) -> usize {
         (paper_tuples / self.scale).max(1)
     }
 
     /// The coupled APU system under test.
-    pub fn coupled(&self) -> SystemSpec {
+    pub(crate) fn coupled(&self) -> SystemSpec {
         SystemSpec::coupled_a8_3870k()
     }
 
     /// The emulated discrete system under test.
-    pub fn discrete(&self) -> SystemSpec {
+    pub(crate) fn discrete(&self) -> SystemSpec {
         SystemSpec::discrete_emulated()
     }
 
     /// Generates (and caches) a relation pair with the given *paper-scale*
     /// cardinalities, distribution and selectivity.
-    pub fn relations(
+    pub(crate) fn relations(
         &mut self,
         paper_build: usize,
         paper_probe: usize,
@@ -107,7 +107,7 @@ impl ExpContext {
 
     /// The paper's default workload (16 M ⨝ 16 M uniform, selectivity 1),
     /// scaled.
-    pub fn default_relations(&mut self) -> (Relation, Relation) {
+    pub(crate) fn default_relations(&mut self) -> (Relation, Relation) {
         self.relations(PAPER_TUPLES, PAPER_TUPLES, KeyDistribution::Uniform, 1.0)
     }
 
@@ -116,7 +116,7 @@ impl ExpContext {
     /// # Panics
     /// Panics on an invalid configuration or a failed execution — an
     /// experiment harness has no meaningful recovery.
-    pub fn run_join(
+    pub(crate) fn run_join(
         &mut self,
         sys: &SystemSpec,
         cfg: &JoinConfig,
@@ -133,7 +133,7 @@ impl ExpContext {
     ///
     /// # Panics
     /// Panics on an invalid configuration or a failed execution.
-    pub fn run_out_of_core(
+    pub(crate) fn run_out_of_core(
         &mut self,
         sys: &SystemSpec,
         cfg: &JoinConfig,
@@ -184,7 +184,7 @@ impl ExpContext {
 
     /// Writes `rows` as a CSV file named `name` (header first), returning
     /// the path.
-    pub fn write_csv(&self, name: &str, header: &str, rows: &[String]) -> PathBuf {
+    pub(crate) fn write_csv(&self, name: &str, header: &str, rows: &[String]) -> PathBuf {
         let path = self.out_dir.join(name);
         let mut content = String::with_capacity(rows.len() * 32 + header.len() + 1);
         content.push_str(header);
@@ -206,7 +206,7 @@ impl ExpContext {
 /// Malformed values are a hard error rather than a silent fallback: these
 /// knobs drive CI regression gates, and a typo that quietly disabled one
 /// would neutralise the gate with exit code 0.
-pub fn env_ratio_floor(name: &str) -> Option<f64> {
+pub(crate) fn env_ratio_floor(name: &str) -> Option<f64> {
     let raw = std::env::var(name).ok()?;
     let floor: f64 = raw
         .parse()
@@ -219,13 +219,13 @@ pub fn env_ratio_floor(name: &str) -> Option<f64> {
 }
 
 /// Prints a section header for an experiment.
-pub fn banner(title: &str) {
+pub(crate) fn banner(title: &str) {
     println!();
     println!("==== {title} ====");
 }
 
 /// Formats seconds with three decimals, the precision the paper's plots use.
-pub fn secs(t: apu_sim::SimTime) -> String {
+pub(crate) fn secs(t: apu_sim::SimTime) -> String {
     format!("{:.3}", t.as_secs())
 }
 

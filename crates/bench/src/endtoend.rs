@@ -84,7 +84,7 @@ fn format_size(n: usize) -> String {
 }
 
 /// Figure 13: elapsed time vs build-relation size on the uniform data set.
-pub fn fig13(ctx: &mut ExpContext) {
+pub(crate) fn fig13(ctx: &mut ExpContext) {
     size_sweep(
         ctx,
         KeyDistribution::Uniform,
@@ -94,7 +94,7 @@ pub fn fig13(ctx: &mut ExpContext) {
 }
 
 /// Figure 14: elapsed time vs build-relation size on the high-skew data set.
-pub fn fig14(ctx: &mut ExpContext) {
+pub(crate) fn fig14(ctx: &mut ExpContext) {
     size_sweep(
         ctx,
         KeyDistribution::high_skew(),
@@ -105,7 +105,7 @@ pub fn fig14(ctx: &mut ExpContext) {
 
 /// Figure 16: BasicUnit vs the fine-grained co-processing variants, plus the
 /// paper's headline improvement percentages (PL vs CPU-only / GPU-only / DD).
-pub fn fig16(ctx: &mut ExpContext) {
+pub(crate) fn fig16(ctx: &mut ExpContext) {
     banner("Figure 16: BasicUnit vs fine-grained co-processing (and headline improvements)");
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();
@@ -200,7 +200,7 @@ pub fn fig16(ctx: &mut ExpContext) {
 
 /// Figures 17 and 18: the per-phase CPU shares that the BasicUnit scheduler
 /// converges to for SHJ and PHJ.
-pub fn fig17_18(ctx: &mut ExpContext) {
+pub(crate) fn fig17_18(ctx: &mut ExpContext) {
     banner("Figures 17-18: workload ratios of different steps under BasicUnit");
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();

@@ -16,16 +16,16 @@
 //!
 //! | Experiment | Paper reference | Module |
 //! |---|---|---|
-//! | `table1` | Table 1 (hardware configuration) | [`unitcosts`] |
-//! | `fig03` | Figure 3 (time breakdown, discrete vs coupled) | [`breakdown`] |
-//! | `fig04` | Figure 4 (per-step unit costs) | [`unitcosts`] |
-//! | `fig05`, `fig06` | Figures 5–6 (optimal PL ratios) | [`unitcosts`] |
-//! | `fig07`, `fig08`, `fig09` | Figures 7–9 (cost-model accuracy) | [`model_eval`] |
-//! | `fig10`–`fig12`, `table3` | Figures 10–12, Table 3 (design tradeoffs) | [`tradeoffs`] |
-//! | `fig13`–`fig16`, `fig17_18` | Figures 13–18 (end-to-end comparison) | [`endtoend`] |
-//! | `fig19` | Figure 19 (out-of-core joins) | [`breakdown`] |
-//! | `fig20` | Figure 20 (latch micro-benchmark) | [`micro`] |
-//! | `adaptive` | runtime tuner recovering from a bad prior (not in the paper) | [`adaptive`] |
+//! | `table1` | Table 1 (hardware configuration) | `unitcosts` |
+//! | `fig03` | Figure 3 (time breakdown, discrete vs coupled) | `breakdown` |
+//! | `fig04` | Figure 4 (per-step unit costs) | `unitcosts` |
+//! | `fig05`, `fig06` | Figures 5–6 (optimal PL ratios) | `unitcosts` |
+//! | `fig07`, `fig08`, `fig09` | Figures 7–9 (cost-model accuracy) | `model_eval` |
+//! | `fig10`–`fig12`, `table3` | Figures 10–12, Table 3 (design tradeoffs) | `tradeoffs` |
+//! | `fig13`–`fig16`, `fig17_18` | Figures 13–18 (end-to-end comparison) | `endtoend` |
+//! | `fig19` | Figure 19 (out-of-core joins) | `breakdown` |
+//! | `fig20` | Figure 20 (latch micro-benchmark) | `micro` |
+//! | `adaptive` | runtime tuner recovering from a bad prior (not in the paper) | `adaptive` |
 //!
 //! The global `HJ_SCALE` environment variable divides every cardinality
 //! (default 32, i.e. 512 K instead of 16 M tuples) so the whole suite runs in
@@ -34,14 +34,14 @@
 
 #![warn(missing_docs)]
 
-pub mod adaptive;
-pub mod breakdown;
-pub mod common;
-pub mod endtoend;
-pub mod micro;
-pub mod model_eval;
-pub mod tradeoffs;
-pub mod unitcosts;
+pub(crate) mod adaptive;
+pub(crate) mod breakdown;
+pub(crate) mod common;
+pub(crate) mod endtoend;
+pub(crate) mod micro;
+pub(crate) mod model_eval;
+pub(crate) mod tradeoffs;
+pub(crate) mod unitcosts;
 
 pub use common::{default_scale, ExpContext};
 

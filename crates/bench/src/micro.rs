@@ -6,7 +6,7 @@ use apu_sim::{AtomicWorkload, DeviceSpec, LatchModel};
 /// Figure 20: locking time of 16 M atomic increments over an array of `N`
 /// integers, for uniform / low-skew / high-skew access on the CPU (256
 /// concurrent work items) and the GPU (8192 work items).
-pub fn fig20(ctx: &mut ExpContext) {
+pub(crate) fn fig20(ctx: &mut ExpContext) {
     banner("Figure 20: latch micro-benchmark (16M increments over an N-integer array)");
     let model = LatchModel::a8_3870k();
     let devices = [

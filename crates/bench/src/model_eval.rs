@@ -9,7 +9,7 @@ use hj_core::{Algorithm, JoinConfig, Ratios, Scheme};
 
 /// Figure 7: estimated vs measured elapsed time of SHJ-DD while sweeping the
 /// workload ratio of the build phase and of the probe phase.
-pub fn fig07(ctx: &mut ExpContext) {
+pub(crate) fn fig07(ctx: &mut ExpContext) {
     banner("Figure 7: estimated and measured time for SHJ-DD with workload ratios varied");
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();
@@ -66,7 +66,7 @@ pub fn fig07(ctx: &mut ExpContext) {
 
 /// Figure 8: the PL special case — `b1`/`p1` entirely off-loaded to the GPU,
 /// one common ratio `r` for every other step — estimated vs measured.
-pub fn fig08(ctx: &mut ExpContext) {
+pub(crate) fn fig08(ctx: &mut ExpContext) {
     banner("Figure 8: estimated and measured time for the PL special case (hash steps on GPU)");
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();
@@ -120,7 +120,7 @@ pub fn fig08(ctx: &mut ExpContext) {
 /// Figure 9: CDF of one thousand Monte-Carlo ratio settings versus the
 /// cost-model-chosen setting, for the build phase of SHJ-PL and the probe
 /// phase of PHJ-PL.
-pub fn fig09(ctx: &mut ExpContext) {
+pub(crate) fn fig09(ctx: &mut ExpContext) {
     banner("Figure 9: Monte-Carlo CDF of random ratio settings vs the cost-model choice");
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();

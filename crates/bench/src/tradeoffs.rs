@@ -9,7 +9,7 @@ use mem_alloc::AllocatorKind;
 
 /// Figure 10: elapsed time of the build phase of DD with separate and shared
 /// hash tables (SHJ and PHJ).
-pub fn fig10(ctx: &mut ExpContext) {
+pub(crate) fn fig10(ctx: &mut ExpContext) {
     banner("Figure 10: build phase of DD with separate and shared hash tables");
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();
@@ -44,7 +44,7 @@ pub fn fig10(ctx: &mut ExpContext) {
 
 /// Figure 11: total elapsed time and lock overhead of PHJ while sweeping the
 /// allocation block size from 8 B to 32 KB, for DD, OL and PL.
-pub fn fig11(ctx: &mut ExpContext) {
+pub(crate) fn fig11(ctx: &mut ExpContext) {
     banner("Figure 11: elapsed time (a) and lock overhead (b) vs allocation block size (PHJ)");
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();
@@ -89,7 +89,7 @@ pub fn fig11(ctx: &mut ExpContext) {
 
 /// Figure 12: hash-join performance with the basic and the optimised memory
 /// allocator, for SHJ and PHJ under DD, OL and PL.
-pub fn fig12(ctx: &mut ExpContext) {
+pub(crate) fn fig12(ctx: &mut ExpContext) {
     banner("Figure 12: basic vs optimised memory allocator");
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();
@@ -144,7 +144,7 @@ pub fn fig12(ctx: &mut ExpContext) {
 
 /// Table 3: fine-grained (PHJ-PL) vs coarse-grained (PHJ-PL') step
 /// definition — L2 misses, miss ratio and elapsed time.
-pub fn table3(ctx: &mut ExpContext) {
+pub(crate) fn table3(ctx: &mut ExpContext) {
     banner("Table 3: fine-grained vs coarse-grained step definitions in PL");
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();

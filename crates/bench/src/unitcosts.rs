@@ -7,7 +7,7 @@ use costmodel::{calibrate_from_relations, optimize_pl_ratios, JoinCostModel};
 use hj_core::Algorithm;
 
 /// Table 1: the hardware configuration of the devices under test.
-pub fn table1(ctx: &mut ExpContext) {
+pub(crate) fn table1(ctx: &mut ExpContext) {
     banner("Table 1: configuration of AMD Fusion A8-3870K (and Radeon HD 7970 for reference)");
     let specs = [
         DeviceSpec::a8_3870k_cpu(),
@@ -48,7 +48,7 @@ pub fn table1(ctx: &mut ExpContext) {
 }
 
 /// Figure 4: unit costs (ns/tuple) of every PHJ step on the CPU and the GPU.
-pub fn fig04(ctx: &mut ExpContext) {
+pub(crate) fn fig04(ctx: &mut ExpContext) {
     banner("Figure 4: unit costs for different steps on the CPU and the GPU (PHJ)");
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();
@@ -108,7 +108,7 @@ fn print_ratio_figure(
 }
 
 /// Figure 5: cost-model-optimal workload ratios of the SHJ-PL steps.
-pub fn fig05(ctx: &mut ExpContext) {
+pub(crate) fn fig05(ctx: &mut ExpContext) {
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();
     let costs = calibrate_from_relations(&sys, &build, &probe, Algorithm::Simple);
@@ -129,7 +129,7 @@ pub fn fig05(ctx: &mut ExpContext) {
 }
 
 /// Figure 6: cost-model-optimal workload ratios of the PHJ-PL steps.
-pub fn fig06(ctx: &mut ExpContext) {
+pub(crate) fn fig06(ctx: &mut ExpContext) {
     let sys = ctx.coupled();
     let (build, probe) = ctx.default_relations();
     let costs = calibrate_from_relations(&sys, &build, &probe, Algorithm::partitioned_auto());

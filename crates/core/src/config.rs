@@ -211,7 +211,7 @@ pub struct JoinConfig {
     /// Enable the exact L2 cache simulator (slower; used for miss counts).
     pub profile_cache: bool,
     /// Morsel size in tuples the step pipeline decomposes each phase into
-    /// (default [`crate::pipeline::DEFAULT_MORSEL_TUPLES`]); must be
+    /// (default `crate::pipeline::DEFAULT_MORSEL_TUPLES`); must be
     /// non-zero.
     pub morsel_tuples: usize,
 }
@@ -268,12 +268,6 @@ impl JoinConfig {
     /// Enables result materialisation.
     pub fn with_collect_results(mut self, collect: bool) -> Self {
         self.collect_results = collect;
-        self
-    }
-
-    /// Enables exact cache profiling.
-    pub fn with_profile_cache(mut self, profile: bool) -> Self {
-        self.profile_cache = profile;
         self
     }
 
@@ -334,13 +328,11 @@ mod tests {
             .with_allocator(AllocatorKind::Basic)
             .with_grouping(false)
             .with_collect_results(true)
-            .with_profile_cache(true)
             .with_granularity(StepGranularity::Coarse);
         assert_eq!(cfg.hash_table, HashTableMode::Separate);
         assert_eq!(cfg.allocator, AllocatorKind::Basic);
         assert!(!cfg.grouping);
         assert!(cfg.collect_results);
-        assert!(cfg.profile_cache);
         assert_eq!(cfg.granularity, StepGranularity::Coarse);
     }
 

@@ -10,9 +10,9 @@ use apu_sim::{
 use mem_alloc::{AllocStats, AllocatorKind, KernelAllocator};
 
 /// Work groups the CPU device runs concurrently (one per core).
-pub const CPU_WORK_GROUPS: usize = 4;
+pub(crate) const CPU_WORK_GROUPS: usize = 4;
 /// Work groups the GPU device runs concurrently.
-pub const GPU_WORK_GROUPS: usize = 64;
+pub(crate) const GPU_WORK_GROUPS: usize = 64;
 
 /// Run-wide counters accumulated across all phases of one join execution.
 #[derive(Debug, Clone, Default)]
@@ -58,7 +58,7 @@ pub struct ExecContext<'a> {
     pub counters: ExecCounters,
     /// Morsel size (tuples) the step pipeline decomposes phases into; the
     /// engine sets it from the request, defaulting to
-    /// [`crate::pipeline::DEFAULT_MORSEL_TUPLES`].
+    /// `crate::pipeline::DEFAULT_MORSEL_TUPLES`.
     pub morsel_tuples: usize,
     /// The engine's persistent worker pool, when this context was created
     /// by a [`JoinEngine`](crate::engine::JoinEngine); native execution
@@ -67,7 +67,7 @@ pub struct ExecContext<'a> {
     /// join that does not spill never costs a thread.
     workers: Option<&'a SharedWorkerPool>,
     /// The adaptive runtime tuner, when the request asked for
-    /// [`Tuning::Adaptive`](crate::engine::Tuning): [`crate::phase::run_step`]
+    /// [`Tuning::Adaptive`](crate::engine::Tuning): `crate::phase::run_step`
     /// feeds it per-morsel lane timings and takes its re-planned ratios;
     /// the native backend feeds it wall-clock telemetry.  `None` (the
     /// default) runs the offline plan unchanged.
@@ -130,7 +130,7 @@ impl<'a> ExecContext<'a> {
     /// Attaches the engine's persistent worker pool, shared by every
     /// session: backends executing under this context submit their morsel
     /// tasks there instead of spawning threads of their own.
-    pub fn with_worker_pool(mut self, pool: &'a SharedWorkerPool) -> Self {
+    pub(crate) fn with_worker_pool(mut self, pool: &'a SharedWorkerPool) -> Self {
         self.workers = Some(pool);
         self
     }
@@ -144,26 +144,26 @@ impl<'a> ExecContext<'a> {
 
     /// Attaches an adaptive runtime tuner; the step pipeline will feed it
     /// telemetry and execute its re-planned ratios.
-    pub fn with_tuner(mut self, tuner: hj_adaptive::RatioTuner) -> Self {
+    pub(crate) fn with_tuner(mut self, tuner: hj_adaptive::RatioTuner) -> Self {
         self.tuner = Some(tuner);
         self
     }
 
     /// Detaches the tuner (used by the engine to harvest the adaptation
     /// report after execution).
-    pub fn take_tuner(&mut self) -> Option<hj_adaptive::RatioTuner> {
+    pub(crate) fn take_tuner(&mut self) -> Option<hj_adaptive::RatioTuner> {
         self.tuner.take()
     }
 
     /// Tears the context down, handing the allocator (and its arena) back to
     /// the owner for reuse.
-    pub fn into_allocator(self) -> Box<dyn KernelAllocator> {
+    pub(crate) fn into_allocator(self) -> Box<dyn KernelAllocator> {
         self.allocator
     }
 
     /// The [`JoinError::ArenaExhausted`] describing a failed allocation of
     /// `requested` bytes that `phase` made against this context's arena.
-    pub fn arena_error(&self, phase: &'static str, requested: usize) -> JoinError {
+    pub(crate) fn arena_error(&self, phase: &'static str, requested: usize) -> JoinError {
         JoinError::ArenaExhausted {
             requested,
             capacity: self.allocator.capacity(),
@@ -181,13 +181,13 @@ impl<'a> ExecContext<'a> {
     }
 
     /// A cost recorder configured with the device's wavefront width.
-    pub fn recorder_for(&self, kind: DeviceKind) -> CostRecorder {
+    pub(crate) fn recorder_for(&self, kind: DeviceKind) -> CostRecorder {
         CostRecorder::new(self.device(kind).wavefront_size())
     }
 
     /// The memory context a kernel with the given random-access working set
     /// sees on the given device.
-    pub fn mem_ctx(&self, kind: DeviceKind, working_set_bytes: f64) -> MemContext {
+    pub(crate) fn mem_ctx(&self, kind: DeviceKind, working_set_bytes: f64) -> MemContext {
         let cache = match kind {
             DeviceKind::Cpu => &self.cpu_cache,
             DeviceKind::Gpu => &self.gpu_cache,
@@ -197,13 +197,13 @@ impl<'a> ExecContext<'a> {
 
     /// Snapshot of the allocator counters (used to attribute allocator
     /// atomics to the kernel that caused them).
-    pub fn alloc_snapshot(&self) -> AllocStats {
+    pub(crate) fn alloc_snapshot(&self) -> AllocStats {
         self.allocator.stats()
     }
 
     /// Finalises run-wide counters that are derived from other state
     /// (allocator totals, cache statistics).
-    pub fn finalize_counters(&mut self) {
+    pub(crate) fn finalize_counters(&mut self) {
         self.counters.alloc = self.allocator.stats();
         self.counters.cache = self.cache_sim.as_ref().map(|c| c.stats());
     }

@@ -14,7 +14,7 @@
 /// bucketed by `min(work, num_groups - 1)`).  Returns a permutation of item
 /// indices; applying it before a divergence-sensitive step reduces the
 /// wavefront max/mean ratio.
-pub fn grouping_order(work: &[u32], num_groups: usize) -> Vec<u32> {
+pub(crate) fn grouping_order(work: &[u32], num_groups: usize) -> Vec<u32> {
     let num_groups = num_groups.max(1);
     let mut counts = vec![0usize; num_groups];
     for &w in work {
@@ -37,7 +37,7 @@ pub fn grouping_order(work: &[u32], num_groups: usize) -> Vec<u32> {
 }
 
 /// Default number of workload groups used by the join executor.
-pub const DEFAULT_GROUPS: usize = 32;
+pub(crate) const DEFAULT_GROUPS: usize = 32;
 
 #[cfg(test)]
 mod tests {

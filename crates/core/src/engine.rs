@@ -24,7 +24,7 @@
 //!   mid-execution surfaces as an error, and the engine stays usable.
 //! * [`ExecBackend`] abstracts how the join is placed and timed.
 //!   [`CoupledSim`] and [`DiscreteSim`] replay the morsel task stream of
-//!   [`crate::pipeline`] through the simulator's event clock; [`NativeCpu`]
+//!   `crate::pipeline` through the simulator's event clock; [`NativeCpu`]
 //!   executes the same stream for real on work-stealing host threads and
 //!   reports wall-clock times — the simulator and a production path share
 //!   one task stream.
@@ -61,9 +61,8 @@ use datagen::Relation;
 use hj_adaptive::{AdaptiveConfig, RatioTuner};
 use hj_analysis::sync::{Condvar, Mutex};
 use hj_metrics::{
-    AtomicHistogram, Counter, Gauge, HealthMonitor, HealthObservation, HealthReport, JoinTrace,
-    LatencyHistogram, MetricsRegistry, SlowJoinRecord, SlowLog, TimePoint, TimeSeriesRing,
-    TraceBuffer, TraceEvent, TraceEventKind,
+    AtomicHistogram, Counter, Gauge, HealthMonitor, HealthReport, JoinTrace, LatencyHistogram,
+    MetricsRegistry, SlowJoinRecord, SlowLog, TraceBuffer, TraceEvent, TraceEventKind,
 };
 use hj_spill::{MemoryBroker, SpillConfig, SpillManager};
 use mem_alloc::{AllocatorKind, KernelAllocator};
@@ -202,7 +201,7 @@ impl JoinRequest {
     }
 
     /// The out-of-core chunk size, when the out-of-core path was requested.
-    pub fn out_of_core_chunk(&self) -> Option<usize> {
+    pub(crate) fn out_of_core_chunk(&self) -> Option<usize> {
         self.out_of_core
     }
 
@@ -213,13 +212,13 @@ impl JoinRequest {
     }
 
     /// The spill configuration, when the request opted into disk spilling.
-    pub fn spill_config(&self) -> Option<&SpillConfig> {
+    pub(crate) fn spill_config(&self) -> Option<&SpillConfig> {
         self.spill.as_ref()
     }
 
     /// Whether the request asked for the per-join flight recorder
     /// ([`JoinOutcome::trace`](crate::result::JoinOutcome::trace)).
-    pub fn trace_enabled(&self) -> bool {
+    pub(crate) fn trace_enabled(&self) -> bool {
         self.trace
     }
 
@@ -360,7 +359,7 @@ impl JoinRequestBuilder {
     /// [`JoinError::OversizedInput`] or [`JoinError::ArenaExhausted`], the
     /// engine runs a dynamic hybrid hash join that evicts build partitions
     /// to checksummed run files under memory pressure (see
-    /// [`crate::spilljoin`]).  Mutually exclusive with
+    /// `crate::spilljoin`).  Mutually exclusive with
     /// [`out_of_core`](Self::out_of_core).
     pub fn spill(mut self, spill: SpillConfig) -> Self {
         self.spill = Some(spill);
@@ -600,7 +599,7 @@ impl CoupledSim {
     }
 
     /// A custom (typically coupled) system specification.
-    pub fn with_system(sys: SystemSpec) -> Self {
+    pub(crate) fn with_system(sys: SystemSpec) -> Self {
         CoupledSim { sys }
     }
 }
@@ -668,7 +667,7 @@ impl DiscreteSim {
     }
 
     /// A custom (typically discrete) system specification.
-    pub fn with_system(sys: SystemSpec) -> Self {
+    pub(crate) fn with_system(sys: SystemSpec) -> Self {
         DiscreteSim { sys }
     }
 }
@@ -704,19 +703,16 @@ impl ExecBackend for DiscreteSim {
 // ---------------------------------------------------------------------------
 
 /// Default capacity (events) of the engine's structured-trace ring.
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// Default interval between the background sampler's registry snapshots.
-pub const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
-
-/// Capacity (points) of the engine's time-series ring (drop-oldest).
-pub const DEFAULT_TIMESERIES_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Default wall-clock threshold past which a join lands in the slow-log.
-pub const DEFAULT_SLOW_JOIN_THRESHOLD: Duration = Duration::from_millis(100);
+pub(crate) const DEFAULT_SLOW_JOIN_THRESHOLD: Duration = Duration::from_millis(100);
 
 /// Capacity (records) of the engine's slow-join log (drop-oldest).
-pub const DEFAULT_SLOWLOG_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_SLOWLOG_CAPACITY: usize = 64;
 
 /// Sizing, allocator and concurrency policy of a [`JoinEngine`]'s session
 /// pool.
@@ -735,7 +731,7 @@ pub struct EngineConfig {
     /// Submissions allowed to *wait* for a session beyond the in-flight
     /// limit; further submissions are rejected with
     /// [`JoinError::Saturated`].  `None` (the default) means "as many as
-    /// `sessions`", resolved by [`effective_queue_depth`](Self::effective_queue_depth),
+    /// `sessions`", resolved by `effective_queue_depth`,
     /// so [`sessions`](Self::sessions) and [`queue_depth`](Self::queue_depth)
     /// compose in either order.
     pub queue_depth: Option<usize>,
@@ -744,7 +740,7 @@ pub struct EngineConfig {
     /// sessions (sessions bound admission concurrency; workers bound
     /// execution parallelism).  `None` (the default) means one worker per
     /// available hardware thread, resolved by
-    /// [`effective_worker_threads`](Self::effective_worker_threads).
+    /// `effective_worker_threads`.
     pub worker_threads: Option<usize>,
     /// Default tuning policy for requests that do not choose one explicitly
     /// ([`JoinRequestBuilder::tuning`] overrides per request).
@@ -764,8 +760,8 @@ pub struct EngineConfig {
     /// never blocks a worker, it only increments the dropped-events
     /// counter — so a tiny capacity is safe (it is clamped to at least 1).
     pub trace_capacity: usize,
-    /// Interval between the background sampler's registry snapshots into
-    /// the engine's time-series ring ([`JoinEngine::time_series`]).
+    /// Interval between the background sampler's registry snapshots, each
+    /// of which closes one health window ([`JoinEngine::health`]).
     /// `Duration::ZERO` disables the sampler thread entirely; sampling can
     /// still be driven explicitly via [`JoinEngine::sample_now`].
     pub sample_interval: Duration,
@@ -820,7 +816,7 @@ impl EngineConfig {
 
     /// The admission-queue depth the engine enforces: the explicit
     /// [`queue_depth`](Self::queue_depth), or `sessions` when unset.
-    pub fn effective_queue_depth(&self) -> usize {
+    pub(crate) fn effective_queue_depth(&self) -> usize {
         self.queue_depth.unwrap_or(self.sessions)
     }
 
@@ -836,7 +832,7 @@ impl EngineConfig {
     /// The worker count the engine's pool is spawned with: the explicit
     /// [`worker_threads`](Self::worker_threads), or one per available
     /// hardware thread when unset.
-    pub fn effective_worker_threads(&self) -> usize {
+    pub(crate) fn effective_worker_threads(&self) -> usize {
         self.worker_threads
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
     }
@@ -980,7 +976,7 @@ pub struct EngineStats {
     /// Busy fraction of the worker pool over its lifetime —
     /// `busy / (busy + park)` — `None` while the pool reported no wall
     /// time.  The *windowed* equivalent lives in
-    /// [`hj_metrics::WindowRates::worker_utilization`].
+    /// [`hj_metrics::HealthObservation::worker_utilization`].
     pub worker_utilization: Option<f64>,
     /// Joins that exceeded [`EngineConfig::slow_join_threshold`] and were
     /// retained in the slow-log.
@@ -1236,7 +1232,7 @@ impl EngineMetrics {
             ),
             samples: registry.counter(
                 "hj_sampler_samples_total",
-                "Registry snapshots the time-series sampler has taken",
+                "Registry snapshots the health sampler has taken",
             ),
             health_state: registry.gauge(
                 "hj_health_state",
@@ -1252,40 +1248,26 @@ impl EngineMetrics {
 
 /// Everything the background sampler needs, cloneable into its thread so
 /// the thread never holds (and can never cycle with) the engine itself:
-/// shared `Arc` handles on the registry, the time-series ring, the health
-/// monitor, the trace ring's clock and the engine's metric handles.
+/// shared `Arc` handles on the registry, the health monitor, the trace
+/// ring's clock and the engine's metric handles.
 #[derive(Clone)]
 struct SamplerShared {
     registry: Arc<MetricsRegistry>,
-    timeseries: Arc<TimeSeriesRing>,
     health: Arc<HealthMonitor>,
     tracer: Arc<TraceBuffer>,
     metrics: EngineMetrics,
 }
 
 impl SamplerShared {
-    /// Takes one sample: snapshots the registry into the ring and feeds
-    /// the freshest window's rates to the health monitor.  Touches only
-    /// atomics and the two short observability locks — never the engine's
-    /// session pool.
+    /// Takes one sample: snapshots the registry and hands it to the health
+    /// monitor, which judges the window since the previous sample, so the
+    /// verdict reacts at sampler cadence.  Touches only atomics and the
+    /// short observability locks — never the engine's session pool.
     fn sample_once(&self) {
         let at_ns = self.tracer.now_ns();
-        self.timeseries.push(TimePoint {
-            at_ns,
-            samples: self.registry.snapshot(),
-        });
+        let samples = self.registry.snapshot();
         self.metrics.samples.inc();
-        // Judge the freshest window (the two newest points) so the health
-        // verdict reacts at sampler cadence, not over the whole ring.
-        if let Some(rates) = self.timeseries.rates_over_last(2) {
-            let report = self.health.observe(HealthObservation {
-                at_ns,
-                joins_per_sec: rates.joins_per_sec,
-                shed_ratio: rates.shed_ratio,
-                queue_wait_p99_ns: rates.queue_wait.quantile_ns(0.99),
-                reclaim_bytes_per_sec: rates.reclaim_bytes_per_sec,
-                worker_utilization: rates.worker_utilization,
-            });
+        if let Some(report) = self.health.sample(at_ns, samples) {
             self.metrics.health_state.set(report.state.level() as u64);
         }
     }
@@ -1403,17 +1385,12 @@ pub struct JoinEngine {
     /// The engine-wide structured-trace ring (drop-oldest, bounded by
     /// [`EngineConfig::trace_capacity`]).
     tracer: Arc<TraceBuffer>,
-    /// The time-series ring the background sampler pushes registry
-    /// snapshots into ([`EngineConfig::sample_interval`]).
-    timeseries: Arc<TimeSeriesRing>,
-    /// Classifies each sample's windowed rates into the engine's health
-    /// state, with hysteresis.
-    health: Arc<HealthMonitor>,
     /// Joins that breached [`EngineConfig::slow_join_threshold`], each with
     /// its retroactively-assembled flight-recorder trace.
     slow_log: Arc<SlowLog>,
     /// Everything the sampler reads, kept on the engine too so
-    /// [`sample_now`](Self::sample_now) can take deterministic samples.
+    /// [`sample_now`](Self::sample_now) can take deterministic samples and
+    /// [`health`](Self::health) can read the monitor's latest report.
     sampler_shared: SamplerShared,
     /// The sampler thread, joined on drop.
     sampler: SamplerHandle,
@@ -1472,7 +1449,6 @@ impl JoinEngine {
         let workers = SharedWorkerPool::new(metrics.workers.clone());
         let sampler_shared = SamplerShared {
             registry: Arc::clone(&metrics_registry),
-            timeseries: Arc::new(TimeSeriesRing::new(DEFAULT_TIMESERIES_CAPACITY)),
             health: Arc::new(HealthMonitor::new()),
             tracer: Arc::clone(&tracer),
             metrics: metrics.clone(),
@@ -1522,8 +1498,6 @@ impl JoinEngine {
             metrics_registry,
             metrics,
             tracer,
-            timeseries: Arc::clone(&sampler_shared.timeseries),
-            health: Arc::clone(&sampler_shared.health),
             slow_log: Arc::new(SlowLog::new(DEFAULT_SLOWLOG_CAPACITY)),
             sampler_shared,
             sampler,
@@ -1604,23 +1578,11 @@ impl JoinEngine {
         &self.tracer
     }
 
-    /// The time-series ring of registry snapshots the background sampler
-    /// maintains (every [`EngineConfig::sample_interval`]); windowed rates
-    /// come from [`hj_metrics::TimeSeriesRing::window_rates`].
-    pub fn time_series(&self) -> &Arc<TimeSeriesRing> {
-        &self.timeseries
-    }
-
-    /// The engine's health monitor (thresholds + hysteresis state).
-    pub fn health_monitor(&self) -> &Arc<HealthMonitor> {
-        &self.health
-    }
-
     /// The most recent health verdict — what the serving layer's
     /// `GET /health` endpoint renders.  Defaults to `Healthy` before the
     /// first sample.
     pub fn health(&self) -> HealthReport {
-        self.health.report()
+        self.sampler_shared.health.report()
     }
 
     /// The slow-join log: joins that exceeded
@@ -1630,8 +1592,8 @@ impl JoinEngine {
         &self.slow_log
     }
 
-    /// Takes one sampler tick synchronously: snapshots the registry into
-    /// the time-series ring and feeds the health monitor — exactly what the
+    /// Takes one sampler tick synchronously: snapshots the registry and
+    /// feeds it to the health monitor — exactly what the
     /// background thread does each interval, but deterministic (tests drive
     /// this instead of sleeping).
     pub fn sample_now(&self) {

@@ -11,7 +11,7 @@
 /// The implementation follows Austin Appleby's reference `MurmurHash2`
 /// specialised to a 4-byte input.
 #[inline]
-pub fn murmur2(key: u32, seed: u32) -> u32 {
+pub(crate) fn murmur2(key: u32, seed: u32) -> u32 {
     const M: u32 = 0x5bd1_e995;
     const R: u32 = 24;
 
@@ -31,19 +31,12 @@ pub fn murmur2(key: u32, seed: u32) -> u32 {
 }
 
 /// Default hash-table seed used across the library.
-pub const DEFAULT_SEED: u32 = 0x9747_b28c;
+pub(crate) const DEFAULT_SEED: u32 = 0x9747_b28c;
 
 /// Hashes a key with the default seed.
 #[inline]
 pub fn hash_key(key: u32) -> u32 {
     murmur2(key, DEFAULT_SEED)
-}
-
-/// Maps a hash value to a bucket index for a power-of-two bucket count.
-#[inline]
-pub fn bucket_of(hash: u32, num_buckets: usize) -> usize {
-    debug_assert!(num_buckets.is_power_of_two());
-    (hash as usize) & (num_buckets - 1)
 }
 
 /// Radix partition number of a hash value for a given partitioning pass.
@@ -52,14 +45,14 @@ pub fn bucket_of(hash: u32, num_buckets: usize) -> usize {
 /// pass: pass 0 uses bits `[0, bits)`, pass 1 bits `[bits, 2*bits)`, and so
 /// on — exactly the multi-pass scheme of Boncz et al. adopted by the paper.
 #[inline]
-pub fn radix_partition_of(hash: u32, bits_per_pass: u32, pass: u32) -> usize {
+pub(crate) fn radix_partition_of(hash: u32, bits_per_pass: u32, pass: u32) -> usize {
     let shift = bits_per_pass * pass;
     ((hash >> shift) & ((1u32 << bits_per_pass) - 1)) as usize
 }
 
 /// The number of partitions produced by one pass of `bits` bits.
 #[inline]
-pub fn partitions_per_pass(bits: u32) -> usize {
+pub(crate) fn partitions_per_pass(bits: u32) -> usize {
     1usize << bits
 }
 
@@ -119,20 +112,13 @@ mod tests {
         let buckets = 1 << 10;
         let mut seen = HashSet::new();
         for k in 0..10_000u32 {
-            seen.insert(bucket_of(hash_key(k), buckets));
+            seen.insert(hash_key(k) as usize % buckets);
         }
         assert!(
             seen.len() > buckets * 9 / 10,
             "only {} buckets hit",
             seen.len()
         );
-    }
-
-    #[test]
-    fn bucket_of_stays_in_range() {
-        for k in 0..1000u32 {
-            assert!(bucket_of(hash_key(k), 64) < 64);
-        }
     }
 
     #[test]
@@ -177,7 +163,7 @@ mod tests {
         let mut counts = vec![0u32; buckets];
         let n = 256 * 1000;
         for k in 0..n as u32 {
-            counts[bucket_of(hash_key(k), buckets)] += 1;
+            counts[hash_key(k) as usize % buckets] += 1;
         }
         let expected = (n / buckets) as f64;
         for &c in &counts {

@@ -30,18 +30,18 @@ use std::ops::Range;
 const PREFETCH_AHEAD: usize = 16;
 
 /// Sentinel index meaning "null pointer".
-pub const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// Bytes occupied by one bucket header (count + key-list head).
-pub const BUCKET_HEADER_BYTES: usize = 8;
+pub(crate) const BUCKET_HEADER_BYTES: usize = 8;
 /// Bytes occupied by one key-list node (key, rid-list head, next).
-pub const KEY_NODE_BYTES: usize = 12;
+pub(crate) const KEY_NODE_BYTES: usize = 12;
 /// Bytes occupied by one rid-list node (rid, next).
-pub const RID_NODE_BYTES: usize = 8;
+pub(crate) const RID_NODE_BYTES: usize = 8;
 
 /// A bucket header: tuple count plus the head of the key list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BucketHeader {
+pub(crate) struct BucketHeader {
     /// Number of tuples inserted into this bucket.
     pub count: u32,
     /// Index of the first key node, or [`NIL`].
@@ -59,7 +59,7 @@ impl Default for BucketHeader {
 
 /// A node of a bucket's key list: one distinct key and its rid list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyNode {
+pub(crate) struct KeyNode {
     /// The key value.
     pub key: u32,
     /// Index of the first rid node, or [`NIL`].
@@ -74,7 +74,7 @@ pub struct KeyNode {
 
 /// A node of a key's rid list: one build-tuple record ID.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RidNode {
+pub(crate) struct RidNode {
     /// The record ID.
     pub rid: u32,
     /// Next rid node, or [`NIL`].
@@ -84,7 +84,7 @@ pub struct RidNode {
 /// Error returned when the pre-allocated arena backing the table is
 /// exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableFull;
+pub(crate) struct TableFull;
 
 impl std::fmt::Display for TableFull {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -97,7 +97,7 @@ impl std::error::Error for TableFull {}
 /// Statistics of merging one hash table into another (the *merge* overhead
 /// of separate hash tables, Figure 3 / Figure 10).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
+pub(crate) struct MergeStats {
     /// Key nodes moved.
     pub keys_moved: u64,
     /// Rid nodes moved.
@@ -164,7 +164,7 @@ pub struct HashTable {
 impl HashTable {
     /// Creates a table with at least `num_buckets` buckets (rounded up to a
     /// power of two).
-    pub fn with_buckets(num_buckets: usize) -> Self {
+    pub(crate) fn with_buckets(num_buckets: usize) -> Self {
         let n = num_buckets.max(1).next_power_of_two();
         HashTable {
             buckets: vec![BucketHeader::default(); n],
@@ -183,20 +183,15 @@ impl HashTable {
 
     /// Sets the synthetic base address used for cache simulation, returning
     /// `self` for chaining.
-    pub fn with_base_addr(mut self, base: u64) -> Self {
+    pub(crate) fn with_base_addr(mut self, base: u64) -> Self {
         self.base_addr = base;
         self
-    }
-
-    /// Number of buckets (a power of two).
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
     }
 
     /// Maps a hash value to its bucket index (high hash bits, disjoint from
     /// the low bits that radix partitioning consumes).
     #[inline]
-    pub fn bucket_index(&self, hash: u32) -> usize {
+    pub(crate) fn bucket_index(&self, hash: u32) -> usize {
         if self.shift >= 32 {
             0
         } else {
@@ -207,7 +202,7 @@ impl HashTable {
     /// Step `b2` primitive: visits the bucket header, increments its tuple
     /// count, and returns the previous key-list head.
     #[inline]
-    pub fn visit_bucket_for_build(&mut self, idx: usize) -> u32 {
+    pub(crate) fn visit_bucket_for_build(&mut self, idx: usize) -> u32 {
         let b = &mut self.buckets[idx];
         b.count += 1;
         b.key_head
@@ -218,7 +213,7 @@ impl HashTable {
     ///
     /// Returns `(key_node_index, created, nodes_visited)`; `nodes_visited`
     /// feeds the divergence accounting (skewed keys make long lists).
-    pub fn find_or_create_key(
+    pub(crate) fn find_or_create_key(
         &mut self,
         idx: usize,
         key: u32,
@@ -249,7 +244,7 @@ impl HashTable {
     /// Step `p3` primitive: walks bucket `idx`'s key list looking for `key`.
     ///
     /// Returns `(matching key node if any, nodes_visited)`.
-    pub fn find_key(&self, idx: usize, key: u32) -> (Option<u32>, u32) {
+    pub(crate) fn find_key(&self, idx: usize, key: u32) -> (Option<u32>, u32) {
         let mut visited = 0u32;
         let mut cur = self.buckets[idx].key_head;
         while cur != NIL {
@@ -264,7 +259,7 @@ impl HashTable {
     }
 
     /// Step `b4` primitive: prepends `rid` to the rid list of `key_node`.
-    pub fn insert_rid(
+    pub(crate) fn insert_rid(
         &mut self,
         key_node: u32,
         rid: u32,
@@ -403,7 +398,7 @@ impl HashTable {
     }
 
     /// Step `p4` primitive: iterates the rids stored under `key_node`.
-    pub fn rids_of(&self, key_node: u32) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn rids_of(&self, key_node: u32) -> impl Iterator<Item = u32> + '_ {
         let mut cur = self.key_nodes[key_node as usize].rid_head;
         std::iter::from_fn(move || {
             if cur == NIL {
@@ -417,12 +412,12 @@ impl HashTable {
     }
 
     /// Number of key nodes created so far.
-    pub fn key_node_count(&self) -> usize {
+    pub(crate) fn key_node_count(&self) -> usize {
         self.key_nodes.len()
     }
 
     /// Number of rid nodes created so far.
-    pub fn rid_node_count(&self) -> usize {
+    pub(crate) fn rid_node_count(&self) -> usize {
         self.rid_nodes.len()
     }
 
@@ -432,30 +427,30 @@ impl HashTable {
     }
 
     /// Bytes of the bucket-header array.
-    pub fn bucket_array_bytes(&self) -> usize {
+    pub(crate) fn bucket_array_bytes(&self) -> usize {
         self.buckets.len() * BUCKET_HEADER_BYTES
     }
 
     /// Total bytes of the table (headers plus nodes) — the probe-time working
     /// set used by the analytic cache model.
-    pub fn total_bytes(&self) -> usize {
+    pub(crate) fn total_bytes(&self) -> usize {
         self.bucket_array_bytes()
             + self.key_nodes.len() * KEY_NODE_BYTES
             + self.rid_nodes.len() * RID_NODE_BYTES
     }
 
     /// Synthetic address of bucket `idx` (for cache simulation).
-    pub fn bucket_addr(&self, idx: usize) -> u64 {
+    pub(crate) fn bucket_addr(&self, idx: usize) -> u64 {
         self.base_addr + (idx * BUCKET_HEADER_BYTES) as u64
     }
 
     /// Synthetic address of key node `idx` (for cache simulation).
-    pub fn key_node_addr(&self, idx: u32) -> u64 {
+    pub(crate) fn key_node_addr(&self, idx: u32) -> u64 {
         self.base_addr + self.bucket_array_bytes() as u64 + (idx as usize * KEY_NODE_BYTES) as u64
     }
 
     /// Synthetic address of rid node `idx` (for cache simulation).
-    pub fn rid_node_addr(&self, idx: u32) -> u64 {
+    pub(crate) fn rid_node_addr(&self, idx: u32) -> u64 {
         self.base_addr
             + (self.bucket_array_bytes() + (64 << 20)) as u64
             + (idx as usize * RID_NODE_BYTES) as u64
@@ -468,7 +463,7 @@ impl HashTable {
     /// per pair, its key node found or created with the first, and every
     /// rid prepended to it — the table and the allocator requests of
     /// inserting the pairs one by one.
-    pub fn merge_from(
+    pub(crate) fn merge_from(
         &mut self,
         other: &HashTable,
         alloc: &mut dyn KernelAllocator,
@@ -519,9 +514,9 @@ mod tests {
 
     #[test]
     fn bucket_count_rounds_to_power_of_two() {
-        assert_eq!(HashTable::with_buckets(1000).num_buckets(), 1024);
-        assert_eq!(HashTable::for_build_size(3).num_buckets(), 4);
-        assert_eq!(HashTable::with_buckets(0).num_buckets(), 1);
+        assert_eq!(HashTable::with_buckets(1000).buckets.len(), 1024);
+        assert_eq!(HashTable::for_build_size(3).buckets.len(), 4);
+        assert_eq!(HashTable::with_buckets(0).buckets.len(), 1);
     }
 
     #[test]

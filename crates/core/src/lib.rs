@@ -42,7 +42,7 @@
 //!   overload is rejected with the typed [`JoinError::Saturated`].
 //! * **Algorithms** — the simple hash join (SHJ) and the radix-partitioned
 //!   hash join (PHJ), built on the paper's bucket-header → key-list →
-//!   rid-list hash table ([`hashtable`]) and MurmurHash 2.0 ([`hash`]).
+//!   rid-list hash table (`hashtable`) and MurmurHash 2.0 ([`hash`]).
 //! * **The native kernel** ([`native`]) — [`NativeCpu`] joins through the
 //!   same §3.1 idea laid out flat for host threads: per shard, a
 //!   power-of-two open-addressed directory of `{key, start, len}` slots
@@ -57,7 +57,7 @@
 //! * **Design tradeoffs** — shared vs. separate hash tables, the basic vs.
 //!   block software memory allocator, grouping-based divergence reduction
 //!   ([`divergence`]), fine vs. coarse step granularity ([`coarse`]) and
-//!   out-of-core execution beyond the zero-copy buffer ([`outofcore`]).
+//!   out-of-core execution beyond the zero-copy buffer (`outofcore`).
 //!
 //! ## Adaptive tuning
 //!
@@ -66,7 +66,7 @@
 //! subsystem ([`adaptive`], crate `hj-adaptive`, a layer *below* this crate
 //! that it re-exports) closes the loop:
 //!
-//! * the step pipeline ([`phase::run_step`]) feeds per-morsel-block lane
+//! * the step pipeline (`phase::run_step`) feeds per-morsel-block lane
 //!   timings (virtual time from the simulator's device model) to an
 //!   [`adaptive::RatioTuner`]; [`NativeCpu`] contributes per-morsel
 //!   wall-clock telemetry only — real-thread execution has no CPU/GPU
@@ -114,7 +114,7 @@
 //!
 //! Admission control and arena sizing reject what does not fit; the spill
 //! subsystem (crate `hj-spill`, re-exported as [`spill`], plus the
-//! [`spilljoin`] executor in this crate) makes those requests *degrade*
+//! `spilljoin` executor in this crate) makes those requests *degrade*
 //! instead of fail when they opt in:
 //!
 //! * [`EngineConfig::memory_budget`] installs an engine-wide
@@ -333,7 +333,7 @@
 //! same `Result<JoinOutcome, JoinError>`, but since the morsel refactor it
 //! no longer runs each phase as one monolithic pass: phases are decomposed
 //! into [`pipeline::Morsel`]s of [`JoinConfig::morsel_tuples`] tuples
-//! (default [`pipeline::DEFAULT_MORSEL_TUPLES`]), and the per-step ratios
+//! (default `pipeline::DEFAULT_MORSEL_TUPLES`), and the per-step ratios
 //! split each morsel between the devices.  Match counts and collected
 //! pairs are byte-identical to the old phase-at-a-time path; simulated
 //! times can differ marginally because the CPU/GPU split is now rounded
@@ -360,18 +360,18 @@ pub mod engine;
 pub mod error;
 pub mod executor;
 pub mod hash;
-pub mod hashtable;
+pub(crate) mod hashtable;
 pub mod native;
-pub mod outofcore;
+pub(crate) mod outofcore;
 pub mod partition;
 pub mod phase;
-pub mod pipeline;
+pub(crate) mod pipeline;
 pub mod probe;
 pub mod result;
 pub mod schedule;
 pub mod scheme;
-pub mod serve;
-pub mod spilljoin;
+pub(crate) mod serve;
+pub(crate) mod spilljoin;
 pub mod steps;
 
 pub use build::{run_build_phase, BuildTarget};
@@ -380,24 +380,19 @@ pub use config::{Algorithm, HashTableMode, JoinConfig, Scheme, StepGranularity};
 pub use context::{arena_bytes_for, ExecContext, ExecCounters};
 pub use engine::{
     CoupledSim, DiscreteSim, EngineConfig, EngineLoad, EngineStats, ExecBackend, JoinEngine,
-    JoinRequest, JoinRequestBuilder, NativeCpu, SessionStats, Tuning, DEFAULT_TRACE_CAPACITY,
+    JoinRequest, JoinRequestBuilder, NativeCpu, SessionStats, Tuning,
 };
 pub use error::JoinError;
 pub use executor::execute_join;
 pub use hashtable::HashTable;
-pub use outofcore::execute_out_of_core;
-pub use outofcore::DEFAULT_CHUNK_TUPLES;
-pub use partition::{default_radix_bits, run_partition_pass};
+pub use partition::run_partition_pass;
 pub use phase::{PhaseExecution, StepExecution};
-pub use pipeline::{
-    morsel_ranges, series_tasks, Lanes, Morsel, StepSeries, WorkerPool, DEFAULT_MORSEL_TUPLES,
-};
+pub use pipeline::{Morsel, StepSeries, WorkerPool};
 pub use probe::{run_probe_phase, ProbeOutput};
 pub use result::{reference_match_count, reference_pairs, BasicUnitRatios, JoinOutcome};
 pub use schedule::{compose_pipeline, PipelineTiming, Ratios};
 pub use scheme::RatioPlan;
 pub use serve::{JoinServer, ServerConfig, ServerStats};
-pub use spilljoin::execute_spill_join;
 pub use steps::StepId;
 
 /// Asks the CPU to start loading the cache line that holds `items[index]`,

@@ -40,7 +40,7 @@
 //! cached probe and every partition pair of a spilling join run the same
 //! code and emit the same pairs in the same order (probe order, then build
 //! order within a key).  `scatter` is build's first stage and also routes
-//! the spill path's chunks into partitions ([`crate::spilljoin`]).  The
+//! the spill path's chunks into partitions (`crate::spilljoin`).  The
 //! large buffers a build needs are reused from join to join (`Scratch`), so
 //! a join's speed does not depend on what the allocator did with the last
 //! one's memory.

@@ -23,10 +23,6 @@ use crate::scheme::RatioPlan;
 use apu_sim::{Phase, SimTime, SystemSpec};
 use datagen::Relation;
 
-/// Default chunk size used to stream relations through the zero-copy buffer
-/// (16 M tuples, as in the paper's experiment).
-pub const DEFAULT_CHUNK_TUPLES: usize = 16 * 1024 * 1024;
-
 /// Approximate bytes of buffer needed per build tuple for an in-core join
 /// (both inputs plus the hash table and result output).
 pub(crate) const BYTES_PER_TUPLE_IN_CORE: usize = 48;
@@ -51,7 +47,7 @@ pub(crate) fn spills(sys: &SystemSpec, build_tuples: usize, probe_tuples: usize)
 /// # Errors
 /// Returns [`JoinError::ArenaExhausted`] when a chunk or partition pair
 /// outgrows the context's arena.
-pub fn execute_out_of_core(
+pub(crate) fn execute_out_of_core(
     ctx: &mut ExecContext<'_>,
     build: &Relation,
     probe: &Relation,
@@ -139,13 +135,6 @@ fn add_copy(outcome: &mut JoinOutcome, sys: &SystemSpec, bytes: u64) {
         .add(Phase::DataCopy, SimTime::from_ns(bytes as f64 / bw));
 }
 
-/// The number of tuples (per relation) above which the join must spill,
-/// given a buffer size — useful for experiments that shrink the buffer to
-/// exercise the out-of-core path at laptop scale.
-pub fn in_core_capacity_tuples(zero_copy_bytes: usize) -> usize {
-    zero_copy_bytes / BYTES_PER_TUPLE_IN_CORE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,7 +176,7 @@ mod tests {
         let sys = SystemSpec::coupled_a8_3870k();
         let (r, s) = datagen::generate_pair(&DataGenConfig::small(1000, 1000));
         let cfg = JoinConfig::shj(Scheme::pipelined_paper());
-        let out = run(&sys, &r, &s, &cfg, DEFAULT_CHUNK_TUPLES);
+        let out = run(&sys, &r, &s, &cfg, 16 * 1024 * 1024);
         assert_eq!(out.matches, reference_match_count(&r, &s));
         assert_eq!(out.breakdown.get(Phase::DataCopy), SimTime::ZERO);
     }
@@ -225,10 +214,5 @@ mod tests {
             4096,
         );
         assert_eq!(shj.matches, phj.matches);
-    }
-
-    #[test]
-    fn capacity_helper_is_monotonic() {
-        assert!(in_core_capacity_tuples(512 << 20) > in_core_capacity_tuples(64 << 20));
     }
 }

@@ -137,7 +137,7 @@ pub fn run_partition_pass(
 /// Chooses the number of radix bits for one pass so that an average
 /// partition pair (build + probe + hash table) fits comfortably in the
 /// shared cache — the paper tunes this to the memory hierarchy.
-pub fn default_radix_bits(build_tuples: usize, cache_bytes: usize) -> u32 {
+pub(crate) fn default_radix_bits(build_tuples: usize, cache_bytes: usize) -> u32 {
     // Bytes a partition pair occupies per build tuple: tuple (8) + probe
     // share (8, assuming |S| ≈ |R| per partition) + hash-table nodes (28).
     let per_tuple = 44usize;

@@ -1,8 +1,8 @@
 //! Generic machinery for running one step series split between the CPU and
 //! the GPU, and the per-phase execution record.
 //!
-//! Since the morsel refactor, [`run_step`] is morsel-driven: it enumerates
-//! the task stream defined by [`crate::pipeline`] (one
+//! Since the morsel refactor, `run_step` is morsel-driven: it enumerates
+//! the task stream defined by `crate::pipeline` (one
 //! [`crate::pipeline::Morsel`]-sized range per `morsel_tuples` tuples, see
 //! [`ExecContext::morsel_tuples`]; computed arithmetically rather than
 //! materialised), splitting *each morsel's* range between the devices by
@@ -17,7 +17,7 @@
 //! in a host pass before its steps run, and records per tuple what the
 //! work found (see [`crate::build`], [`crate::probe`],
 //! [`crate::partition`]).  Each step then *replays* its accounting through
-//! [`run_step`], one [`Lane`] at a time: morsel by morsel, each morsel's
+//! `run_step`, one [`Lane`] at a time: morsel by morsel, each morsel's
 //! CPU lane before its GPU lane, the order in which the kernels always
 //! visited items.  The accounting is everything a simulated value depends on:
 //!
@@ -26,7 +26,7 @@
 //!   recording bit for bit — and the per-item work units in item order
 //!   (wavefront packing depends on it);
 //! * the allocator requests, in item order, a work group's run at a time
-//!   ([`Lane::group_runs`]); per-lane deltas of the allocator counters are
+//!   (`Lane::group_runs`); per-lane deltas of the allocator counters are
 //!   charged to the lane's device;
 //! * the exact cache simulator's addresses, item by item;
 //! * under [`Tuning::Adaptive`](crate::engine::Tuning), the tuner's
@@ -67,14 +67,6 @@ pub struct StepExecution {
 }
 
 impl StepExecution {
-    /// Total simulated time on one device.
-    pub fn device_time(&self, kind: DeviceKind) -> SimTime {
-        match kind {
-            DeviceKind::Cpu => self.cpu_time.total(),
-            DeviceKind::Gpu => self.gpu_time.total(),
-        }
-    }
-
     /// Per-tuple unit cost on one device (`None` when that device processed
     /// no items) — the quantity plotted in Figure 4.
     pub fn unit_cost(&self, kind: DeviceKind) -> Option<SimTime> {
@@ -108,7 +100,7 @@ pub struct PhaseExecution {
 impl PhaseExecution {
     /// Builds the phase record from its per-step executions, composing the
     /// pipeline timing.
-    pub fn from_steps(
+    pub(crate) fn from_steps(
         phase: Phase,
         ratios: Ratios,
         steps: Vec<StepExecution>,
@@ -141,14 +133,6 @@ impl PhaseExecution {
     }
 }
 
-/// Splits `items` into the CPU range `[0, cut)` and GPU range `[cut, items)`
-/// according to the CPU ratio `r` — [`split_range`] over the whole range,
-/// so the cut rule lives in exactly one place.
-pub fn split_items(items: usize, r: f64) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-    let lanes = split_range(0..items, r);
-    (lanes.cpu, lanes.gpu)
-}
-
 /// The per-step CPU ratios a series *actually* executed with, recovered
 /// from the step records (`cpu_items / items` per step); steps that
 /// processed nothing fall back to the planned ratio.
@@ -157,7 +141,7 @@ pub fn split_items(items: usize, r: f64) -> (std::ops::Range<usize>, std::ops::R
 /// under [`Tuning::Adaptive`](crate::engine::Tuning) the re-planner may
 /// have shifted ratios mid-phase, and the pipeline-timing composition
 /// should describe what ran, not what was planned.
-pub fn effective_ratios(steps: &[StepExecution], planned: &Ratios) -> Ratios {
+pub(crate) fn effective_ratios(steps: &[StepExecution], planned: &Ratios) -> Ratios {
     Ratios::new(
         steps
             .iter()
@@ -215,7 +199,7 @@ impl Lane {
     /// The lane's items split into runs that share one work group, in
     /// order, each with its group: a run's allocations can be replayed
     /// with one [`mem_alloc::KernelAllocator::alloc_many`].
-    pub fn group_runs(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    pub(crate) fn group_runs(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
         let mut start = self.items.start;
         std::iter::from_fn(move || {
             if start >= self.items.end {
@@ -253,7 +237,7 @@ impl Lane {
 /// CPU lane before its GPU lane — with `(ctx, lane, recorder)`, and records
 /// the lane's cost.  Allocator activity during each lane is attributed to
 /// its device automatically.
-pub fn run_step<F>(
+pub(crate) fn run_step<F>(
     ctx: &mut ExecContext<'_>,
     step: StepId,
     items: usize,
@@ -493,13 +477,13 @@ mod tests {
     use mem_alloc::AllocatorKind;
 
     #[test]
-    fn split_items_respects_ratio_bounds() {
-        assert_eq!(split_items(100, 0.0).0.len(), 0);
-        assert_eq!(split_items(100, 1.0).0.len(), 100);
-        assert_eq!(split_items(100, 0.25).0.len(), 25);
-        assert_eq!(split_items(100, 2.0).0.len(), 100);
-        let (c, g) = split_items(7, 0.5);
-        assert_eq!(c.len() + g.len(), 7);
+    fn split_range_respects_ratio_bounds() {
+        assert_eq!(split_range(0..100, 0.0).cpu.len(), 0);
+        assert_eq!(split_range(0..100, 1.0).cpu.len(), 100);
+        assert_eq!(split_range(0..100, 0.25).cpu.len(), 25);
+        assert_eq!(split_range(0..100, 2.0).cpu.len(), 100);
+        let lanes = split_range(0..7, 0.5);
+        assert_eq!(lanes.cpu.len() + lanes.gpu.len(), 7);
     }
 
     #[test]
@@ -612,9 +596,9 @@ mod tests {
             rec.items(lane.items.len(), 1.0);
         });
         assert_eq!(exec.morsels, 1);
-        let (cpu, gpu) = split_items(1000, 0.3);
-        assert_eq!(exec.cpu_items, cpu.len());
-        assert_eq!(exec.gpu_items, gpu.len());
+        let lanes = split_range(0..1000, 0.3);
+        assert_eq!(exec.cpu_items, lanes.cpu.len());
+        assert_eq!(exec.gpu_items, lanes.gpu.len());
     }
 
     #[test]

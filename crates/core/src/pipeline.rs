@@ -7,7 +7,7 @@
 //! PAPERS.md, this module decomposes every step series into [`Morsel`]s —
 //! contiguous tuple ranges of roughly [`DEFAULT_MORSEL_TUPLES`] tuples —
 //! and a per-step workload ratio then splits each morsel's range into a CPU
-//! lane and a GPU lane ([`Morsel::lanes`]).
+//! lane and a GPU lane (`split_range`).
 //!
 //! One task stream, two interpretations:
 //!
@@ -32,7 +32,7 @@ use std::time::Instant;
 
 /// Default morsel size in tuples (~64 K, a few hundred KB of tuple data —
 /// large enough to amortise dispatch, small enough to load-balance).
-pub const DEFAULT_MORSEL_TUPLES: usize = 64 * 1024;
+pub(crate) const DEFAULT_MORSEL_TUPLES: usize = 64 * 1024;
 
 /// Which step series a morsel belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,7 +57,7 @@ impl StepSeries {
 
     /// The adaptive layer's name for this series (telemetry and re-planned
     /// ratios are addressed by [`hj_adaptive::SeriesKind`]).
-    pub fn adaptive_kind(self) -> hj_adaptive::SeriesKind {
+    pub(crate) fn adaptive_kind(self) -> hj_adaptive::SeriesKind {
         match self {
             StepSeries::Partition => hj_adaptive::SeriesKind::Partition,
             StepSeries::Build => hj_adaptive::SeriesKind::Build,
@@ -80,7 +80,7 @@ pub struct Morsel {
 
 /// The CPU and GPU lanes of one morsel under a per-step CPU ratio.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lanes {
+pub(crate) struct Lanes {
     /// Tuples processed by the CPU (a prefix of the morsel).
     pub cpu: Range<usize>,
     /// Tuples processed by the GPU (the remaining suffix).
@@ -97,18 +97,12 @@ impl Morsel {
     pub fn is_empty(&self) -> bool {
         self.range.is_empty()
     }
-
-    /// Splits the morsel's range into CPU and GPU lanes by the CPU ratio
-    /// `r`: the CPU takes the first `round(len × r)` tuples.
-    pub fn lanes(&self, r: f64) -> Lanes {
-        split_range(self.range.clone(), r)
-    }
 }
 
 /// Splits `range` into a CPU prefix of `round(len × r)` tuples and the GPU
-/// suffix — the single cut rule behind both [`Morsel::lanes`] and
-/// [`crate::phase::split_items`].
-pub fn split_range(range: Range<usize>, r: f64) -> Lanes {
+/// suffix — the single cut rule behind the simulator's per-morsel lanes in
+/// [`crate::phase::run_step`].
+pub(crate) fn split_range(range: Range<usize>, r: f64) -> Lanes {
     let len = range.len();
     let cut = ((len as f64) * r.clamp(0.0, 1.0)).round() as usize;
     let cut = range.start + cut.min(len);
@@ -121,7 +115,7 @@ pub fn split_range(range: Range<usize>, r: f64) -> Lanes {
 /// Splits `items` tuples into morsel ranges of at most `morsel_tuples`
 /// tuples each (the last morsel may be shorter).  A zero `morsel_tuples` is
 /// treated as one tuple.
-pub fn morsel_ranges(items: usize, morsel_tuples: usize) -> Vec<Range<usize>> {
+pub(crate) fn morsel_ranges(items: usize, morsel_tuples: usize) -> Vec<Range<usize>> {
     let morsel = morsel_tuples.max(1);
     let mut ranges = Vec::with_capacity(items.div_ceil(morsel));
     let mut start = 0usize;
@@ -131,32 +125,6 @@ pub fn morsel_ranges(items: usize, morsel_tuples: usize) -> Vec<Range<usize>> {
         start = end;
     }
     ranges
-}
-
-/// Materialises the full task stream of one step series over `items`
-/// tuples: every step of the series, morselised, in step-major order (step
-/// `i+1`'s morsels depend on step `i`'s output, so the stream respects the
-/// series' data dependencies while leaving morsels within a step free to
-/// run on either device).
-///
-/// The executors do not allocate this list — [`crate::phase::run_step`]
-/// and the native backend enumerate the *same* stream arithmetically (via
-/// [`morsel_ranges`]/the morsel arithmetic) to avoid materialisation on
-/// large inputs.  `series_tasks` is the explicit, inspectable form of that
-/// stream for schedulers, tests and tooling.
-pub fn series_tasks(series: StepSeries, items: usize, morsel_tuples: usize) -> Vec<Morsel> {
-    let ranges = morsel_ranges(items, morsel_tuples);
-    let mut tasks = Vec::with_capacity(series.steps().len() * ranges.len());
-    for &step in series.steps() {
-        for range in &ranges {
-            tasks.push(Morsel {
-                step_series: series,
-                step,
-                range: range.clone(),
-            });
-        }
-    }
-    tasks
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +251,7 @@ struct WorkerDeque {
 /// reads the very atoms the workers bump; a standalone
 /// [`WorkerPool::new`] keeps counters no registry lists.
 #[derive(Clone)]
-pub struct WorkerCounters {
+pub(crate) struct WorkerCounters {
     /// Tasks each worker executed.
     pub tasks: Vec<Arc<Counter>>,
     /// Tasks each worker took from *another* worker's deque.
@@ -502,17 +470,6 @@ impl WorkerPool {
         Arc::clone(&self.shared.live_workers)
     }
 
-    /// Lifetime count of tasks each worker executed, indexed by worker.
-    pub fn tasks_executed(&self) -> Vec<u64> {
-        read_counters(&self.shared.counters.tasks)
-    }
-
-    /// Lifetime count of tasks each worker *stole* from another worker's
-    /// deque, indexed by the stealing worker.
-    pub fn tasks_stolen(&self) -> Vec<u64> {
-        read_counters(&self.shared.counters.steals)
-    }
-
     /// Lifetime wall-clock nanoseconds each worker spent executing tasks,
     /// indexed by worker.
     pub fn busy_ns(&self) -> Vec<u64> {
@@ -676,7 +633,7 @@ impl WorkerPool {
 /// spills never touches it and therefore never spawns a thread, while the
 /// first native execution (or spilling join) materialises the full pool
 /// exactly once.  The workers are joined when the holder drops.
-pub struct SharedWorkerPool {
+pub(crate) struct SharedWorkerPool {
     counters: WorkerCounters,
     cell: std::sync::OnceLock<WorkerPool>,
 }
@@ -693,7 +650,7 @@ impl std::fmt::Debug for SharedWorkerPool {
 impl SharedWorkerPool {
     /// A holder that will spawn one worker per entry of `counters` on
     /// first use, each counting into its own entry.
-    pub fn new(counters: WorkerCounters) -> Self {
+    pub(crate) fn new(counters: WorkerCounters) -> Self {
         SharedWorkerPool {
             counters,
             cell: std::sync::OnceLock::new(),
@@ -701,12 +658,12 @@ impl SharedWorkerPool {
     }
 
     /// The worker count the pool is (or will be) provisioned with.
-    pub fn configured_workers(&self) -> usize {
+    pub(crate) fn configured_workers(&self) -> usize {
         self.counters.tasks.len()
     }
 
     /// The pool, spawning its workers on the first call.
-    pub fn get(&self) -> &WorkerPool {
+    pub(crate) fn get(&self) -> &WorkerPool {
         self.cell
             .get_or_init(|| WorkerPool::with_counters(self.counters.clone()))
     }
@@ -753,30 +710,13 @@ mod tests {
         };
         assert_eq!(m.len(), 100);
         assert!(!m.is_empty());
-        let lanes = m.lanes(0.3);
+        let lanes = split_range(m.range.clone(), 0.3);
         assert_eq!(lanes.cpu, 100..130);
         assert_eq!(lanes.gpu, 130..200);
-        assert_eq!(m.lanes(0.0).cpu.len(), 0);
-        assert_eq!(m.lanes(1.0).gpu.len(), 0);
+        assert_eq!(split_range(m.range.clone(), 0.0).cpu.len(), 0);
+        assert_eq!(split_range(m.range.clone(), 1.0).gpu.len(), 0);
         // Out-of-range ratios clamp instead of panicking.
-        assert_eq!(m.lanes(7.5).cpu, 100..200);
-    }
-
-    #[test]
-    fn series_tasks_are_step_major_and_complete() {
-        let tasks = series_tasks(StepSeries::Probe, 150, 64);
-        // 4 steps × 3 morsels (64 + 64 + 22).
-        assert_eq!(tasks.len(), 12);
-        assert_eq!(tasks[0].step, StepId::P1);
-        assert_eq!(tasks[0].range, 0..64);
-        assert_eq!(tasks[2].range, 128..150);
-        assert_eq!(tasks[3].step, StepId::P2);
-        for step_tasks in tasks.chunks(3) {
-            let covered: usize = step_tasks.iter().map(Morsel::len).sum();
-            assert_eq!(covered, 150);
-        }
-        assert_eq!(StepSeries::Partition.steps().len(), 3);
-        assert_eq!(StepSeries::Build.steps().len(), 4);
+        assert_eq!(split_range(m.range.clone(), 7.5).cpu, 100..200);
     }
 
     #[test]
@@ -793,7 +733,12 @@ mod tests {
         assert_eq!(results.len(), 1000);
         assert!(results.iter().enumerate().all(|(i, &r)| r == i * 2));
         // Every executed task is accounted to exactly one worker counter.
-        assert_eq!(pool.tasks_executed().iter().sum::<u64>(), 1000);
+        assert_eq!(
+            read_counters(&pool.shared.counters.tasks)
+                .iter()
+                .sum::<u64>(),
+            1000
+        );
     }
 
     #[test]
@@ -805,7 +750,12 @@ mod tests {
         }
         // The same three threads served all ten jobs.
         assert_eq!(pool.live_workers(), 3);
-        assert_eq!(pool.tasks_executed().iter().sum::<u64>(), 500);
+        assert_eq!(
+            read_counters(&pool.shared.counters.tasks)
+                .iter()
+                .sum::<u64>(),
+            500
+        );
     }
 
     #[test]
@@ -913,7 +863,12 @@ mod tests {
                 });
             }
         });
-        assert_eq!(pool.tasks_executed().iter().sum::<u64>(), 1200);
+        assert_eq!(
+            read_counters(&pool.shared.counters.tasks)
+                .iter()
+                .sum::<u64>(),
+            1200
+        );
     }
 
     #[test]

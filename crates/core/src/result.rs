@@ -65,16 +65,6 @@ impl JoinOutcome {
     pub fn total_time(&self) -> SimTime {
         self.breakdown.total()
     }
-
-    /// Throughput in (probe) tuples per second of simulated time.
-    pub fn tuples_per_second(&self, probe_tuples: usize) -> f64 {
-        let secs = self.total_time().as_secs();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            probe_tuples as f64 / secs
-        }
-    }
 }
 
 /// Reference equi-join result cardinality computed with a plain hash map;
@@ -145,7 +135,5 @@ mod tests {
         o.breakdown.add(Phase::Build, SimTime::from_ms(3.0));
         o.breakdown.add(Phase::Probe, SimTime::from_ms(7.0));
         assert_eq!(o.total_time().as_ms(), 10.0);
-        assert!(o.tuples_per_second(1000) > 0.0);
-        assert_eq!(JoinOutcome::default().tuples_per_second(10), 0.0);
     }
 }

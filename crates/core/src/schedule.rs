@@ -84,14 +84,14 @@ impl Ratios {
     }
 
     /// True when all ratios are equal (a DD schedule) within `1e-9`.
-    pub fn is_uniform(&self) -> bool {
+    pub(crate) fn is_uniform(&self) -> bool {
         self.0.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-9)
     }
 
     /// Total fraction of tuples that change device between consecutive steps
     /// (`Σ |r_i − r_{i-1}|`); multiplied by the item count this is the amount
     /// of intermediate results the pipelined scheme materialises.
-    pub fn intermediate_fraction(&self) -> f64 {
+    pub(crate) fn intermediate_fraction(&self) -> f64 {
         self.0.windows(2).map(|w| (w[1] - w[0]).abs()).sum()
     }
 }

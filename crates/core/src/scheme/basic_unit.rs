@@ -12,16 +12,12 @@ use crate::error::JoinError;
 use apu_sim::{DeviceClocks, DeviceKind, SimTime};
 use std::ops::Range;
 
-/// Per-chunk dispatch overhead (queue management and kernel launch), charged
-/// to the device that receives the chunk.
-pub const CHUNK_DISPATCH_OVERHEAD: SimTime = SimTime::ZERO;
-
 /// Default dispatch overhead in nanoseconds (20 µs per chunk).
-pub const CHUNK_DISPATCH_OVERHEAD_NS: f64 = 20_000.0;
+pub(crate) const CHUNK_DISPATCH_OVERHEAD_NS: f64 = 20_000.0;
 
 /// Outcome of scheduling one phase with BasicUnit.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ChunkSchedule {
+pub(crate) struct ChunkSchedule {
     /// Elapsed time of the phase (`max` of the two device clocks).
     pub elapsed: SimTime,
     /// Total busy time of the CPU.
@@ -39,7 +35,7 @@ pub struct ChunkSchedule {
 impl ChunkSchedule {
     /// The fraction of tuples the CPU ended up processing — the quantity
     /// shown in Figures 17 and 18.
-    pub fn cpu_ratio(&self) -> f64 {
+    pub(crate) fn cpu_ratio(&self) -> f64 {
         let total = self.cpu_items + self.gpu_items;
         if total == 0 {
             0.0
@@ -55,7 +51,7 @@ impl ChunkSchedule {
 /// `run_chunk(ctx, range, device)` executes the whole phase for the chunk on
 /// that device and returns its simulated elapsed time; its error (typically
 /// arena exhaustion) aborts the schedule.
-pub fn run_chunks<F>(
+pub(crate) fn run_chunks<F>(
     ctx: &mut ExecContext<'_>,
     items: usize,
     chunk: usize,

@@ -72,25 +72,19 @@ impl RatioPlan {
         Some(plan)
     }
 
-    /// True when the build ratios are uniform, i.e. a tuple stays on one
-    /// device for the whole build phase (required for separate hash tables).
-    pub fn build_is_uniform(&self) -> bool {
-        self.build.is_uniform()
-    }
-
     /// The average CPU share of the build phase (used to size PCI-e
     /// transfers on the discrete topology).
-    pub fn build_cpu_share(&self) -> f64 {
+    pub(crate) fn build_cpu_share(&self) -> f64 {
         average(self.build.as_slice())
     }
 
     /// The average CPU share of the probe phase.
-    pub fn probe_cpu_share(&self) -> f64 {
+    pub(crate) fn probe_cpu_share(&self) -> f64 {
         average(self.probe.as_slice())
     }
 
     /// The average CPU share of a partition pass.
-    pub fn partition_cpu_share(&self) -> f64 {
+    pub(crate) fn partition_cpu_share(&self) -> f64 {
         average(self.partition.as_slice())
     }
 }
@@ -122,7 +116,6 @@ mod tests {
         let plan = RatioPlan::from_scheme(&Scheme::data_dividing_paper()).unwrap();
         assert!(plan.build.is_uniform());
         assert!(plan.probe.is_uniform());
-        assert!(plan.build_is_uniform());
         assert!((plan.build_cpu_share() - 0.26).abs() < 1e-12);
         assert!((plan.probe_cpu_share() - 0.41).abs() < 1e-12);
         assert!((plan.partition_cpu_share() - 0.11).abs() < 1e-12);
@@ -140,7 +133,7 @@ mod tests {
         let plan = RatioPlan::from_scheme(&mixed).unwrap();
         assert_eq!(plan.partition.as_slice(), &[1.0, 0.0, 1.0]);
         assert_eq!(plan.build.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
-        assert!(!plan.build_is_uniform());
+        assert!(!plan.build.is_uniform());
     }
 
     #[test]

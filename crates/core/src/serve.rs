@@ -30,7 +30,7 @@
 //!
 //! ```no_run
 //! use hj_core::engine::{EngineConfig, JoinEngine};
-//! use hj_core::serve::{JoinServer, ServerConfig};
+//! use hj_core::{JoinServer, ServerConfig};
 //! use hj_core::server::{JoinClient, RequestBuilder, WireAlgorithm};
 //! use std::sync::Arc;
 //!
@@ -56,7 +56,7 @@ use crate::error::JoinError;
 use crate::result::JoinOutcome;
 use hj_analysis::sync::Mutex;
 use hj_metrics::{AtomicHistogram, Counter, LatencyHistogram};
-use hj_server::admission::{Admission, AdmissionController, AdmissionStats, SloConfig};
+use hj_server::admission::{Admission, AdmissionController, SloConfig};
 use hj_server::frame::{
     append_frame, read_frame_into, release_oversized, FrameType, WireError,
     DEFAULT_MAX_PAYLOAD_BYTES,
@@ -285,7 +285,7 @@ impl ServerShared {
     }
 }
 
-/// A running TCP join server (see the [module docs](self)).
+/// A running TCP join server (see the module docs).
 pub struct JoinServer {
     shared: Arc<ServerShared>,
     addr: SocketAddr,
@@ -419,12 +419,6 @@ impl JoinServer {
             http_requests: shared.http_requests.get(),
             http_bad_requests: shared.http_bad_requests.get(),
         }
-    }
-
-    /// The admission controller's counters (admits, sheds by reason,
-    /// backlog and service estimate).
-    pub fn admission_stats(&self) -> AdmissionStats {
-        self.shared.admission.stats()
     }
 
     /// The engine behind the server.

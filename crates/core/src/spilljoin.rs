@@ -64,7 +64,7 @@ const FALLBACK_BLOCK_TUPLES: usize = 64 * 1024;
 /// The per-pair join the spill executor re-enters for every partition pair
 /// that fits in memory: in the engine this is the backend's `execute` on a
 /// stripped-down inner request, i.e. the full morsel pipeline.
-pub type PairJoin<'a> =
+pub(crate) type PairJoin<'a> =
     dyn FnMut(&mut ExecContext<'_>, &Relation, &Relation) -> Result<JoinOutcome, JoinError> + 'a;
 
 /// Runs `build ⨝ probe` under the session's memory grant, spilling build
@@ -82,7 +82,7 @@ pub type PairJoin<'a> =
 /// * [`JoinError::Spill`] on run-file I/O failures or corrupt frames;
 /// * [`JoinError::ArenaExhausted`] only when even a single-tuple fallback
 ///   block cannot fit the context's arena (a mis-provisioned engine).
-pub fn execute_spill_join(
+pub(crate) fn execute_spill_join(
     ctx: &mut ExecContext<'_>,
     build: &Relation,
     probe: &Relation,

@@ -16,7 +16,7 @@
 //! data dependency; a *step series* (build, probe, or one partition pass) is
 //! the unit over which the co-processing schemes assign workload ratios.
 //!
-//! The instruction estimates in [`instr`] play the role of the AMD profiler
+//! The instruction estimates in `instr` play the role of the AMD profiler
 //! counts the paper feeds into its cost model (`#I^i_XPU` in Table 2); they
 //! are per-tuple (or per-node for list traversals) and deliberately include
 //! the OpenCL work-item dispatch overhead, which is why the hash steps cost
@@ -97,7 +97,7 @@ impl StepId {
     /// The step series this step belongs to and its zero-based index within
     /// the series — the coordinates the adaptive tuner addresses telemetry
     /// and re-planned ratios by.
-    pub fn series_index(self) -> (crate::pipeline::StepSeries, usize) {
+    pub(crate) fn series_index(self) -> (crate::pipeline::StepSeries, usize) {
         use crate::pipeline::StepSeries;
         match self {
             StepId::N1 => (StepSeries::Partition, 0),
@@ -124,29 +124,29 @@ impl std::fmt::Display for StepId {
 /// Per-tuple (or per-node) dynamic-instruction estimates for each step,
 /// standing in for the AMD CodeXL / APP Profiler measurements the paper uses
 /// to instantiate its cost model (Section 4.2).
-pub mod instr {
+pub(crate) mod instr {
     /// Hash-value computation steps (`n1`, `b1`, `p1`): MurmurHash 2.0,
     /// bucket masking and the OpenCL work-item overhead.
-    pub const HASH: f64 = 180.0;
+    pub(crate) const HASH: f64 = 180.0;
     /// Visiting a bucket or partition header (`n2`, `b2`, `p2`).
-    pub const VISIT_HEADER: f64 = 24.0;
+    pub(crate) const VISIT_HEADER: f64 = 24.0;
     /// Walking one node of a key list (`b3`, `p3`), per node visited.
-    pub const KEY_NODE_VISIT: f64 = 28.0;
+    pub(crate) const KEY_NODE_VISIT: f64 = 28.0;
     /// Creating and linking a new key node (`b3` when the key is new).
-    pub const KEY_NODE_CREATE: f64 = 40.0;
+    pub(crate) const KEY_NODE_CREATE: f64 = 40.0;
     /// Inserting a record id into a rid list (`b4`).
-    pub const RID_INSERT: f64 = 30.0;
+    pub(crate) const RID_INSERT: f64 = 30.0;
     /// Visiting one matching rid node and emitting an output pair (`p4`).
-    pub const OUTPUT_MATCH: f64 = 26.0;
+    pub(crate) const OUTPUT_MATCH: f64 = 26.0;
     /// Scattering one `<key, rid>` pair into its partition (`n3`).
-    pub const PARTITION_INSERT: f64 = 42.0;
+    pub(crate) const PARTITION_INSERT: f64 = 42.0;
     /// Reordering overhead per tuple of the grouping-based divergence
     /// optimisation (Section 3.3), charged when grouping is enabled.
-    pub const GROUPING_PER_TUPLE: f64 = 14.0;
+    pub(crate) const GROUPING_PER_TUPLE: f64 = 14.0;
     /// Per-tuple cost of the merge step that separate hash tables require:
     /// the destination bucket is recomputed (a hash evaluation) and the
     /// `<key, rid>` pair is re-inserted into the destination table.
-    pub const MERGE_PER_TUPLE: f64 = 230.0;
+    pub(crate) const MERGE_PER_TUPLE: f64 = 230.0;
 }
 
 #[cfg(test)]

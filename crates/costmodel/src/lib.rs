@@ -7,7 +7,8 @@
 //!
 //! * [`params`] — the calibrated per-step unit costs (the `#I^i_XPU` /
 //!   memory-cost terms of Table 2);
-//! * [`calibration`] — obtains those unit costs by profiling CPU-only and
+//! * calibration ([`calibrate_quick`], [`calibrate_from_relations`]) —
+//!   obtains those unit costs by profiling CPU-only and
 //!   GPU-only executions on the simulator (standing in for AMD CodeXL and
 //!   the memory-calibration micro-benchmarks of Manegold et al. / He et
 //!   al.);
@@ -16,7 +17,8 @@
 //!   deliberately *not* modelled, exactly as in the paper (Section 5.3);
 //! * [`optimizer`] — grid search over ratios at step δ (0.02 in the paper)
 //!   with coordinate refinement, plus OL placement and DD ratio selection;
-//! * [`montecarlo`] — random-ratio sampling used to evaluate how close the
+//! * Monte-Carlo evaluation ([`monte_carlo_series`], [`cdf_points`]) —
+//!   random-ratio sampling used to evaluate how close the
 //!   model-chosen ratios come to the best achievable (Figure 9).
 //!
 //! The composition (Eqs. 1, 2, 4, 5), the grid-plus-descent search and the
@@ -26,16 +28,14 @@
 
 #![warn(missing_docs)]
 
-pub mod calibration;
+pub(crate) mod calibration;
 pub mod model;
-pub mod montecarlo;
+pub(crate) mod montecarlo;
 pub mod optimizer;
 pub mod params;
 
 pub use calibration::{calibrate_from_relations, calibrate_quick};
 pub use model::{JoinCostModel, SeriesCostModel};
 pub use montecarlo::{cdf_points, monte_carlo_series};
-pub use optimizer::{
-    optimize_dd_ratio, optimize_offload, optimize_pl_ratios, tune_scheme, TunedScheme,
-};
+pub use optimizer::{optimize_dd_ratio, optimize_pl_ratios, tune_scheme, TunedScheme};
 pub use params::{JoinUnitCosts, SeriesUnitCosts};

@@ -6,12 +6,13 @@
 //! consecutive steps use different ratios; the series costs the slower of
 //! the two devices.  Lock contention is intentionally not modelled
 //! (Section 5.3), which is why measured times sit slightly above the
-//! estimates.  The composition itself is `hj_core::compose_pipeline`, the
-//! `SimTime` face of the one copy in `hj_adaptive::solver`.
+//! estimates.  The composition itself is the one copy in
+//! `hj_adaptive::solver::compose_steps`.
 
 use crate::params::{JoinUnitCosts, SeriesUnitCosts};
 use apu_sim::SimTime;
-use hj_core::{compose_pipeline, RatioPlan, Ratios};
+use hj_core::adaptive::solver::compose_steps;
+use hj_core::{RatioPlan, Ratios};
 
 /// Cost model of one step series.
 #[derive(Debug, Clone)]
@@ -31,7 +32,7 @@ impl SeriesCostModel {
     }
 
     /// Number of steps in the series.
-    pub fn num_steps(&self) -> usize {
+    pub(crate) fn num_steps(&self) -> usize {
         self.costs.len()
     }
 
@@ -41,25 +42,21 @@ impl SeriesCostModel {
     /// # Panics
     /// Panics if `ratios.len()` differs from the number of steps.
     pub fn estimate(&self, items: usize, ratios: &Ratios) -> SimTime {
-        assert_eq!(ratios.len(), self.costs.len(), "ratio count mismatch");
-        let x = items as f64;
-        let cpu: Vec<SimTime> = (0..self.costs.len())
-            .map(|i| SimTime::from_ns(self.costs.cpu_ns[i] * ratios.get(i) * x))
-            .collect();
-        let gpu: Vec<SimTime> = (0..self.costs.len())
-            .map(|i| SimTime::from_ns(self.costs.gpu_ns[i] * (1.0 - ratios.get(i)) * x))
-            .collect();
-        compose_pipeline(&cpu, &gpu, ratios).elapsed
+        self.estimate_slice(items, ratios.as_slice())
     }
 
-    /// Estimated time when the whole series runs on one device.
-    pub fn estimate_single_device(&self, items: usize, cpu: bool) -> SimTime {
-        let ratios = if cpu {
-            Ratios::cpu_only(self.costs.len())
-        } else {
-            Ratios::gpu_only(self.costs.len())
-        };
-        self.estimate(items, &ratios)
+    /// [`Self::estimate`] over a plain ratio slice; it allocates nothing,
+    /// so the ratio searches call it once per candidate.
+    pub(crate) fn estimate_slice(&self, items: usize, ratios: &[f64]) -> SimTime {
+        assert_eq!(ratios.len(), self.costs.len(), "ratio count mismatch");
+        let x = items as f64;
+        let steps = self.costs.cpu_ns.iter().zip(&self.costs.gpu_ns).zip(ratios);
+        let timing = compose_steps(steps.map(|((&cpu_ns, &gpu_ns), &r)| {
+            let cpu = SimTime::from_ns(cpu_ns * r * x);
+            let gpu = SimTime::from_ns(gpu_ns * (1.0 - r) * x);
+            (cpu.as_ns(), gpu.as_ns(), r)
+        }));
+        SimTime::from_ns(timing.elapsed)
     }
 }
 
@@ -89,7 +86,7 @@ impl JoinCostModel {
     ///
     /// `partition_passes` is 0 for SHJ; for PHJ each pass partitions both
     /// relations.
-    pub fn estimate_total(
+    pub(crate) fn estimate_total(
         &self,
         build_tuples: usize,
         probe_tuples: usize,
@@ -130,8 +127,6 @@ mod tests {
         let gpu = m.estimate(n, &Ratios::gpu_only(4));
         assert!((cpu.as_ns() - (22.0 + 5.0 + 10.0 + 6.0) * n as f64).abs() < 1.0);
         assert!((gpu.as_ns() - (1.5 + 4.0 + 9.0 + 5.0) * n as f64).abs() < 1.0);
-        assert_eq!(cpu, m.estimate_single_device(n, true));
-        assert_eq!(gpu, m.estimate_single_device(n, false));
     }
 
     #[test]
@@ -139,8 +134,8 @@ mod tests {
         let m = build_series();
         let n = 1_000_000;
         let best_single = m
-            .estimate_single_device(n, true)
-            .min(m.estimate_single_device(n, false));
+            .estimate(n, &Ratios::cpu_only(4))
+            .min(m.estimate(n, &Ratios::gpu_only(4)));
         // Hash step on the GPU, the rest split roughly by relative speed.
         let pl = m.estimate(n, &Ratios::new(vec![0.0, 0.45, 0.5, 0.45]));
         assert!(pl < best_single, "PL {} vs best single {}", pl, best_single);

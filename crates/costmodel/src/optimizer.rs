@@ -19,8 +19,10 @@ pub use hj_core::adaptive::solver::PAPER_DELTA;
 /// [`ratio_levels`]`(delta)`: `r = 0, δ, 2δ, …, 1`.
 pub fn optimize_dd_ratio(model: &SeriesCostModel, items: usize, delta: f64) -> (f64, SimTime) {
     let mut best = (0.0f64, SimTime::from_secs(f64::MAX / 1e9));
+    let mut ratios = vec![0.0; model.num_steps()];
     for r in ratio_levels(delta) {
-        let t = model.estimate(items, &Ratios::uniform(r, model.num_steps()));
+        ratios.fill(r);
+        let t = model.estimate_slice(items, &ratios);
         if t < best.1 {
             best = (r, t);
         }
@@ -30,7 +32,7 @@ pub fn optimize_dd_ratio(model: &SeriesCostModel, items: usize, delta: f64) -> (
 
 /// Chooses the best off-loading placement (each step entirely on one device)
 /// by enumerating all `2^n` assignments.
-pub fn optimize_offload(model: &SeriesCostModel, items: usize) -> (Vec<bool>, SimTime) {
+pub(crate) fn optimize_offload(model: &SeriesCostModel, items: usize) -> (Vec<bool>, SimTime) {
     let n = model.num_steps();
     let mut best: (Vec<bool>, SimTime) = (vec![false; n], SimTime::from_secs(f64::MAX / 1e9));
     for mask in 0u32..(1 << n) {
@@ -51,7 +53,7 @@ pub fn optimize_offload(model: &SeriesCostModel, items: usize) -> (Vec<bool>, Si
 pub fn optimize_pl_ratios(model: &SeriesCostModel, items: usize, delta: f64) -> (Ratios, SimTime) {
     let coarse = ratio_levels(delta.max(0.1));
     let (ratios, time) = search_ratios(model.num_steps(), &coarse, delta, |ratios| {
-        model.estimate(items, &Ratios::new(ratios.to_vec())).as_ns()
+        model.estimate_slice(items, ratios).as_ns()
     });
     (Ratios::new(ratios), SimTime::from_ns(time))
 }
@@ -105,13 +107,6 @@ impl TunedScheme {
             scheme = &self.offload;
         }
         scheme
-    }
-
-    /// The predicted total time of [`best`](Self::best).
-    pub fn best_predicted(&self) -> SimTime {
-        self.predicted_pl
-            .min(self.predicted_dd)
-            .min(self.predicted_ol)
     }
 }
 
@@ -233,8 +228,8 @@ mod tests {
         let m = figure4_build_model();
         let (r, t) = optimize_dd_ratio(&m, 1_000_000, PAPER_DELTA);
         assert!(r > 0.0 && r < 0.6, "DD ratio {r}");
-        assert!(t <= m.estimate_single_device(1_000_000, true));
-        assert!(t <= m.estimate_single_device(1_000_000, false));
+        assert!(t <= m.estimate(1_000_000, &Ratios::cpu_only(4)));
+        assert!(t <= m.estimate(1_000_000, &Ratios::gpu_only(4)));
     }
 
     #[test]
@@ -313,7 +308,6 @@ mod tests {
         assert!(matches!(tuned.offload, Scheme::Offload { .. }));
         // PL has the best prediction, so the plan converts into it.
         assert_eq!(tuned.best(), &tuned.pipelined);
-        assert_eq!(tuned.best_predicted(), tuned.predicted_pl);
         assert_eq!(Scheme::from(&tuned), tuned.pipelined);
     }
 }

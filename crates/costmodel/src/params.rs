@@ -39,8 +39,10 @@ impl SeriesUnitCosts {
         self.steps.is_empty()
     }
 
-    /// The GPU speedup of step `i` (CPU unit cost / GPU unit cost).
-    pub fn gpu_speedup(&self, i: usize) -> f64 {
+    /// The GPU speedup of step `i` (CPU unit cost / GPU unit cost), the
+    /// quantity the calibration tests check against Figure 4.
+    #[cfg(test)]
+    pub(crate) fn gpu_speedup(&self, i: usize) -> f64 {
         if self.gpu_ns[i] <= 0.0 {
             f64::INFINITY
         } else {

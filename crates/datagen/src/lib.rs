@@ -11,15 +11,14 @@
 //!   varied between 12.5 % and 100 % in Figure 15.
 //!
 //! This crate reproduces those generators deterministically (seeded), plus
-//! the relation container and summary statistics the experiments report.
+//! the relation container the experiments join.
 
 #![warn(missing_docs)]
 
 pub mod checksum;
-pub mod generator;
+pub(crate) mod generator;
 pub mod relation;
 pub mod rng;
-pub mod stats;
 pub mod tablefile;
 pub mod workload;
 
@@ -27,9 +26,5 @@ pub use checksum::checksum64;
 pub use generator::{generate_pair, DataGenConfig, KeyDistribution};
 pub use relation::{Relation, TUPLE_BYTES};
 pub use rng::SmallRng;
-pub use stats::RelationStats;
-pub use tablefile::{
-    generate_build_table, generate_probe_table, table_file_fingerprint, FileTableSpec,
-    TableFileReader, TableFileWriter,
-};
-pub use workload::{Workload, WorkloadPreset};
+pub use tablefile::{generate_build_table, generate_probe_table, FileTableSpec, TableFileReader};
+pub use workload::Workload;

@@ -55,7 +55,7 @@ impl SmallRng {
     }
 
     /// Fisher-Yates shuffle of `slice`.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
+    pub(crate) fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
             let j = self.random_index(i + 1);
             slice.swap(i, j);

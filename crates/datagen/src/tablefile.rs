@@ -8,7 +8,7 @@
 //! synthesise deterministic tables (seeded, reproducible batch-for-batch)
 //! directly to disk without ever holding more than one batch in memory:
 //!
-//! * [`TableFileWriter`] / [`TableFileReader`] — the container: a small
+//! * `TableFileWriter` / [`TableFileReader`] — the container: a small
 //!   header (magic, version, tuple count) followed by frames of
 //!   `[count][checksum][keys][rids]`, each independently verifiable.  The
 //!   checksum is [`checksum64`] over the column payload (XXH64; see
@@ -34,19 +34,6 @@ const MAGIC: &[u8; 4] = b"HJTB";
 /// is unchanged, but a version 1 file's recorded values mean something else.
 const VERSION: u32 = 2;
 const HEADER_BYTES: u64 = 4 + 4 + 8;
-/// Fingerprint of a table file with no frames.
-const EMPTY_FINGERPRINT: u64 = 0;
-
-/// Folds one frame's `(count, checksum)` header into a running content
-/// fingerprint — the per-frame step of [`table_file_fingerprint`] and
-/// [`TableFileWriter::fingerprint`].
-fn fold_frame_fingerprint(fingerprint: u64, count: u32, checksum: u64) -> u64 {
-    let mut bytes = [0u8; 20];
-    bytes[..8].copy_from_slice(&fingerprint.to_le_bytes());
-    bytes[8..12].copy_from_slice(&count.to_le_bytes());
-    bytes[12..].copy_from_slice(&checksum.to_le_bytes());
-    checksum64(&bytes)
-}
 
 fn invalid(detail: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, detail)
@@ -62,37 +49,18 @@ fn invalid(detail: String) -> io::Error {
 /// # Panics
 /// Panics if the columns have different lengths.
 pub fn encode_frame<W: Write>(writer: &mut W, keys: &[u32], rids: &[u32]) -> io::Result<u64> {
-    Ok(encode_frame_checksummed(writer, keys, rids)?.0)
-}
-
-/// Like [`encode_frame`], but also returns the frame's [`checksum64`] so a
-/// writer can fold it into an incremental content fingerprint without
-/// hashing the payload twice.  Empty batches write nothing and return
-/// `(0, 0)`.
-///
-/// # Errors
-/// Propagates write failures.
-///
-/// # Panics
-/// Panics if the columns have different lengths.
-pub fn encode_frame_checksummed<W: Write>(
-    writer: &mut W,
-    keys: &[u32],
-    rids: &[u32],
-) -> io::Result<(u64, u64)> {
     assert_eq!(keys.len(), rids.len(), "column length mismatch");
     if keys.is_empty() {
-        return Ok((0, 0));
+        return Ok(0);
     }
     // Both columns in one exact-size pass: on a little-endian host this is
     // two block copies.
     let words: Vec<[u8; 4]> = keys.iter().chain(rids).map(|v| v.to_le_bytes()).collect();
     let payload = words.as_flattened();
-    let checksum = checksum64(payload);
     writer.write_all(&(keys.len() as u32).to_le_bytes())?;
-    writer.write_all(&checksum.to_le_bytes())?;
+    writer.write_all(&checksum64(payload).to_le_bytes())?;
     writer.write_all(payload)?;
-    Ok(((4 + 8 + payload.len()) as u64, checksum))
+    Ok((4 + 8 + payload.len()) as u64)
 }
 
 /// Decodes the next frame of the shared format and appends its tuples to
@@ -157,10 +125,9 @@ fn le_u32s(column: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
 
 /// Writes a `<key, rid>` table file batch by batch.
 #[derive(Debug)]
-pub struct TableFileWriter {
+pub(crate) struct TableFileWriter {
     writer: BufWriter<File>,
     tuples: u64,
-    fingerprint: u64,
 }
 
 impl TableFileWriter {
@@ -168,47 +135,23 @@ impl TableFileWriter {
     ///
     /// # Errors
     /// Propagates file-creation and header-write failures.
-    pub fn create(path: &Path) -> io::Result<Self> {
+    pub(crate) fn create(path: &Path) -> io::Result<Self> {
         let mut writer = BufWriter::new(File::create(path)?);
         writer.write_all(MAGIC)?;
         writer.write_all(&VERSION.to_le_bytes())?;
         // Tuple count: patched by `finish`.
         writer.write_all(&0u64.to_le_bytes())?;
-        Ok(TableFileWriter {
-            writer,
-            tuples: 0,
-            fingerprint: EMPTY_FINGERPRINT,
-        })
+        Ok(TableFileWriter { writer, tuples: 0 })
     }
 
     /// Appends one batch; empty batches are skipped.
     ///
     /// # Errors
     /// Propagates write failures.
-    pub fn append(&mut self, batch: &Relation) -> io::Result<()> {
-        let (bytes, checksum) =
-            encode_frame_checksummed(&mut self.writer, batch.keys(), batch.rids())?;
-        if bytes > 0 {
-            self.tuples += batch.len() as u64;
-            self.fingerprint =
-                fold_frame_fingerprint(self.fingerprint, batch.len() as u32, checksum);
-        }
+    pub(crate) fn append(&mut self, batch: &Relation) -> io::Result<()> {
+        encode_frame(&mut self.writer, batch.keys(), batch.rids())?;
+        self.tuples += batch.len() as u64;
         Ok(())
-    }
-
-    /// The content fingerprint of everything appended so far — a
-    /// [`checksum64`] fold over the per-frame `(count, checksum)` headers,
-    /// free to maintain because each frame is checksummed anyway.
-    ///
-    /// Matches [`table_file_fingerprint`] of the finished file, so a
-    /// file-backed table can be cache-keyed (e.g. named for
-    /// `JoinEngine::register_table`) without ever rescanning its payload.
-    /// The fingerprint covers content *as framed*: the same tuples written
-    /// with different batch boundaries fingerprint differently, which is
-    /// exactly the per-file stability cache keying needs (a regenerated
-    /// equal spec produces byte-identical files, hence equal fingerprints).
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Patches the header's tuple count, flushes, and returns the total
@@ -216,7 +159,7 @@ impl TableFileWriter {
     ///
     /// # Errors
     /// Propagates flush and seek failures.
-    pub fn finish(mut self) -> io::Result<u64> {
+    pub(crate) fn finish(mut self) -> io::Result<u64> {
         self.writer.flush()?;
         let file = self.writer.get_mut();
         file.seek(SeekFrom::Start(8))?;
@@ -278,17 +221,6 @@ impl TableFileReader {
         self.tuples
     }
 
-    /// Reads the next batch, or `None` at the end of the table.
-    ///
-    /// # Errors
-    /// I/O failures, or [`io::ErrorKind::InvalidData`] on checksum
-    /// mismatch, truncation, or a header count that disagrees with the
-    /// frames.
-    pub fn next_batch(&mut self) -> io::Result<Option<Relation>> {
-        let mut batch = Relation::new();
-        Ok(self.next_batch_into(&mut batch)?.map(|_| batch))
-    }
-
     /// Appends the next batch's tuples to `dest`; returns how many, or
     /// `None` at the end of the table.
     fn next_batch_into(&mut self, dest: &mut Relation) -> io::Result<Option<usize>> {
@@ -318,76 +250,14 @@ impl TableFileReader {
     /// fit memory — tests and verification, not the streaming paths).
     ///
     /// # Errors
-    /// Those of [`next_batch`](Self::next_batch).
+    /// I/O failures, or [`io::ErrorKind::InvalidData`] on checksum
+    /// mismatch, truncation, or a header count that disagrees with the
+    /// frames.
     pub fn read_all(&mut self) -> io::Result<Relation> {
         let mut rel = Relation::with_capacity((self.tuples - self.read) as usize);
         while self.next_batch_into(&mut rel)?.is_some() {}
         Ok(rel)
     }
-}
-
-/// The content fingerprint of a table file **without reading its
-/// payloads**: only the 12-byte `(count, checksum)` frame headers are read
-/// and folded (the same fold as [`TableFileWriter::fingerprint`]);
-/// the tuple data itself is seeked over.  Cost is a handful of bytes per
-/// frame, independent of table size.
-///
-/// The fingerprint is stable per file and changes with any re-write of the
-/// content or framing, which makes it a sound cache key for file-backed
-/// tables (pair it with the file name for
-/// `JoinEngine::register_table`-style registration).  It does **not**
-/// verify payload integrity — [`TableFileReader`] checks checksums as
-/// batches are actually read.
-///
-/// # Errors
-/// I/O failures, [`io::ErrorKind::InvalidData`] for a foreign or
-/// newer-versioned file, or a frame header claiming more bytes than the
-/// file holds.
-pub fn table_file_fingerprint(path: &Path) -> io::Result<u64> {
-    let file = File::open(path)?;
-    let mut remaining = file.metadata()?.len().saturating_sub(HEADER_BYTES);
-    let mut reader = BufReader::new(file);
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(invalid(format!("not a table file (magic {magic:02x?})")));
-    }
-    let mut version = [0u8; 4];
-    reader.read_exact(&mut version)?;
-    let version = u32::from_le_bytes(version);
-    if version != VERSION {
-        return Err(invalid(format!(
-            "table file version {version} (this reader understands {VERSION})"
-        )));
-    }
-    let mut tuples = [0u8; 8];
-    reader.read_exact(&mut tuples)?;
-    let mut fingerprint = EMPTY_FINGERPRINT;
-    loop {
-        let mut count_buf = [0u8; 4];
-        match reader.read_exact(&mut count_buf) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e),
-        }
-        remaining = remaining.saturating_sub(4);
-        let count = u32::from_le_bytes(count_buf);
-        let needed = 8 + count as u64 * 8;
-        if needed > remaining {
-            return Err(invalid(format!(
-                "frame claims {count} tuples ({needed} B) but only {remaining} B remain"
-            )));
-        }
-        let mut checksum_buf = [0u8; 8];
-        reader
-            .read_exact(&mut checksum_buf)
-            .map_err(|e| invalid(format!("truncated frame header of {count} tuples: {e}")))?;
-        fingerprint = fold_frame_fingerprint(fingerprint, count, u64::from_le_bytes(checksum_buf));
-        // Seek over the payload: it is neither read nor hashed.
-        reader.seek(SeekFrom::Current(count as i64 * 8))?;
-        remaining -= needed;
-    }
-    Ok(fingerprint)
 }
 
 /// A deterministic file-backed table: everything needed to regenerate it
@@ -549,15 +419,12 @@ mod tests {
         let build_rel = TableFileReader::open(&bp).unwrap().read_all().unwrap();
         let universe: HashSet<u32> = build_rel.keys().iter().copied().collect();
         let mut reader = TableFileReader::open(&pp).unwrap();
-        let mut seen = 0u64;
-        while let Some(batch) = reader.next_batch().unwrap() {
-            assert!(batch.len() <= 100, "batches bound reader memory");
-            for &k in batch.keys() {
-                assert!(universe.contains(&k));
-            }
-            seen += batch.len() as u64;
+        let mut probe_rel = Relation::new();
+        while let Some(count) = reader.next_batch_into(&mut probe_rel).unwrap() {
+            assert!(count <= 100, "batches bound reader memory");
         }
-        assert_eq!(seen, 2_048);
+        assert_eq!(probe_rel.len(), 2_048);
+        assert!(probe_rel.keys().iter().all(|k| universe.contains(k)));
         std::fs::remove_file(&bp).unwrap();
         std::fs::remove_file(&pp).unwrap();
     }
@@ -572,14 +439,10 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        let mut r = TableFileReader::open(&path).unwrap();
-        let err = loop {
-            match r.next_batch() {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("corruption must not read cleanly"),
-                Err(e) => break e,
-            }
-        };
+        let err = TableFileReader::open(&path)
+            .unwrap()
+            .read_all()
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         let clean = {
@@ -587,77 +450,8 @@ mod tests {
             bytes
         };
         std::fs::write(&path, &clean[..clean.len() - 40]).unwrap();
-        let mut r = TableFileReader::open(&path).unwrap();
-        let mut failed = false;
-        loop {
-            match r.next_batch() {
-                Ok(Some(_)) => continue,
-                Ok(None) => break,
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        assert!(failed, "truncation must surface as an error");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn fingerprint_matches_writer_without_reading_payloads() {
-        let path = temp_path("fingerprint");
-        let rel = Relation::from_columns((0..1000).collect(), (5000..6000).collect());
-        let mut w = TableFileWriter::create(&path).unwrap();
-        w.append(&rel.slice(0..400)).unwrap();
-        w.append(&Relation::new()).unwrap(); // skipped: must not perturb
-        w.append(&rel.slice(400..1000)).unwrap();
-        let written = w.fingerprint();
-        w.finish().unwrap();
-        assert_eq!(table_file_fingerprint(&path).unwrap(), written);
-
-        // Same content, different framing: a different fingerprint (the
-        // fingerprint is per-file, not per-logical-relation).
-        let other = temp_path("fingerprint-reframed");
-        let mut w = TableFileWriter::create(&other).unwrap();
-        w.append(&rel).unwrap();
-        w.finish().unwrap();
-        assert_ne!(table_file_fingerprint(&other).unwrap(), written);
-
-        // Equal specs produce byte-identical files, hence equal
-        // fingerprints — the regeneration-stable cache key.
-        let spec = FileTableSpec::new(5_000, 9).batch_tuples(512);
-        generate_build_table(&path, &spec).unwrap();
-        generate_build_table(&other, &spec).unwrap();
-        assert_eq!(
-            table_file_fingerprint(&path).unwrap(),
-            table_file_fingerprint(&other).unwrap()
-        );
-        // Content changes surface through the folded frame checksums.
-        generate_build_table(&other, &FileTableSpec::new(5_000, 10).batch_tuples(512)).unwrap();
-        assert_ne!(
-            table_file_fingerprint(&path).unwrap(),
-            table_file_fingerprint(&other).unwrap()
-        );
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&other).unwrap();
-    }
-
-    #[test]
-    fn fingerprint_validates_headers() {
-        let path = temp_path("fingerprint-foreign");
-        std::fs::write(&path, b"definitely not a table").unwrap();
-        let err = table_file_fingerprint(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        // A frame header claiming more than the file holds is rejected.
-        let spec = FileTableSpec::new(64, 3).batch_tuples(64);
-        generate_build_table(&path, &spec).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[HEADER_BYTES as usize] = 0xff; // inflate the first frame count
-        bytes[HEADER_BYTES as usize + 1] = 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = table_file_fingerprint(&path).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let truncated = TableFileReader::open(&path).unwrap().read_all();
+        assert!(truncated.is_err(), "truncation must surface as an error");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -671,8 +465,6 @@ mod tests {
         let expected = "table file version 1 (this reader understands 2)";
         let err = TableFileReader::open(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(err.to_string(), expected);
-        let err = table_file_fingerprint(&path).unwrap_err();
         assert_eq!(err.to_string(), expected);
         std::fs::remove_file(&path).unwrap();
     }

@@ -6,37 +6,7 @@
 //! global `scale` divisor allows the whole suite to run quickly on modest
 //! machines while preserving relative behaviour.
 
-use crate::generator::{generate_pair, DataGenConfig, KeyDistribution};
-use crate::relation::Relation;
-
-/// Common workload presets from the paper's evaluation section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadPreset {
-    /// 16 M ⨝ 16 M, uniform keys, selectivity 100 % (the default of
-    /// Section 5.1).
-    PaperDefault,
-    /// Low-skew dataset (s = 10 %).
-    LowSkew,
-    /// High-skew dataset (s = 25 %).
-    HighSkew,
-}
-
-impl WorkloadPreset {
-    /// Expands the preset into a full workload description at `scale = 1`.
-    pub fn workload(self) -> Workload {
-        match self {
-            WorkloadPreset::PaperDefault => Workload::default(),
-            WorkloadPreset::LowSkew => Workload {
-                distribution: KeyDistribution::low_skew(),
-                ..Workload::default()
-            },
-            WorkloadPreset::HighSkew => Workload {
-                distribution: KeyDistribution::high_skew(),
-                ..Workload::default()
-            },
-        }
-    }
-}
+use crate::generator::KeyDistribution;
 
 /// A fully-specified experiment workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,18 +46,6 @@ impl Workload {
         self
     }
 
-    /// Sets the build cardinality (at scale 1).
-    pub fn with_build_tuples(mut self, n: usize) -> Self {
-        self.build_tuples = n;
-        self
-    }
-
-    /// Sets the probe cardinality (at scale 1).
-    pub fn with_probe_tuples(mut self, n: usize) -> Self {
-        self.probe_tuples = n;
-        self
-    }
-
     /// Sets the selectivity.
     pub fn with_selectivity(mut self, s: f64) -> Self {
         self.selectivity = s;
@@ -101,29 +59,13 @@ impl Workload {
     }
 
     /// Effective build cardinality after scaling (at least 1).
-    pub fn effective_build(&self) -> usize {
+    pub(crate) fn effective_build(&self) -> usize {
         (self.build_tuples / self.scale).max(1)
     }
 
     /// Effective probe cardinality after scaling (at least 1).
-    pub fn effective_probe(&self) -> usize {
+    pub(crate) fn effective_probe(&self) -> usize {
         (self.probe_tuples / self.scale).max(1)
-    }
-
-    /// The generator configuration for this workload.
-    pub fn gen_config(&self) -> DataGenConfig {
-        DataGenConfig {
-            build_tuples: self.effective_build(),
-            probe_tuples: self.effective_probe(),
-            distribution: self.distribution,
-            selectivity: self.selectivity,
-            seed: self.seed,
-        }
-    }
-
-    /// Generates the `(build, probe)` relation pair.
-    pub fn generate(&self) -> (Relation, Relation) {
-        generate_pair(&self.gen_config())
     }
 
     /// A one-line description used in experiment output.
@@ -144,51 +86,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_expand_to_expected_distributions() {
-        assert_eq!(
-            WorkloadPreset::PaperDefault.workload().distribution,
-            KeyDistribution::Uniform
-        );
-        assert_eq!(
-            WorkloadPreset::LowSkew
-                .workload()
-                .distribution
-                .duplicate_fraction(),
-            0.10
-        );
-        assert_eq!(
-            WorkloadPreset::HighSkew
-                .workload()
-                .distribution
-                .duplicate_fraction(),
-            0.25
-        );
-    }
-
-    #[test]
     fn scaling_divides_cardinalities() {
         let w = Workload::default().scaled(16);
         assert_eq!(w.effective_build(), 1024 * 1024);
         assert_eq!(w.effective_probe(), 1024 * 1024);
         // Scale never drops below one tuple.
-        let tiny = Workload::default().with_build_tuples(2).scaled(100);
+        let tiny = Workload {
+            build_tuples: 2,
+            ..Workload::default()
+        }
+        .scaled(100);
         assert_eq!(tiny.effective_build(), 1);
     }
 
     #[test]
-    fn generate_respects_scaled_sizes() {
-        let w = Workload::default()
-            .with_build_tuples(4096)
-            .with_probe_tuples(8192)
-            .scaled(4);
-        let (r, s) = w.generate();
-        assert_eq!(r.len(), 1024);
-        assert_eq!(s.len(), 2048);
-    }
-
-    #[test]
     fn describe_mentions_distribution() {
-        let w = WorkloadPreset::HighSkew.workload().scaled(8);
+        let w = Workload::default()
+            .with_distribution(KeyDistribution::high_skew())
+            .scaled(8);
         assert!(w.describe().contains("high-skew"));
         assert!(w.describe().contains("1/8"));
     }
@@ -200,6 +115,5 @@ mod tests {
             .with_distribution(KeyDistribution::low_skew());
         assert_eq!(w.selectivity, 0.5);
         assert_eq!(w.distribution, KeyDistribution::low_skew());
-        assert_eq!(w.gen_config().selectivity, 0.5);
     }
 }

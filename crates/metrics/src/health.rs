@@ -1,14 +1,19 @@
 //! Health assessment: a typed verdict derived from windowed rates, with
 //! hysteresis so the reported state does not flap on a single noisy window.
 //!
-//! The engine's sampler feeds one [`HealthObservation`] per sample into
-//! [`HealthMonitor::observe`]; the monitor classifies it as
+//! The engine's sampler hands one registry snapshot per sample to
+//! [`HealthMonitor::sample`].  The monitor keeps only the previous
+//! snapshot: the window between the two yields one [`HealthObservation`]
+//! (every monotonic counter family is summed across its label sets at each
+//! end and the delta divided by the wall-clock span; families that are not
+//! registered read zero).  The monitor classifies the observation as
 //! `Healthy`/`Degraded`/`Saturated` and only *transitions* after several
 //! consecutive windows agree — degrading needs two worse windows in a row,
-//! recovering needs three better ones.  The `/health` HTTP
-//! endpoint renders the latest [`HealthReport`] as JSON and maps
-//! `Saturated` to 503.
+//! recovering needs three better ones.  The `/health` HTTP endpoint renders
+//! the latest [`HealthReport`] as JSON and maps `Saturated` to 503.
 
+use crate::histogram::LatencyHistogram;
+use crate::registry::{MetricSample, MetricValue};
 use hj_analysis::sync::Mutex;
 
 /// The engine's assessed health state.
@@ -70,6 +75,76 @@ pub struct HealthObservation {
     /// Busy fraction of the worker pool (0..1), `None` while the pool is
     /// unspawned or reported no wall time.
     pub worker_utilization: Option<f64>,
+}
+
+/// One timestamped snapshot of a metrics registry.
+struct TimePoint {
+    /// When the snapshot was taken, in monotonic nanoseconds on the
+    /// engine's trace timescale.
+    at_ns: u64,
+    /// The registry's samples at that instant, in registration order.
+    samples: Vec<MetricSample>,
+}
+
+/// Sums one counter/gauge family across all its label sets in a snapshot
+/// (0 when the family is not registered).
+fn family_total(samples: &[MetricSample], name: &str) -> u64 {
+    samples
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| match &s.value {
+            MetricValue::Counter(v) | MetricValue::Gauge(v) => *v,
+            MetricValue::Histogram(_) => 0,
+        })
+        .sum()
+}
+
+/// Merges one histogram family across all its label sets in a snapshot
+/// (empty when the family is not registered).
+fn family_histogram(samples: &[MetricSample], name: &str) -> LatencyHistogram {
+    let mut merged = LatencyHistogram::new();
+    for sample in samples.iter().filter(|s| s.name == name) {
+        if let MetricValue::Histogram(h) = &sample.value {
+            merged.merge(h);
+        }
+    }
+    merged
+}
+
+impl HealthObservation {
+    /// Derives the window's signals from two snapshots of one registry,
+    /// `None` when the pair spans no time (or is reversed).  Rates are
+    /// deltas of monotonic families over the wall-clock span; the shed
+    /// ratio and worker utilization are delta over delta within the
+    /// window, and the queue-wait p99 reads the bucket-wise delta of
+    /// `hj_engine_queue_wait_ns` (windowed, not lifetime).
+    fn between(first: &TimePoint, last: &TimePoint) -> Option<HealthObservation> {
+        if last.at_ns <= first.at_ns {
+            return None;
+        }
+        let span_secs = (last.at_ns - first.at_ns) as f64 / 1e9;
+        let delta = |name: &str| {
+            family_total(&last.samples, name).saturating_sub(family_total(&first.samples, name))
+        };
+        let joins = delta("hj_engine_requests_served_total");
+        let sheds = delta("hj_engine_rejected_saturated_total") + delta("hj_server_sheds_total");
+        let busy = delta("hj_pipeline_worker_busy_ns");
+        let park = delta("hj_pipeline_worker_park_ns");
+        let queue_wait = family_histogram(&last.samples, "hj_engine_queue_wait_ns")
+            .delta_since(&family_histogram(&first.samples, "hj_engine_queue_wait_ns"));
+        Some(HealthObservation {
+            at_ns: last.at_ns,
+            joins_per_sec: joins as f64 / span_secs,
+            shed_ratio: if joins + sheds > 0 {
+                sheds as f64 / (joins + sheds) as f64
+            } else {
+                0.0
+            },
+            queue_wait_p99_ns: queue_wait.quantile_ns(0.99),
+            reclaim_bytes_per_sec: delta("hj_spill_reclaimed_bytes_total") as f64 / span_secs,
+            worker_utilization: (busy + park > 0).then(|| busy as f64 / (busy + park) as f64),
+        })
+    }
 }
 
 /// Queue-wait p99 budget (50 ms); a window above it is a degradation
@@ -174,10 +249,12 @@ struct MonitorInner {
     /// How many consecutive raw assessments agreed on `pending_level`.
     pending_streak: usize,
     last: HealthReport,
+    /// The snapshot the next window starts from.
+    previous: Option<TimePoint>,
 }
 
 /// Classifies observations into a [`HealthState`] with hysteresis (lock
-/// class `health.state`).
+/// class `health.state`, which also guards the previous snapshot).
 pub struct HealthMonitor {
     inner: Mutex<MonitorInner>,
 }
@@ -207,101 +284,21 @@ impl HealthMonitor {
                     pending_level: 0,
                     pending_streak: 0,
                     last: HealthReport::default(),
+                    previous: None,
                 },
             ),
         }
     }
 
-    /// Classifies one observation without hysteresis: the raw severity
-    /// level and the reasons behind it.
-    fn assess(&self, obs: &HealthObservation) -> (u8, Vec<String>) {
-        if obs.shed_ratio >= SHED_RATIO_SATURATED {
-            return (
-                2,
-                vec![format!(
-                    "shed ratio {:.2} at or over the saturation threshold {:.2}",
-                    obs.shed_ratio, SHED_RATIO_SATURATED
-                )],
-            );
-        }
-        let mut reasons = Vec::new();
-        if obs.shed_ratio >= SHED_RATIO_DEGRADED {
-            reasons.push(format!(
-                "shed ratio {:.3} over budget {:.3}",
-                obs.shed_ratio, SHED_RATIO_DEGRADED
-            ));
-        }
-        if let Some(p99) = obs.queue_wait_p99_ns {
-            if p99 > QUEUE_WAIT_P99_BUDGET_NS {
-                reasons.push(format!(
-                    "queue-wait p99 {:.1} ms over budget {:.1} ms",
-                    p99 as f64 / 1e6,
-                    QUEUE_WAIT_P99_BUDGET_NS as f64 / 1e6
-                ));
-            }
-        }
-        if obs.reclaim_bytes_per_sec >= RECLAIM_BYTES_PER_SEC_DEGRADED {
-            reasons.push(format!(
-                "broker reclaim pressure {:.0} B/s over budget {:.0} B/s",
-                obs.reclaim_bytes_per_sec, RECLAIM_BYTES_PER_SEC_DEGRADED
-            ));
-        }
-        if let Some(util) = obs.worker_utilization {
-            if util >= UTILIZATION_DEGRADED {
-                reasons.push(format!(
-                    "worker utilization {:.2} leaves no headroom (budget {:.2})",
-                    util, UTILIZATION_DEGRADED
-                ));
-            }
-        }
-        if reasons.is_empty() {
-            (0, reasons)
-        } else {
-            (1, reasons)
-        }
-    }
-
-    /// Feeds one observation through the hysteresis machine and returns
-    /// the (possibly transitioned) report.
-    pub fn observe(&self, obs: HealthObservation) -> HealthReport {
-        let (raw_level, reasons) = self.assess(&obs);
+    /// Judges the window from the previous snapshot to `samples`, taken at
+    /// `at_ns`, and keeps `samples` as the next window's start.  `None` for
+    /// the first snapshot and for one that spans no time after the previous.
+    pub fn sample(&self, at_ns: u64, samples: Vec<MetricSample>) -> Option<HealthReport> {
         let mut inner = self.inner.lock();
-        let current_level = inner.current.level();
-        if raw_level == current_level {
-            // Agreement cancels any pending transition; a degraded state
-            // keeps its reasons fresh.
-            inner.pending_streak = 0;
-            if raw_level == 1 {
-                inner.current = HealthState::Degraded { reasons };
-            }
-        } else {
-            if inner.pending_level == raw_level {
-                inner.pending_streak += 1;
-            } else {
-                inner.pending_level = raw_level;
-                inner.pending_streak = 1;
-            }
-            let needed = if raw_level > current_level {
-                DEGRADE_AFTER
-            } else {
-                RECOVER_AFTER
-            };
-            if inner.pending_streak >= needed {
-                inner.current = match raw_level {
-                    0 => HealthState::Healthy,
-                    1 => HealthState::Degraded { reasons },
-                    _ => HealthState::Saturated,
-                };
-                inner.pending_streak = 0;
-            }
-        }
-        let report = HealthReport {
-            state: inner.current.clone(),
-            at_ns: obs.at_ns,
-            observation: obs,
-        };
-        inner.last = report.clone();
-        report
+        let previous = inner.previous.replace(TimePoint { at_ns, samples })?;
+        let latest = inner.previous.as_ref().expect("just stored");
+        let obs = HealthObservation::between(&previous, latest)?;
+        Some(inner.observe(obs))
     }
 
     /// The most recent report (a default `Healthy` one before the first
@@ -311,9 +308,108 @@ impl HealthMonitor {
     }
 }
 
+/// Classifies one observation without hysteresis: the raw severity level
+/// and the reasons behind it.
+fn assess(obs: &HealthObservation) -> (u8, Vec<String>) {
+    if obs.shed_ratio >= SHED_RATIO_SATURATED {
+        return (
+            2,
+            vec![format!(
+                "shed ratio {:.2} at or over the saturation threshold {:.2}",
+                obs.shed_ratio, SHED_RATIO_SATURATED
+            )],
+        );
+    }
+    let mut reasons = Vec::new();
+    if obs.shed_ratio >= SHED_RATIO_DEGRADED {
+        reasons.push(format!(
+            "shed ratio {:.3} over budget {:.3}",
+            obs.shed_ratio, SHED_RATIO_DEGRADED
+        ));
+    }
+    if let Some(p99) = obs.queue_wait_p99_ns {
+        if p99 > QUEUE_WAIT_P99_BUDGET_NS {
+            reasons.push(format!(
+                "queue-wait p99 {:.1} ms over budget {:.1} ms",
+                p99 as f64 / 1e6,
+                QUEUE_WAIT_P99_BUDGET_NS as f64 / 1e6
+            ));
+        }
+    }
+    if obs.reclaim_bytes_per_sec >= RECLAIM_BYTES_PER_SEC_DEGRADED {
+        reasons.push(format!(
+            "broker reclaim pressure {:.0} B/s over budget {:.0} B/s",
+            obs.reclaim_bytes_per_sec, RECLAIM_BYTES_PER_SEC_DEGRADED
+        ));
+    }
+    if let Some(util) = obs.worker_utilization {
+        if util >= UTILIZATION_DEGRADED {
+            reasons.push(format!(
+                "worker utilization {:.2} leaves no headroom (budget {:.2})",
+                util, UTILIZATION_DEGRADED
+            ));
+        }
+    }
+    if reasons.is_empty() {
+        (0, reasons)
+    } else {
+        (1, reasons)
+    }
+}
+
+impl MonitorInner {
+    /// Feeds one observation through the hysteresis machine and returns
+    /// the (possibly transitioned) report.
+    fn observe(&mut self, obs: HealthObservation) -> HealthReport {
+        let (raw_level, reasons) = assess(&obs);
+        let current_level = self.current.level();
+        if raw_level == current_level {
+            // Agreement cancels any pending transition; a degraded state
+            // keeps its reasons fresh.
+            self.pending_streak = 0;
+            if raw_level == 1 {
+                self.current = HealthState::Degraded { reasons };
+            }
+        } else {
+            if self.pending_level == raw_level {
+                self.pending_streak += 1;
+            } else {
+                self.pending_level = raw_level;
+                self.pending_streak = 1;
+            }
+            let needed = if raw_level > current_level {
+                DEGRADE_AFTER
+            } else {
+                RECOVER_AFTER
+            };
+            if self.pending_streak >= needed {
+                self.current = match raw_level {
+                    0 => HealthState::Healthy,
+                    1 => HealthState::Degraded { reasons },
+                    _ => HealthState::Saturated,
+                };
+                self.pending_streak = 0;
+            }
+        }
+        let report = HealthReport {
+            state: self.current.clone(),
+            at_ns: obs.at_ns,
+            observation: obs,
+        };
+        self.last = report.clone();
+        report
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricsRegistry;
+
+    /// Feeds one observation straight into the hysteresis machine.
+    fn observe(monitor: &HealthMonitor, obs: HealthObservation) -> HealthReport {
+        monitor.inner.lock().observe(obs)
+    }
 
     fn shedding(ratio: f64) -> HealthObservation {
         HealthObservation {
@@ -325,47 +421,46 @@ mod tests {
     #[test]
     fn one_bad_window_does_not_degrade() {
         let monitor = HealthMonitor::new();
-        let report = monitor.observe(shedding(0.10));
+        let report = observe(&monitor, shedding(0.10));
         assert_eq!(report.state, HealthState::Healthy, "hysteresis holds");
         // A good window in between resets the streak.
-        monitor.observe(shedding(0.0));
-        monitor.observe(shedding(0.10));
+        observe(&monitor, shedding(0.0));
+        observe(&monitor, shedding(0.10));
         assert_eq!(monitor.report().state.level(), 0);
     }
 
     #[test]
     fn consecutive_bad_windows_degrade_and_recovery_is_slower() {
         let monitor = HealthMonitor::new();
-        monitor.observe(shedding(0.10));
-        let report = monitor.observe(shedding(0.10));
+        observe(&monitor, shedding(0.10));
+        let report = observe(&monitor, shedding(0.10));
         assert_eq!(report.state.level(), 1, "2 bad windows degrade");
         assert!(!report.state.reasons().is_empty());
         // Two good windows are not enough to recover (recover_after = 3)...
-        monitor.observe(shedding(0.0));
-        assert_eq!(monitor.observe(shedding(0.0)).state.level(), 1);
+        observe(&monitor, shedding(0.0));
+        assert_eq!(observe(&monitor, shedding(0.0)).state.level(), 1);
         // ...the third flips back.
-        assert_eq!(monitor.observe(shedding(0.0)).state, HealthState::Healthy);
+        assert_eq!(observe(&monitor, shedding(0.0)).state, HealthState::Healthy);
     }
 
     #[test]
     fn dominant_shedding_saturates() {
         let monitor = HealthMonitor::new();
-        monitor.observe(shedding(0.9));
-        let report = monitor.observe(shedding(0.9));
+        observe(&monitor, shedding(0.9));
+        let report = observe(&monitor, shedding(0.9));
         assert_eq!(report.state, HealthState::Saturated);
         assert!(!report.is_serving());
     }
 
     #[test]
     fn queue_wait_reclaim_and_utilization_are_reasons() {
-        let monitor = HealthMonitor::new();
         let obs = HealthObservation {
             queue_wait_p99_ns: Some(200_000_000),
             reclaim_bytes_per_sec: 1e9,
             worker_utilization: Some(1.0),
             ..HealthObservation::default()
         };
-        let (level, reasons) = monitor.assess(&obs);
+        let (level, reasons) = assess(&obs);
         assert_eq!(level, 1);
         assert_eq!(reasons.len(), 3, "{reasons:?}");
         assert!(reasons[0].contains("queue-wait p99"));
@@ -377,8 +472,8 @@ mod tests {
     fn flapping_assessments_never_transition() {
         let monitor = HealthMonitor::new();
         for _ in 0..8 {
-            monitor.observe(shedding(0.10));
-            monitor.observe(shedding(0.0));
+            observe(&monitor, shedding(0.10));
+            observe(&monitor, shedding(0.0));
         }
         assert_eq!(monitor.report().state, HealthState::Healthy);
     }
@@ -390,12 +485,85 @@ mod tests {
         assert!(json.starts_with("{\"state\":\"healthy\""));
         assert!(json.contains("\"reasons\":[]"));
         assert!(json.contains("\"queue_wait_p99_ms\":null"));
-        monitor.observe(shedding(0.10));
-        let degraded = monitor.observe(shedding(0.10));
+        observe(&monitor, shedding(0.10));
+        let degraded = observe(&monitor, shedding(0.10));
         let json = degraded.render_json();
         assert!(json.contains("\"state\":\"degraded\""));
         assert!(json.contains("\"reasons\":[\"shed ratio"));
         // Hostile reason content stays inside its string literal.
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    }
+
+    #[test]
+    fn samples_need_a_previous_snapshot_and_nonzero_span() {
+        let monitor = HealthMonitor::new();
+        assert!(monitor.sample(5, Vec::new()).is_none(), "no window yet");
+        assert!(monitor.sample(5, Vec::new()).is_none(), "zero span");
+        assert!(monitor.sample(6, Vec::new()).is_some());
+    }
+
+    #[test]
+    fn windows_diff_counters_across_label_sets() {
+        let reg = MetricsRegistry::new();
+        let served = reg.counter("hj_engine_requests_served_total", "served");
+        let shed_a = reg.counter_with(
+            "hj_server_sheds_total",
+            &[("reason", "quota".to_string())],
+            "sheds",
+        );
+        let shed_b = reg.counter_with(
+            "hj_server_sheds_total",
+            &[("reason", "deadline".to_string())],
+            "sheds",
+        );
+        let reclaimed = reg.counter("hj_spill_reclaimed_bytes_total", "reclaimed");
+        let monitor = HealthMonitor::new();
+        served.add(10);
+        monitor.sample(0, reg.snapshot());
+        served.add(20); // 20 joins over the window
+        shed_a.add(3);
+        shed_b.add(2); // 5 sheds over the window
+        reclaimed.add(4_000);
+        let report = monitor
+            .sample(2_000_000_000, reg.snapshot()) // 2 s window
+            .expect("two snapshots, 2 s apart");
+        let obs = report.observation;
+        assert_eq!(obs.at_ns, 2_000_000_000);
+        assert!((obs.joins_per_sec - 10.0).abs() < 1e-9);
+        assert!((obs.shed_ratio - 5.0 / 25.0).abs() < 1e-9);
+        assert!((obs.reclaim_bytes_per_sec - 2_000.0).abs() < 1e-9);
+        assert_eq!(obs.worker_utilization, None, "no busy/park gauges");
+        assert_eq!(obs.queue_wait_p99_ns, None, "no queue-wait histogram");
+    }
+
+    #[test]
+    fn utilization_and_queue_wait_are_windowed() {
+        let reg = MetricsRegistry::new();
+        let busy = reg.gauge_with(
+            "hj_pipeline_worker_busy_ns",
+            &[("worker", "0".to_string())],
+            "busy",
+        );
+        let park = reg.gauge_with(
+            "hj_pipeline_worker_park_ns",
+            &[("worker", "0".to_string())],
+            "park",
+        );
+        let wait = reg.histogram("hj_engine_queue_wait_ns", "queue wait");
+        wait.record(1 << 30);
+        let monitor = HealthMonitor::new();
+        busy.set(1_000);
+        park.set(3_000);
+        monitor.sample(0, reg.snapshot());
+        busy.set(4_000); // +3000 busy
+        park.set(4_000); // +1000 parked
+        wait.record(100); // only this lands inside the window
+        let obs = monitor
+            .sample(1_000_000_000, reg.snapshot())
+            .expect("report")
+            .observation;
+        assert_eq!(obs.worker_utilization, Some(0.75));
+        let p99 = obs.queue_wait_p99_ns.expect("one windowed wait");
+        assert!(p99 < 1 << 20, "lifetime sample excluded: {p99}");
     }
 }

@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 /// Number of log2 buckets; `2^39` ns ≈ 9.2 minutes.
-pub const HISTOGRAM_BUCKETS: usize = 40;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 40;
 
 /// Escapes a label value per the Prometheus text exposition format:
 /// backslash, double quote and a literal newline become `\\`, `\"` and
@@ -59,7 +59,7 @@ impl LatencyHistogram {
 
     /// A histogram rebuilt from raw bucket counters (the inverse of
     /// [`buckets`](Self::buckets)); the sample count is the bucket sum.
-    pub fn from_buckets(buckets: [u64; HISTOGRAM_BUCKETS]) -> Self {
+    pub(crate) fn from_buckets(buckets: [u64; HISTOGRAM_BUCKETS]) -> Self {
         let count = buckets.iter().sum();
         LatencyHistogram { buckets, count }
     }

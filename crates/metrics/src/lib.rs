@@ -13,11 +13,10 @@
 //!   a bounded drop-oldest ring, and the per-join flight-recorder tree
 //!   returned to callers that opt in.  The `trace-off` cargo feature
 //!   compiles the ring's `push` to a no-op.
-//! * [`TimeSeriesRing`] — bounded drop-oldest ring of timestamped registry
-//!   snapshots pushed by the engine's sampler thread, with windowed rate
-//!   derivation ([`WindowRates`]);
-//! * [`HealthMonitor`] — classifies windowed rates into a typed
-//!   [`HealthReport`] (`Healthy | Degraded | Saturated`) with hysteresis;
+//! * [`HealthMonitor`] — derives windowed rates from the two latest
+//!   registry snapshots of the engine's sampler thread and classifies them
+//!   into a typed [`HealthReport`] (`Healthy | Degraded | Saturated`) with
+//!   hysteresis;
 //! * [`SlowLog`] — bounded ring of joins that breached the engine's slow
 //!   threshold, each retaining its full flight-recorder trace.
 
@@ -26,13 +25,11 @@
 mod health;
 mod histogram;
 mod registry;
-mod timeseries;
 mod trace;
 
 pub use health::{HealthMonitor, HealthObservation, HealthReport, HealthState};
-pub use histogram::{exact_quantile, LatencyHistogram, HISTOGRAM_BUCKETS};
+pub use histogram::{exact_quantile, LatencyHistogram};
 pub use registry::{AtomicHistogram, Counter, Gauge, MetricSample, MetricValue, MetricsRegistry};
-pub use timeseries::{family_histogram, family_total, TimePoint, TimeSeriesRing, WindowRates};
 pub use trace::{
     FlightEvent, JoinTrace, SlowJoinRecord, SlowLog, TraceBuffer, TraceEvent, TraceEventKind,
     TraceSpan,

@@ -241,7 +241,7 @@ impl MetricsRegistry {
     }
 
     /// Registers (or re-attaches to) a labelled gauge.
-    pub fn gauge_with(
+    pub(crate) fn gauge_with(
         &self,
         name: &'static str,
         labels: &[(&'static str, String)],
@@ -261,7 +261,7 @@ impl MetricsRegistry {
     }
 
     /// Registers (or re-attaches to) a labelled histogram.
-    pub fn histogram_with(
+    pub(crate) fn histogram_with(
         &self,
         name: &'static str,
         labels: &[(&'static str, String)],

@@ -129,12 +129,6 @@ impl TraceBuffer {
         }
     }
 
-    /// Whether tracing is compiled in (`false` under the `trace-off`
-    /// feature).
-    pub const fn is_enabled() -> bool {
-        cfg!(not(feature = "trace-off"))
-    }
-
     /// A fresh span ID (never 0; 0 means "no parent").
     pub fn next_span(&self) -> u64 {
         self.next_span.fetch_add(1, Ordering::Relaxed)
@@ -447,7 +441,7 @@ mod tests {
         for i in 0..5 {
             buf.push(event(1, i, i));
         }
-        if TraceBuffer::is_enabled() {
+        if cfg!(not(feature = "trace-off")) {
             let events: Vec<u64> = buf.snapshot().iter().map(|e| e.value).collect();
             assert_eq!(events, vec![2, 3, 4], "drop-oldest keeps the newest");
             assert_eq!(buf.dropped_events(), 2);
@@ -574,7 +568,7 @@ mod tests {
                 });
             }
         });
-        if TraceBuffer::is_enabled() {
+        if cfg!(not(feature = "trace-off")) {
             assert_eq!(buf.len(), 8);
             assert_eq!(buf.dropped_events(), 4 * 500 - 8);
         }

@@ -20,7 +20,7 @@
 //!    (admitted-but-unfinished work, in ns).  When the backlog's expected
 //!    wait exceeds [`SloConfig::queue_budget_ms`], new requests are shed
 //!    with [`ShedReason::QueueBudget`] — unless their priority is
-//!    [`PRIORITY_BYPASS`] (`u8::MAX`), which lets paying traffic ride
+//!    `PRIORITY_BYPASS` (`u8::MAX`), which lets paying traffic ride
 //!    through a backlog that drops best-effort work.
 //! 3. **Deadline** — a request carrying a deadline (there is no implicit
 //!    one) is shed with
@@ -43,7 +43,7 @@ const SERVICE_TIME_EWMA_ALPHA: f64 = 0.25;
 
 /// The priority that bypasses the queue-budget shed (never the quota or
 /// deadline sheds): only `u8::MAX` rides through a backlog.
-pub const PRIORITY_BYPASS: u8 = u8::MAX;
+pub(crate) const PRIORITY_BYPASS: u8 = u8::MAX;
 
 /// Service-level objectives and quota knobs of one serving endpoint.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +54,7 @@ pub struct SloConfig {
     /// Token-bucket capacity per client (burst allowance); at least 1.
     pub burst_tokens: f64,
     /// Backlog ceiling: when the estimated queue wait exceeds this many
-    /// milliseconds, requests below [`PRIORITY_BYPASS`] are shed.  `0` (the
+    /// milliseconds, requests below `PRIORITY_BYPASS` are shed.  `0` (the
     /// default) means unlimited.
     pub queue_budget_ms: u32,
     /// Optional prior for the service-time estimate (ns per input tuple),
@@ -134,14 +134,6 @@ pub enum Admission {
 pub struct Ticket {
     est_service_ns: f64,
     tuples: usize,
-}
-
-impl Ticket {
-    /// The service-time estimate (ns) this admission charged to the
-    /// backlog.
-    pub fn estimated_service_ns(&self) -> f64 {
-        self.est_service_ns
-    }
 }
 
 /// Point-in-time counters of one [`AdmissionController`].
@@ -228,7 +220,7 @@ impl AdmissionController {
     /// * `tuples` — input size (build + probe) driving the service-time
     ///   estimate;
     /// * `deadline_ms` — the request's deadline (`0` = none);
-    /// * `priority` — [`PRIORITY_BYPASS`] rides through the queue budget;
+    /// * `priority` — `PRIORITY_BYPASS` rides through the queue budget;
     /// * `now_ns` — the caller's monotonic clock.
     pub fn admit(
         &self,

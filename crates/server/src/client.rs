@@ -136,7 +136,6 @@ pub struct ClientOutcome {
 #[derive(Debug)]
 pub struct JoinClient {
     stream: TcpStream,
-    max_payload: usize,
     next_id: u64,
     send: Vec<u8>,
     recv: Vec<u8>,
@@ -152,7 +151,6 @@ impl JoinClient {
         stream.set_nodelay(true)?;
         Ok(JoinClient {
             stream,
-            max_payload: DEFAULT_MAX_PAYLOAD_BYTES,
             next_id: 1,
             send: Vec::new(),
             recv: Vec::new(),
@@ -172,11 +170,6 @@ impl JoinClient {
         let client = JoinClient::connect(addr)?;
         client.stream.set_read_timeout(Some(timeout))?;
         Ok(client)
-    }
-
-    /// Caps reply payloads at `bytes` (default: the frame layer's 64 MiB).
-    pub fn set_max_payload(&mut self, bytes: usize) {
-        self.max_payload = bytes;
     }
 
     /// Sends `request` and blocks for the full reply.  The request's `id`
@@ -395,7 +388,7 @@ impl JoinClient {
 
     /// Reads the next reply frame into the receive buffer.
     fn recv_frame(&mut self) -> Result<FrameType, ClientError> {
-        match read_frame_into(&mut self.stream, self.max_payload, &mut self.recv)? {
+        match read_frame_into(&mut self.stream, DEFAULT_MAX_PAYLOAD_BYTES, &mut self.recv)? {
             Some(frame_type) => Ok(frame_type),
             None => Err(ClientError::Protocol {
                 detail: "server closed the connection mid-reply".into(),

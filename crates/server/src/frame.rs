@@ -50,7 +50,7 @@
 
 use datagen::checksum64;
 use std::fmt;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 
 /// First bytes of every frame; the trailing `\x01` doubles as a protocol
 /// generation marker, distinct from the version byte that follows.
@@ -209,7 +209,7 @@ impl From<io::Error> for WireError {
 }
 
 /// The fixed header of a frame carrying `payload`: the one routine every
-/// writer ([`write_frame`], [`send_frame`], [`append_frame`]) goes through.
+/// writer ([`write_frame`], [`append_frame`]) goes through.
 fn frame_header(frame_type: FrameType, payload: &[u8]) -> [u8; HEADER_BYTES] {
     let mut header = [0u8; HEADER_BYTES];
     header[0..4].copy_from_slice(&MAGIC);
@@ -235,23 +235,6 @@ pub fn write_frame<W: Write>(
 ) -> Result<(), WireError> {
     w.write_all(&frame_header(frame_type, payload))?;
     w.write_all(payload)?;
-    Ok(())
-}
-
-/// Sends a one-frame message: header and payload leave through one buffer,
-/// flushed once, and the flush error is the caller's to see (a dropped
-/// `BufWriter` would swallow it).
-///
-/// # Errors
-/// [`WireError::Io`] when the write or the flush fails.
-pub fn send_frame<W: Write>(
-    stream: W,
-    frame_type: FrameType,
-    payload: &[u8],
-) -> Result<(), WireError> {
-    let mut w = BufWriter::new(stream);
-    write_frame(&mut w, frame_type, payload)?;
-    w.flush()?;
     Ok(())
 }
 
@@ -397,34 +380,34 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<Filled> {
 /// Appends little-endian scalars to a caller's payload buffer, after the
 /// bytes it already holds.
 #[derive(Debug)]
-pub struct PayloadWriter<'a> {
+pub(crate) struct PayloadWriter<'a> {
     buf: &'a mut Vec<u8>,
 }
 
 impl<'a> PayloadWriter<'a> {
     /// A writer appending to `buf`.
-    pub fn appending(buf: &'a mut Vec<u8>) -> Self {
+    pub(crate) fn appending(buf: &'a mut Vec<u8>) -> Self {
         PayloadWriter { buf }
     }
 
     /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a `u32` (little endian).
-    pub fn put_u32(&mut self, v: u32) {
+    pub(crate) fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64` (little endian).
-    pub fn put_u64(&mut self, v: u64) {
+    pub(crate) fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u32` column without a length prefix (the caller encodes
     /// the count separately).
-    pub fn put_u32_slice(&mut self, vs: &[u32]) {
+    pub(crate) fn put_u32_slice(&mut self, vs: &[u32]) {
         // Sized and written as whole 4-byte words: a block copy on a
         // little-endian host, not a capacity check per element.
         let start = self.buf.len();
@@ -436,7 +419,7 @@ impl<'a> PayloadWriter<'a> {
 
     /// Appends `(u32, u32)` pairs, each as two consecutive little-endian
     /// words, without a length prefix.
-    pub fn put_u32_pairs(&mut self, pairs: &[(u32, u32)]) {
+    pub(crate) fn put_u32_pairs(&mut self, pairs: &[(u32, u32)]) {
         let start = self.buf.len();
         self.buf.resize(start + pairs.len() * 8, 0);
         for (words, &(a, b)) in self.buf[start..].chunks_exact_mut(8).zip(pairs) {
@@ -446,7 +429,7 @@ impl<'a> PayloadWriter<'a> {
     }
 
     /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
+    pub(crate) fn put_str(&mut self, s: &str) {
         self.put_u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
@@ -455,14 +438,14 @@ impl<'a> PayloadWriter<'a> {
 /// Reads little-endian scalars from a payload, bounds-checked: running off
 /// the end is a typed [`WireError::Protocol`], never a panic.
 #[derive(Debug)]
-pub struct PayloadReader<'a> {
+pub(crate) struct PayloadReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> PayloadReader<'a> {
     /// A cursor over `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         PayloadReader { buf, pos: 0 }
     }
 
@@ -485,26 +468,26 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Reads one byte.
-    pub fn get_u8(&mut self, what: &str) -> Result<u8, WireError> {
+    pub(crate) fn get_u8(&mut self, what: &str) -> Result<u8, WireError> {
         Ok(self.take(1, what)?[0])
     }
 
     /// Reads a `u32` (little endian).
-    pub fn get_u32(&mut self, what: &str) -> Result<u32, WireError> {
+    pub(crate) fn get_u32(&mut self, what: &str) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(
             self.take(4, what)?.try_into().expect("4 bytes"),
         ))
     }
 
     /// Reads a `u64` (little endian).
-    pub fn get_u64(&mut self, what: &str) -> Result<u64, WireError> {
+    pub(crate) fn get_u64(&mut self, what: &str) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(
             self.take(8, what)?.try_into().expect("8 bytes"),
         ))
     }
 
     /// Reads `count` little-endian `u32`s.
-    pub fn get_u32_vec(&mut self, count: usize, what: &str) -> Result<Vec<u32>, WireError> {
+    pub(crate) fn get_u32_vec(&mut self, count: usize, what: &str) -> Result<Vec<u32>, WireError> {
         let bytes = self.take(count.saturating_mul(4), what)?;
         Ok(bytes
             .chunks_exact(4)
@@ -515,7 +498,7 @@ impl<'a> PayloadReader<'a> {
     /// Appends `count` pairs written by [`PayloadWriter::put_u32_pairs`] to
     /// `out`.  The bounds check comes first, so a hostile count fails
     /// before any allocation and appends nothing.
-    pub fn get_u32_pairs_into(
+    pub(crate) fn get_u32_pairs_into(
         &mut self,
         count: usize,
         what: &str,
@@ -532,7 +515,7 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self, what: &str) -> Result<String, WireError> {
+    pub(crate) fn get_str(&mut self, what: &str) -> Result<String, WireError> {
         let len = self.get_u32(what)? as usize;
         let bytes = self.take(len, what)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Protocol {
@@ -542,12 +525,12 @@ impl<'a> PayloadReader<'a> {
 
     /// True when every payload byte has been consumed — decoders check this
     /// so a frame with trailing garbage is rejected, not silently accepted.
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         self.pos == self.buf.len()
     }
 
     /// Fails with a protocol error unless the payload was fully consumed.
-    pub fn expect_exhausted(&self, what: &str) -> Result<(), WireError> {
+    pub(crate) fn expect_exhausted(&self, what: &str) -> Result<(), WireError> {
         if self.exhausted() {
             Ok(())
         } else {
@@ -660,7 +643,7 @@ mod tests {
     }
 
     #[test]
-    fn send_frame_flushes_and_write_frame_does_not() {
+    fn write_frame_leaves_the_flush_to_the_caller() {
         /// Counts flushes; bytes go to the inner buffer.
         struct Sink(Vec<u8>, usize);
         impl Write for Sink {
@@ -677,10 +660,8 @@ mod tests {
         write_frame(&mut sink, FrameType::Response, b"head").unwrap();
         write_frame(&mut sink, FrameType::Done, b"").unwrap();
         assert_eq!(sink.1, 0, "a message's frames share the caller's flush");
-        send_frame(&mut sink, FrameType::Error, b"oops").unwrap();
-        assert_eq!(sink.1, 1);
         let mut cursor = io::Cursor::new(sink.0);
-        for expected in [FrameType::Response, FrameType::Done, FrameType::Error] {
+        for expected in [FrameType::Response, FrameType::Done] {
             assert_eq!(read_frame(&mut cursor, 64).unwrap().unwrap().0, expected);
         }
     }

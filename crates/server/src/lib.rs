@@ -39,12 +39,11 @@ pub mod message;
 pub use admission::{Admission, AdmissionController, AdmissionStats, SloConfig, Ticket};
 pub use client::{ClientError, ClientOutcome, JoinClient, RefRequestBuilder, RequestBuilder};
 pub use frame::{
-    append_frame, read_frame, read_frame_into, release_oversized, send_frame, write_frame,
-    FrameType, PayloadReader, PayloadWriter, WireError, DEFAULT_MAX_PAYLOAD_BYTES, HEADER_BYTES,
-    MAGIC, RETAINED_FRAME_BYTES, VERSION,
+    append_frame, read_frame, read_frame_into, release_oversized, write_frame, FrameType,
+    WireError, DEFAULT_MAX_PAYLOAD_BYTES, HEADER_BYTES, MAGIC, RETAINED_FRAME_BYTES, VERSION,
 };
 pub use message::{
     ShedReason, WireAlgorithm, WireChunk, WireDone, WireErrorCode, WireFailure, WireMetricsReply,
     WireMetricsRequest, WireOverloaded, WireRefRequest, WireRegister, WireRegistered, WireRequest,
-    WireResponse, WireScheme, WireTrace, MAX_TABLE_NAME_BYTES, MAX_WIRE_TUPLES,
+    WireResponse, WireScheme, WireTrace,
 };

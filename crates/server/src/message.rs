@@ -15,11 +15,11 @@ use hj_metrics::{FlightEvent, JoinTrace, TraceEventKind, TraceSpan};
 /// per-column count fields are `u32`, but a hostile count close to
 /// `u32::MAX` must be rejected before the column allocation, consistently
 /// with the frame-level payload ceiling).
-pub const MAX_WIRE_TUPLES: usize = 256 * 1024 * 1024;
+pub(crate) const MAX_WIRE_TUPLES: usize = 256 * 1024 * 1024;
 
 /// Ceiling on a registered table name in bytes — names are registry keys,
 /// not payload, so a kilobyte is already generous.
-pub const MAX_TABLE_NAME_BYTES: usize = 1024;
+pub(crate) const MAX_TABLE_NAME_BYTES: usize = 1024;
 
 fn check_table_name(name: &str) -> Result<(), WireError> {
     if name.is_empty() {
@@ -222,7 +222,7 @@ impl WireRequest {
 pub struct WireRegister {
     /// Client-chosen correlation id, echoed on the acknowledgement.
     pub id: u64,
-    /// Registry name (non-empty, at most [`MAX_TABLE_NAME_BYTES`] bytes).
+    /// Registry name (non-empty, at most `MAX_TABLE_NAME_BYTES` bytes).
     pub name: String,
     /// The build-side relation to register.
     pub tuples: Relation,
@@ -513,7 +513,10 @@ impl WireChunk {
     ///
     /// # Errors
     /// [`WireError::Protocol`] on truncation or trailing bytes.
-    pub fn decode_into(payload: &[u8], out: &mut Vec<(u32, u32)>) -> Result<(u64, u32), WireError> {
+    pub(crate) fn decode_into(
+        payload: &[u8],
+        out: &mut Vec<(u32, u32)>,
+    ) -> Result<(u64, u32), WireError> {
         let mut r = PayloadReader::new(payload);
         let id = r.get_u64("chunk id")?;
         let seq = r.get_u32("chunk seq")?;

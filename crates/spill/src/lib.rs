@@ -16,7 +16,7 @@
 //!   telling them how many bytes to evict to disk.  Dropping a grant —
 //!   normally or during a panic unwind — releases every byte it held.
 //! * [`SpillManager`] — owns a per-engine temporary directory and
-//!   byte-accounts every run file created in it.  [`RunWriter`] streams
+//!   byte-accounts every run file created in it.  `RunWriter` streams
 //!   `<key, rid>` frames through a buffered writer with a per-frame
 //!   checksum; [`SpillRun`] is the sealed, readable result whose `Drop`
 //!   deletes the file (so an unwinding join leaks no temp files); the
@@ -37,12 +37,12 @@
 pub mod broker;
 pub mod config;
 pub mod manager;
-pub mod runfile;
+pub(crate) mod runfile;
 
 pub use broker::{GrantDenied, MemoryBroker, MemoryGrant};
 pub use config::{SpillConfig, SpillReport};
 pub use manager::{PendingRun, SpillManager, SpillRun};
-pub use runfile::{RunReader, RunWriter, SpillError};
+pub use runfile::{RunReader, SpillError};
 
 // Locking goes through `hj_analysis::sync`, which recovers from poisoning
 // centrally: a session that panicked mid-spill must not brick the broker

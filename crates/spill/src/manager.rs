@@ -1,7 +1,7 @@
 //! The spill manager: temp-dir lifecycle and byte accounting for run files.
 //!
 //! One [`SpillManager`] lives per engine.  It owns a unique temporary
-//! directory, hands out [`RunWriter`]s for partitions being spilled, seals
+//! directory, hands out `RunWriter`s for partitions being spilled, seals
 //! them into readable [`SpillRun`]s, and accounts every byte that crosses
 //! the disk boundary.  Cleanup is RAII at both granularities:
 //!
@@ -33,7 +33,6 @@ struct ManagerInner {
     /// tolerates by definition.
     bytes_written: AtomicU64,
     bytes_read: AtomicU64,
-    files_created: AtomicU64,
 }
 
 impl Drop for ManagerInner {
@@ -85,7 +84,6 @@ impl SpillManager {
                 live_files: Mutex::new("spill.live_files", 0),
                 bytes_written: AtomicU64::new(0),
                 bytes_read: AtomicU64::new(0),
-                files_created: AtomicU64::new(0),
             }),
         })
     }
@@ -115,7 +113,6 @@ impl SpillManager {
         let path = self.inner.dir.join(format!("run-{id:06}-{safe}.hjrun"));
         let writer = RunWriter::create(&path)?;
         *self.inner.live_files.lock() += 1;
-        self.inner.files_created.fetch_add(1, Ordering::Relaxed);
         Ok(PendingRun {
             writer: Some(writer),
             path,
@@ -128,18 +125,13 @@ impl SpillManager {
         *self.inner.live_files.lock()
     }
 
-    /// Total run files ever created.
-    pub fn files_created(&self) -> u64 {
-        self.inner.files_created.load(Ordering::Relaxed)
-    }
-
     /// Total bytes written into run files.
-    pub fn bytes_written(&self) -> u64 {
+    pub(crate) fn bytes_written(&self) -> u64 {
         self.inner.bytes_written.load(Ordering::Relaxed)
     }
 
     /// Total bytes read back from run files.
-    pub fn bytes_read(&self) -> u64 {
+    pub(crate) fn bytes_read(&self) -> u64 {
         self.inner.bytes_read.load(Ordering::Relaxed)
     }
 }

@@ -70,11 +70,10 @@ impl From<io::Error> for SpillError {
 /// (wrapped in a [`PendingRun`](crate::PendingRun)); sealed into a readable
 /// [`SpillRun`](crate::SpillRun) by [`PendingRun::seal`](crate::PendingRun::seal).
 #[derive(Debug)]
-pub struct RunWriter {
+pub(crate) struct RunWriter {
     writer: BufWriter<File>,
     tuples: u64,
     bytes: u64,
-    frames: u64,
 }
 
 impl RunWriter {
@@ -83,17 +82,7 @@ impl RunWriter {
             writer: BufWriter::new(File::create(path)?),
             tuples: 0,
             bytes: 0,
-            frames: 0,
         })
-    }
-
-    /// Appends one frame holding `relation`'s tuples (empty relations are
-    /// skipped — a frame always carries at least one tuple).
-    ///
-    /// # Errors
-    /// [`SpillError::Io`] when the write fails.
-    pub fn push(&mut self, relation: &Relation) -> Result<(), SpillError> {
-        self.push_columns(relation.keys(), relation.rids())
     }
 
     /// Appends one frame from raw key/rid columns of equal length.
@@ -103,23 +92,19 @@ impl RunWriter {
     ///
     /// # Panics
     /// Panics if the columns have different lengths.
-    pub fn push_columns(&mut self, keys: &[u32], rids: &[u32]) -> Result<(), SpillError> {
-        let written = encode_frame(&mut self.writer, keys, rids)?;
-        if written > 0 {
-            self.tuples += keys.len() as u64;
-            self.bytes += written;
-            self.frames += 1;
-        }
+    pub(crate) fn push_columns(&mut self, keys: &[u32], rids: &[u32]) -> Result<(), SpillError> {
+        self.bytes += encode_frame(&mut self.writer, keys, rids)?;
+        self.tuples += keys.len() as u64;
         Ok(())
     }
 
     /// Tuples written so far.
-    pub fn tuples(&self) -> u64 {
+    pub(crate) fn tuples(&self) -> u64 {
         self.tuples
     }
 
     /// File bytes written so far (headers + payload).
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
 
@@ -218,9 +203,9 @@ mod tests {
         let a = Relation::from_columns(vec![1, 2, 3], vec![10, 20, 30]);
         let b = Relation::from_columns(vec![9], vec![90]);
         let mut writer = RunWriter::create(&path).unwrap();
-        writer.push(&a).unwrap();
-        writer.push(&Relation::new()).unwrap(); // empty frames are skipped
-        writer.push(&b).unwrap();
+        writer.push_columns(a.keys(), a.rids()).unwrap();
+        writer.push_columns(&[], &[]).unwrap(); // empty frames are skipped
+        writer.push_columns(b.keys(), b.rids()).unwrap();
         assert_eq!(writer.tuples(), 4);
         let (tuples, bytes) = writer.finish().unwrap();
         assert_eq!(tuples, 4);
@@ -237,9 +222,7 @@ mod tests {
     fn corruption_is_detected() {
         let path = temp_path("corrupt");
         let mut writer = RunWriter::create(&path).unwrap();
-        writer
-            .push(&Relation::from_columns(vec![1, 2], vec![3, 4]))
-            .unwrap();
+        writer.push_columns(&[1, 2], &[3, 4]).unwrap();
         writer.finish().unwrap();
         // Flip one payload byte.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -260,9 +243,7 @@ mod tests {
     fn truncation_is_detected() {
         let path = temp_path("truncate");
         let mut writer = RunWriter::create(&path).unwrap();
-        writer
-            .push(&Relation::from_columns(vec![1, 2, 3, 4], vec![5, 6, 7, 8]))
-            .unwrap();
+        writer.push_columns(&[1, 2, 3, 4], &[5, 6, 7, 8]).unwrap();
         writer.finish().unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
@@ -277,12 +258,8 @@ mod tests {
     fn frame_boundary_truncation_is_detected_via_the_sealed_count() {
         let path = temp_path("boundary");
         let mut writer = RunWriter::create(&path).unwrap();
-        writer
-            .push(&Relation::from_columns(vec![1, 2], vec![3, 4]))
-            .unwrap();
-        writer
-            .push(&Relation::from_columns(vec![5], vec![6]))
-            .unwrap();
+        writer.push_columns(&[1, 2], &[3, 4]).unwrap();
+        writer.push_columns(&[5], &[6]).unwrap();
         writer.finish().unwrap();
         // Cut the file exactly at the second frame's boundary: every
         // remaining frame still checksums clean.

@@ -15,7 +15,7 @@
 //!   pointer vs per-work-group blocks);
 //! * [`hj_core`] — the paper's contribution as a four-layer stack: schemes
 //!   (SHJ/PHJ × OL/DD/PL/BasicUnit) over a morsel-driven step pipeline
-//!   ([`hj_core::pipeline`]), scheduled by a persistent work-stealing
+//!   ([`hj_core::Morsel`]), scheduled by a persistent work-stealing
 //!   worker pool ([`hj_core::WorkerPool`], real threads spawned once per
 //!   engine) or per-device event clocks (simulation), served by a
 //!   concurrent multi-session [`JoinEngine`](hj_core::JoinEngine) with
@@ -61,8 +61,7 @@ pub mod prelude {
     pub use hj_core::adaptive::{AdaptiveConfig, AdaptiveReport};
     pub use hj_core::metrics::{
         exact_quantile, HealthReport, HealthState, JoinTrace, LatencyHistogram, MetricSample,
-        MetricValue, MetricsRegistry, SlowLog, TimeSeriesRing, TraceBuffer, TraceEventKind,
-        WindowRates,
+        MetricValue, MetricsRegistry, SlowLog, TraceBuffer, TraceEventKind,
     };
     pub use hj_core::server::{
         ClientError, JoinClient, RefRequestBuilder, RequestBuilder, ShedReason, SloConfig,
