@@ -62,7 +62,7 @@ use hj_adaptive::{AdaptiveConfig, RatioTuner};
 use hj_analysis::sync::{Condvar, Mutex};
 use hj_metrics::{
     AtomicHistogram, Counter, Gauge, HealthMonitor, HealthReport, JoinTrace, LatencyHistogram,
-    MetricsRegistry, SlowJoinRecord, SlowLog, TraceBuffer, TraceEvent, TraceEventKind,
+    MetricsRegistry, SlowJoinRecord, SlowLog, TraceEventKind,
 };
 use hj_spill::{MemoryBroker, SpillConfig, SpillManager};
 use mem_alloc::{AllocatorKind, KernelAllocator};
@@ -702,9 +702,6 @@ impl ExecBackend for DiscreteSim {
 // Engine
 // ---------------------------------------------------------------------------
 
-/// Default capacity (events) of the engine's structured-trace ring.
-pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 4096;
-
 /// Default interval between the background sampler's registry snapshots.
 pub(crate) const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
 
@@ -755,11 +752,6 @@ pub struct EngineConfig {
     /// the per-session kernel arenas (provisioned up front), while this
     /// budget caps the partition payload a spilling join keeps resident.
     pub memory_budget: Option<usize>,
-    /// Capacity (events) of the engine's structured-trace ring buffer
-    /// ([`JoinEngine::trace_buffer`]).  The ring is drop-oldest — overflow
-    /// never blocks a worker, it only increments the dropped-events
-    /// counter — so a tiny capacity is safe (it is clamped to at least 1).
-    pub trace_capacity: usize,
     /// Interval between the background sampler's registry snapshots, each
     /// of which closes one health window ([`JoinEngine::health`]).
     /// `Duration::ZERO` disables the sampler thread entirely; sampling can
@@ -786,7 +778,6 @@ impl EngineConfig {
             worker_threads: None,
             tuning: Tuning::Static,
             memory_budget: None,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
             sample_interval: DEFAULT_SAMPLE_INTERVAL,
             slow_join_threshold: DEFAULT_SLOW_JOIN_THRESHOLD,
         }
@@ -853,14 +844,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sizes the structured-trace ring buffer (events; clamped to at least
-    /// 1).  Small rings are legal and lossy by design — see
-    /// [`trace_capacity`](Self::trace_capacity).
-    pub fn trace_capacity(mut self, events: usize) -> Self {
-        self.trace_capacity = events;
-        self
-    }
-
     /// Sets the background sampler's snapshot interval
     /// (`Duration::ZERO` disables the sampler thread).
     pub fn sample_interval(mut self, interval: Duration) -> Self {
@@ -910,26 +893,6 @@ impl EngineConfig {
     }
 }
 
-/// Lifetime counters of one session of the pool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Requests this session executed to completion.
-    pub requests_served: u64,
-    /// Requests that failed while holding this session.
-    pub requests_failed: u64,
-    /// Ratio re-plans the adaptive tuner performed on this session's
-    /// requests.
-    pub replans: u64,
-    /// Requests on this session that actually spilled bytes to disk.
-    pub spilled_requests: u64,
-    /// Bytes this session's requests spilled to run files.
-    pub spill_bytes_written: u64,
-    /// How long this session's acquisitions waited in the admission queue
-    /// (log2 ns buckets; `quantile_ns(0.5)` / `quantile_ns(0.99)` give
-    /// p50/p99 bounds).
-    pub queue_wait: LatencyHistogram,
-}
-
 /// Observability counters of one engine (a point-in-time snapshot taken by
 /// [`JoinEngine::stats`]).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -953,8 +916,6 @@ pub struct EngineStats {
     pub in_flight: usize,
     /// Most requests ever simultaneously in flight.
     pub peak_in_flight: usize,
-    /// Per-session request counters, indexed by session id.
-    pub per_session: Vec<SessionStats>,
     /// Worker threads of the engine's persistent execution pool (spawned
     /// once, shared by all sessions).
     pub worker_threads: usize,
@@ -1052,32 +1013,6 @@ struct SessionPool {
     waiting: usize,
 }
 
-/// One session's lifetime counters: atoms that no registry lists (the
-/// engine-wide families live in [`EngineMetrics`]), read back by
-/// [`JoinEngine::stats`] as a [`SessionStats`].
-#[derive(Default)]
-struct SessionCounters {
-    requests_served: Counter,
-    requests_failed: Counter,
-    replans: Counter,
-    spilled_requests: Counter,
-    spill_bytes_written: Counter,
-    queue_wait: AtomicHistogram,
-}
-
-impl SessionCounters {
-    fn snapshot(&self) -> SessionStats {
-        SessionStats {
-            requests_served: self.requests_served.get(),
-            requests_failed: self.requests_failed.get(),
-            replans: self.replans.get(),
-            spilled_requests: self.spilled_requests.get(),
-            spill_bytes_written: self.spill_bytes_written.get(),
-            queue_wait: self.queue_wait.snapshot(),
-        }
-    }
-}
-
 /// The engine's registered metric handles: every name is a static literal
 /// (enforced by the `metrics-name-literal` hj-lint rule and catalogued in
 /// `docs/OBSERVABILITY.md`), registered once at construction; hot paths
@@ -1113,8 +1048,6 @@ struct EngineMetrics {
     /// The health monitor's assessed state (0 healthy / 1 degraded /
     /// 2 saturated), set on every sample.
     health_state: Arc<Gauge>,
-    /// The trace ring's own drop counter.
-    trace_dropped: Arc<Counter>,
 }
 
 impl EngineMetrics {
@@ -1238,24 +1171,21 @@ impl EngineMetrics {
                 "hj_health_state",
                 "Assessed health state: 0 healthy, 1 degraded, 2 saturated",
             ),
-            trace_dropped: registry.counter(
-                "hj_trace_events_dropped_total",
-                "Events the structured-trace ring dropped (oldest-first) since engine start",
-            ),
         }
     }
 }
 
 /// Everything the background sampler needs, cloneable into its thread so
 /// the thread never holds (and can never cycle with) the engine itself:
-/// shared `Arc` handles on the registry, the health monitor, the trace
-/// ring's clock and the engine's metric handles.
+/// shared `Arc` handles on the registry, the health monitor and the
+/// engine's metric handles, and the engine's start, which every engine
+/// timestamp counts from.
 #[derive(Clone)]
 struct SamplerShared {
     registry: Arc<MetricsRegistry>,
     health: Arc<HealthMonitor>,
-    tracer: Arc<TraceBuffer>,
     metrics: EngineMetrics,
+    started: Instant,
 }
 
 impl SamplerShared {
@@ -1264,12 +1194,18 @@ impl SamplerShared {
     /// verdict reacts at sampler cadence.  Touches only atomics and the
     /// short observability locks — never the engine's session pool.
     fn sample_once(&self) {
-        let at_ns = self.tracer.now_ns();
+        let at_ns = self.now_ns();
         let samples = self.registry.snapshot();
         self.metrics.samples.inc();
         if let Some(report) = self.health.sample(at_ns, samples) {
             self.metrics.health_state.set(report.state.level() as u64);
         }
+    }
+
+    /// Nanoseconds since the engine was created: the timescale of the
+    /// health samples, the slow log and the flight recorder.
+    fn now_ns(&self) -> u64 {
+        self.started.elapsed().as_nanos() as u64
     }
 }
 
@@ -1324,16 +1260,6 @@ enum BuildSource<'a> {
     Cached(&'a TableHandle, CacheKey),
 }
 
-/// One join's root-span bookkeeping, opened by `JoinEngine::begin_join`
-/// and consumed by `JoinEngine::finish_join`: the span id, its start
-/// timestamp, and the ring's drop count at open (so the flight recorder
-/// can report how many events *this* join lost).
-struct SpanTicket {
-    span: u64,
-    start_ns: u64,
-    dropped_before: u64,
-}
-
 /// A long-lived, concurrent join engine: one backend, a pool of
 /// arena-backed sessions, many simultaneous requests.
 ///
@@ -1351,8 +1277,6 @@ pub struct JoinEngine {
     config: EngineConfig,
     pool: Mutex<SessionPool>,
     session_freed: Condvar,
-    /// Each session's counters, indexed by session id.
-    per_session: Box<[SessionCounters]>,
     /// The persistent execution pool: sized at construction, spawned once
     /// on first native use, shared by every session's backend execution,
     /// joined when the engine drops.  Simulator-only engines never spawn
@@ -1382,20 +1306,17 @@ pub struct JoinEngine {
     /// Registered handles on the engine's own metric families (hot paths
     /// update these atomics; the registry lock is never taken per request).
     metrics: EngineMetrics,
-    /// The engine-wide structured-trace ring (drop-oldest, bounded by
-    /// [`EngineConfig::trace_capacity`]).
-    tracer: Arc<TraceBuffer>,
     /// Joins that breached [`EngineConfig::slow_join_threshold`], each with
     /// its retroactively-assembled flight-recorder trace.
     slow_log: Arc<SlowLog>,
     /// Everything the sampler reads, kept on the engine too so
-    /// [`sample_now`](Self::sample_now) can take deterministic samples and
-    /// [`health`](Self::health) can read the monitor's latest report.
+    /// [`sample_now`](Self::sample_now) can take deterministic samples,
+    /// [`health`](Self::health) can read the monitor's latest report and
+    /// joins are timed on the sampler's clock.
     sampler_shared: SamplerShared,
     /// The sampler thread, joined on drop.
     sampler: SamplerHandle,
     arena_capacity: usize,
-    started: Instant,
 }
 
 impl std::fmt::Debug for JoinEngine {
@@ -1442,16 +1363,12 @@ impl JoinEngine {
         let metrics = EngineMetrics::register(&metrics_registry, config.effective_worker_threads());
         // The arenas provisioned just above are lifetime allocations too.
         metrics.arenas_created.add(config.sessions as u64);
-        let tracer = Arc::new(TraceBuffer::new(
-            config.trace_capacity,
-            Arc::clone(&metrics.trace_dropped),
-        ));
         let workers = SharedWorkerPool::new(metrics.workers.clone());
         let sampler_shared = SamplerShared {
             registry: Arc::clone(&metrics_registry),
             health: Arc::new(HealthMonitor::new()),
-            tracer: Arc::clone(&tracer),
             metrics: metrics.clone(),
+            started: Instant::now(),
         };
         let sampler = if config.sample_interval > Duration::ZERO {
             let stop = Arc::new(AtomicBool::new(false));
@@ -1483,9 +1400,6 @@ impl JoinEngine {
                 },
             ),
             session_freed: Condvar::new(),
-            per_session: (0..config.sessions)
-                .map(|_| SessionCounters::default())
-                .collect(),
             workers,
             cache: HashTableCache::new(
                 broker.clone(),
@@ -1497,12 +1411,10 @@ impl JoinEngine {
             next_table_id: AtomicU64::new(0),
             metrics_registry,
             metrics,
-            tracer,
             slow_log: Arc::new(SlowLog::new(DEFAULT_SLOWLOG_CAPACITY)),
             sampler_shared,
             sampler,
             arena_capacity: capacity,
-            started: Instant::now(),
             config,
         })
     }
@@ -1572,12 +1484,6 @@ impl JoinEngine {
         &self.metrics_registry
     }
 
-    /// The engine-wide structured-trace ring: every join (and admission
-    /// verdict) emits typed events into it, drop-oldest on overflow.
-    pub fn trace_buffer(&self) -> &Arc<TraceBuffer> {
-        &self.tracer
-    }
-
     /// The most recent health verdict — what the serving layer's
     /// `GET /health` endpoint renders.  Defaults to `Healthy` before the
     /// first sample.
@@ -1627,18 +1533,18 @@ impl JoinEngine {
     }
 
     /// A point-in-time snapshot of the lifetime counters (served/failed
-    /// requests, saturation rejections, arena creations, per-session and
-    /// per-worker activity, joins per second).
+    /// requests, saturation rejections, arena creations, per-worker
+    /// activity, joins per second).
     ///
     /// Robust against poisoning: a request that panicked mid-join (the
     /// panic is re-raised at its submitter) leaves the counters readable —
     /// one bad join cannot turn every later `stats()` call into a panic.
     pub fn stats(&self) -> EngineStats {
         let registered_tables = self.registry.lock().len();
-        let elapsed = self.started.elapsed().as_secs_f64();
-        // Every count lives in an atom — a session's own, or the metrics
-        // registry's, which the wire exposition renders too, so
-        // `EngineStats` and a `Metrics` frame always reconcile.
+        let elapsed = self.sampler_shared.started.elapsed().as_secs_f64();
+        // Every count lives in an atom of the metrics registry, which the
+        // wire exposition renders too, so `EngineStats` and a `Metrics`
+        // frame always reconcile.
         let requests_served = self.metrics.requests_served.get();
         let counters = &self.metrics.workers;
         let busy = read_counters(&counters.busy_ns);
@@ -1664,11 +1570,6 @@ impl JoinEngine {
             queue_wait: self.metrics.queue_wait.snapshot(),
             registered_tables,
             cache: self.cache.stats(),
-            per_session: self
-                .per_session
-                .iter()
-                .map(SessionCounters::snapshot)
-                .collect(),
             worker_threads: self.workers.configured_workers(),
             per_worker_tasks: read_counters(&counters.tasks),
             per_worker_steals: read_counters(&counters.steals),
@@ -1714,8 +1615,9 @@ impl JoinEngine {
     /// Takes a session from the pool, waiting in the bounded admission
     /// queue when all sessions are busy.  Freed sessions are handed to
     /// queued waiters before new arrivals, so the queue cannot be starved.
-    /// The wait is recorded in the engine-wide and per-session histograms.
-    fn acquire_session(&self) -> Result<Session, JoinError> {
+    /// The wait is recorded in the queue-wait histogram and returned
+    /// beside the session, in ns.
+    fn acquire_session(&self) -> Result<(Session, u64), JoinError> {
         let started = Instant::now();
         let mut pool = self.pool.lock();
         // The free list only holds sessions no queued waiter was owed, so
@@ -1728,13 +1630,6 @@ impl JoinEngine {
                 drop(pool);
                 self.metrics.rejected_saturated.inc();
                 self.metrics.requests_failed.inc();
-                self.tracer.push(TraceEvent {
-                    span: 0,
-                    at_ns: self.tracer.now_ns(),
-                    kind: TraceEventKind::Admission,
-                    label: "saturated",
-                    value: queued as u64,
-                });
                 return Err(JoinError::Saturated {
                     sessions: self.config.sessions,
                     queue_depth: self.config.effective_queue_depth(),
@@ -1760,43 +1655,13 @@ impl JoinEngine {
         drop(pool);
         let wait_ns = started.elapsed().as_nanos() as u64;
         self.metrics.queue_wait.record(wait_ns);
-        self.per_session[session.id].queue_wait.record(wait_ns);
-        self.tracer.push(TraceEvent {
-            span: 0,
-            at_ns: self.tracer.now_ns(),
-            kind: TraceEventKind::Admission,
-            label: "admitted",
-            value: wait_ns,
-        });
-        Ok(session)
+        Ok((session, wait_ns))
     }
 
-    /// Opens the join's root span on the trace ring: returns the ticket
-    /// the matching [`finish_join`](Self::finish_join) diffs against.
-    fn begin_join(&self) -> SpanTicket {
-        let span = self.tracer.next_span();
-        let start_ns = self.tracer.now_ns();
-        let dropped_before = self.tracer.dropped_events();
-        self.tracer.push(TraceEvent {
-            span,
-            at_ns: start_ns,
-            kind: TraceEventKind::SpanStart,
-            label: "join",
-            value: 0,
-        });
-        SpanTicket {
-            span,
-            start_ns,
-            dropped_before,
-        }
-    }
-
-    /// Closes the join's root span on every exit of the route — success,
-    /// error or panic.  A join that produced an outcome first has its
-    /// adaptive and spill reports harvested into the metrics registry and
-    /// its session's counters, and its typed ring events emitted; then,
-    /// when the request opted in or the join was slow, the flight recorder
-    /// is assembled into [`JoinOutcome::trace`] and the slow-log.
+    /// Harvests a served join's adaptive and spill reports into the
+    /// metrics registry; then, when the request opted in or the join was
+    /// slow, assembles the flight recorder into [`JoinOutcome::trace`] and
+    /// the slow-log.
     ///
     /// Everything here reads data the join already produced; nothing about
     /// the join result changes, so traced and untraced runs stay
@@ -1805,73 +1670,32 @@ impl JoinEngine {
         &self,
         session_id: usize,
         request: &JoinRequest,
-        outcome: Option<&mut JoinOutcome>,
-        ticket: SpanTicket,
+        outcome: &mut JoinOutcome,
+        start_ns: u64,
         cached_table: Option<&TableHandle>,
     ) {
-        let SpanTicket {
-            span,
-            start_ns,
-            dropped_before,
-        } = ticket;
-        let end_ns = self.tracer.now_ns();
+        let end_ns = self.sampler_shared.now_ns();
         let wall_ns = end_ns.saturating_sub(start_ns);
-        let per = &self.per_session[session_id];
-        let event = |kind, label, value| TraceEvent {
-            span,
-            at_ns: end_ns,
-            kind,
-            label,
-            value,
-        };
-        if let Some(outcome) = outcome.as_deref() {
-            if let Some(report) = &outcome.adaptive {
-                self.metrics.adaptive_requests.inc();
-                self.metrics.replans.add(report.replans);
-                per.replans.add(report.replans);
-                self.tracer
-                    .push(event(TraceEventKind::Replan, "replans", report.replans));
-            }
-            if let Some(report) = &outcome.spill {
-                self.metrics.spill_bytes_written.add(report.bytes_spilled);
-                self.metrics.spill_bytes_restored.add(report.bytes_restored);
-                self.metrics.spill_partitions.add(report.partitions_spilled);
-                self.metrics.spill_fallback_joins.add(report.fallback_joins);
-                self.metrics.spill_grant_denials.add(report.grant_denials);
-                self.metrics
-                    .spill_reclaimed_bytes
-                    .add(report.reclaimed_bytes);
-                self.metrics
-                    .spill_io_wall
-                    .record((report.spill_wall_secs * 1e9) as u64);
-                per.spill_bytes_written.add(report.bytes_spilled);
-                if report.bytes_spilled > 0 {
-                    self.metrics.spilled_requests.inc();
-                    per.spilled_requests.inc();
-                }
-                self.tracer.push(event(
-                    TraceEventKind::Spill,
-                    "bytes-spilled",
-                    report.bytes_spilled,
-                ));
-            }
-            if let Some(table) = cached_table {
-                self.tracer
-                    .push(event(TraceEventKind::Cache, "probe-cached", table.id));
-            }
-            for (phase, time) in outcome.breakdown.iter() {
-                self.tracer.push(event(
-                    TraceEventKind::Phase,
-                    phase.label(),
-                    time.as_ns() as u64,
-                ));
+        if let Some(report) = &outcome.adaptive {
+            self.metrics.adaptive_requests.inc();
+            self.metrics.replans.add(report.replans);
+        }
+        if let Some(report) = &outcome.spill {
+            self.metrics.spill_bytes_written.add(report.bytes_spilled);
+            self.metrics.spill_bytes_restored.add(report.bytes_restored);
+            self.metrics.spill_partitions.add(report.partitions_spilled);
+            self.metrics.spill_fallback_joins.add(report.fallback_joins);
+            self.metrics.spill_grant_denials.add(report.grant_denials);
+            self.metrics
+                .spill_reclaimed_bytes
+                .add(report.reclaimed_bytes);
+            self.metrics
+                .spill_io_wall
+                .record((report.spill_wall_secs * 1e9) as u64);
+            if report.bytes_spilled > 0 {
+                self.metrics.spilled_requests.inc();
             }
         }
-        self.tracer
-            .push(event(TraceEventKind::SpanEnd, "join", wall_ns));
-        let Some(outcome) = outcome else {
-            return;
-        };
         // The slow-log retains the flight recorder retroactively: the trace
         // is assembled from data the join already produced, so a join that
         // breached the threshold gets a full trace even when the request
@@ -1881,8 +1705,7 @@ impl JoinEngine {
         let threshold_ns = self.config.slow_join_threshold.as_nanos() as u64;
         let slow = threshold_ns > 0 && wall_ns >= threshold_ns;
         if slow || request.trace_enabled() {
-            let dropped = self.tracer.dropped_events().saturating_sub(dropped_before);
-            let mut trace = assemble_join_trace(outcome, start_ns, wall_ns, dropped);
+            let mut trace = assemble_join_trace(outcome, start_ns, wall_ns);
             if let Some(table) = cached_table {
                 trace.push_event(
                     trace.root,
@@ -1910,17 +1733,14 @@ impl JoinEngine {
         }
     }
 
-    /// Records one request's fate against the engine-wide and per-session
-    /// counters, then returns its session to the pool — handing it to a
-    /// queued waiter when one exists.
+    /// Records one request's fate against the engine-wide counters, then
+    /// returns its session to the pool — handing it to a queued waiter
+    /// when one exists.
     fn release_session(&self, session: Session, served: bool) {
-        let per = &self.per_session[session.id];
         if served {
             self.metrics.requests_served.inc();
-            per.requests_served.inc();
         } else {
             self.metrics.requests_failed.inc();
-            per.requests_failed.inc();
         }
         let mut pool = self.pool.lock();
         let hand_off = pool.waiting > 0;
@@ -2124,8 +1944,8 @@ impl JoinEngine {
     /// A panicking backend (or a panicked native worker) must not leak the
     /// session, or the pool would shrink and later submissions would hang
     /// or be rejected forever: the session's arena went down with the
-    /// panicking context, so it is reprovisioned, the session returned and
-    /// the span closed before the unwind resumes at the caller.
+    /// panicking context, so it is reprovisioned and the session returned
+    /// before the unwind resumes at the caller.
     fn run(
         &self,
         request: &JoinRequest,
@@ -2145,13 +1965,6 @@ impl JoinEngine {
             request.required_arena_bytes(build_tuples, probe.len(), self.backend.system());
         if required > self.arena_capacity && !spills {
             self.metrics.requests_failed.inc();
-            self.tracer.push(TraceEvent {
-                span: 0,
-                at_ns: self.tracer.now_ns(),
-                kind: TraceEventKind::Admission,
-                label: "oversized",
-                value: required as u64,
-            });
             return Err(JoinError::OversizedInput {
                 build_tuples,
                 probe_tuples: probe.len(),
@@ -2160,7 +1973,7 @@ impl JoinEngine {
             });
         }
 
-        let mut session = self.acquire_session()?;
+        let (mut session, queue_wait_ns) = self.acquire_session()?;
         // A request may choose the other allocator design (the Figure 12
         // comparison); that rebuilds this session's arena once and is
         // counted.
@@ -2183,7 +1996,7 @@ impl JoinEngine {
         } else {
             tuning.tuner_for(&request.config().scheme)
         };
-        let ticket = self.begin_join();
+        let start_ns = self.sampler_shared.now_ns();
         let executed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut ctx = ExecContext::with_allocator(
                 self.backend.system(),
@@ -2217,6 +2030,7 @@ impl JoinEngine {
                 outcome.counters = ctx.counters.clone();
                 outcome.counters.matches = outcome.matches;
                 outcome.adaptive = ctx.take_tuner().map(|tuner| tuner.report());
+                outcome.queue_wait_ns = queue_wait_ns;
                 outcome
             });
             (result, ctx.into_allocator())
@@ -2236,7 +2050,9 @@ impl JoinEngine {
             .ok()
             .and_then(|result| result.as_mut().ok());
         let served = outcome.is_some();
-        self.finish_join(session.id, request, outcome, ticket, cached_table);
+        if let Some(outcome) = outcome {
+            self.finish_join(session.id, request, outcome, start_ns, cached_table);
+        }
         self.release_session(session, served);
         executed.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
@@ -2297,12 +2113,7 @@ impl JoinEngine {
 /// starts are for readability), per-step events where the pipeline
 /// recorded step executions, and the adaptive/spill reports as typed
 /// events.
-fn assemble_join_trace(
-    outcome: &JoinOutcome,
-    start_ns: u64,
-    wall_ns: u64,
-    dropped: u64,
-) -> JoinTrace {
+fn assemble_join_trace(outcome: &JoinOutcome, start_ns: u64, wall_ns: u64) -> JoinTrace {
     let mut trace = JoinTrace::default();
     let root = trace.push_span(0, "join", start_ns, wall_ns);
     let mut cursor = start_ns;
@@ -2361,7 +2172,6 @@ fn assemble_join_trace(
             trace.push_event(root, cursor, TraceEventKind::Spill, label, value);
         }
     }
-    trace.dropped_events = dropped;
     trace
 }
 
@@ -2416,12 +2226,6 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.queue_wait.count(), 4);
         assert!(stats.queue_wait.quantile_ns(0.5).is_some());
-        let per_session_total: u64 = stats
-            .per_session
-            .iter()
-            .map(|per| per.queue_wait.count())
-            .sum();
-        assert_eq!(per_session_total, 4);
     }
 
     #[test]
@@ -2662,8 +2466,6 @@ mod tests {
         assert_eq!(stats.sessions, 4);
         assert_eq!(stats.in_flight, 0);
         assert!(stats.peak_in_flight >= 1 && stats.peak_in_flight <= 4);
-        let per_session_total: u64 = stats.per_session.iter().map(|s| s.requests_served).sum();
-        assert_eq!(per_session_total, 24);
         assert!(stats.joins_per_sec > 0.0);
     }
 
@@ -2787,40 +2589,22 @@ mod tests {
         assert_eq!((stats.cache.misses, stats.cache.hits), (1, 1));
     }
 
-    /// The root span a join opens is closed on every exit: a join that
-    /// runs out of arena and one whose backend panics each leave exactly
-    /// one `SpanEnd` behind their `SpanStart`.
+    /// A join that passes admission and then runs out of arena counts
+    /// one failure and hands its session back, like a panicking one
+    /// (`backend_panic_does_not_leak_the_session`).
     #[test]
-    fn failed_and_panicked_joins_close_their_root_span() {
-        let spans = |engine: &JoinEngine, kind: TraceEventKind| -> Vec<u64> {
-            let events = engine.trace_buffer().snapshot();
-            events
-                .iter()
-                .filter(|event| event.kind == kind)
-                .map(|event| event.span)
-                .collect()
-        };
+    fn an_arena_exhausted_join_counts_one_failure_and_frees_its_session() {
         let request = JoinRequest::builder().build().unwrap();
-
         // Admission passes, but every probe tuple matches every build tuple.
         let engine = JoinEngine::coupled(EngineConfig::for_tuples(1024, 4096)).unwrap();
         let r = Relation::from_keys(vec![7; 1024]);
         let s = Relation::from_keys(vec![7; 4096]);
         let err = engine.submit(&request, &r, &s).unwrap_err();
         assert!(matches!(err, JoinError::ArenaExhausted { .. }), "{err}");
-        let started = spans(&engine, TraceEventKind::SpanStart);
-        assert_eq!(started.len(), 1);
-        assert_eq!(spans(&engine, TraceEventKind::SpanEnd), started);
-
-        let engine = JoinEngine::new(Flaky::boxed(1, 0), EngineConfig::for_tuples(64, 64)).unwrap();
-        let (r, s) = small_pair(16);
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = engine.submit(&request, &r, &s);
-        }));
-        assert!(unwound.is_err(), "the backend panic must propagate");
-        let started = spans(&engine, TraceEventKind::SpanStart);
-        assert_eq!(started.len(), 1);
-        assert_eq!(spans(&engine, TraceEventKind::SpanEnd), started);
+        let stats = engine.stats();
+        assert_eq!((stats.requests_failed, stats.requests_served), (1, 0));
+        assert_eq!(stats.in_flight, 0);
+        assert_eq!(engine.load().in_flight, 0);
     }
 
     #[test]

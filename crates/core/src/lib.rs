@@ -217,10 +217,11 @@
 //!   // Err(ClientError::Overloaded { retry_after_ms, .. }) is the typed shed.
 //!   ```
 //!
-//! [`EngineStats::queue_wait`] (and its per-session twin) records how long
-//! every acquisition waited for a session, as a log2 histogram with
-//! p50/p99 extraction — the engine-side half of the serving layer's
-//! tail-latency accounting.
+//! [`EngineStats::queue_wait`] records how long every acquisition waited
+//! for a session, as a log2 histogram with p50/p99 extraction — the
+//! engine-side half of the serving layer's tail-latency accounting.  The
+//! serving layer takes each served join's own wait off the time it
+//! measured, so its admission estimate learns service time alone.
 //!
 //! ## Table registry & hash-table cache
 //!
@@ -267,9 +268,9 @@
 //! ## Observability
 //!
 //! The engine is instrumented end to end (crate `hj-metrics`, re-exported
-//! as [`metrics`]), with three surfaces that share one design rule: the
-//! hot path only ever touches pre-registered atomics or a fixed-size ring,
-//! never a lock it could contend on.
+//! as [`metrics`]), with two surfaces that share one design rule: the
+//! hot path only ever touches pre-registered atomics, never a lock it
+//! could contend on.
 //!
 //! * **Metrics registry** — every engine owns a
 //!   [`metrics::MetricsRegistry`] ([`JoinEngine::metrics_registry`])
@@ -281,11 +282,6 @@
 //!   pipeline, spill, cache and serving-layer families alike — in
 //!   Prometheus text exposition format, and the serving layer answers a
 //!   `Metrics` frame ([`server::JoinClient::metrics`]) with the same text.
-//! * **Structured tracing** — joins emit typed [`metrics::TraceEvent`]s
-//!   into a bounded per-engine ring ([`metrics::TraceBuffer`],
-//!   [`EngineConfig::trace_capacity`]); overflow drops the oldest events
-//!   and counts them, and the `trace-off` feature compiles the push to a
-//!   no-op.
 //! * **Flight recorder** — a request built with
 //!   `JoinRequest::builder().trace(true)` gets an EXPLAIN-ANALYZE-style
 //!   [`metrics::JoinTrace`] on [`JoinOutcome::trace`](result::JoinOutcome)
@@ -380,7 +376,7 @@ pub use config::{Algorithm, HashTableMode, JoinConfig, Scheme, StepGranularity};
 pub use context::{arena_bytes_for, ExecContext, ExecCounters};
 pub use engine::{
     CoupledSim, DiscreteSim, EngineConfig, EngineLoad, EngineStats, ExecBackend, JoinEngine,
-    JoinRequest, JoinRequestBuilder, NativeCpu, SessionStats, Tuning,
+    JoinRequest, JoinRequestBuilder, NativeCpu, Tuning,
 };
 pub use error::JoinError;
 pub use executor::execute_join;

@@ -58,6 +58,10 @@ pub struct JoinOutcome {
     /// byte-identical join results.  `Some` only when the request opted in
     /// via [`JoinRequestBuilder::trace`](crate::engine::JoinRequestBuilder::trace).
     pub trace: Option<hj_metrics::JoinTrace>,
+    /// Wall-clock nanoseconds the request waited for a session: the
+    /// serving layer takes it off the time it measured around the
+    /// submission, so admission learns service time, not waiting.
+    pub(crate) queue_wait_ns: u64,
 }
 
 impl JoinOutcome {

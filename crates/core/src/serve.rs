@@ -1028,9 +1028,13 @@ fn serve_join(
     let started = Instant::now();
     let result = submit_guarded(|| submit(&shared.engine, &request));
     match &result {
-        Ok(_) => shared
-            .admission
-            .complete(ticket, started.elapsed().as_nanos() as u64),
+        // The backlog already prices the wait for a session (it divides by
+        // the session count), so the estimator learns service time only.
+        Ok(outcome) => {
+            let elapsed_ns = started.elapsed().as_nanos() as u64;
+            let service_ns = elapsed_ns.saturating_sub(outcome.queue_wait_ns);
+            shared.admission.complete(ticket, service_ns);
+        }
         Err(_) => shared.admission.abandon(ticket),
     }
     finish_request(shared, conn, frame.id, frame.collect_pairs, result, arrived)

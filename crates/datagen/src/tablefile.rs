@@ -456,6 +456,40 @@ mod tests {
     }
 
     #[test]
+    fn a_count_claiming_one_tuple_more_than_remains_is_refused_up_front() {
+        let path = temp_path("overclaim");
+        let rel = Relation::from_columns((0..10).collect(), (100..110).collect());
+        let mut w = TableFileWriter::create(&path).unwrap();
+        w.append(&rel).unwrap();
+        w.finish().unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = HEADER_BYTES as usize;
+        bytes[at..at + 4].copy_from_slice(&11u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = TableFileReader::open(&path)
+            .unwrap()
+            .read_all()
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "batch 0: frame claims 11 tuples (96 B) but only 88 B remain",
+            "refused before a buffer is sized, not as a torn read"
+        );
+        std::fs::remove_file(&path).unwrap();
+
+        // The bound is the caller's byte budget, not the stream: a whole
+        // frame one tuple past what remains is refused too.
+        let mut frame = Vec::new();
+        let written = encode_frame(&mut frame, rel.keys(), rel.rids()).unwrap();
+        let mut remaining = written - 8;
+        let mut dest = Relation::new();
+        let err = decode_frame(&mut frame.as_slice(), &mut remaining, &mut dest).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(dest.is_empty());
+    }
+
+    #[test]
     fn version_1_files_are_refused_by_version_not_as_corrupt() {
         let path = temp_path("version-1");
         generate_build_table(&path, &FileTableSpec::new(64, 3)).unwrap();

@@ -1,6 +1,6 @@
 //! Shared observability primitives for the join engine.
 //!
-//! Three pieces, each dependency-free and cheap enough to sit on hot
+//! Five pieces, each dependency-free and cheap enough to sit on hot
 //! paths:
 //!
 //! * [`LatencyHistogram`] — the log2-bucket duration histogram every layer
@@ -9,10 +9,8 @@
 //! * [`MetricsRegistry`] — counters, gauges and histograms registered once
 //!   under static names, updated via relaxed atomics, rendered as a
 //!   Prometheus text snapshot for wire exposition;
-//! * [`TraceBuffer`] / [`JoinTrace`] — structured tracing: typed events in
-//!   a bounded drop-oldest ring, and the per-join flight-recorder tree
-//!   returned to callers that opt in.  The `trace-off` cargo feature
-//!   compiles the ring's `push` to a no-op.
+//! * [`JoinTrace`] — the per-join flight-recorder tree of spans and typed
+//!   events, returned to callers that opt in;
 //! * [`HealthMonitor`] — derives windowed rates from the two latest
 //!   registry snapshots of the engine's sampler thread and classifies them
 //!   into a typed [`HealthReport`] (`Healthy | Degraded | Saturated`) with
@@ -30,7 +28,4 @@ mod trace;
 pub use health::{HealthMonitor, HealthObservation, HealthReport, HealthState};
 pub use histogram::{exact_quantile, LatencyHistogram};
 pub use registry::{AtomicHistogram, Counter, Gauge, MetricSample, MetricValue, MetricsRegistry};
-pub use trace::{
-    FlightEvent, JoinTrace, SlowJoinRecord, SlowLog, TraceBuffer, TraceEvent, TraceEventKind,
-    TraceSpan,
-};
+pub use trace::{FlightEvent, JoinTrace, SlowJoinRecord, SlowLog, TraceEventKind, TraceSpan};

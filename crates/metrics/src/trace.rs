@@ -1,21 +1,15 @@
-//! Structured tracing: typed events with span IDs and monotonic
-//! timestamps, a bounded per-engine ring buffer, and the per-join
-//! flight-recorder tree ([`JoinTrace`]) returned to callers that opt in.
-//!
-//! The ring ([`TraceBuffer`]) is deliberately lossy: when full it drops
-//! the **oldest** event and counts the drop, so a worker never blocks on
-//! observability.  The `trace-off` cargo feature compiles [`TraceBuffer::
-//! push`](TraceBuffer::push) down to a no-op for deployments that want
-//! provably zero trace overhead.
+//! Structured tracing: the per-join flight-recorder tree ([`JoinTrace`])
+//! returned to callers that opt in, and the bounded slow-join log
+//! ([`SlowLog`]) that keeps the same tree for joins past the engine's slow
+//! threshold.  A trace is assembled after its join from data the join
+//! produced anyway, so it loses nothing and costs nothing on the join
+//! path.
 
-use crate::registry::Counter;
 use hj_analysis::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
-/// What kind of thing a [`TraceEvent`] records.
+/// What kind of thing a [`FlightEvent`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// A span opened (`label` names it; `value` is the parent span, 0 for
@@ -84,104 +78,6 @@ impl TraceEventKind {
     }
 }
 
-/// One typed event in the engine-wide ring: which span, when (monotonic ns
-/// since the buffer's epoch), what, and one numeric detail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// The span this event belongs to (an ID from
-    /// [`TraceBuffer::next_span`]).
-    pub span: u64,
-    /// Monotonic nanoseconds since the owning buffer was created.
-    pub at_ns: u64,
-    /// What kind of event.
-    pub kind: TraceEventKind,
-    /// A static label (phase/step/decision name).
-    pub label: &'static str,
-    /// One numeric detail; meaning depends on `kind`.
-    pub value: u64,
-}
-
-/// A bounded, drop-oldest ring of [`TraceEvent`]s shared by every join on
-/// one engine.  Pushing never blocks beyond the short ring lock (class
-/// `trace.ring`), never allocates past the fixed capacity, and when the
-/// `trace-off` feature is enabled it compiles to nothing.
-#[derive(Debug)]
-pub struct TraceBuffer {
-    ring: Mutex<VecDeque<TraceEvent>>,
-    capacity: usize,
-    dropped: Arc<Counter>,
-    next_span: AtomicU64,
-    epoch: Instant,
-}
-
-impl TraceBuffer {
-    /// A ring holding at most `capacity` events (clamped to at least 1)
-    /// that counts each dropped event in `dropped` — an engine passes its
-    /// registered `hj_trace_events_dropped_total` counter.
-    pub fn new(capacity: usize, dropped: Arc<Counter>) -> Self {
-        let capacity = capacity.max(1);
-        TraceBuffer {
-            ring: Mutex::new("trace.ring", VecDeque::with_capacity(capacity)),
-            capacity,
-            dropped,
-            next_span: AtomicU64::new(1),
-            epoch: Instant::now(),
-        }
-    }
-
-    /// A fresh span ID (never 0; 0 means "no parent").
-    pub fn next_span(&self) -> u64 {
-        self.next_span.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Monotonic nanoseconds since this buffer was created — the timescale
-    /// of every [`TraceEvent::at_ns`].
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Appends one event, dropping the oldest (and counting the drop) when
-    /// the ring is full.
-    #[cfg(not(feature = "trace-off"))]
-    pub fn push(&self, event: TraceEvent) {
-        let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.dropped.inc();
-        }
-        ring.push_back(event);
-    }
-
-    /// Tracing is compiled out (`trace-off`): events vanish for free.
-    #[cfg(feature = "trace-off")]
-    pub fn push(&self, _event: TraceEvent) {}
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.ring.lock().len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The fixed ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events dropped (oldest-first) since creation.
-    pub fn dropped_events(&self) -> u64 {
-        self.dropped.get()
-    }
-
-    /// A copy of the buffered events, oldest first.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.ring.lock().iter().copied().collect()
-    }
-}
-
 /// One timed span of a [`JoinTrace`] tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpan {
@@ -191,15 +87,15 @@ pub struct TraceSpan {
     pub parent: u64,
     /// What the span covers ("join", "build", "probe", ...).
     pub label: String,
-    /// Start, in ns on the engine trace buffer's monotonic timescale.
+    /// Start, in ns since the engine was created.
     pub start_ns: u64,
     /// The span's duration in ns (simulated time for phase spans, wall
     /// clock for the root).
     pub duration_ns: u64,
 }
 
-/// One recorded event of a [`JoinTrace`] (an owned twin of
-/// [`TraceEvent`], so traces survive the wire).
+/// One recorded event of a [`JoinTrace`]: which span, when, what, and one
+/// numeric detail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightEvent {
     /// The span the event belongs to.
@@ -225,9 +121,6 @@ pub struct JoinTrace {
     pub spans: Vec<TraceSpan>,
     /// Events in emission order.
     pub events: Vec<FlightEvent>,
-    /// Events the engine ring dropped while this join ran (0 means the
-    /// flight recorder saw everything).
-    pub dropped_events: u64,
 }
 
 impl JoinTrace {
@@ -281,12 +174,6 @@ impl JoinTrace {
         } else {
             self.render_span(self.root, 0, &mut out);
         }
-        if self.dropped_events > 0 {
-            out.push_str(&format!(
-                "({} events dropped by the engine ring)\n",
-                self.dropped_events
-            ));
-        }
         out
     }
 
@@ -321,7 +208,7 @@ impl JoinTrace {
 /// request itself opted out of tracing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowJoinRecord {
-    /// When the join finished (ns on the engine trace buffer's timescale).
+    /// When the join finished, in ns since the engine was created.
     pub at_ns: u64,
     /// The join's wall-clock duration in ns.
     pub wall_ns: u64,
@@ -425,50 +312,6 @@ impl SlowLog {
 mod tests {
     use super::*;
 
-    fn event(span: u64, at_ns: u64, value: u64) -> TraceEvent {
-        TraceEvent {
-            span,
-            at_ns,
-            kind: TraceEventKind::Mark,
-            label: "test",
-            value,
-        }
-    }
-
-    #[test]
-    fn ring_keeps_newest_and_counts_drops() {
-        let buf = TraceBuffer::new(3, Arc::default());
-        for i in 0..5 {
-            buf.push(event(1, i, i));
-        }
-        if cfg!(not(feature = "trace-off")) {
-            let events: Vec<u64> = buf.snapshot().iter().map(|e| e.value).collect();
-            assert_eq!(events, vec![2, 3, 4], "drop-oldest keeps the newest");
-            assert_eq!(buf.dropped_events(), 2);
-            assert_eq!(buf.len(), buf.capacity());
-        } else {
-            assert!(buf.is_empty());
-            assert_eq!(buf.dropped_events(), 0);
-        }
-    }
-
-    #[test]
-    fn span_ids_are_unique_and_nonzero() {
-        let buf = TraceBuffer::new(4, Arc::default());
-        let a = buf.next_span();
-        let b = buf.next_span();
-        assert_ne!(a, 0);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn now_is_monotonic() {
-        let buf = TraceBuffer::new(1, Arc::default());
-        let a = buf.now_ns();
-        let b = buf.now_ns();
-        assert!(b >= a);
-    }
-
     #[test]
     fn kind_codes_round_trip() {
         for kind in TraceEventKind::ALL {
@@ -491,17 +334,6 @@ mod tests {
         assert!(text.contains("· replan build = 2"));
         // probe is rendered after build (start order).
         assert!(text.find("build").unwrap() < text.find("probe").unwrap());
-    }
-
-    #[test]
-    fn join_trace_reports_drops_in_render() {
-        let trace = JoinTrace {
-            dropped_events: 3,
-            ..JoinTrace::default()
-        };
-        let text = trace.render();
-        assert!(text.contains("(empty trace)"));
-        assert!(text.contains("3 events dropped"));
     }
 
     #[test]
@@ -553,24 +385,5 @@ mod tests {
         ));
         assert!(text.contains("join (7.000 ms)\n"));
         assert!(text.contains("  probe (5.000 ms)\n"));
-    }
-
-    #[test]
-    fn ring_never_blocks_concurrent_pushers() {
-        let buf = Arc::new(TraceBuffer::new(8, Arc::default()));
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let buf = Arc::clone(&buf);
-                scope.spawn(move || {
-                    for i in 0..500 {
-                        buf.push(event(t, i, i));
-                    }
-                });
-            }
-        });
-        if cfg!(not(feature = "trace-off")) {
-            assert_eq!(buf.len(), 8);
-            assert_eq!(buf.dropped_events(), 4 * 500 - 8);
-        }
     }
 }

@@ -136,28 +136,6 @@ pub struct Ticket {
     tuples: usize,
 }
 
-/// Point-in-time counters of one [`AdmissionController`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AdmissionStats {
-    /// Requests admitted.
-    pub admitted: u64,
-    /// Requests shed, by any reason.
-    pub shed: u64,
-    /// Sheds attributed to an exhausted client quota.
-    pub shed_quota: u64,
-    /// Sheds attributed to the queue budget.
-    pub shed_queue_budget: u64,
-    /// Sheds attributed to an unmeetable deadline.
-    pub shed_deadline: u64,
-    /// Estimated unfinished work currently admitted, in nanoseconds.
-    pub backlog_ns: f64,
-    /// Current service-time estimate in ns per input tuple (0 until the
-    /// estimator has a seed or a sample).
-    pub service_ns_per_tuple: f64,
-    /// Real service-time samples observed.
-    pub service_samples: u64,
-}
-
 #[derive(Debug)]
 struct Bucket {
     tokens: f64,
@@ -169,7 +147,6 @@ struct Inner {
     buckets: HashMap<u64, Bucket>,
     estimator: EwmaEstimator,
     backlog_ns: f64,
-    stats: AdmissionStats,
 }
 
 /// The SLO-aware admission controller (see the [module docs](self)).
@@ -202,7 +179,6 @@ impl AdmissionController {
                     buckets: HashMap::new(),
                     estimator,
                     backlog_ns: 0.0,
-                    stats: AdmissionStats::default(),
                 },
             ),
         })
@@ -246,8 +222,6 @@ impl AdmissionController {
             if bucket.tokens < 1.0 {
                 let wait_secs = (1.0 - bucket.tokens) / rate;
                 let retry = ((wait_secs * 1e3).ceil() as u32).max(1);
-                inner.stats.shed += 1;
-                inner.stats.shed_quota += 1;
                 return Admission::Shed {
                     reason: ShedReason::Quota,
                     retry_after_ms: retry,
@@ -271,8 +245,6 @@ impl AdmissionController {
             // The shed request keeps its token: quota pays for *service*,
             // not for being told to come back later.
             self.refund_token(&mut inner, client);
-            inner.stats.shed += 1;
-            inner.stats.shed_queue_budget += 1;
             return Admission::Shed {
                 reason: ShedReason::QueueBudget,
                 retry_after_ms: retry,
@@ -286,8 +258,6 @@ impl AdmissionController {
             if est_completion_ns > deadline_ns {
                 let retry = retry_after_ms(est_completion_ns - deadline_ns);
                 self.refund_token(&mut inner, client);
-                inner.stats.shed += 1;
-                inner.stats.shed_deadline += 1;
                 return Admission::Shed {
                     reason: ShedReason::Deadline,
                     retry_after_ms: retry,
@@ -300,8 +270,6 @@ impl AdmissionController {
         // the very first requests are admitted on faith and their observed
         // times bootstrap the estimate.
         inner.backlog_ns += est_service_ns;
-        inner.stats.admitted += 1;
-        inner.stats.backlog_ns = inner.backlog_ns;
         Admission::Admit(Ticket {
             est_service_ns,
             tuples,
@@ -316,9 +284,6 @@ impl AdmissionController {
         inner
             .estimator
             .observe(ticket.tuples, actual_service_ns as f64);
-        inner.stats.backlog_ns = inner.backlog_ns;
-        inner.stats.service_ns_per_tuple = inner.estimator.estimate_ns().unwrap_or(0.0);
-        inner.stats.service_samples = inner.estimator.samples();
     }
 
     /// Settles an admitted request that was *not* served (shed downstream,
@@ -327,7 +292,6 @@ impl AdmissionController {
     pub fn abandon(&self, ticket: Ticket) {
         let mut inner = self.inner.lock();
         inner.backlog_ns = (inner.backlog_ns - ticket.est_service_ns).max(0.0);
-        inner.stats.backlog_ns = inner.backlog_ns;
     }
 
     /// The estimated queue wait for a request arriving now, in
@@ -336,16 +300,6 @@ impl AdmissionController {
     pub fn estimated_wait_ms(&self) -> u32 {
         let inner = self.inner.lock();
         retry_after_ms(inner.backlog_ns / self.parallelism as f64)
-    }
-
-    /// A point-in-time snapshot of the counters.
-    pub fn stats(&self) -> AdmissionStats {
-        let inner = self.inner.lock();
-        let mut stats = inner.stats;
-        stats.backlog_ns = inner.backlog_ns;
-        stats.service_ns_per_tuple = inner.estimator.estimate_ns().unwrap_or(0.0);
-        stats.service_samples = inner.estimator.samples();
-        stats
     }
 
     fn refund_token(&self, inner: &mut Inner, client: u64) {
@@ -385,10 +339,13 @@ mod tests {
             let t = admit_ok(&c, i % 3, 1000, i * MS);
             c.complete(t, 5 * MS);
         }
-        let stats = c.stats();
-        assert_eq!(stats.admitted, 100);
-        assert_eq!(stats.shed, 0);
-        assert!(stats.service_ns_per_tuple > 0.0);
+        // The samples were learned: one more 5 ms request held open is
+        // 2.5 ms of expected wait over 2 sessions.
+        assert_eq!(c.estimated_wait_ms(), 1, "nothing is in flight");
+        let held = admit_ok(&c, 0, 1000, 100 * MS);
+        assert_eq!(c.estimated_wait_ms(), 3);
+        c.abandon(held);
+        assert_eq!(c.estimated_wait_ms(), 1);
     }
 
     #[test]
@@ -411,9 +368,16 @@ mod tests {
         }
         // Another client is unaffected.
         let _c = admit_ok(&c, 8, 10, t0);
-        // After 150 ms one token has refilled.
+        // After 150 ms one and a half tokens have refilled: one is spent,
+        // and the half left is 50 ms short of the next.
         let _d = admit_ok(&c, 7, 10, t0 + 150 * MS);
-        assert_eq!(c.stats().shed_quota, 1);
+        match c.admit(7, 10, 0, 0, t0 + 150 * MS) {
+            Admission::Shed {
+                reason: ShedReason::Quota,
+                retry_after_ms,
+            } => assert!((40..=60).contains(&retry_after_ms), "{retry_after_ms}"),
+            other => panic!("expected quota shed, got {other:?}"),
+        }
     }
 
     #[test]
@@ -439,7 +403,6 @@ mod tests {
         // The same request with a 50 ms deadline is fine.
         let t = admit_ok_deadline(&c, 1, 1000, 50, MS);
         c.complete(t, 10 * MS);
-        assert_eq!(c.stats().shed_deadline, 1);
     }
 
     fn admit_ok_deadline(
@@ -464,8 +427,7 @@ mod tests {
         // Admit 8 requests of 100 tuples: backlog = 8 ms over 2 sessions ->
         // 4 ms expected wait.
         let tickets: Vec<Ticket> = (0..8).map(|i| admit_ok(&c, 1, 100, (i + 1) * MS)).collect();
-        let backlog = c.stats().backlog_ns;
-        assert!((7.9e6..8.1e6).contains(&backlog), "{backlog}");
+        assert_eq!(c.estimated_wait_ms(), 4);
         // A 4 ms deadline cannot absorb a ~4 ms wait + 1 ms service.
         match c.admit(1, 100, 4, 0, 10 * MS) {
             Admission::Shed {
@@ -477,7 +439,7 @@ mod tests {
         for t in tickets {
             c.complete(t, MS);
         }
-        assert!(c.stats().backlog_ns < 0.1e6);
+        assert_eq!(c.estimated_wait_ms(), 1, "the retry hint's floor");
         // Drained: the same deadline is now achievable.
         let t = admit_ok_deadline(&c, 1, 100, 4, 20 * MS);
         c.abandon(t);
@@ -491,6 +453,7 @@ mod tests {
         c.complete(t, MS); // 10_000 ns/tuple
                            // 3 admitted x 1 ms = 3 ms backlog > 2 ms budget.
         let _held: Vec<Ticket> = (0..3).map(|_| admit_ok(&c, 1, 100, MS)).collect();
+        assert_eq!(c.estimated_wait_ms(), 3);
         for priority in [0, PRIORITY_BYPASS - 1] {
             match c.admit(1, 100, 0, priority, MS) {
                 Admission::Shed {
@@ -507,7 +470,6 @@ mod tests {
             Admission::Admit(t) => c.abandon(t),
             other => panic!("expected bypass admit, got {other:?}"),
         }
-        assert_eq!(c.stats().shed_queue_budget, 2);
     }
 
     #[test]

@@ -633,6 +633,20 @@ mod tests {
     }
 
     #[test]
+    fn a_payload_of_exactly_max_payload_is_accepted_and_one_byte_more_is_not() {
+        let payload = [7u8; 64];
+        let mut buf = Vec::new();
+        write_frame(&mut buf, FrameType::Request, &payload).unwrap();
+        let (t, p) = read_frame(&mut io::Cursor::new(&buf), 64).unwrap().unwrap();
+        assert_eq!((t, p.as_slice()), (FrameType::Request, &payload[..]));
+        let err = read_frame(&mut io::Cursor::new(&buf), 63).unwrap_err();
+        assert!(
+            matches!(err, WireError::Oversized { len: 64, max: 63 }),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn checksum_flip_is_corrupt() {
         let mut buf = Vec::new();
         write_frame(&mut buf, FrameType::Request, b"abcdef").unwrap();

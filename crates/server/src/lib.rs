@@ -36,7 +36,7 @@ pub mod client;
 pub mod frame;
 pub mod message;
 
-pub use admission::{Admission, AdmissionController, AdmissionStats, SloConfig, Ticket};
+pub use admission::{Admission, AdmissionController, SloConfig, Ticket};
 pub use client::{ClientError, ClientOutcome, JoinClient, RefRequestBuilder, RequestBuilder};
 pub use frame::{
     append_frame, read_frame, read_frame_into, release_oversized, write_frame, FrameType,

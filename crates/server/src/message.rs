@@ -820,6 +820,10 @@ impl WireMetricsReply {
 /// The per-join flight recorder of a traced request, streamed after
 /// [`WireDone`] so clients that did not ask for a trace never see the
 /// frame.
+///
+/// Payload layout: id `u64`, root span `u64`, a reserved `u64` (written
+/// as 0, read and ignored; it keeps the version-2 layout), span count
+/// `u32` and the spans, event count `u32` and the events.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireTrace {
     /// Echo of the request id.
@@ -841,7 +845,7 @@ impl WireTrace {
         let mut w = PayloadWriter::appending(out);
         w.put_u64(self.id);
         w.put_u64(t.root);
-        w.put_u64(t.dropped_events);
+        w.put_u64(0); // reserved
         w.put_u32(t.spans.len() as u32);
         for span in &t.spans {
             w.put_u64(span.id);
@@ -870,9 +874,9 @@ impl WireTrace {
         let id = r.get_u64("trace id")?;
         let mut trace = JoinTrace {
             root: r.get_u64("trace root")?,
-            dropped_events: r.get_u64("trace dropped count")?,
             ..JoinTrace::default()
         };
+        r.get_u64("trace reserved slot")?;
         let span_count = r.get_u32("trace span count")? as usize;
         // A span costs ≥ 36 encoded bytes, an event ≥ 29: a hostile count
         // cannot reserve more than the payload could physically carry.
@@ -1112,9 +1116,15 @@ mod tests {
         let build = trace.push_span(root, "build", 10, 200);
         trace.push_event(build, 42, TraceEventKind::Step, "b1", 123);
         trace.push_event(root, 499, TraceEventKind::Spill, "bytes-spilled", 0);
-        trace.dropped_events = 3;
         let wire = WireTrace { id: 9, trace };
-        assert_eq!(WireTrace::decode(&wire.encode()).unwrap(), wire);
+        let bytes = wire.encode();
+        assert_eq!(WireTrace::decode(&bytes).unwrap(), wire);
+        // The reserved slot after the root is written as 0 and ignored on
+        // decode.
+        assert_eq!(bytes[16..24], [0; 8]);
+        let mut reserved = bytes.clone();
+        reserved[16..24].copy_from_slice(&3u64.to_le_bytes());
+        assert_eq!(WireTrace::decode(&reserved).unwrap(), wire);
     }
 
     #[test]
@@ -1124,7 +1134,7 @@ mod tests {
         trace.push_event(root, 0, TraceEventKind::Mark, "m", 0);
         let wire = WireTrace { id: 1, trace };
         let mut bytes = wire.encode();
-        // The event-kind byte sits after id(8) + root(8) + dropped(8) +
+        // The event-kind byte sits after id(8) + root(8) + reserved(8) +
         // span count(4) + one span (8+8+4+4 name bytes+8+8) + event
         // count(4) + event span(8) + event timestamp(8).
         let kind_at = 28 + 40 + 4 + 16;

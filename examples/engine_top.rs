@@ -138,13 +138,12 @@ fn main() {
             .unwrap_or(0.0);
         println!(
             "[{tick:>3}] served {served:>8} (+{rate:>5}/s) | in-flight {:>3} (peak {:>3}) | \
-             replans {:>4} | spilled {:>10}B | cache {:>6} hits | dropped events {:>5}",
+             replans {:>4} | spilled {:>10}B | cache {:>6} hits",
             metric(&samples, "hj_engine_in_flight"),
             metric(&samples, "hj_engine_peak_in_flight"),
             metric(&samples, "hj_adaptive_replans_total"),
             metric(&samples, "hj_spill_bytes_spilled_total"),
             metric(&samples, "hj_cache_hits_total"),
-            metric(&samples, "hj_trace_events_dropped_total"),
         );
         let sheds: f64 = samples
             .iter()

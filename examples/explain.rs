@@ -44,12 +44,6 @@ fn main() {
     );
     println!("EXPLAIN ANALYZE");
     println!("{}", trace.render());
-    if trace.dropped_events > 0 {
-        println!(
-            "({} events dropped — raise EngineConfig::trace_capacity)",
-            trace.dropped_events
-        );
-    }
 
     println!("\n# Engine metrics after one traced join");
     print!("{}", engine.render_metrics());

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use hj_core::adaptive::{AdaptiveConfig, AdaptiveReport};
     pub use hj_core::metrics::{
         exact_quantile, HealthReport, HealthState, JoinTrace, LatencyHistogram, MetricSample,
-        MetricValue, MetricsRegistry, SlowLog, TraceBuffer, TraceEventKind,
+        MetricValue, MetricsRegistry, SlowLog, TraceEventKind,
     };
     pub use hj_core::server::{
         ClientError, JoinClient, RefRequestBuilder, RequestBuilder, ShedReason, SloConfig,
@@ -72,7 +72,7 @@ pub mod prelude {
         reference_match_count, Algorithm, CacheStats, CoupledSim, DiscreteSim, EngineConfig,
         EngineLoad, EngineStats, ExecBackend, HashTableMode, JoinConfig, JoinEngine, JoinError,
         JoinOutcome, JoinRequest, JoinServer, Morsel, NativeCpu, Ratios, Scheme, ServerConfig,
-        ServerStats, SessionStats, StepGranularity, TableHandle, Tuning, WorkerPool,
+        ServerStats, StepGranularity, TableHandle, Tuning, WorkerPool,
     };
     pub use mem_alloc::AllocatorKind;
 }

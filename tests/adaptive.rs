@@ -280,7 +280,10 @@ fn engine_level_default_tuning_applies_and_requests_can_override_it() {
     let default_request = JoinRequest::builder().build().unwrap();
     let out = engine.submit(&default_request, &r, &s).unwrap();
     assert_eq!(out.matches, expected);
-    assert!(out.adaptive.is_some());
+    let replans = out
+        .adaptive
+        .expect("the engine default is adaptive")
+        .replans;
     // A request choosing static overrides the engine default.
     let static_request = JoinRequest::builder()
         .tuning(Tuning::Static)
@@ -300,8 +303,7 @@ fn engine_level_default_tuning_applies_and_requests_can_override_it() {
 
     let stats = engine.stats();
     assert_eq!(stats.adaptive_requests, 1);
-    let per_session_replans: u64 = stats.per_session.iter().map(|p| p.replans).sum();
-    assert_eq!(stats.replans, per_session_replans);
+    assert_eq!(stats.replans, replans, "only the adaptive request re-plans");
 }
 
 #[test]

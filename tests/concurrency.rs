@@ -103,8 +103,6 @@ fn shared_engine_sustains_sessions_concurrent_in_flight_joins() {
         stats.peak_in_flight, SESSIONS,
         "the engine never sustained `sessions` concurrent in-flight joins"
     );
-    let per_session: u64 = stats.per_session.iter().map(|p| p.requests_served).sum();
-    assert_eq!(per_session, stats.requests_served);
     assert!(stats.joins_per_sec > 0.0);
 }
 

@@ -1,8 +1,7 @@
 //! Observability integration tests: the flight recorder never perturbs
-//! join results, the trace ring drops oldest under overflow instead of
-//! blocking or growing, the metrics registry snapshot reconciles with
-//! `EngineStats`, and the registry matches the documented metric
-//! catalogue.
+//! join results, concurrent traced joins stay correct, the metrics
+//! registry snapshot reconciles with `EngineStats`, and the registry
+//! matches the documented metric catalogue.
 
 use coupled_hashjoin::prelude::*;
 use std::collections::BTreeMap;
@@ -59,51 +58,14 @@ fn traced_and_untraced_joins_are_byte_identical() {
     }
 }
 
-/// A ring far smaller than the event volume drops oldest events, counts
-/// the drops, and never blocks or fails the join.
-#[test]
-fn tiny_trace_ring_drops_oldest_and_counts() {
-    let (r, s) = test_pair(2_000);
-    let engine =
-        JoinEngine::coupled(EngineConfig::for_tuples(2_048, 4_096).trace_capacity(4)).unwrap();
-    let tracer = coupled_hashjoin::hj_core::JoinEngine::trace_buffer(&engine).clone();
-    assert_eq!(tracer.capacity(), 4);
-
-    let plain = engine.submit(&request(false), &r, &s).unwrap();
-    let traced = engine.submit(&request(true), &r, &s).unwrap();
-    assert_eq!(traced.matches, plain.matches);
-    assert_eq!(traced.pairs, plain.pairs);
-
-    // The ring is bounded: its length never exceeds the capacity, and the
-    // overflow is accounted instead of silently lost.
-    assert!(tracer.len() <= 4);
-    assert!(
-        tracer.dropped_events() > 0,
-        "two joins must overflow a 4-event ring"
-    );
-    // The drop counter also rides the metrics snapshot.
-    let text = engine.render_metrics();
-    let line = text
-        .lines()
-        .find(|l| l.starts_with("hj_trace_events_dropped_total"))
-        .expect("drop counter must be exported");
-    let dropped: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-    assert_eq!(dropped, tracer.dropped_events());
-}
-
-/// Concurrent traced joins cannot wedge on the ring: pushes are
-/// drop-oldest, never blocking, and every join completes correctly.
+/// Concurrent traced joins on four sessions all complete correctly, each
+/// with its own flight recorder.
 #[test]
 fn trace_ring_never_blocks_concurrent_joins() {
     let (r, s) = test_pair(1_000);
     let expected = reference_match_count(&r, &s);
     let engine = std::sync::Arc::new(
-        JoinEngine::coupled(
-            EngineConfig::for_tuples(1_024, 2_048)
-                .sessions(4)
-                .trace_capacity(8),
-        )
-        .unwrap(),
+        JoinEngine::coupled(EngineConfig::for_tuples(1_024, 2_048).sessions(4)).unwrap(),
     );
     let threads: Vec<_> = (0..4)
         .map(|_| {
@@ -112,7 +74,10 @@ fn trace_ring_never_blocks_concurrent_joins() {
             std::thread::spawn(move || {
                 let mut matches = Vec::new();
                 for _ in 0..4 {
-                    matches.push(engine.submit(&request(true), &r, &s).unwrap().matches);
+                    let out = engine.submit(&request(true), &r, &s).unwrap();
+                    let trace = out.trace.expect("opt-in must produce a trace");
+                    assert_eq!(trace.spans[0].label, "join");
+                    matches.push(out.matches);
                 }
                 matches
             })
@@ -123,8 +88,7 @@ fn trace_ring_never_blocks_concurrent_joins() {
             assert_eq!(matches, expected);
         }
     }
-    let tracer = coupled_hashjoin::hj_core::JoinEngine::trace_buffer(&engine);
-    assert!(tracer.len() <= 8);
+    assert_eq!(engine.stats().requests_served, 16);
 }
 
 /// The value of the unlabelled family `name` in a bare registry snapshot.
@@ -142,8 +106,8 @@ fn sample(engine: &JoinEngine, name: &str) -> u64 {
 }
 
 /// The in-process metrics snapshot and `EngineStats` read the same
-/// atoms, so the counters and gauges agree exactly, and the per-session
-/// records add up to the engine-wide ones — over inline and cached
+/// atoms, so the counters and gauges agree exactly, and every session
+/// acquisition is one queue-wait sample — over inline and cached
 /// submissions alike.
 #[test]
 fn metrics_snapshot_reconciles_with_engine_stats() {
@@ -186,11 +150,7 @@ fn metrics_snapshot_reconciles_with_engine_stats() {
         stats.peak_in_flight as u64
     );
     assert!((1..=2).contains(&stats.peak_in_flight), "{stats:?}");
-    let served: u64 = stats.per_session.iter().map(|s| s.requests_served).sum();
-    assert_eq!(served, stats.requests_served);
-    let waits: u64 = stats.per_session.iter().map(|s| s.queue_wait.count()).sum();
-    assert_eq!(waits, stats.queue_wait.count());
-    assert_eq!(waits, 13);
+    assert_eq!(stats.queue_wait.count(), 13);
 }
 
 /// Gauges are set where their value changes, so a bare registry snapshot
@@ -221,16 +181,14 @@ fn cache_and_in_flight_gauges_need_no_sync() {
     assert_eq!(sample(&engine, "hj_cache_entries"), 0);
 }
 
-/// The worker pool and the trace ring count in the registry's own atoms,
-/// so a bare registry snapshot reads each worker's tasks, steals, busy
-/// and park time as `stats()` does, and the ring's drops as the ring does.
+/// The worker pool counts in the registry's own atoms, so a bare
+/// registry snapshot reads each worker's tasks, steals, busy and park
+/// time as `stats()` does.
 #[test]
-fn pool_and_trace_counters_need_no_sync() {
+fn pool_counters_need_no_sync() {
     let (r, s) = test_pair(200 * 1024);
     let engine = JoinEngine::native(
-        EngineConfig::for_tuples(200 * 1024, 400 * 1024)
-            .sample_interval(std::time::Duration::ZERO)
-            .trace_capacity(4),
+        EngineConfig::for_tuples(200 * 1024, 400 * 1024).sample_interval(std::time::Duration::ZERO),
     )
     .unwrap();
     for _ in 0..3 {
@@ -281,13 +239,6 @@ fn pool_and_trace_counters_need_no_sync() {
         per_worker(&snapshot, "hj_pipeline_worker_park_ns"),
         stats.per_worker_park_ns
     );
-    let dropped = engine.trace_buffer().dropped_events();
-    assert!(dropped > 0, "three joins must overflow a 4-event ring");
-    let exported = snapshot
-        .iter()
-        .find(|sample| sample.name == "hj_trace_events_dropped_total")
-        .unwrap();
-    assert_eq!(exported.value, MetricValue::Counter(dropped));
 }
 
 /// A spilling join records its spill counters both on the outcome report

@@ -632,6 +632,54 @@ fn unmeetable_deadlines_are_shed_not_timed_out() {
     assert_eq!(server.stats().shed_deadline, 1);
 }
 
+/// Admission learns a served join's service time, not its wait for a
+/// session.  On a 1-session engine an in-process request holds the
+/// session for `HOLD` while wire request B waits behind it; B itself runs
+/// in no time.  B is the controller's only sample, so a request like B
+/// with a deadline of half the hold is admitted: a sample that included
+/// B's wait would price it at the whole hold and shed it.
+#[test]
+fn admission_learns_service_time_not_session_wait() {
+    const HOLD: Duration = Duration::from_millis(400);
+    let (gate, engine) = GatedSim::pair(1, 1);
+    let server = start_server(engine, ServerConfig::default());
+    let _open_on_exit = OpenOnDrop(Arc::clone(&gate));
+    let addr = server.local_addr();
+    let (r, s) = test_pair(200);
+
+    let engine = Arc::clone(server.engine());
+    let (r2, s2) = (r.clone(), s.clone());
+    let holder = std::thread::spawn(move || {
+        let request = JoinRequest::builder().build().unwrap();
+        engine.submit(&request, &r2, &s2).map(|out| out.matches)
+    });
+    while server.engine().load().in_flight == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (r2, s2) = (r.clone(), s.clone());
+    let waiter = std::thread::spawn(move || {
+        let mut client = JoinClient::connect_timeout(addr, Duration::from_secs(30)).unwrap();
+        client.join(RequestBuilder::new(r2, s2).build()).map(|_| ())
+    });
+    while server.engine().load().queued == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(HOLD);
+    GatedSim::open(&gate);
+    holder.join().unwrap().unwrap();
+    waiter.join().unwrap().unwrap();
+
+    let deadline_ms = HOLD.as_millis() as u32 / 2;
+    let mut client = JoinClient::connect_timeout(addr, Duration::from_secs(30)).unwrap();
+    let priced = client.join(RequestBuilder::new(r, s).deadline_ms(deadline_ms).build());
+    assert!(
+        priced.is_ok(),
+        "B's sample must exclude its {HOLD:?} wait, so a {deadline_ms} ms deadline holds: \
+         {priced:?}"
+    );
+    assert_eq!(server.stats().requests_served, 2);
+}
+
 /// Sends `CLIENTS` requests, one per connection, while a gate holds every
 /// session of a 2-session engine, against a 10 ms queue budget and a prior
 /// of 10 µs per tuple: each 600-tuple request is charged 6 ms, so the
