@@ -35,7 +35,7 @@ use crate::native::NativeTable;
 use crate::partition::default_radix_bits;
 use crate::result::JoinOutcome;
 use crate::scheme::RatioPlan;
-use apu_sim::DeviceKind;
+use apu_sim::{DeviceKind, PhaseBreakdown};
 use datagen::Relation;
 use hj_analysis::sync::{Condvar, Mutex};
 use hj_metrics::{AtomicHistogram, Counter, Gauge, LatencyHistogram};
@@ -122,9 +122,24 @@ pub struct CachedTable {
     /// `build_ns_saved` on every cache hit.
     pub(crate) build_ns: u64,
     pub(crate) build_tuples: usize,
+    /// What the build cost, by phase: simulated on the simulators, measured
+    /// on the native backend.  The spill path charges it to its outcome; a
+    /// cache hit is build-free.
+    pub(crate) build_time: PhaseBreakdown,
 }
 
 impl CachedTable {
+    /// Readies a freshly built table for the cache, which keeps it for as
+    /// long as it likes (see `NativeTable::detach`); `bytes` then says what
+    /// it holds.
+    pub(crate) fn detach(mut self) -> Self {
+        if let CachedPayload::Native(table) = &mut self.payload {
+            table.detach();
+            self.bytes = table.bytes();
+        }
+        self
+    }
+
     /// Resident bytes of the built structure (the amount charged to the
     /// memory broker while the entry is cached).
     pub fn bytes(&self) -> usize {
@@ -233,10 +248,11 @@ pub(crate) fn sim_build_cached(
         algorithm: cfg.algorithm.label(),
     })?;
     let (bits, passes) = sim_partitioning(request, build.len(), ctx.sys);
+    let mut built = JoinOutcome::default();
     let parts = if bits == 0 {
         Vec::new()
     } else {
-        partition_relation(ctx, build, bits, passes, &plan, None)?
+        partition_relation(ctx, build, bits, passes, &plan, Some(&mut built))?
     };
     let inputs = if bits == 0 {
         std::slice::from_ref(build)
@@ -246,13 +262,14 @@ pub(crate) fn sim_build_cached(
     let mut tables = Vec::with_capacity(inputs.len());
     for part in inputs {
         let mut table = HashTable::for_build_size(part.len());
-        run_build_phase(
+        let phase = run_build_phase(
             ctx,
             part,
             BuildTarget::Shared(&mut table),
             &plan.build,
             cfg.grouping,
         )?;
+        record_phase(ctx, &mut built, phase);
         tables.push(table);
     }
     let bytes = sim_tables_bytes(&tables);
@@ -265,6 +282,7 @@ pub(crate) fn sim_build_cached(
         bytes,
         build_ns: 0,
         build_tuples: build.len(),
+        build_time: built.breakdown,
     })
 }
 
@@ -777,6 +795,7 @@ mod tests {
             bytes,
             build_ns: 1_000,
             build_tuples: 0,
+            build_time: PhaseBreakdown::default(),
         }
     }
 

@@ -237,6 +237,11 @@ impl JoinRequest {
         }
     }
 
+    /// Sets the morsel the spill path cuts for one partition's join.
+    pub(crate) fn set_morsel_tuples(&mut self, morsel_tuples: usize) {
+        self.config.morsel_tuples = morsel_tuples;
+    }
+
     /// Arena bytes this request needs on `sys` for the given input
     /// cardinalities — the engine's admission test.
     fn required_arena_bytes(
@@ -523,13 +528,18 @@ pub trait ExecBackend: Send + Sync {
         None
     }
 
-    /// Builds the immutable, shareable build side of `request` for the
-    /// hash-table cache.
+    /// Builds the immutable, shareable build side of `request` once, for
+    /// many probes: for the hash-table cache, and for a spilling join's
+    /// table over its resident partitions.
     ///
     /// Only called for requests this backend accepted via
-    /// [`cache_params`](Self::cache_params), with a transient context whose
-    /// arena is **not** any session's (the built table outlives the request
-    /// and is probed concurrently by other sessions).
+    /// [`cache_params`](Self::cache_params).  The cache builds with a
+    /// transient context whose arena is **not** any session's (the built
+    /// table outlives the request and is probed concurrently by other
+    /// sessions), and always with `collect_results` set, since its table
+    /// serves every later request; a spilling join builds in its session's
+    /// context.  A table built for a request that does not collect needs to
+    /// serve only counting probes.
     ///
     /// # Errors
     /// [`JoinError::InvalidConfig`] from the default implementation — a
@@ -1290,6 +1300,8 @@ pub struct JoinEngine {
     /// spilling request and removed (with any surviving run files) when
     /// the engine drops.
     spill_manager: std::sync::OnceLock<SpillManager>,
+    /// The routing buffers of spilling joins, kept from join to join.
+    spill_scratch: crate::native::Scratch,
     /// Registered build tables by name ([`register_table`](Self::register_table)).
     registry: Mutex<HashMap<String, TableHandle>>,
     /// Id source for registered tables (ids are engine-unique and stable
@@ -1407,6 +1419,7 @@ impl JoinEngine {
             ),
             broker,
             spill_manager: std::sync::OnceLock::new(),
+            spill_scratch: crate::native::Scratch::default(),
             registry: Mutex::new("engine.registry", HashMap::new()),
             next_table_id: AtomicU64::new(0),
             metrics_registry,
@@ -1793,17 +1806,11 @@ impl JoinEngine {
             }
         }
         let manager = self.spill_manager(spill)?;
-        let mut inner = request.inner_for_spill();
-        let morsel = inner.config.morsel_tuples;
-        let workers = self.workers.configured_workers();
-        let backend = self.backend.as_ref();
-        let mut pair_join = |ctx: &mut ExecContext<'_>, b: &Relation, p: &Relation| {
-            // Partition pairs are mostly smaller than a morsel; cut each so
-            // that every worker gets a share of its build (and probe).  The
-            // simulators morselise by `ctx.morsel_tuples`, not the request.
-            inner.config.morsel_tuples = morsel.min(b.len().div_ceil(workers)).max(1);
-            backend.execute(ctx, b, p, &inner)
-        };
+        let joins = crate::spilljoin::SpillBackend::new(
+            self.backend.as_ref(),
+            request.inner_for_spill(),
+            self.workers.configured_workers(),
+        );
         let (mut outcome, report) = crate::spilljoin::execute_spill_join(
             ctx,
             build,
@@ -1811,7 +1818,8 @@ impl JoinEngine {
             spill,
             &grant,
             &manager,
-            &mut pair_join,
+            &self.spill_scratch,
+            joins,
         )?;
         // A collecting join answers with pairs even when no pair join ran.
         if request.config().collect_results && outcome.pairs.is_none() {
@@ -2075,7 +2083,13 @@ impl JoinEngine {
         )
         .with_morsel_tuples(request.config().morsel_tuples)
         .with_worker_pool(&self.workers);
-        self.backend.build_cached(&mut ctx, table.tuples(), request)
+        // A cached table serves requests that collect as well as ones that
+        // count.
+        let mut request = request.clone();
+        request.config.collect_results = true;
+        self.backend
+            .build_cached(&mut ctx, table.tuples(), &request)
+            .map(CachedTable::detach)
     }
 
     /// A cheap point-in-time load snapshot — what a server needs to shape

@@ -59,11 +59,12 @@ use crate::error::JoinError;
 use crate::hash::{hash_key, FastMod};
 use crate::pipeline::{morsel_ranges, WorkerPool};
 use crate::result::JoinOutcome;
-use apu_sim::{Phase, SimTime, SystemSpec};
+use apu_sim::{Phase, PhaseBreakdown, SimTime, SystemSpec};
 use datagen::Relation;
 use hj_adaptive::SeriesKind;
 use hj_analysis::sync::{Condvar, Mutex};
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Smallest chunk (tuples) the native backend schedules as one task, even
@@ -332,6 +333,18 @@ pub(crate) struct NativeTable {
     /// Whether the shards hold their rid runs: false for a count-only
     /// table, which only a counting probe may read.
     runs: bool,
+    /// Where the shards go when the table is dropped: the building
+    /// backend's scratch for a table that only its own join probes (the
+    /// spill path's resident table), `None` for one the cache keeps.
+    home: Option<Arc<Scratch>>,
+}
+
+impl Drop for NativeTable {
+    fn drop(&mut self) {
+        if let Some(home) = self.home.take() {
+            home.kept.lock().shards.append(&mut self.shards);
+        }
+    }
 }
 
 impl NativeTable {
@@ -341,9 +354,12 @@ impl NativeTable {
         self.shards.iter().map(Shard::bytes).sum()
     }
 
-    /// Gives back whatever capacity reused buffers had in excess: a cached
-    /// table stays resident, and is charged for what it holds.
-    fn shrink_to_fit(&mut self) {
+    /// Readies the table for the cache, which keeps it for as long as it
+    /// likes: it no longer goes back to a scratch when dropped, and gives
+    /// back whatever capacity reused buffers had in excess, since a cached
+    /// table stays resident and is charged for what it holds.
+    pub(crate) fn detach(&mut self) {
+        self.home = None;
         for shard in &mut self.shards {
             shard.buckets.shrink_to_fit();
             shard.starts.shrink_to_fit();
@@ -397,8 +413,10 @@ pub(crate) struct Scattered {
 /// line, 4 of run start — and at most 20/7 slots per tuple).  A count-only
 /// build needs at most 27: 4 of key-only scatter buffers and up to 23 of
 /// bucket lines, with no slot memo, run starts or rids; the buffers of
-/// earlier collecting builds stay kept at their size.  (A spilling join
-/// keeps one of its own for the chunks it routes, dropped with the join.)
+/// earlier collecting builds stay kept at their size.  (The engine keeps
+/// one more for its spilling joins: a buffer set per frame in flight, each
+/// buffer at most a frame, and the relations they route build partitions
+/// into, each at most the join's memory grant.)
 #[derive(Debug)]
 pub(crate) struct Scratch {
     kept: Mutex<Kept>,
@@ -412,6 +430,9 @@ struct Kept {
     homes: Vec<Vec<u32>>,
     /// Shards of tables that were dropped after their probe.
     shards: Vec<Shard>,
+    /// Relations a spilling join routed into, each with the tuples it last
+    /// held.
+    relations: Vec<(usize, Relation)>,
 }
 
 impl Default for Scratch {
@@ -424,20 +445,58 @@ impl Default for Scratch {
 
 impl Scratch {
     /// Takes over the buffers of a table nobody will probe again.
-    fn recycle(&self, table: NativeTable) {
-        self.kept.lock().shards.extend(table.shards);
+    fn recycle(&self, mut table: NativeTable) {
+        self.kept.lock().shards.append(&mut table.shards);
+    }
+
+    /// A buffer set of `buckets` empty buffers, kept ones where there are
+    /// any.
+    fn buffer_set(&self, buckets: usize) -> Vec<Scattered> {
+        let mut buffers = self.kept.lock().scattered.pop().unwrap_or_default();
+        buffers.resize_with(buckets, Scattered::default);
+        for buffer in &mut buffers {
+            buffer.keys.clear();
+            buffer.rids.clear();
+        }
+        buffers
     }
 
     /// Takes back the buffer sets [`scatter`] returned, once read.
     pub(crate) fn keep_scattered(&self, scattered: Vec<(Vec<Scattered>, f64)>) {
-        let emptied = scattered.into_iter().map(|(buffers, _)| buffers);
-        self.kept.lock().scattered.extend(emptied);
+        self.keep_buffers(scattered.into_iter().map(|(buffers, _)| buffers));
+    }
+
+    /// Takes back buffer sets, once read.
+    pub(crate) fn keep_buffers(&self, sets: impl IntoIterator<Item = Vec<Scattered>>) {
+        self.kept.lock().scattered.extend(sets);
+    }
+
+    /// An empty relation for about `tuples` tuples: the kept one that last
+    /// held the number of tuples nearest to that, else a new one.  A
+    /// spilling join asks for partition-sized relations and for one the
+    /// size of its resident build side, and gets back what it kept.
+    pub(crate) fn relation(&self, tuples: usize) -> Relation {
+        let mut kept = self.kept.lock();
+        let fit = kept
+            .relations
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &(held, _))| held.abs_diff(tuples))
+            .map(|(at, _)| at);
+        fit.map_or_else(Relation::new, |at| kept.relations.swap_remove(at).1)
+    }
+
+    /// Takes back a relation from [`relation`](Self::relation), emptied.
+    pub(crate) fn keep_relation(&self, mut relation: Relation) {
+        let held = relation.len();
+        relation.clear();
+        self.kept.lock().relations.push((held, relation));
     }
 }
 
 /// Runs `tasks` tasks — on `pool`, or one after another on the calling
 /// thread without one — and returns their results in task order.
-fn run_tasks<T, F>(pool: Option<&WorkerPool>, tasks: usize, task: F) -> Vec<T>
+pub(crate) fn run_tasks<T, F>(pool: Option<&WorkerPool>, tasks: usize, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -473,32 +532,49 @@ pub(crate) fn scatter<F>(
 where
     F: Fn(u32) -> usize + Sync,
 {
-    let task = |task: usize| {
+    run_tasks(pool, ranges.len(), |task| {
         let task_start = Instant::now();
-        let range = ranges[task].clone();
-        let mut buffers = scratch.kept.lock().scattered.pop().unwrap_or_default();
-        buffers.resize_with(buckets, Scattered::default);
-        for buffer in &mut buffers {
-            buffer.keys.clear();
-            buffer.rids.clear();
-        }
-        match rids {
-            Some(rids) => {
-                for (&key, &rid) in keys[range.clone()].iter().zip(&rids[range]) {
-                    let buffer = &mut buffers[bucket_of(key)];
-                    buffer.keys.push(key);
-                    buffer.rids.push(rid);
-                }
-            }
-            None => {
-                for &key in &keys[range] {
-                    buffers[bucket_of(key)].keys.push(key);
-                }
-            }
-        }
+        let buffers = scatter_range(
+            keys,
+            rids,
+            ranges[task].clone(),
+            buckets,
+            &bucket_of,
+            scratch,
+        );
         (buffers, task_start.elapsed().as_nanos() as f64)
-    };
-    run_tasks(pool, ranges.len(), task)
+    })
+}
+
+/// One task of [`scatter`]: the tuples of `range` in a buffer set from
+/// `scratch`, one buffer per bucket, each in input order.
+pub(crate) fn scatter_range<F>(
+    keys: &[u32],
+    rids: Option<&[u32]>,
+    range: Range<usize>,
+    buckets: usize,
+    bucket_of: F,
+    scratch: &Scratch,
+) -> Vec<Scattered>
+where
+    F: Fn(u32) -> usize,
+{
+    let mut buffers = scratch.buffer_set(buckets);
+    match rids {
+        Some(rids) => {
+            for (&key, &rid) in keys[range.clone()].iter().zip(&rids[range]) {
+                let buffer = &mut buffers[bucket_of(key)];
+                buffer.keys.push(key);
+                buffer.rids.push(rid);
+            }
+        }
+        None => {
+            for &key in &keys[range] {
+                buffers[bucket_of(key)].keys.push(key);
+            }
+        }
+    }
+    buffers
 }
 
 /// Builds the table of `relation` out of `scratch`'s buffers where it has
@@ -531,6 +607,7 @@ pub(crate) fn build(
             shards,
             shard_of,
             runs: collect,
+            home: None,
         };
         return (table, vec![wall]);
     };
@@ -563,6 +640,7 @@ pub(crate) fn build(
         shards,
         shard_of,
         runs: collect,
+        home: None,
     };
     (table, walls)
 }
@@ -574,6 +652,43 @@ pub(crate) struct Probed {
     /// key; `Some` exactly when collecting.
     pairs: Option<Vec<(u32, u32)>>,
     walls: Vec<TaskWall>,
+}
+
+/// Probes `keys` against `table` one group at a time — hash the group and
+/// prefetch its home buckets, then resolve it — and returns the matches and,
+/// when collecting, the pairs `(build rid, probe rid)` in probe order, then
+/// build order within a key.  `rids` are the keys' probe rids; a counting
+/// probe reads none of them (they may be empty).
+#[inline]
+fn probe_keys(
+    table: &NativeTable,
+    keys: &[u32],
+    rids: &[u32],
+    collect: bool,
+) -> (u64, Vec<(u32, u32)>) {
+    let mut matches = 0u64;
+    let mut pairs = Vec::new();
+    let mut hashes = [0u32; GROUP];
+    let mut shards = [&table.shards[0]; GROUP];
+    for (group, keys) in keys.chunks(GROUP).enumerate() {
+        for ((hash, shard), &key) in hashes.iter_mut().zip(&mut shards).zip(keys) {
+            *hash = hash_key(key);
+            *shard = table.shard(*hash);
+            shard.prefetch(*hash);
+        }
+        let hashed = hashes.iter().zip(&shards);
+        for (at, (&key, (&hash, shard))) in keys.iter().zip(hashed).enumerate() {
+            let (Ok(slot) | Err(slot)) = shard.slot_of(key, hash);
+            let len = shard.len(slot);
+            matches += u64::from(len);
+            if collect {
+                let prid = rids[group * GROUP + at];
+                let run = shard.rids(slot, len);
+                pairs.extend(run.iter().map(|&brid| (brid, prid)));
+            }
+        }
+    }
+    (matches, pairs)
 }
 
 /// Probes `relation` against `table`, one task per morsel (see
@@ -600,28 +715,7 @@ pub(crate) fn probe(
         let task_start = Instant::now();
         let range = morsels[task].clone();
         let keys = &relation.keys()[range.clone()];
-        let rids = &relation.rids()[range];
-        let mut matches = 0u64;
-        let mut pairs = Vec::new();
-        let mut hashes = [0u32; GROUP];
-        let mut shards = [&table.shards[0]; GROUP];
-        for (keys, rids) in keys.chunks(GROUP).zip(rids.chunks(GROUP)) {
-            for ((hash, shard), &key) in hashes.iter_mut().zip(&mut shards).zip(keys) {
-                *hash = hash_key(key);
-                *shard = table.shard(*hash);
-                shard.prefetch(*hash);
-            }
-            let hashed = hashes.iter().zip(&shards);
-            for ((&key, &prid), (&hash, shard)) in keys.iter().zip(rids).zip(hashed) {
-                let (Ok(slot) | Err(slot)) = shard.slot_of(key, hash);
-                let len = shard.len(slot);
-                matches += u64::from(len);
-                if collect {
-                    let run = shard.rids(slot, len);
-                    pairs.extend(run.iter().map(|&brid| (brid, prid)));
-                }
-            }
-        }
+        let (matches, pairs) = probe_keys(table, keys, &relation.rids()[range], collect);
         (matches, pairs, task_start.elapsed().as_nanos() as f64)
     });
     let mut probed = Probed {
@@ -639,6 +733,100 @@ pub(crate) fn probe(
         probed.walls.push((range.len(), ns));
     }
     probed
+}
+
+/// What one frame of [`route_probe`] produced.
+pub(crate) struct RoutedFrame {
+    /// One buffer per partition — a spilled partition's tuples, in input
+    /// order — and two more, emptied, that held the task's working lists.
+    pub(crate) spilled: Vec<Scattered>,
+    pub(crate) matches: u64,
+    /// Empty unless collecting.
+    pub(crate) pairs: Vec<(u32, u32)>,
+}
+
+/// The spill path's probe of a streamed chunk: one task per range of
+/// `frames` (see [`run_tasks`]), each of which first routes its frame and
+/// then probes what stays.  A tuple whose `spilled(key)` is `Some(p)` goes
+/// to buffer `p` with its rid (`p` must be below `partitions`); every other
+/// tuple is compacted in input order — its key, and its rid when
+/// collecting — and the compacted keys alone are then probed against
+/// `table` as [`probe`] probes a morsel.  Routing first keeps the probe's
+/// prefetch groups free of the staging branch.
+///
+/// Returns the frames in order.  The buffers come from `scratch`; hand them
+/// back with [`Scratch::keep_buffers`].
+///
+/// # Panics
+///
+/// When collecting from a count-only table, as [`probe`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn route_probe<F>(
+    pool: Option<&WorkerPool>,
+    table: &NativeTable,
+    keys: &[u32],
+    rids: &[u32],
+    frames: &[Range<usize>],
+    partitions: usize,
+    spilled: F,
+    collect: bool,
+    scratch: &Scratch,
+) -> Vec<RoutedFrame>
+where
+    F: Fn(u32) -> Option<usize> + Sync,
+{
+    assert!(
+        table.runs || !collect,
+        "a collecting probe needs a table built with its rid runs, not a count-only one"
+    );
+    run_tasks(pool, frames.len(), |task| {
+        let range = frames[task].clone();
+        let mut buffers = scratch.buffer_set(partitions + 2);
+        let (staged, rest) = buffers.split_at_mut(partitions);
+        let [kept, staging] = rest else {
+            unreachable!("two buffers past the partitions")
+        };
+        // Branch-free: every key is written to the compacted buffer, and
+        // every position and partition to the staging list; each cursor
+        // advances only for its own tuples.  Spilled tuples are a
+        // data-dependent minority, so a branch per tuple would mispredict.
+        let (keys, rids) = (&keys[range.clone()], &rids[range]);
+        kept.keys.resize(keys.len(), 0);
+        if collect {
+            kept.rids.resize(keys.len(), 0);
+        }
+        staging.keys.resize(keys.len(), 0);
+        staging.rids.resize(keys.len(), 0);
+        let (mut resident, mut spills) = (0, 0);
+        for (at, &key) in keys.iter().enumerate() {
+            let partition = spilled(key);
+            kept.keys[resident] = key;
+            if collect {
+                kept.rids[resident] = rids[at];
+            }
+            staging.keys[spills] = at as u32;
+            staging.rids[spills] = partition.unwrap_or_default() as u32;
+            resident += usize::from(partition.is_none());
+            spills += usize::from(partition.is_some());
+        }
+        kept.keys.truncate(resident);
+        kept.rids.truncate(resident);
+        for (&at, &partition) in staging.keys[..spills].iter().zip(&staging.rids) {
+            let buffer = &mut staged[partition as usize];
+            buffer.keys.push(keys[at as usize]);
+            buffer.rids.push(rids[at as usize]);
+        }
+        staging.keys.clear();
+        staging.rids.clear();
+        let (matches, pairs) = probe_keys(table, &kept.keys, &kept.rids, collect);
+        kept.keys.clear();
+        kept.rids.clear();
+        RoutedFrame {
+            spilled: buffers,
+            matches,
+            pairs,
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -676,7 +864,9 @@ pub(crate) fn probe(
 pub struct NativeCpu {
     sys: SystemSpec,
     gate: ExecGate,
-    scratch: Scratch,
+    /// Shared with the tables of spilling joins, which return their
+    /// buffers here when dropped.
+    scratch: Arc<Scratch>,
 }
 
 impl Clone for NativeCpu {
@@ -771,7 +961,7 @@ impl NativeCpu {
             // only so the engine can size contexts and admission uniformly.
             sys: SystemSpec::coupled_a8_3870k(),
             gate: ExecGate::default(),
-            scratch: Scratch::default(),
+            scratch: Arc::default(),
         }
     }
 
@@ -902,6 +1092,10 @@ impl ExecBackend for NativeCpu {
         })
     }
 
+    /// Count-only unless `request` collects (the cache asks for a
+    /// collecting table, since it serves every later request).  The table
+    /// returns its buffers to this backend's scratch when dropped, unless
+    /// the cache detaches it (`CachedTable::detach`).
     fn build_cached(
         &self,
         ctx: &mut ExecContext<'_>,
@@ -909,16 +1103,22 @@ impl ExecBackend for NativeCpu {
         request: &JoinRequest,
     ) -> Result<CachedTable, JoinError> {
         let (placement, _slot) = self.enter(ctx, request);
+        let started = Instant::now();
         let pool = placement.pool_for(build_side.len());
-        // With its runs whatever this request collects: a cached table
-        // serves every later request.
-        let (mut table, _) = build(pool, build_side, placement.morsel, &self.scratch, true);
-        table.shrink_to_fit();
+        let collect = request.config().collect_results;
+        let (mut table, _) = build(pool, build_side, placement.morsel, &self.scratch, collect);
+        table.home = Some(Arc::clone(&self.scratch));
+        let mut build_time = PhaseBreakdown::default();
+        build_time.add(
+            Phase::Build,
+            SimTime::from_ns(started.elapsed().as_nanos() as f64),
+        );
         Ok(CachedTable {
             bytes: table.bytes(),
             payload: CachedPayload::Native(table),
             build_ns: 0,
             build_tuples: build_side.len(),
+            build_time,
         })
     }
 
@@ -1213,10 +1413,26 @@ mod tests {
         drop(kept);
         // A table on its way to the cache keeps only what it holds.
         let mut cached = second;
-        cached.shrink_to_fit();
+        cached.detach();
         let held = cached.shards.iter();
         let held = held.map(|s| s.buckets.len() * 64 + s.starts.len() * 32 + s.rids.len() * 4);
         assert_eq!(cached.bytes(), held.sum::<usize>());
+    }
+
+    #[test]
+    fn kept_relations_go_back_to_the_size_they_held() {
+        let scratch = Scratch::default();
+        let partition = keys(0..100);
+        let resident = keys(0..1000);
+        let buffer = |relation: &Relation| relation.keys().as_ptr();
+        let (partition_at, resident_at) = (buffer(&partition), buffer(&resident));
+        scratch.keep_relation(resident);
+        scratch.keep_relation(partition);
+        let table_input = scratch.relation(900);
+        assert!(table_input.is_empty());
+        assert_eq!(buffer(&table_input), resident_at);
+        assert_eq!(buffer(&scratch.relation(120)), partition_at);
+        assert!(scratch.kept.lock().relations.is_empty());
     }
 
     /// Each bucket's `(keys, rids)`, routed one tuple at a time.

@@ -100,9 +100,9 @@ fn morsel_size_one_still_matches() {
 
 /// The native kernel's pair order is part of its contract: probe order,
 /// then build order within a key — from `submit`, from `submit_cached`, and
-/// (within each spill partition) from a spill-enabled request, whatever the
-/// worker count — also when spilled pairs are re-partitioned from their run
-/// files.
+/// (within the resident table and within each spilled partition) from a
+/// spill-enabled request, whatever the worker count — also when spilled
+/// pairs are re-partitioned from their run files.
 #[test]
 fn native_pair_order_is_pinned_across_submit_cached_and_spill() {
     let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
@@ -130,10 +130,11 @@ fn native_pair_order_is_pinned_across_submit_cached_and_spill() {
         .spill(SpillConfig::default())
         .build()
         .unwrap();
-    // Memory budgets as fractions of the input's bytes: half spills some
-    // partitions; a 64th fits no partition pair, so spilled pairs are
-    // re-partitioned from their run files.
-    let budgets = [2, 64];
+    // Memory budgets as fractions of the input's bytes: a quarter (two
+    // thirds of the build side) spills some partitions; a 64th fits no
+    // partition pair, so spilled pairs are re-partitioned from their run
+    // files.
+    let budgets = [4, 64];
     let mut spilled_at_one_worker: [Option<Vec<(u32, u32)>>; 2] = [None, None];
     for workers in [1, 2, 3] {
         let engines = budgets.map(|divisor| {
@@ -158,9 +159,10 @@ fn native_pair_order_is_pinned_across_submit_cached_and_spill() {
             );
         }
 
-        // Spilling joins partition pair by partition pair, so pairs arrive
-        // grouped by partition; inside a group the order is the kernel's,
-        // which keeps every probe tuple's matches in build order.
+        // Resident partitions' pairs arrive first, in probe order across
+        // all of them, and then each spilled pair's; inside each the order
+        // is the kernel's, which keeps every probe tuple's matches in build
+        // order.
         for ((divisor, engine), reference) in
             budgets.iter().zip(&engines).zip(&mut spilled_at_one_worker)
         {
